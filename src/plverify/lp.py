@@ -2,13 +2,19 @@
 
 The solver is a bounded-variable primal simplex over models whose variables
 all carry finite box bounds (every LP in this artifact is box-bounded, so the
-objective can never be unbounded). Infeasibility is decided by a Phase-1 pass
-with one artificial variable per row; Phase 2 then minimises the real
-objective from the feasible basis. Bland's rule takes over after 50
+objective can never be unbounded). Bland's rule takes over after 50
 consecutive degenerate pivots to rule out cycling, and the basis inverse is
-refactorised periodically to contain drift. LPs that differ only in their
-objective (the min and max of one unit when tightening) can share one
-phase-1 pass through a ``PhaseOne``.
+refactorised periodically to contain drift.
+
+A solve given a start ``Basis`` runs phase 2 only, from that basis, and
+overwrites it with its final basis; the relaxation builder hands each LP the
+previous LP's optimum, extended by a crash column per new row. It falls back
+to the cold two-phase path (phase 1 with one artificial variable per row,
+which decides infeasibility, then phase 2) when the start basis is singular
+or puts a basic value outside its bounds by more than the feasibility
+tolerance, and retries once cold when the warm run raises
+``NumericalFailure``; only a cold failure propagates. A feasible start
+proves the model feasible, so a warm start never reports INFEASIBLE.
 
 Tolerances (fixed for the whole artifact): feasibility 1e-8, optimality
 1e-7, pivot threshold 1e-9, iteration cap 50000.
@@ -118,81 +124,47 @@ def _padded_objective(model: LpModel) -> np.ndarray:
     return c
 
 
-class PhaseOne:
-    """One phase-1 pass shared by solves that differ only in their objective.
+@dataclass
+class Basis:
+    """A simplex basis: the start of a ``solve``, overwritten with its final basis.
 
-    Pass the same fresh instance to every ``solve`` of models that hold the
-    same rows and variable bounds (``LpModel.with_objective`` clones of one
-    model): the first call runs phase 1 and keeps its final basis, the later
-    ones start phase 2 from a copy of it. Phase 1 never reads the objective,
-    so every result is bit-identical to a solve without sharing.
+    A column is a variable index ``j``, or ``~i`` for the slack of row ``i``.
+    ``basic`` holds one column per row; nonbasic columns listed in
+    ``at_upper`` start at their upper bound, all others at their lower bound.
     """
 
-    def __init__(self):
-        self._model: LpModel | None = None
-        self._start: _Start | None = None
-
-    def _lookup(self, model: LpModel) -> tuple[bool, "_Start | None"]:
-        """(found, start); start None means the feasible set is empty."""
-        kept = self._model
-        if kept is None:
-            return False, None
-        if (
-            model.lower != kept.lower
-            or model.upper != kept.upper
-            or len(model.rows) != len(kept.rows)
-            or any(a is not b for a, b in zip(model.rows, kept.rows))
-        ):
-            raise ValueError("a PhaseOne is shared only by models with the same rows and bounds")
-        return True, self._start
-
-    def _keep(self, model: LpModel, start: "_Start | None") -> None:
-        self._model = model
-        self._start = start
+    basic: list[int] = field(default_factory=list)
+    at_upper: set[int] = field(default_factory=set)
 
 
-@dataclass
-class _Start:
-    """A feasible basis from phase 1, artificials pinned at zero."""
-
-    arow: np.ndarray
-    state: "_SimplexState"
-    iters_used: int
-
-
-def solve(model: LpModel, phase_one: PhaseOne | None = None) -> LpSolution:
-    """Bounded-variable two-phase primal simplex; see PhaseOne for sharing
-    phase 1 between objectives over one feasible set."""
+def solve(model: LpModel, basis: Basis | None = None) -> LpSolution:
+    """Bounded-variable primal simplex, warm from ``basis`` when it is given,
+    feasible and nonsingular; two-phase from scratch otherwise."""
     n = model.num_vars
     if n == 0:
         return LpSolution(OPTIMAL, 0.0, np.zeros(0))
-    found, start = phase_one._lookup(model) if phase_one is not None else (False, None)
-    if not found:
-        start = _phase_one(model)
-        if phase_one is not None:
-            phase_one._keep(model, start)
+    form = _standard_form(model)
+    if form is None:
+        return LpSolution(INFEASIBLE, np.inf, None)
+    c_obj = _padded_objective(model)
+    if basis is not None:
+        try:
+            state = _warm_start(form, n, basis)
+            if state is not None:
+                return _phase_two(state, form, c_obj, MAX_ITER, basis)
+        except NumericalFailure:
+            pass  # retried once from scratch
+    start = _phase_one(form, n)
     if start is None:
         return LpSolution(INFEASIBLE, np.inf, None)
-
-    # a shared start must stay intact for the next objective
-    state = start.state.copy() if phase_one is not None else start.state
-    arow = start.arow
-    m = len(arow)
-    c_obj = _padded_objective(model)
-    c_phase2 = np.concatenate([c_obj, np.zeros(2 * m)])
-    _run_simplex(state, c_phase2, MAX_ITER - start.iters_used)
-
-    state.refactor()
-    xs = state.x[:n]
-    if m:
-        residual = np.max(np.abs(arow @ xs + state.x[n : n + m] - state.rhs))
-        if residual > 1e-6:
-            raise NumericalFailure(f"final residual {residual:.2e}")
-    return LpSolution(OPTIMAL, float(c_obj @ xs), xs.copy())
+    state, iters_used = start
+    return _phase_two(state, form, c_obj, MAX_ITER - iters_used, basis)
 
 
-def _phase_one(model: LpModel) -> _Start | None:
-    """Standard form plus a phase-1 pass; None when the model is infeasible."""
+def _standard_form(model: LpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
+    """(rows, rhs, lo, hi): the row matrix over the structural columns, and
+    the bounds of the columns structural | one slack per row, where row i
+    reads rows[i] . x + slack_i = rhs[i]; None when some lower > upper."""
     n = model.num_vars
     lo = np.asarray(model.lower, dtype=np.float64)
     hi = np.asarray(model.upper, dtype=np.float64)
@@ -223,23 +195,53 @@ def _phase_one(model: LpModel) -> _Start | None:
     room_dn = rhs - row_max
     slack_lo = np.where(is_ge & (room_dn < 0.0), room_dn, 0.0)
     slack_hi = np.where(is_le & (room_up > 0.0), room_up, 0.0)
+    return arow, rhs, np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi])
 
+
+def _warm_start(form, n: int, basis: Basis) -> "_SimplexState | None":
+    """The state at ``basis``; None when a basic value lies outside its
+    bounds by more than TOL_FEAS. A singular basis raises NumericalFailure."""
+    arow, rhs, lo, hi = form
+    m = len(rhs)
+    if len(basis.basic) != m:
+        raise ValueError(f"basis names {len(basis.basic)} basic columns for {m} rows")
+    basic = np.array([j if j >= 0 else n + ~j for j in basis.basic], dtype=np.intp)
+    at_upper = np.zeros(n + m, dtype=bool)
+    at_upper[[j if j >= 0 else n + ~j for j in basis.at_upper]] = True
+    at_upper[basic] = False
+    in_basis = np.zeros(n + m, dtype=bool)
+    in_basis[basic] = True
+    x = np.where(at_upper, hi, lo)
+    a = np.hstack([arow, np.eye(m)])
+    state = _SimplexState(a, rhs, lo, hi, x, at_upper, basic, in_basis, None)
+    state.refactor()
+    xb = state.x[basic]
+    if np.any(xb < lo[basic] - TOL_FEAS) or np.any(xb > hi[basic] + TOL_FEAS):
+        return None
+    return state
+
+
+def _phase_one(form, n: int) -> "tuple[_SimplexState, int] | None":
+    """A feasible state from one artificial variable per row, plus the
+    iterations used; None when the model is infeasible."""
+    arow, rhs, lo, hi = form
+    m = len(rhs)
     total = n + m + m  # structural | slacks | artificials
     a_full = np.zeros((m, total))
     a_full[:, :n] = arow
     a_full[:, n : n + m] = np.eye(m)
+    lo_full = np.concatenate([lo, np.zeros(m)])
+    hi_full = np.concatenate([hi, np.zeros(m)])
+    slack_lo, slack_hi = lo[n:], hi[n:]
 
-    lo_full = np.concatenate([lo, slack_lo, np.zeros(m)])
-    hi_full = np.concatenate([hi, slack_hi, np.zeros(m)])
-
-    x = np.concatenate([lo, np.zeros(m), np.zeros(m)])
+    x = np.concatenate([lo[:n], np.zeros(m), np.zeros(m)])
     at_upper = np.zeros(total, dtype=bool)
     # Slacks start at whichever of their bounds is nearer the row residual.
-    desired = rhs - arow @ lo
+    desired = rhs - arow @ lo[:n]
     start_upper = np.abs(desired - slack_hi) < np.abs(desired - slack_lo)
     x[n : n + m] = np.where(start_upper, slack_hi, slack_lo)
     at_upper[n : n + m] = start_upper
-    resid = rhs - arow @ lo - x[n : n + m]
+    resid = rhs - arow @ lo[:n] - x[n : n + m]
     sigma = np.where(resid >= 0.0, 1.0, -1.0)
     a_full[:, n + m :] = np.diag(sigma)
     hi_full[n + m :] = np.abs(resid)
@@ -261,7 +263,29 @@ def _phase_one(model: LpModel) -> _Start | None:
     # Pin artificials at zero for phase 2; basic ones stay at 0 harmlessly.
     state.hi[n + m :] = 0.0
     state.x[n + m :] = np.minimum(state.x[n + m :], 0.0)
-    return _Start(arow, state, iters_used)
+    return state, iters_used
+
+
+def _phase_two(state: "_SimplexState", form, c_obj: np.ndarray, max_iter: int, basis: Basis | None) -> LpSolution:
+    """Minimise c_obj from a feasible state; record the final basis."""
+    arow, rhs = form[0], form[1]
+    n, m = len(c_obj), len(rhs)
+    c = np.concatenate([c_obj, np.zeros(len(state.x) - n)])
+    _run_simplex(state, c, max_iter)
+
+    state.refactor()
+    xs = state.x[:n]
+    if m:
+        residual = np.max(np.abs(arow @ xs + state.x[n : n + m] - rhs))
+        if residual > 1e-6:
+            raise NumericalFailure(f"final residual {residual:.2e}")
+    if basis is not None:
+        # a basic artificial (pinned at 0) stands in for its row's slack:
+        # the two columns differ only in sign
+        basis.basic = [int(j) if j < n else ~int((j - n) % m) for j in state.basis]
+        upper = state.at_upper[: n + m] & ~state.in_basis[: n + m]
+        basis.at_upper = {int(j) if j < n else ~int(j - n) for j in np.flatnonzero(upper)}
+    return LpSolution(OPTIMAL, float(c_obj @ xs), xs.copy())
 
 
 class _SimplexState:
@@ -276,21 +300,13 @@ class _SimplexState:
         self.in_basis = in_basis
         self.binv = binv
 
-    def copy(self) -> "_SimplexState":
-        """A copy whose pivots leave this state untouched (the constraint
-        matrix, rhs and lower bounds are never written and stay shared)."""
-        return _SimplexState(
-            self.a, self.rhs, self.lo, self.hi.copy(), self.x.copy(), self.at_upper.copy(),
-            self.basis.copy(), self.in_basis.copy(), self.binv.copy(),
-        )
-
     def refactor(self) -> None:
         m = len(self.basis)
         if m == 0:
             return
         try:
             self.binv = np.linalg.inv(self.a[:, self.basis])
-        except np.linalg.LinAlgError as exc:  # pragma: no cover
+        except np.linalg.LinAlgError as exc:
             raise NumericalFailure("singular basis") from exc
         xn = self.x.copy()
         xn[self.basis] = 0.0

@@ -191,9 +191,5 @@ def forward_batch(net: Network, points: np.ndarray) -> np.ndarray:
     return x
 
 
-def relu_layer_indices(net: Network) -> list[int]:
-    return [i for i, layer in enumerate(net.layers) if isinstance(layer, Relu)]
-
-
 def is_relu_only(net: Network) -> bool:
     return not any(isinstance(layer, MaxPool) for layer in net.layers)

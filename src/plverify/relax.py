@@ -19,6 +19,22 @@ range by minimising/maximising its variable over the partial model built so
 far (two LPs per unit), before that unit's ReLU is encoded. Tightening is
 what the branch-and-bound engine uses per subdomain by default.
 
+Every LP over one relaxation starts warm (``lp.Basis``) from the previous
+LP's optimum: tightened bounds contain every feasible point, so that optimum
+stays feasible. Each row is added with a crash column that keeps the start
+primal-feasible without pivoting (inputs start at their lower bounds):
+
+* a Linear equality row: its x_hat basic;
+* a hull unit: x basic in its chord row (x then sits on the chord, inside
+  [max(0, x_hat), u]) and the slack basic in its x >= x_hat row;
+* a reluplex unit: x nonbasic at its upper bound u, the slack basic;
+* a MaxPool hull group: y basic in its sum row, the slacks basic in its
+  y >= x_k rows (this start can exceed y's upper bound).
+
+Where a start is infeasible after all (a bound cut by fixed ReLU phases,
+or the MaxPool case above), ``lp.solve`` falls back to its cold two-phase
+path, which also reports infeasible phase sets.
+
 The fast dual bound is an LP-free backward pass producing the value of a
 feasible dual point of the hull LP: it maintains an affine under-estimator
 g . (layer value) + kappa of the scalar output. Ambiguous units scale their
@@ -71,6 +87,7 @@ class PlanetModel:
     bounds: LayerBounds | None
     hull_units: list[HullUnit] = field(default_factory=list)
     infeasible: bool = False
+    basis: lp.Basis | None = None  # start of the next LP over ``model``
 
 
 def _encode(
@@ -86,6 +103,13 @@ def _encode(
         return PlanetModel(None, None, [], None, [], infeasible=True)
 
     model = lp.LpModel()
+    basis = lp.Basis()
+
+    def add_row(coefs: dict[int, float], rel: str, rhs: float, crash: int | None = None) -> int:
+        """Add a row with its crash column: ``crash`` basic, or the row's slack."""
+        basis.basic.append(~len(model.rows) if crash is None else crash)
+        return model.add_row(coefs, rel, rhs)
+
     input_vars = [model.add_var(box.lb[j], box.ub[j]) for j in range(box.size)]
     prev: list[int | None] = list(input_vars)
     cur_lb, cur_ub = box.lb.copy(), box.ub.copy()
@@ -105,7 +129,7 @@ def _encode(
                 for k, p in enumerate(prev):
                     if p is not None and layer.weight[j, k] != 0.0:
                         coefs[p] = coefs.get(p, 0.0) - layer.weight[j, k]
-                model.add_row(coefs, lp.EQ, float(layer.bias[j]))
+                add_row(coefs, lp.EQ, float(layer.bias[j]), crash=v)
                 new_vars.append(v)
             prev = new_vars
             cur_lb, cur_ub = lo, hi
@@ -122,12 +146,10 @@ def _encode(
                 for j, p in enumerate(prev):
                     if not (lo[j] < 0.0 < hi[j]):
                         continue
-                    # both LPs range over one feasible set: one phase 1
-                    shared = lp.PhaseOne()
-                    sol_min = lp.solve(model.with_objective({p: 1.0}), shared)
+                    sol_min = lp.solve(model.with_objective({p: 1.0}), basis)
                     if sol_min.status == lp.INFEASIBLE:
                         return PlanetModel(None, None, [], None, [], infeasible=True)
-                    sol_max = lp.solve(model.with_objective({p: -1.0}), shared)
+                    sol_max = lp.solve(model.with_objective({p: -1.0}), basis)
                     lo[j] = max(lo[j], sol_min.objective - _SAFETY)
                     hi[j] = min(hi[j], -sol_max.objective + _SAFETY)
                     model.lower[p] = float(lo[j])
@@ -142,10 +164,12 @@ def _encode(
                     new_vars.append(p)
                 else:
                     x = model.add_var(0.0, u)
-                    r_low = model.add_row({x: 1.0, p: -1.0}, lp.GE, 0.0)
+                    r_low = add_row({x: 1.0, p: -1.0}, lp.GE, 0.0)
                     r_up = None
                     if mode == "planet":
-                        r_up = model.add_row({x: u - l, p: -u}, lp.LE, -u * l)
+                        r_up = add_row({x: u - l, p: -u}, lp.LE, -u * l, crash=x)
+                    else:
+                        basis.at_upper.add(x)
                     hull_units.append(HullUnit(i, j, p, x, r_low, r_up, l, u))
                     new_vars.append(x)
             prev = new_vars
@@ -166,17 +190,17 @@ def _encode(
                 y = model.add_var(p_lo[gi], p_hi[gi])
                 coefs = {y: 1.0}
                 for k in g:
-                    model.add_row({y: 1.0, prev[k]: -1.0}, lp.GE, 0.0)
+                    add_row({y: 1.0, prev[k]: -1.0}, lp.GE, 0.0)
                     coefs[prev[k]] = -1.0
                 lbs = cur_lb[list(g)]
-                model.add_row(coefs, lp.LE, float(-np.sum(lbs) + np.max(lbs)))
+                add_row(coefs, lp.LE, float(-np.sum(lbs) + np.max(lbs)), crash=y)
                 new_vars.append(y)
             prev = new_vars
             cur_lb, cur_ub = p_lo, p_hi
             out.post_lb[i], out.post_ub[i] = p_lo.copy(), p_hi.copy()
 
     output_var = prev[0] if prev else None
-    return PlanetModel(model, output_var, input_vars, out, hull_units)
+    return PlanetModel(model, output_var, input_vars, out, hull_units, basis=basis)
 
 
 def build_planet(
@@ -201,7 +225,7 @@ def _minimise_output(pm: PlanetModel) -> tuple[float, np.ndarray | None]:
         return np.inf, None
     if pm.output_var is None:
         return 0.0, None
-    sol = lp.solve(pm.model.with_objective({pm.output_var: 1.0}))
+    sol = lp.solve(pm.model.with_objective({pm.output_var: 1.0}), pm.basis)
     if sol.status == lp.INFEASIBLE:
         return np.inf, None
     return sol.objective, sol.x[: len(pm.input_vars)]

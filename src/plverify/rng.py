@@ -29,9 +29,6 @@ class SplitMix64:
         self._seed = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
         self._counter = 0
 
-    def next_u64(self) -> int:
-        return int(self._u64_block(1)[0])
-
     def _u64_block(self, n: int) -> np.ndarray:
         idx = np.arange(self._counter + 1, self._counter + n + 1, dtype=np.uint64)
         self._counter += n

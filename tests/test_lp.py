@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+import plverify.lp as lp_module
 from plverify.lp import (
     EQ,
     GE,
     INFEASIBLE,
     LE,
     OPTIMAL,
+    Basis,
     LpModel,
-    PhaseOne,
+    NumericalFailure,
     TooLarge,
     solve,
     solve_reference,
@@ -157,32 +159,81 @@ def test_deterministic_objective_values():
     assert first == second  # bitwise identical
 
 
-def test_shared_phase_one_is_bit_identical():
-    # one phase 1 serves both objectives; each result matches a plain solve
+def _count_phase_one(monkeypatch) -> list[int]:
+    calls = [0]
+    original = lp_module._phase_one
+
+    def counted(*args):
+        calls[0] += 1
+        return original(*args)
+
+    monkeypatch.setattr(lp_module, "_phase_one", counted)
+    return calls
+
+
+def test_warm_start_matches_cold_solve(monkeypatch):
+    # from an all-slack crash basis, then from each previous optimum, also
+    # after a bound is cut around that optimum (as tightening does)
+    phase_one = _count_phase_one(monkeypatch)
     rng = np.random.default_rng(17)
     statuses = set()
-    for _ in range(100):
+    warm = 0
+    for _ in range(200):
         model = _random_model(rng)
-        c = rng.normal(size=model.num_vars)
-        shared = PhaseOne()
-        for obj in (c, -c):
+        n = model.num_vars
+        basis = Basis([~i for i in range(len(model.rows))])
+        c = rng.normal(size=n)
+        for step, obj in enumerate((c, -c, rng.normal(size=n), c)):
+            if step == 3 and got.status == OPTIMAL:
+                j = int(rng.integers(0, n))
+                model.lower[j] = max(model.lower[j], float(got.x[j]) - 0.1)
+                model.upper[j] = min(model.upper[j], float(got.x[j]) + 0.1)
             clone = model.with_objective(obj)
-            got, plain = solve(clone, shared), solve(clone)
-            assert got.status == plain.status
-            assert got.objective == plain.objective
-            assert (got.x is None and plain.x is None) or np.array_equal(got.x, plain.x)
+            before = phase_one[0]
+            got = solve(clone, basis)
+            cold = solve(clone)
+            assert got.status == cold.status
             statuses.add(got.status)
+            if got.status == OPTIMAL:
+                assert abs(got.objective - cold.objective) <= 1e-12
+                if step > 0:  # from the previous optimum: only the cold solve ran phase 1
+                    assert phase_one[0] == before + 1
+                    warm += 1
     assert statuses == {OPTIMAL, INFEASIBLE}
+    assert warm > 200
 
 
-def test_shared_phase_one_rejects_other_constraints():
-    shared = PhaseOne()
+def test_failed_warm_start_is_retried_cold(monkeypatch):
     model = _toy_planet_lp()
-    solve(model, shared)
-    other = model.copy()
-    other.upper[0] = 3.0
+    cold = solve(model)
+    phase_one = _count_phase_one(monkeypatch)
+    singular = Basis([0, 0, 0, 0])  # one column basic in every row
+    got = solve(model, singular)
+    assert phase_one[0] == 1
+    assert got.status == cold.status and got.objective == cold.objective
+    assert len(singular.basic) == 4 and len(set(singular.basic)) == 4  # the final basis
     with pytest.raises(ValueError):
-        solve(other, shared)
+        solve(model, Basis([0]))
+
+    # a simplex failure in the warm run is retried cold; a cold one propagates
+    original = lp_module._run_simplex
+    failures = [1]
+
+    def flaky(*args):
+        if failures[0] > 0:
+            failures[0] -= 1
+            raise NumericalFailure("forced")
+        return original(*args)
+
+    monkeypatch.setattr(lp_module, "_run_simplex", flaky)
+    optimal = Basis(list(singular.basic), set(singular.at_upper))
+    got = solve(model, optimal)
+    assert failures[0] == 0 and phase_one[0] == 2
+    assert got.status == cold.status and got.objective == cold.objective
+    failures[0] = 2
+    with pytest.raises(NumericalFailure):
+        solve(model, optimal)
+    assert failures[0] == 0
 
 
 def test_reference_cap():

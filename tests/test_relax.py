@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 from helpers import random_box, random_net, toy_box, toy_net, toy_problem
 
+from plverify import lp
 from plverify.interval import BLOCKED, PASSING, propagate_box, refine_with_fixed_phases
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
 from plverify.oracle import oracle_min
@@ -217,3 +220,106 @@ def test_maxpool_hull_bound_is_sound():
         pts = rng.uniform(box.lb, box.ub, size=(200, 3))
         for x in pts:
             assert forward_eval(net, x)[0] >= lb - 1e-7
+
+
+def _differential_cases(rng):
+    """Random small nets (some with a MaxPool hull), nested boxes, random
+    phase maps; some maps contradict the bounds or each other."""
+    for _ in range(40):
+        n_in = int(rng.integers(1, 4))
+        net = random_net(rng, n_in, [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 3)))])
+        if rng.random() < 0.25:
+            w = 2 * int(rng.integers(1, 3))
+            net = Network(n_in, (
+                Linear(rng.normal(size=(w, n_in)), rng.uniform(-0.5, 0.5, w)),
+                Relu(),
+                MaxPool(tuple((k, k + 1) for k in range(0, w, 2))),
+                Linear(rng.normal(size=(1, w // 2)), rng.uniform(-0.5, 0.5, 1)),
+            ))
+        units = [(i, j) for i, layer in enumerate(net.layers) if isinstance(layer, Relu)
+                 for j in range(net.layers[i - 1].out_width)]
+        center = rng.uniform(-0.5, 0.5, size=n_in)
+        half = rng.uniform(0.3, 1.5, size=n_in)
+        for _ in range(3):
+            box = BoxDomain(center - half, center + half)
+            for _ in range(3):
+                picks = rng.random(len(units)) < 0.4
+                phases = {u: bool(rng.random() < 0.5) for u, pick in zip(units, picks) if pick}
+                yield net, box, phases
+            center = rng.uniform(box.lb, box.ub)
+            half = half * rng.uniform(0.3, 0.8, size=n_in)
+            center = np.clip(center, box.lb + half, box.ub - half)
+
+
+def _vertex_subsets(model) -> int:
+    """How many constraint subsets ``lp.solve_reference`` enumerates."""
+    n = model.num_vars
+    return math.comb(2 * n + sum(2 if rel == lp.EQ else 1 for _, rel, _ in model.rows), n)
+
+
+def test_warm_relaxation_lps_match_cold_solves(monkeypatch):
+    warm_solve = lp.solve
+    checked = {"reference": 0, "warm_lps": 0}
+
+    def checked_solve(model, basis=None):
+        got = warm_solve(model, basis)
+        cold = warm_solve(model)
+        assert got.status == cold.status
+        if got.status == lp.OPTIMAL:
+            assert abs(got.objective - cold.objective) <= 1e-9
+        checked["warm_lps"] += basis is not None
+        # the reference's memory grows with the subset count: 50k is ~20 MB
+        if model.num_vars <= 8 and _vertex_subsets(model) <= 50_000:
+            ref = lp.solve_reference(model)
+            assert got.status == ref.status
+            if got.status == lp.OPTIMAL:
+                assert got.objective == pytest.approx(ref.objective, abs=1e-6)
+            checked["reference"] += 1
+        return got
+
+    def cold_solve(model, basis=None):
+        return warm_solve(model)
+
+    outcomes = {"feasible": 0, "interval_infeasible": 0, "lp_infeasible": 0}
+    for net, box, phases in _differential_cases(np.random.default_rng(8)):
+        monkeypatch.setattr(lp, "solve", checked_solve)
+        warm = build_planet(net, box, phases, tighten=True)
+        warm_lb = planet_lower_bound(warm)
+        monkeypatch.setattr(lp, "solve", cold_solve)
+        cold = build_planet(net, box, phases, tighten=True)
+        cold_lb = planet_lower_bound(cold)
+        assert warm.infeasible == cold.infeasible
+        if not warm.infeasible:
+            for got, want in ((warm.bounds.pre_lb, cold.bounds.pre_lb), (warm.bounds.pre_ub, cold.bounds.pre_ub)):
+                for a, b in zip(got, want):
+                    assert np.all(np.abs(a - b) <= 1e-9)
+        if warm_lb == np.inf:
+            assert cold_lb == np.inf
+            base = refine_with_fixed_phases(net, propagate_box(net, box), phases)
+            outcomes["interval_infeasible" if base is None else "lp_infeasible"] += 1
+        else:
+            assert abs(warm_lb - cold_lb) <= 1e-9
+            outcomes["feasible"] += 1
+    assert min(outcomes.values()) > 0, outcomes
+    assert checked["warm_lps"] > 500 and checked["reference"] > 100, checked
+
+
+def test_relaxation_lps_never_run_phase_one(monkeypatch):
+    # without fixed phases every crash start is feasible, so no LP of a hull
+    # or loose relaxation falls back to the cold two-phase path
+    cold_passes = []
+    monkeypatch.setattr(lp, "_phase_one", lambda *args: cold_passes.append(args))
+    real_solve = lp.solve
+    solves = []
+
+    def counted(model, basis=None):
+        solves.append(basis is not None)
+        return real_solve(model, basis)
+
+    monkeypatch.setattr(lp, "solve", counted)
+    for net, box in _bound_suite(60, 5):
+        pm = build_planet(net, box, tighten=True)
+        assert not pm.infeasible and np.isfinite(planet_lower_bound(pm))
+        assert np.isfinite(reluplex_lower_bound(net, box)[0])
+    assert cold_passes == []
+    assert all(solves) and len(solves) > 300
