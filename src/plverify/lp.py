@@ -2,19 +2,29 @@
 
 The solver is a bounded-variable primal simplex over models whose variables
 all carry finite box bounds (every LP in this artifact is box-bounded, so the
-objective can never be unbounded). Bland's rule takes over after 50
-consecutive degenerate pivots to rule out cycling, and the basis inverse is
-refactorised periodically to contain drift.
+objective can never be unbounded), with a bounded dual simplex for warm
+starts. Bland's rule takes over after 50 consecutive degenerate pivots to
+rule out cycling, and the basis inverse is refactorised periodically to
+contain drift.
 
-A solve given a start ``Basis`` runs phase 2 only, from that basis, and
-overwrites it with its final basis; the relaxation builder hands each LP the
-previous LP's optimum, extended by a crash column per new row. It falls back
-to the cold two-phase path (phase 1 with one artificial variable per row,
-which decides infeasibility, then phase 2) when the start basis is singular
-or puts a basic value outside its bounds by more than the feasibility
-tolerance, and retries once cold when the warm run raises
-``NumericalFailure``; only a cold failure propagates. A feasible start
-proves the model feasible, so a warm start never reports INFEASIBLE.
+A solve given a start ``Basis`` starts from that basis and overwrites it
+with its final basis; the relaxation builder hands each LP the previous
+LP's optimum, extended by a crash column per new row, and the MIP search
+hands each node its parent's optimum. A start whose basic values lie within
+their bounds runs primal phase 2 only. A start that puts a basic value
+outside its bounds but keeps every reduced cost's sign within the
+optimality tolerance (dual feasible; a bound cut after an optimum) first
+runs dual simplex pivots until the basic values are within bounds, then
+hands over to primal phase 2. The dual path reports INFEASIBLE only through
+a checked Farkas row: when its ratio test finds no entering column, row r of
+B^-1 is taken after a fresh refactor, and the range of that row's
+combination of the columns over their box must miss its right-hand side by
+more than the feasibility tolerance, scaled by the row's magnitude;
+otherwise the warm run raises ``NumericalFailure``. A start that is neither
+primal nor dual feasible, or is singular, falls back to the cold two-phase
+path (phase 1 with one artificial variable per row, which decides
+infeasibility, then phase 2), and a warm ``NumericalFailure`` is retried
+once cold; only a cold failure propagates.
 
 Tolerances (fixed for the whole artifact): feasibility 1e-8, optimality
 1e-7, pivot threshold 1e-9, iteration cap 50000.
@@ -44,6 +54,7 @@ MAX_ITER = 50_000
 _DEGEN_TOL = 1e-12
 _BLAND_TRIGGER = 50
 _REFACTOR_EVERY = 64
+_REFERENCE_CHUNK = 1 << 15
 
 
 class NumericalFailure(Exception):
@@ -138,8 +149,8 @@ class Basis:
 
 
 def solve(model: LpModel, basis: Basis | None = None) -> LpSolution:
-    """Bounded-variable primal simplex, warm from ``basis`` when it is given,
-    feasible and nonsingular; two-phase from scratch otherwise."""
+    """Bounded-variable simplex, warm from ``basis`` when it is given,
+    nonsingular and primal or dual feasible; two-phase from scratch otherwise."""
     n = model.num_vars
     if n == 0:
         return LpSolution(OPTIMAL, 0.0, np.zeros(0))
@@ -149,9 +160,13 @@ def solve(model: LpModel, basis: Basis | None = None) -> LpSolution:
     c_obj = _padded_objective(model)
     if basis is not None:
         try:
-            state = _warm_start(form, n, basis)
+            c = np.concatenate([c_obj, np.zeros(len(form[1]))])
+            state = _warm_start(form, n, basis, c)
             if state is not None:
-                return _phase_two(state, form, c_obj, MAX_ITER, basis)
+                used = _run_dual(state, c, MAX_ITER)
+                if used is None:
+                    return LpSolution(INFEASIBLE, np.inf, None)
+                return _phase_two(state, form, c_obj, MAX_ITER - used, basis)
         except NumericalFailure:
             pass  # retried once from scratch
     start = _phase_one(form, n)
@@ -198,9 +213,11 @@ def _standard_form(model: LpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return arow, rhs, np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi])
 
 
-def _warm_start(form, n: int, basis: Basis) -> "_SimplexState | None":
+def _warm_start(form, n: int, basis: Basis, c: np.ndarray) -> "_SimplexState | None":
     """The state at ``basis``; None when a basic value lies outside its
-    bounds by more than TOL_FEAS. A singular basis raises NumericalFailure."""
+    bounds by more than TOL_FEAS and some reduced cost of ``c`` has the wrong
+    sign by more than TOL_OPT (neither simplex can start there). A singular
+    basis raises NumericalFailure."""
     arow, rhs, lo, hi = form
     m = len(rhs)
     if len(basis.basic) != m:
@@ -217,7 +234,10 @@ def _warm_start(form, n: int, basis: Basis) -> "_SimplexState | None":
     state.refactor()
     xb = state.x[basic]
     if np.any(xb < lo[basic] - TOL_FEAS) or np.any(xb > hi[basic] + TOL_FEAS):
-        return None
+        d = c - (c[basic] @ state.binv) @ a
+        wrong = np.where(at_upper, d > TOL_OPT, d < -TOL_OPT)
+        if np.any(wrong & ~in_basis & (hi > lo)):
+            return None
     return state
 
 
@@ -299,18 +319,43 @@ class _SimplexState:
         self.basis = basis
         self.in_basis = in_basis
         self.binv = binv
+        self.fresh = False  # binv was inverted from the basis, no pivot since
 
     def refactor(self) -> None:
+        """Recompute the basic values, inverting the basis again unless no
+        pivot happened since the last inversion (the inverse would be the
+        same bytes)."""
         m = len(self.basis)
         if m == 0:
             return
-        try:
-            self.binv = np.linalg.inv(self.a[:, self.basis])
-        except np.linalg.LinAlgError as exc:
-            raise NumericalFailure("singular basis") from exc
+        if not self.fresh:
+            try:
+                self.binv = np.linalg.inv(self.a[:, self.basis])
+            except np.linalg.LinAlgError as exc:
+                raise NumericalFailure("singular basis") from exc
+            self.fresh = True
         xn = self.x.copy()
         xn[self.basis] = 0.0
         self.x[self.basis] = self.binv @ (self.rhs - self.a @ xn)
+
+    def pivot(self, e: int, leave: int, w: np.ndarray, to_upper) -> None:
+        """Column ``e`` enters the basis in row ``leave``, whose basic column
+        leaves at its upper bound when ``to_upper``, else at its lower bound;
+        ``w`` is B^-1 a_e. Product-form update of the inverse, shared by the
+        primal and the dual loop."""
+        lv = int(self.basis[leave])
+        self.x[lv] = self.hi[lv] if to_upper else self.lo[lv]
+        self.at_upper[lv] = to_upper
+        self.in_basis[lv] = False
+        self.basis[leave] = e
+        self.in_basis[e] = True
+        piv = w[leave]
+        if abs(piv) < PIVOT_TOL:
+            raise NumericalFailure("pivot below threshold")
+        row = self.binv[leave] / piv
+        self.binv -= w[:, None] * row
+        self.binv[leave] = row
+        self.fresh = False
 
 
 def _run_simplex(state: _SimplexState, c: np.ndarray, max_iter: int) -> int:
@@ -376,20 +421,119 @@ def _run_simplex(state: _SimplexState, c: np.ndarray, max_iter: int) -> int:
             at_upper[e] = not at_upper[e]
             x[e] = hi[e] if at_upper[e] else lo[e]
         else:
-            lv = int(basis[leave])
-            hit_upper = delta[leave] > 0
-            x[lv] = hi[lv] if hit_upper else lo[lv]
-            at_upper[lv] = hit_upper
-            in_basis[lv] = False
-            basis[leave] = e
-            in_basis[e] = True
-            piv = w[leave]
-            if abs(piv) < PIVOT_TOL:
-                raise NumericalFailure("pivot below threshold")
-            row = binv[leave] / piv
-            binv -= w[:, None] * row
-            binv[leave] = row
+            state.pivot(e, leave, w, delta[leave] > 0)
     raise NumericalFailure(f"iteration cap {MAX_ITER} exceeded")
+
+
+def _run_dual(state: _SimplexState, c: np.ndarray, max_iter: int) -> int | None:
+    """Bounded dual simplex from a dual feasible state until every basic
+    value lies within its bounds; the iterations used, or None when a
+    checked Farkas row proves the model infeasible.
+
+    Each pivot takes the most violated basic out at its violated bound and
+    brings in the column that keeps every reduced cost's sign (dual ratio
+    test, ties to the largest pivot); Bland's rule takes over after
+    _BLAND_TRIGGER consecutive dual-degenerate pivots.
+    """
+    a, lo, hi = state.a, state.lo, state.hi
+    movable = hi - lo > 0.0
+    degen_run = 0
+    bland = False
+
+    for it in range(max_iter):
+        if it > 0 and it % _REFACTOR_EVERY == 0:
+            state.refactor()
+        x, basis, in_basis, at_upper, binv = state.x, state.basis, state.in_basis, state.at_upper, state.binv
+
+        xb = x[basis]
+        below = lo[basis] - xb
+        above = xb - hi[basis]
+        violation = np.maximum(below, above)
+        bad = violation > TOL_FEAS
+        if not bad.any():
+            return it
+        if bland:
+            rows = bad.nonzero()[0]
+            r = int(rows[basis[rows].argmin()])
+        else:
+            r = int(violation.argmax())
+        rise = below[r] > 0.0  # the leaving value climbs to its lower bound
+
+        d = c - (c[basis] @ binv) @ a
+        alpha = binv[r] @ a
+        # x_B[r] moves by -alpha_j per unit increase of column j
+        toward = -alpha if rise else alpha
+        eligible = movable & ~in_basis & np.where(at_upper, toward < -PIVOT_TOL, toward > PIVOT_TOL)
+        if not eligible.any():
+            if not state.fresh:
+                state.refactor()  # decide on an inverse without drift
+                continue
+            if _farkas_row(state, r):
+                return None
+            raise NumericalFailure("dual ratio test found no column, Farkas check failed")
+        slack = np.maximum(np.where(at_upper, -d, d), 0.0)
+        ratios = np.divide(slack, np.abs(alpha), out=np.full(len(alpha), np.inf), where=eligible)
+        theta = float(ratios.min())
+        near = (ratios <= theta + 1e-12).nonzero()[0]
+        if bland:
+            e = int(near[0])
+        else:
+            e = int(near[np.abs(alpha[near]).argmax()])
+
+        if theta <= _DEGEN_TOL:
+            degen_run += 1
+            if degen_run >= _BLAND_TRIGGER:
+                bland = True
+        else:
+            degen_run = 0
+
+        w = binv @ a[:, e]
+        target = lo[basis[r]] if rise else hi[basis[r]]
+        step = (xb[r] - target) / w[r]
+        x[e] += step
+        x[basis] -= w * step
+        state.pivot(e, r, w, not rise)
+    raise NumericalFailure(f"iteration cap {MAX_ITER} exceeded")
+
+
+def _farkas_row(state: _SimplexState, r: int) -> bool:
+    """Whether row ``r`` of B^-1 proves the model infeasible.
+
+    Every solution z of the rows satisfies (y A) z = y rhs for y = row r of
+    B^-1, so the model is infeasible when y rhs lies outside the range of
+    (y A) z over the column box. Any y gives a valid proof, so rounding in y
+    cannot make a false one; the range must miss by more than TOL_FEAS times
+    the row's magnitude (the sum of its terms' largest sizes over the box,
+    at least 1), so rounding in the sums cannot either.
+    """
+    y = state.binv[r]
+    alpha = y @ state.a
+    at_lo, at_hi = alpha * state.lo, alpha * state.hi
+    low = float(np.minimum(at_lo, at_hi).sum())
+    high = float(np.maximum(at_lo, at_hi).sum())
+    value = float(y @ state.rhs)
+    scale = max(1.0, float(np.maximum(np.abs(at_lo), np.abs(at_hi)).sum()), abs(value))
+    return value < low - TOL_FEAS * scale or value > high + TOL_FEAS * scale
+
+
+def _subsets(k: int, n: int):
+    """The n-subsets of range(k) in lexicographic order, as index arrays of
+    about _REFERENCE_CHUNK rows each, so memory stays bounded. Each head of
+    n - 3 indices is joined in numpy to every 3-subset that follows it."""
+    r = min(n, 3)
+    tails = np.array(list(itertools.combinations(range(k), r)), dtype=np.intp).reshape(-1, r)
+    after = np.searchsorted(tails[:, 0], np.arange(k), side="right")
+    blocks, size = [], 0
+    for head in itertools.combinations(range(k), n - r):
+        tail = tails[after[head[-1]] :] if head else tails
+        if len(tail):
+            blocks.append(np.hstack([np.broadcast_to(np.array(head, dtype=np.intp), (len(tail), n - r)), tail]))
+            size += len(tail)
+        if size >= _REFERENCE_CHUNK:
+            yield np.concatenate(blocks)
+            blocks, size = [], 0
+    if blocks:
+        yield np.concatenate(blocks)
 
 
 def solve_reference(model: LpModel) -> LpSolution:
@@ -439,17 +583,22 @@ def solve_reference(model: LpModel) -> LpSolution:
     g = g / norms[:, None]
     h = h / norms
 
-    combos = np.array(list(itertools.combinations(range(len(g)), n)))
-    mats = g[combos]
-    rhss = h[combos]
-    dets = np.abs(np.linalg.det(mats))
-    ok = dets > 1e-8
-    if not np.any(ok):
+    # the first best vertex in enumeration order wins, as in one batch
+    best_val, best_pt = np.inf, None
+    for chunk in _subsets(len(g), n):
+        mats = g[chunk]
+        dets = np.abs(np.linalg.det(mats))
+        ok = dets > 1e-8
+        if not np.any(ok):
+            continue
+        pts = np.linalg.solve(mats[ok], h[chunk][ok][..., None])[..., 0]
+        feas = np.all(g @ pts.T <= h[:, None] + 1e-7, axis=0)
+        if not np.any(feas):
+            continue
+        vals = pts[feas] @ c
+        best = int(np.argmin(vals))
+        if vals[best] < best_val:
+            best_val, best_pt = float(vals[best]), pts[feas][best]
+    if best_pt is None:
         return LpSolution(INFEASIBLE, np.inf, None)
-    pts = np.linalg.solve(mats[ok], rhss[ok][..., None])[..., 0]
-    feas = np.all(g @ pts.T <= h[:, None] + 1e-7, axis=0)
-    if not np.any(feas):
-        return LpSolution(INFEASIBLE, np.inf, None)
-    vals = pts[feas] @ c
-    best = int(np.argmin(vals))
-    return LpSolution(OPTIMAL, float(vals[best]), pts[feas][best])
+    return LpSolution(OPTIMAL, best_val, best_pt)

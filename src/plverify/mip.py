@@ -27,6 +27,17 @@ carrying that row (feasibility of the row is equivalent to the minimum
 being <= 0, and the margin of an UNSAT instance falls out for free).
 Candidates whose LP solution fails forward validation are counted as
 spurious and the search continues past them.
+
+Node LPs start warm. The root starts from the all-slack basis with every
+structural column at the bound its cost pulls it to; its reduced costs are
+the costs, so the start is dual feasible. Each queued node keeps the final
+``lp.Basis`` of its LP, and both children start from a copy of it. A child
+differs from its parent only in one pinned binary, so that basis stays dual
+feasible and ``lp.solve`` repairs it with dual simplex pivots, without a
+phase 1. An optimum reached this way can be another vertex among ties than
+a cold solve's, so the branching binary can differ from a cold search, and
+with it the node count and an UNSAT margin (the smallest pruned bound of
+the tree searched); each node LP's value and the verdict do not.
 """
 
 from __future__ import annotations
@@ -221,7 +232,7 @@ def solve_mip(
     spurious = 0
     margin_floor = np.inf  # min lower bound over pruned/resolved nodes
     best_seen = np.inf  # best validated forward value at a candidate
-    queue: list = []  # (lb, seq, fixes, branch_var)
+    queue: list = []  # (lb, seq, fixes, branch_var, final basis of the node LP)
 
     def elapsed() -> float:
         return time.monotonic() - t0
@@ -245,10 +256,10 @@ def solve_mip(
             res.best_ub = float(forward_eval(enc.net, point)[0])
         return res
 
-    def process(fixes: dict[int, int]) -> np.ndarray | None:
-        """Solve one node; returns a validated counterexample or None."""
+    def process(fixes: dict[int, int], basis: lp.Basis) -> np.ndarray | None:
+        """Solve one node from ``basis``; returns a validated counterexample or None."""
         nonlocal seq, spurious, margin_floor, best_seen
-        sol = lp.solve(_pinned(base, fixes))
+        sol = lp.solve(_pinned(base, fixes), basis)
         if sol.status != lp.OPTIMAL:
             return None  # infeasible subtree, nothing below it
         lb = sol.objective
@@ -261,7 +272,7 @@ def solve_mip(
             dist = np.abs(vals - np.round(vals))
             if float(np.max(dist)) > _INT_TOL:
                 seq += 1
-                heapq.heappush(queue, (lb, seq, fixes, unfixed[int(np.argmax(dist))]))
+                heapq.heappush(queue, (lb, seq, fixes, unfixed[int(np.argmax(dist))], basis))
                 return None
         # integral candidate: check it against the actual network
         x0 = sol.x[:n_in].copy()
@@ -274,7 +285,7 @@ def solve_mip(
             # near-integral relaxation artefact: branching pins the binaries
             # exactly and repairs the candidate region
             seq += 1
-            heapq.heappush(queue, (lb, seq, fixes, unfixed[0]))
+            heapq.heappush(queue, (lb, seq, fixes, unfixed[0], basis))
         else:
             # fully pinned yet unvalidated: keep its bound so no UNSAT claim
             # can paper over the unresolved region
@@ -288,8 +299,11 @@ def solve_mip(
     if elapsed() >= timeout:
         return result(TIMEOUT, -np.inf)
 
+    # all-slack basis, every column at the bound its cost pulls it to: the
+    # reduced costs are the costs, so the start is dual feasible
+    root = lp.Basis([~i for i in range(len(base.rows))], {int(j) for j in np.flatnonzero(base.objective < 0.0)})
     nodes += 1
-    cx = process({})
+    cx = process({}, root)
     if cx is not None:
         return result(SAT, open_lb(), cx)
 
@@ -299,12 +313,12 @@ def solve_mip(
             return result(UNSAT, glb)
         if elapsed() >= timeout or nodes >= node_cap:
             return result(TIMEOUT, glb)
-        _, _, fixes, branch_var = heapq.heappop(queue)
+        _, _, fixes, branch_var, basis = heapq.heappop(queue)
         for val in (0, 1):
             child = dict(fixes)
             child[branch_var] = val
             nodes += 1
-            cx = process(child)
+            cx = process(child, lp.Basis(list(basis.basic), set(basis.at_upper)))
             if cx is not None:
                 return result(SAT, open_lb(), cx)
 

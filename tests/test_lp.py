@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -159,22 +161,25 @@ def test_deterministic_objective_values():
     assert first == second  # bitwise identical
 
 
-def _count_phase_one(monkeypatch) -> list[int]:
+def _count_calls(monkeypatch, name: str, keep=lambda result: True) -> list[int]:
+    """Count the calls of an lp internal whose result passes ``keep``."""
     calls = [0]
-    original = lp_module._phase_one
+    original = getattr(lp_module, name)
 
     def counted(*args):
-        calls[0] += 1
-        return original(*args)
+        result = original(*args)
+        if keep(result):
+            calls[0] += 1
+        return result
 
-    monkeypatch.setattr(lp_module, "_phase_one", counted)
+    monkeypatch.setattr(lp_module, name, counted)
     return calls
 
 
 def test_warm_start_matches_cold_solve(monkeypatch):
     # from an all-slack crash basis, then from each previous optimum, also
     # after a bound is cut around that optimum (as tightening does)
-    phase_one = _count_phase_one(monkeypatch)
+    phase_one = _count_calls(monkeypatch, "_phase_one")
     rng = np.random.default_rng(17)
     statuses = set()
     warm = 0
@@ -206,7 +211,7 @@ def test_warm_start_matches_cold_solve(monkeypatch):
 def test_failed_warm_start_is_retried_cold(monkeypatch):
     model = _toy_planet_lp()
     cold = solve(model)
-    phase_one = _count_phase_one(monkeypatch)
+    phase_one = _count_calls(monkeypatch, "_phase_one")
     singular = Basis([0, 0, 0, 0])  # one column basic in every row
     got = solve(model, singular)
     assert phase_one[0] == 1
@@ -234,6 +239,151 @@ def test_failed_warm_start_is_retried_cold(monkeypatch):
     with pytest.raises(NumericalFailure):
         solve(model, optimal)
     assert failures[0] == 0
+
+
+def test_dual_warm_start_after_bound_cut_matches_cold(monkeypatch):
+    # cut a bound of a basic variable through its optimal value: the optimal
+    # basis stays dual feasible, so the warm solve runs dual pivots only
+    phase_one = _count_calls(monkeypatch, "_phase_one")
+    dual_runs = _count_calls(monkeypatch, "_run_dual", lambda used: used != 0)
+    proofs = _count_calls(monkeypatch, "_farkas_row", lambda proved: proved)
+    rng = np.random.default_rng(31)
+    outcomes = {OPTIMAL: 0, INFEASIBLE: 0}
+    for _ in range(300):
+        model = _random_model(rng)
+        basis = Basis([~i for i in range(len(model.rows))])
+        first = solve(model, basis)
+        lo, hi = np.array(model.lower), np.array(model.upper)
+        basic = [j for j in basis.basic if j >= 0 and lo[j] + 1e-6 < first.x[j] < hi[j] - 1e-6]
+        if first.status != OPTIMAL or not basic:
+            continue
+        j = basic[int(rng.integers(0, len(basic)))]
+        cut = float(first.x[j]) + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 3.0)
+        if cut > first.x[j]:
+            model.lower[j] = min(cut, model.upper[j])
+        else:
+            model.upper[j] = max(cut, model.lower[j])
+        before, ran_dual, proved = phase_one[0], dual_runs[0], proofs[0]
+        warm = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
+        assert phase_one[0] == before and dual_runs[0] == ran_dual + 1
+        cold = solve(model)
+        assert warm.status == cold.status
+        outcomes[warm.status] += 1
+        if warm.status == OPTIMAL:
+            assert abs(warm.objective - cold.objective) <= 1e-9
+            assert proofs[0] == proved
+        else:
+            assert proofs[0] == proved + 1  # reported only through a checked Farkas row
+    assert outcomes[OPTIMAL] > 40 and outcomes[INFEASIBLE] > 40
+
+
+def _capped_pair(objective) -> tuple[LpModel, Basis]:
+    # x, y in [0, 2], x + y <= 3; the basis of min -x - y (x at its upper
+    # bound, y basic at 1) with y's upper bound cut to 0.5
+    m = LpModel()
+    x = m.add_var(0.0, 2.0)
+    y = m.add_var(0.0, 0.5)
+    m.add_row({x: 1.0, y: 1.0}, LE, 3.0)
+    m.set_objective(objective)
+    return m, Basis([y], {x})
+
+
+def test_dual_warm_start_needs_a_dual_feasible_start(monkeypatch):
+    phase_one = _count_calls(monkeypatch, "_phase_one")
+    dual = _count_calls(monkeypatch, "_run_dual")
+    model, basis = _capped_pair({0: -1.0, 1: -1.0})
+    got = solve(model, basis)
+    assert (phase_one[0], dual[0]) == (0, 1)
+    assert got.status == OPTIMAL and got.objective == pytest.approx(-2.5, abs=1e-12)
+    # the same start is not dual feasible for min x + y: solved cold
+    model, basis = _capped_pair({0: 1.0, 1: 1.0})
+    got = solve(model, basis)
+    assert (phase_one[0], dual[0]) == (1, 1)
+    assert got.status == OPTIMAL and got.objective == pytest.approx(0.0, abs=1e-12)
+
+
+def test_dual_warm_start_reports_infeasible_only_with_a_proof(monkeypatch):
+    # 1e10 x = z with x >= 2e-8 needs z >= 200; from the basis with x basic,
+    # z's entry in x's row of B^-1 A is -1e-10, below the pivot tolerance, so
+    # the dual ratio test finds no column. The Farkas check fails and the
+    # solve is retried cold.
+    phase_one = _count_calls(monkeypatch, "_phase_one")
+    m = LpModel()
+    x = m.add_var(2e-8, 1.0)
+    z = m.add_var(0.0, 1000.0)
+    m.add_row({x: 1e10, z: -1.0}, EQ, 0.0)
+    m.set_objective({x: 1.0})
+    got = solve(m, Basis([x]))
+    assert phase_one[0] == 1
+    assert got.status == OPTIMAL and got.x[z] == pytest.approx(200.0)
+    # with z capped at 10 the same row proves the model infeasible
+    m.upper[z] = 10.0
+    assert solve(m, Basis([x])).status == INFEASIBLE and phase_one[0] == 1
+    assert solve(m).status == INFEASIBLE
+
+
+def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
+    # from an optimal basis no pivot happens, so the final refactor reuses
+    # the start's inverse: the same bytes as inverting again
+    inverse = np.linalg.inv
+    inversions = [0]
+
+    def counted(a):
+        inversions[0] += 1
+        return inverse(a)
+
+    monkeypatch.setattr(lp_module.np.linalg, "inv", counted)
+    always = lp_module._SimplexState.refactor
+
+    def reinverting(state):
+        state.fresh = False
+        always(state)
+
+    rng = np.random.default_rng(23)
+    checked = 0
+    for _ in range(100):
+        model = _random_model(rng)
+        basis = Basis([~i for i in range(len(model.rows))])
+        if not model.rows or solve(model, basis).status != OPTIMAL:
+            continue
+        inversions[0] = 0
+        got = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
+        assert inversions[0] == 1
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module._SimplexState, "refactor", reinverting)
+            inversions[0] = 0
+            again = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
+            assert inversions[0] == 2
+        assert got.objective == again.objective and got.x.tobytes() == again.x.tobytes()
+        checked += 1
+    assert checked > 30
+
+
+def test_reference_memory_stays_bounded():
+    # 8 variables and 11 rows give 28 constraint rows once bounds and
+    # equalities are doubled: 3,108,105 8-subsets, whose 8x8 matrices alone
+    # take 1.6 GB when built at once
+    rng = np.random.default_rng(29)
+    m = LpModel()
+    for _ in range(8):
+        m.add_var(-1.0, 1.0)
+    anchor = rng.uniform(-0.5, 0.5, size=8)
+    for rel in (LE, GE) * 5:
+        a = rng.normal(size=8)
+        m.add_row(a, rel, float(a @ anchor) + (0.2 if rel == LE else -0.2))
+    a = rng.normal(size=8)
+    m.add_row(a, EQ, float(a @ anchor))
+    m.set_objective(rng.normal(size=8))
+    tracemalloc.start()
+    try:
+        ref = solve_reference(m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+    got = solve(m)
+    assert ref.status == got.status == OPTIMAL
+    assert ref.objective == pytest.approx(got.objective, abs=1e-7)
 
 
 def test_reference_cap():

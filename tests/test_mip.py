@@ -190,6 +190,60 @@ def test_verdicts_match_oracle_all_variants():
                 assert validate_counterexample(problem, res.counterexample, 1e-6)
 
 
+@pytest.mark.parametrize("variant", [PLANET_OPT, PLANET_FEASIBLE, INTERVAL_VARIANT, PLANET_SYMFEASIBLE])
+def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
+    # every node LP starts from its parent's basis (the root from the
+    # all-slack basis), runs no phase 1, reports INFEASIBLE only through a
+    # checked Farkas row and agrees with a cold re-solve
+    counts = {"nodes": 0, "phase_one": 0, "dual": 0, "infeasible": 0, "proofs": 0}
+    recheck = [False]
+    originals = {name: getattr(lp, name) for name in ("solve", "_phase_one", "_run_dual", "_farkas_row")}
+
+    def solve(model, basis=None):
+        assert basis is not None
+        counts["nodes"] += 1
+        got = originals["solve"](model, basis)
+        recheck[0] = True
+        cold = originals["solve"](model)
+        recheck[0] = False
+        assert got.status == cold.status
+        if got.status == lp.OPTIMAL:
+            assert abs(got.objective - cold.objective) <= 1e-9
+        else:
+            counts["infeasible"] += 1
+        return got
+
+    def counter(name, key, keep):
+        def counted(*args):
+            result = originals[name](*args)
+            if not recheck[0] and keep(result):
+                counts[key] += 1
+            return result
+
+        return counted
+
+    rng = np.random.default_rng(48)
+    for _ in range(12):
+        n_in = int(rng.integers(2, 4))
+        widths = [int(rng.integers(3, 6)) for _ in range(int(rng.integers(1, 4)))]
+        net = random_net(rng, n_in, widths)
+        box = random_box(rng, n_in)
+        base = oracle_min(net, box).min_value
+        margin = float(rng.choice([-0.3, -0.05, 0.05, 0.3]))
+        problem = canonicalize(net, Geq(np.array([1.0]), base - margin), box)
+        enc = encode_mip(problem.canonical_net, problem.domain, variant)
+        with monkeypatch.context() as patch:
+            patch.setattr(lp, "solve", solve)
+            patch.setattr(lp, "_phase_one", counter("_phase_one", "phase_one", lambda start: True))
+            patch.setattr(lp, "_run_dual", counter("_run_dual", "dual", lambda used: True))
+            patch.setattr(lp, "_farkas_row", counter("_farkas_row", "proofs", lambda proved: proved))
+            res = solve_mip(enc)
+        assert res.status == oracle_verdict(problem)[0]
+    assert counts["phase_one"] == 0
+    assert counts["proofs"] == counts["infeasible"] > 0
+    assert counts["dual"] == counts["nodes"] > 20
+
+
 def test_timeout():
     problem = toy_problem(-5.0)
     enc = encode_mip(problem.canonical_net, problem.domain, PLANET_OPT)
