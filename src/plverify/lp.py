@@ -9,9 +9,11 @@ contain drift.
 
 A solve given a start ``Basis`` starts from that basis and overwrites it
 with its final basis; the relaxation builder hands each LP the previous
-LP's optimum, extended by a crash column per new row, and the MIP search
-hands each node its parent's optimum. A start whose basic values lie within
-their bounds runs primal phase 2 only. A start that puts a basic value
+LP's optimum, extended by a crash column per new row, the MIP search hands
+each node its parent's optimum, and the oracle hands each pattern LP the
+last basis on its pattern's path, extended by a basic slack per new row.
+A start whose basic values lie within their bounds runs primal phase 2
+only. A start that puts a basic value
 outside its bounds but keeps every reduced cost's sign within the
 optimality tolerance (dual feasible; a bound cut after an optimum) first
 runs dual simplex pivots until the basic values are within bounds, then

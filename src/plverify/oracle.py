@@ -19,6 +19,18 @@ feasibility LP decides. Most total patterns of a few-input net are empty
 off high in the tree instead of costing one leaf LP each. The leaf LPs and
 the order in which patterns are visited are the same as with plain
 enumeration, so the result does not depend on the pruning.
+
+Pattern LPs start warm (``lp.Basis``). A pattern carries, beside its rows,
+the final basis of the last LP solved on its path, extended by one basic
+slack per row added since; a child adds its new row's slack the same way,
+and rows keep the order in which units were decided, so slack indices line
+up. A feasibility LP has a zero objective, so that start is always dual
+feasible: ``lp.solve`` repairs it with the bounded dual simplex, and an
+empty pattern is pruned through a checked Farkas row, not a phase-1
+residual (a warm run whose Farkas check fails is retried cold). Each leaf
+LP starts from a copy of its pattern's basis, which is usually primal
+feasible, so it runs phase 2 only; a start that is neither primal nor dual
+feasible falls back to the cold two-phase path.
 """
 
 from __future__ import annotations
@@ -67,7 +79,7 @@ def oracle_min(net: Network, box: BoxDomain, relu_cap: int = 16) -> OracleResult
 
     state = _Search(net, box, bounds)
     center = 0.5 * (box.lb + box.ub)
-    state.descend(0, np.eye(net.input_size), np.zeros(net.input_size), [], [], center)
+    state.descend(0, np.eye(net.input_size), np.zeros(net.input_size), [], [], lp.Basis(), center)
     if state.best_x is None:
         raise RuntimeError("no feasible activation pattern; box should be non-empty")
     return OracleResult(state.best_val, state.best_x, state.feasible)
@@ -91,16 +103,17 @@ class _Search:
         )
 
     def descend(
-        self, idx: int, mat: np.ndarray, const: np.ndarray, rows: list, rhs: list, witness: np.ndarray
+        self, idx: int, mat: np.ndarray, const: np.ndarray, rows: list, rhs: list, basis: lp.Basis, witness: np.ndarray
     ) -> None:
         """Enumerate the patterns of layers idx.. below a partial pattern whose
-        input polyhedron (box plus `rows`/`rhs`) contains `witness`."""
+        input polyhedron (box plus `rows`/`rhs`) contains `witness`; `basis`
+        is the last LP's final basis with one basic slack per later row."""
         if idx == len(self.net.layers):
-            self._solve_leaf(mat, const, rows, rhs)
+            self._solve_leaf(mat, const, rows, rhs, basis)
             return
         layer = self.net.layers[idx]
         if isinstance(layer, Linear):
-            self.descend(idx + 1, layer.weight @ mat, layer.weight @ const + layer.bias, rows, rhs, witness)
+            self.descend(idx + 1, layer.weight @ mat, layer.weight @ const + layer.bias, rows, rhs, basis, witness)
             return
 
         lo, hi = self.bounds.pre_lb[idx], self.bounds.pre_ub[idx]
@@ -116,51 +129,44 @@ class _Search:
                 return
         chosen: dict[int, bool] = {}
 
-        def finish(witness: np.ndarray) -> None:
-            new_rows = list(rows)
-            new_rhs = list(rhs)
+        def finish(part_rows: list, part_rhs: list, part_basis: lp.Basis, witness: np.ndarray) -> None:
+            blocked = [j for j in range(len(lo)) if not chosen.get(j, lo[j] >= 0.0)]
             new_mat = mat.copy()
             new_const = const.copy()
-            for j in range(len(lo)):
-                is_passing = chosen[j] if j in chosen else lo[j] >= 0.0
-                if j in chosen:
-                    if is_passing:  # pre >= 0, written as -pre <= const
-                        new_rows.append(-mat[j])
-                        new_rhs.append(const[j])
-                    else:
-                        new_rows.append(mat[j].copy())
-                        new_rhs.append(-const[j])
-                if not is_passing:
-                    new_mat[j] = 0.0
-                    new_const[j] = 0.0
-            self.descend(idx + 1, new_mat, new_const, new_rows, new_rhs, witness)
+            new_mat[blocked] = 0.0
+            new_const[blocked] = 0.0
+            self.descend(idx + 1, new_mat, new_const, part_rows, part_rhs, part_basis, witness)
 
-        def choose(k: int, part_rows: list, part_rhs: list, witness: np.ndarray) -> None:
+        def choose(k: int, part_rows: list, part_rhs: list, part_basis: lp.Basis, witness: np.ndarray) -> None:
             # the highest free unit is decided first, blocked before passing,
             # so patterns are visited in the order of their bit masks
             if k < 0:
-                finish(witness)
+                finish(part_rows, part_rhs, part_basis, witness)
                 return
             j = free[k]
             for passing in (False, True):
                 if not allowed[k][passing]:
                     continue
+                # pre >= 0 is written as -pre <= const
                 row = -mat[j] if passing else mat[j]
                 b = const[j] if passing else -const[j]
+                child = lp.Basis(part_basis.basic + [~len(part_rows)], set(part_basis.at_upper))
                 inside = witness
                 if float(row @ witness) > b:
-                    inside = self._feasible_point(part_rows + [row], part_rhs + [b])
+                    inside = self._feasible_point(part_rows + [row], part_rhs + [b], child)
                     if inside is None:
                         continue
                 chosen[j] = passing
-                choose(k - 1, part_rows + [row], part_rhs + [b], inside)
+                choose(k - 1, part_rows + [row], part_rhs + [b], child, inside)
                 del chosen[j]
 
-        choose(len(free) - 1, list(rows), list(rhs), witness)
+        choose(len(free) - 1, rows, rhs, basis, witness)
 
-    def _pattern_lp(self, rows: list, rhs: list, objective: np.ndarray | None = None) -> lp.LpSolution:
+    def _pattern_lp(
+        self, rows: list, rhs: list, basis: lp.Basis, objective: np.ndarray | None = None
+    ) -> lp.LpSolution:
         """Minimise `objective` (none: find any point) over the box cut by
-        the halfspaces row @ x <= rhs."""
+        the halfspaces row @ x <= rhs, starting from `basis`."""
         model = lp.LpModel()
         for j in range(self.box.size):
             model.add_var(self.box.lb[j], self.box.ub[j])
@@ -168,15 +174,17 @@ class _Search:
             model.add_row(row, lp.LE, float(b))
         if objective is not None:
             model.set_objective(objective)
-        return lp.solve(model)
+        return lp.solve(model, basis)
 
-    def _feasible_point(self, rows: list, rhs: list) -> np.ndarray | None:
-        """A point of the box meeting every row, or None if there is none."""
-        sol = self._pattern_lp(rows, rhs)
+    def _feasible_point(self, rows: list, rhs: list, basis: lp.Basis) -> np.ndarray | None:
+        """A point of the box meeting every row, or None if there is none;
+        `basis` becomes the final basis."""
+        sol = self._pattern_lp(rows, rhs, basis)
         return sol.x if sol.status == lp.OPTIMAL else None
 
-    def _solve_leaf(self, mat: np.ndarray, const: np.ndarray, rows: list, rhs: list) -> None:
-        sol = self._pattern_lp(rows, rhs, mat[0])
+    def _solve_leaf(self, mat: np.ndarray, const: np.ndarray, rows: list, rhs: list, basis: lp.Basis) -> None:
+        start = lp.Basis(list(basis.basic), set(basis.at_upper))
+        sol = self._pattern_lp(rows, rhs, start, mat[0])
         if sol.status != lp.OPTIMAL:
             return
         self.feasible += 1

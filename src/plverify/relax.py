@@ -17,7 +17,10 @@ y <= sum_k (x_k - l_k) + max_k l_k.
 Optional bound tightening re-derives every ambiguous unit's pre-activation
 range by minimising/maximising its variable over the partial model built so
 far (two LPs per unit), before that unit's ReLU is encoded. Tightening is
-what the branch-and-bound engine uses per subdomain by default.
+what the branch-and-bound engine uses per subdomain by default. A ReLU layer
+fed by one Linear layer straight from the input box is skipped unless one
+of its units has a fixed phase: the interval bound of an affine map over a
+box is exact, so those LPs could only return it.
 
 Every LP over one relaxation starts warm (``lp.Basis``) from the previous
 LP's optimum: tightened bounds contain every feasible point, so that optimum
@@ -142,7 +145,11 @@ def _encode(
             for j, p in enumerate(prev):
                 model.lower[p] = max(model.lower[p], float(lo[j]))
                 model.upper[p] = min(model.upper[p], float(hi[j]))
-            if tighten:
+            # over the input box the interval bound of one affine layer is
+            # exact, so its LPs cannot move it unless a phase of this layer
+            # cuts the box
+            exact = i == 1 and isinstance(net.layers[0], Linear) and not any(l == i for l, _ in phases or {})
+            if tighten and not exact:
                 for j, p in enumerate(prev):
                     if not (lo[j] < 0.0 < hi[j]):
                         continue

@@ -3,8 +3,9 @@ import pytest
 from helpers import random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify import lp
-from plverify.canon import AnyClause, Geq, canonicalize
-from plverify.model import BoxDomain, Linear, Network, Relu, forward_eval
+from plverify.canon import AnyClause, Geq, canonicalize, maxpool_to_relu
+from plverify.interval import propagate_box
+from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
 from plverify.oracle import CapExceeded, oracle_min, oracle_verdict
 
 
@@ -127,3 +128,55 @@ def test_pruned_search_matches_plain_enumeration():
         box = random_box(rng, n_in)
         res = oracle_min(net, box)
         assert res.min_value == pytest.approx(_plain_enumeration_min(net, box), abs=1e-6)
+
+
+def _differential_nets(rng):
+    for k in range(40):
+        n_in = 2 + k % 3
+        net = random_net(rng, n_in, [int(rng.integers(2, 5)) for _ in range(2 + k % 2)])
+        yield net, net, random_box(rng, n_in)
+    net = Network(
+        3,
+        (
+            Linear(rng.normal(size=(4, 3)), rng.uniform(-0.5, 0.5, 4)),
+            Relu(),
+            Linear(rng.normal(size=(4, 4)) / 2.0, rng.uniform(-0.5, 0.5, 4)),
+            MaxPool(((0, 1), (2, 3))),
+            Linear(rng.normal(size=(1, 2)), rng.uniform(-0.5, 0.5, 1)),
+        ),
+    )
+    box = BoxDomain(-np.ones(3), np.ones(3))
+    yield net, maxpool_to_relu(net, propagate_box(net, box)), box
+
+
+def test_warm_pattern_lps_match_cold_oracle(monkeypatch):
+    # pattern LPs start from the parent pattern's basis; the cold oracle
+    # solves every one from scratch, and both must enumerate the same
+    # feasible patterns and reach the same minimum
+    real_solve, real_phase_one = lp.solve, lp._phase_one
+    counts = {"lps": 0, "phase_one": 0}
+
+    def counted_solve(model, basis=None):
+        counts["lps"] += 1
+        return real_solve(model, basis)
+
+    def counted_phase_one(*args):
+        counts["phase_one"] += 1
+        return real_phase_one(*args)
+
+    def cold_solve(model, basis=None):
+        return real_solve(model)
+
+    for net, relu_net, box in _differential_nets(np.random.default_rng(44)):
+        monkeypatch.setattr(lp, "solve", cold_solve)
+        monkeypatch.setattr(lp, "_phase_one", real_phase_one)
+        cold = oracle_min(relu_net, box)
+        monkeypatch.setattr(lp, "solve", counted_solve)
+        monkeypatch.setattr(lp, "_phase_one", counted_phase_one)
+        warm = oracle_min(relu_net, box)
+        assert abs(warm.min_value - cold.min_value) <= 1e-9
+        assert warm.feasible_patterns == cold.feasible_patterns
+        assert np.all(warm.argmin >= box.lb - 1e-9) and np.all(warm.argmin <= box.ub + 1e-9)
+        assert forward_eval(net, warm.argmin)[0] == pytest.approx(warm.min_value, abs=1e-7)
+    assert counts["lps"] > 1000, counts
+    assert counts["phase_one"] <= 0.03 * counts["lps"], counts

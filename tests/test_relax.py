@@ -9,6 +9,7 @@ from plverify.interval import BLOCKED, PASSING, propagate_box, refine_with_fixed
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
 from plverify.oracle import oracle_min
 from plverify.relax import (
+    _SAFETY,
     MAYBE_SAT,
     UNSAT,
     build_planet,
@@ -317,9 +318,61 @@ def test_relaxation_lps_never_run_phase_one(monkeypatch):
         return real_solve(model, basis)
 
     monkeypatch.setattr(lp, "solve", counted)
-    for net, box in _bound_suite(60, 5):
+    for net, box in _bound_suite(100, 5):
         pm = build_planet(net, box, tighten=True)
         assert not pm.infeasible and np.isfinite(planet_lower_bound(pm))
         assert np.isfinite(reluplex_lower_bound(net, box)[0])
     assert cold_passes == []
     assert all(solves) and len(solves) > 300
+
+
+def _recorded_solves(monkeypatch) -> list:
+    """The models of every later ``lp.solve`` call."""
+    real_solve = lp.solve
+    solves = []
+
+    def recorded(model, basis=None):
+        solves.append(model)
+        return real_solve(model, basis)
+
+    monkeypatch.setattr(lp, "solve", recorded)
+    return solves
+
+
+def test_first_layer_tightening_runs_no_lp(monkeypatch):
+    # one Linear from the input box, the interval bounds are already exact:
+    # tightening would keep them, so it solves nothing before the output LP
+    real_solve = lp.solve
+    solves = _recorded_solves(monkeypatch)
+    rng = np.random.default_rng(12)
+    ambiguous = 0
+    for _ in range(20):
+        n_in = int(rng.integers(2, 5))
+        net = random_net(rng, n_in, [int(rng.integers(2, 6))])
+        box = random_box(rng, n_in)
+        pm = build_planet(net, box, tighten=True)
+        assert solves == []
+        want = propagate_box(net, box)
+        assert pm.bounds.pre_lb[1].tobytes() == want.pre_lb[1].tobytes()
+        assert pm.bounds.pre_ub[1].tobytes() == want.pre_ub[1].tobytes()
+        # the skipped LPs would not have moved a bound either
+        ambiguous += len(pm.hull_units)
+        for unit in pm.hull_units:
+            low = real_solve(pm.model.with_objective({unit.var_pre: 1.0})).objective
+            high = -real_solve(pm.model.with_objective({unit.var_pre: -1.0})).objective
+            assert low - _SAFETY <= unit.lb and high + _SAFETY >= unit.ub
+        planet_lower_bound(pm)
+        assert len(solves) == 1
+        solves.clear()
+    assert ambiguous > 20
+
+
+def test_first_layer_phase_still_tightens(monkeypatch):
+    # blocking x1 + x2 cuts the box to x1 + x2 <= 0, which lifts the lower
+    # bound of its neighbour -x1 - x2 from -4 to 0
+    solves = _recorded_solves(monkeypatch)
+    problem = toy_problem(-5.0)
+    pm = build_planet(problem.canonical_net, problem.domain, phases={(1, 0): BLOCKED}, tighten=True)
+    assert len(solves) == 2
+    assert pm.bounds.pre_lb[1][1] == pytest.approx(0.0, abs=1e-8)
+    assert propagate_box(problem.canonical_net, problem.domain).pre_lb[1][1] == -4.0
