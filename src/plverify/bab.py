@@ -34,17 +34,15 @@ the LP minimiser is fed back as an upper-bound witness; sampling alone
 cannot close the gap on phase-set leaves, so this is what makes the
 phase-splitting search terminate.
 
-All randomness flows from a splitmix64 stream derived from (seed, node
-index), so results are independent of the worker count except for node
-totals, and a single-worker run is bit-reproducible.
+The loop is single-threaded, and all randomness flows from a splitmix64
+stream derived from (seed, node index), so every run is bit-reproducible.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,7 +56,7 @@ from .interval import (
     propagate_box,
     refine_with_fixed_phases,
 )
-from .model import BoxDomain, Network, forward_batch, forward_eval
+from .model import BoxDomain, Linear, Network, Relu, forward_batch, forward_eval
 from .relax import (
     build_planet,
     fast_dual_bound,
@@ -135,7 +133,6 @@ class BabConfig:
     timeout: float = np.inf
     node_cap: int = 1_000_000
     seed: int = 0
-    smart_score: str = "min"  # or "sum": how child fast bounds are aggregated
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -192,15 +189,9 @@ def _bisect(dom: Subdomain, i: int) -> list[Subdomain]:
     ]
 
 
-def split_input_smart(
-    dom: Subdomain,
-    net: Network,
-    bounds: LayerBounds | None = None,
-    score: str = "min",
-    root: BoxDomain | None = None,
-) -> list[Subdomain]:
+def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = None) -> list[Subdomain]:
     """Bisect the dimension whose tentative children have the best fast
-    dual bounds (score = min of the two by default).
+    dual bounds (scored by the worse of the two).
 
     Given the search's `root` box, the split keeps the width guarantee:
     edge widths are measured relative to `root`, and when the widest is
@@ -220,7 +211,6 @@ def split_input_smart(
         if live.max() > ASPECT_LIMIT * live.min():
             return _bisect(dom, int(np.argmax(rel)))
     parent = fast_dual_bound(net, box, propagate_box(net, box))
-    per_child = 2.0 if score == "sum" else 1.0
     tol = 1e-9 * max(1.0, abs(parent))
     scores = np.full(box.size, -np.inf)
     for i in range(box.size):
@@ -234,13 +224,13 @@ def split_input_smart(
             cbox = child.region.box
             cb = propagate_box(net, cbox)
             vals.append(fast_dual_bound(net, cbox, cb))
-        scores[i] = min(vals) if score == "min" else sum(vals)
+        scores[i] = min(vals)
     # A dimension qualifies only if it actually raises the fast bound;
     # without the guard a dimension the bound ignores scores level with the
     # parent forever (the aggressive child of a useful split scores lower)
     # and the search livelocks halving it. No improvement anywhere means
     # ties everywhere: fall back to the longest edge.
-    improving = np.flatnonzero(scores > per_child * parent + tol)
+    improving = np.flatnonzero(scores > parent + tol)
     if len(improving):
         best = improving[int(np.argmax(scores[improving]))]
         tied = improving[scores[improving] >= scores[best] - tol]
@@ -279,8 +269,6 @@ def _phase_match_mask(net: Network, pts: np.ndarray, phases: PhaseMap) -> np.nda
     mask = np.ones(len(pts), dtype=bool)
     cur = pts
     for i, layer in enumerate(net.layers):
-        from .model import Linear, MaxPool, Relu  # local to avoid clutter above
-
         if isinstance(layer, Linear):
             cur = cur @ layer.weight.T + layer.bias
         elif isinstance(layer, Relu):
@@ -330,12 +318,7 @@ def sample_upper_bound(
     return best_val, best_pt
 
 
-def _bound_region(
-    problem: VerificationProblem,
-    net: Network,
-    region: Region,
-    cfg: BabConfig,
-) -> tuple[float, LayerBounds | None, np.ndarray | None]:
+def _bound_region(net: Network, region: Region, cfg: BabConfig) -> tuple[float, LayerBounds | None, np.ndarray | None]:
     """Lower bound, refreshed bounds, and optional LP minimiser input point."""
     if isinstance(region, InputBox):
         box, phases = region.box, {}
@@ -361,11 +344,10 @@ def _bound_region(
 
 
 class _Engine:
-    def __init__(self, problem: VerificationProblem, cfg: BabConfig, workers: int):
+    def __init__(self, problem: VerificationProblem, cfg: BabConfig):
         self.problem = problem
         self.net = problem.canonical_net
         self.cfg = cfg
-        self.workers = max(1, workers)
         self.rng = SplitMix64(cfg.seed)
         self.nodes = 0
         self.t0 = time.monotonic()
@@ -384,7 +366,7 @@ class _Engine:
     def evaluate(self, sub: Subdomain) -> tuple[Subdomain, list[tuple[float, np.ndarray]]]:
         """Bound one subdomain; returns it (lb/bounds filled) + UB candidates."""
         parent_lb = sub.lower_bound
-        lb, bounds, lp_point = _bound_region(self.problem, self.net, sub.region, self.cfg)
+        lb, bounds, lp_point = _bound_region(self.net, sub.region, self.cfg)
         if np.isfinite(parent_lb) and np.isfinite(lb) and np.isfinite(self.global_ub):
             # progress is measured against the gap that still has to close;
             # a bound creeping by epsilons while the gap stands still means
@@ -419,38 +401,27 @@ class _Engine:
             root_region = InputBox(self.problem.domain)
         root = Subdomain(root_region, -np.inf, 0, seq=self._next_seq())
 
-        pool = ThreadPoolExecutor(max_workers=self.workers) if self.workers > 1 else None
-        try:
-            res = self._process([root], pool)
+        res = self._process([root])
+        if res is not None:
+            return res
+        while self.queue:
+            glb = self.global_lb()
+            if cfg.mode == OPTIMIZE and self.global_ub - glb <= cfg.epsilon:
+                return self._result(CONVERGED, glb)
+            if self.out_of_budget():
+                return self._result(TIMEOUT, glb)
+            parent = pick_out(self.queue)
+            if cfg.mode == OPTIMIZE and parent.lower_bound >= self.global_ub:
+                continue  # lazily pruned by a better incumbent
+            try:
+                children = self._split(parent)
+            except (SplitExhausted, NoAmbiguousUnit):
+                self._finalize_leaf(parent)
+                continue
+            res = self._process(children)
             if res is not None:
                 return res
-            while self.queue:
-                glb = self.global_lb()
-                if cfg.mode == OPTIMIZE and self.global_ub - glb <= cfg.epsilon:
-                    return self._result(CONVERGED, glb)
-                if self.out_of_budget():
-                    return self._result(TIMEOUT, glb)
-                parents = []
-                for _ in range(max(1, self.workers // 2)):
-                    if not self.queue:
-                        break
-                    sub = pick_out(self.queue)
-                    if cfg.mode == OPTIMIZE and sub.lower_bound >= self.global_ub:
-                        continue  # lazily pruned by a better incumbent
-                    parents.append(sub)
-                children: list[Subdomain] = []
-                for parent in parents:
-                    try:
-                        children.extend(self._split(parent))
-                    except (SplitExhausted, NoAmbiguousUnit):
-                        self._finalize_leaf(parent)
-                res = self._process(children, pool)
-                if res is not None:
-                    return res
-            return self._wrap_up()
-        finally:
-            if pool is not None:
-                pool.shutdown(wait=False)
+        return self._wrap_up()
 
     def _next_seq(self) -> int:
         self.nodes += 1
@@ -467,9 +438,7 @@ class _Engine:
             if sub.stalled:
                 children = split_input_longest(sub)
             else:
-                children = split_input_smart(
-                    sub, self.net, sub.bounds, score=cfg.smart_score, root=self.problem.domain
-                )
+                children = split_input_smart(sub, self.net, root=self.problem.domain)
         elif cfg.branching == RELU_SPLIT:
             children = split_relu(sub, self.net, sub.bounds)
         else:
@@ -486,15 +455,9 @@ class _Engine:
             return
         self.final_lbs.append(sub.lower_bound)
 
-    def _process(self, subs: list[Subdomain], pool) -> BabResult | None:
-        if not subs:
-            return None
-        if pool is not None and len(subs) > 1:
-            results = list(pool.map(self.evaluate, subs))
-        else:
-            results = [self.evaluate(s) for s in subs]
-        for sub, candidates in results:
-            verdict = self._absorb(sub, candidates)
+    def _process(self, subs: list[Subdomain]) -> BabResult | None:
+        for sub in subs:
+            verdict = self._absorb(*self.evaluate(sub))
             if verdict is not None:
                 return verdict
         return None
@@ -546,23 +509,18 @@ class _Engine:
         return res
 
 
-def bab_optimize(
-    problem: VerificationProblem,
-    config: BabConfig | None = None,
-    workers: int = 1,
-) -> BabResult:
+def bab_optimize(problem: VerificationProblem, config: BabConfig | None = None) -> BabResult:
     """Estimate the global minimum of the canonical output to within epsilon."""
     cfg = replace(config or BabConfig(), mode=OPTIMIZE)
-    return _Engine(problem, cfg, workers).run()
+    return _Engine(problem, cfg).run()
 
 
 def bab_verify(
     problem: VerificationProblem,
     config: BabConfig | None = None,
-    workers: int = 1,
     initial_phases: PhaseMap | None = None,
 ) -> BabResult:
     """Decide the property: UNSAT with a margin, SAT with a validated
     counterexample, or timeout."""
     cfg = replace(config or BabConfig(), mode=SATISFIABILITY)
-    return _Engine(problem, cfg, workers).run(initial_phases=initial_phases)
+    return _Engine(problem, cfg).run(initial_phases=initial_phases)

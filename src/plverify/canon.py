@@ -27,8 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .interval import LayerBounds
-from .model import BoxDomain, Layer, Linear, MaxPool, Network, Relu, forward_eval
+from .interval import LayerBounds, propagate_box
+from .model import BoxDomain, Layer, Linear, MaxPool, Network, Relu, forward_eval, is_relu_only
 
 
 @dataclass(frozen=True)
@@ -189,6 +189,16 @@ def validate_counterexample(problem: VerificationProblem, x0: np.ndarray, tol: f
     being reported; candidates that fail are spurious.
     """
     return validate_point(problem.canonical_net, problem.domain, x0, tol)
+
+
+def lower_maxpools(problem: VerificationProblem) -> VerificationProblem:
+    """The problem with every MaxPool of its canonical net rewritten into
+    ReLUs, exactly on its domain; ``problem`` itself when there is none."""
+    net = problem.canonical_net
+    if is_relu_only(net):
+        return problem
+    lowered = maxpool_to_relu(net, propagate_box(net, problem.domain))
+    return VerificationProblem(lowered, problem.domain, problem.original_net, problem.original_property)
 
 
 def maxpool_to_relu(net: Network, pre_bounds: LayerBounds) -> Network:

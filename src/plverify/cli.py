@@ -6,13 +6,15 @@ Methods:
 * bab-input       branch-and-bound, longest-edge input branching
 * bab-relusplit   branch-and-bound splitting ReLU phases, bounds rebuilt per child
 * mip-planet-opt  big-M MIP, hull-tightened bounds, minimised output
-* mip-planet-feas big-M MIP, hull-tightened bounds, feasibility form
-* mip-interval    big-M MIP, interval bounds, feasibility form
-* mip-sym         big-M MIP, symmetric big-M constant, feasibility form
+* mip-planet-feas the same search as mip-planet-opt (the feasibility form
+                  of the question is answered by the minimum's sign)
+* mip-interval    big-M MIP, interval bounds, minimised output
+* mip-sym         big-M MIP, symmetric big-M constant, minimised output
 
 Every method works on the canonical scalar-output network with MaxPools
 lowered to ReLUs; SAT is only ever reported after the counterexample
-re-validates against the original canonical network. Exit codes for
+re-validates against the original canonical network. Runs are
+single-threaded and bit-reproducible apart from ``time_s``. Exit codes for
 ``verify``: 0 UNSAT, 1 SAT, 2 TIMEOUT, 3 ERROR.
 """
 
@@ -30,16 +32,9 @@ import numpy as np
 
 from . import formats
 from .bab import SAT, TIMEOUT, UNSAT, BabConfig, INPUT_LONGEST, INPUT_SMART, RELU_SPLIT, bab_verify
-from .canon import PropertyClause, canonicalize, maxpool_to_relu, validate_counterexample
-from .interval import propagate_box
-from .mip import INTERVAL_VARIANT, PLANET_FEASIBLE, PLANET_OPT, PLANET_SYMFEASIBLE, encode_mip, solve_mip
-from .model import BoxDomain, Network, is_relu_only
-
-load_network = formats.load_network
-load_property = formats.load_property
-load_nnet = formats.load_nnet
-save_network = formats.save_network
-save_property = formats.save_property
+from .canon import PropertyClause, canonicalize, lower_maxpools, validate_counterexample
+from .mip import INTERVAL_VARIANT, PLANET_OPT, PLANET_SYMFEASIBLE, encode_mip, solve_mip
+from .model import BoxDomain, Network
 
 BAB_METHODS = {
     "babsb": INPUT_SMART,
@@ -48,7 +43,7 @@ BAB_METHODS = {
 }
 MIP_METHODS = {
     "mip-planet-opt": PLANET_OPT,
-    "mip-planet-feas": PLANET_FEASIBLE,
+    "mip-planet-feas": PLANET_OPT,
     "mip-interval": INTERVAL_VARIANT,
     "mip-sym": PLANET_SYMFEASIBLE,
 }
@@ -79,7 +74,6 @@ def run_verify(
     timeout: float = np.inf,
     eps: float = 1e-4,
     seed: int = 0,
-    workers: int = 1,
     sample_count: int = 1024,
     out: str | Path | None = None,
     problem_id: str = "problem",
@@ -89,10 +83,7 @@ def run_verify(
         raise ValueError(f"unknown method {method!r}; choose from {METHODS}")
     t0 = time.monotonic()
     problem = canonicalize(net, prop, box)
-    work_net = problem.canonical_net
-    if not is_relu_only(work_net):
-        work_net = maxpool_to_relu(work_net, propagate_box(work_net, box))
-    work_problem = canonicalize_lowered(problem, work_net)
+    work_problem = lower_maxpools(problem)
 
     if method in BAB_METHODS:
         cfg = BabConfig(
@@ -102,9 +93,9 @@ def run_verify(
             timeout=timeout,
             seed=seed,
         )
-        res = bab_verify(work_problem, cfg, workers=workers)
+        res = bab_verify(work_problem, cfg)
     else:
-        enc = encode_mip(work_net, box, MIP_METHODS[method])
+        enc = encode_mip(work_problem.canonical_net, box, MIP_METHODS[method])
         res = solve_mip(enc, timeout=timeout)
 
     status = STATUS_NAMES.get(res.status, "ERROR")
@@ -133,12 +124,6 @@ def run_verify(
     return RunRecord(problem_id, method, status, wall, res.nodes, doc["lb"], doc["ub"], res.spurious_candidates, result_file)
 
 
-def canonicalize_lowered(problem, work_net):
-    from .canon import VerificationProblem
-
-    return VerificationProblem(work_net, problem.domain, problem.original_net, problem.original_property)
-
-
 def discover_problems(directory: str | Path) -> list[tuple[str, Path, Path]]:
     d = Path(directory)
     if not d.is_dir():
@@ -159,7 +144,6 @@ def run_bench(
     timeout: float = 60.0,
     eps: float = 1e-4,
     seed: int = 0,
-    workers: int = 1,
     sample_count: int = 1024,
     results_dir: str | Path | None = None,
 ) -> list[RunRecord]:
@@ -176,7 +160,7 @@ def run_bench(
             try:
                 rec = run_verify(
                     net, prop, box, method,
-                    timeout=timeout, eps=eps, seed=seed, workers=workers,
+                    timeout=timeout, eps=eps, seed=seed,
                     sample_count=sample_count, out=out, problem_id=stem,
                 )
             except Exception as exc:  # record, keep benching
@@ -255,8 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     p_verify.add_argument("--eps", type=float, default=1e-4)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--samples", type=int, default=1024)
-    p_verify.add_argument("--workers", type=int, default=1)
-    p_verify.add_argument("--deterministic", action="store_true", help="force a single worker")
     p_verify.add_argument("--out", default=None, help="result JSON path")
 
     p_bench = sub.add_parser("bench", help="run every problem/method pair in a directory")
@@ -266,8 +248,6 @@ def main(argv: list[str] | None = None) -> int:
     p_bench.add_argument("--eps", type=float, default=1e-4)
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.add_argument("--samples", type=int, default=1024)
-    p_bench.add_argument("--workers", type=int, default=1)
-    p_bench.add_argument("--deterministic", action="store_true")
     p_bench.add_argument("--out", required=True, help="runs CSV path")
     p_bench.add_argument("--results-dir", default=None)
 
@@ -285,11 +265,10 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "verify":
             net = _load_net_arg(args.net, args.format)
             prop, box = formats.load_property(args.prop)
-            workers = 1 if args.deterministic else args.workers
             rec = run_verify(
                 net, prop, box, args.method,
                 timeout=args.timeout, eps=args.eps, seed=args.seed,
-                workers=workers, sample_count=args.samples, out=args.out,
+                sample_count=args.samples, out=args.out,
                 problem_id=Path(args.net).name,
             )
             print(f"{rec.status} nodes={rec.nodes} lb={rec.lb:.6g} ub={rec.ub:.6g} time={rec.time_s:.3f}s")
@@ -299,11 +278,10 @@ def main(argv: list[str] | None = None) -> int:
             for m in methods:
                 if m not in METHODS:
                     raise ValueError(f"unknown method {m!r}")
-            workers = 1 if args.deterministic else args.workers
             records = run_bench(
                 args.dir, methods, args.out,
                 timeout=args.timeout, eps=args.eps, seed=args.seed,
-                workers=workers, sample_count=args.samples, results_dir=args.results_dir,
+                sample_count=args.samples, results_dir=args.results_dir,
             )
             n_err = sum(1 for r in records if r.status == "ERROR")
             print(f"wrote {len(records)} runs to {args.out} ({n_err} errors)")

@@ -21,9 +21,9 @@ from pathlib import Path
 import numpy as np
 
 from . import formats
-from .canon import Geq, VerificationProblem, canonicalize
+from .canon import Geq, VerificationProblem, canonicalize, lower_maxpools
 from .model import BoxDomain, Layer, Linear, MaxPool, Network, Relu
-from .oracle import CapExceeded, oracle_min, oracle_verdict
+from .oracle import oracle_min, oracle_verdict
 from .rng import SplitMix64
 
 BOUNDARY_GUARD = 1e-3
@@ -83,14 +83,8 @@ def generate(seed: int, spec: GenSpec, relu_cap: int = 16) -> Instance:
     net = _random_net(rng, spec)
     box = BoxDomain(-np.ones(spec.inputs), np.ones(spec.inputs))
 
-    zero_problem = canonicalize(net, Geq(np.ones(1), 0.0), box)
-    work_net = zero_problem.canonical_net
-    if spec.maxpool:
-        from .canon import maxpool_to_relu
-        from .interval import propagate_box
-
-        work_net = maxpool_to_relu(work_net, propagate_box(work_net, box))
-    base = oracle_min(work_net, box, relu_cap=relu_cap).min_value
+    zero_problem = lower_maxpools(canonicalize(net, Geq(np.ones(1), 0.0), box))
+    base = oracle_min(zero_problem.canonical_net, box, relu_cap=relu_cap).min_value
     prop = Geq(np.ones(1), base - spec.margin)
     expected = "unsat" if spec.margin > 0 else "sat"
 

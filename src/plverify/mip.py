@@ -18,15 +18,14 @@ Intermediate bounds come either from interval propagation or from the
 tightened hull relaxation (better bounds, more work to obtain).
 
 The search relaxes unfixed binaries to [0, 1] and branches best-bound-first
-on the most fractional one. In optimise mode the output is minimised; an
-integral incumbent with a strictly negative (validated) value stops the
-search early, and a positive global lower bound proves the property. In
-feasibility mode the search stops at the first integral point of the
-"output <= 0" system; its node relaxations minimise the output instead of
-carrying that row (feasibility of the row is equivalent to the minimum
-being <= 0, and the margin of an UNSAT instance falls out for free).
-Candidates whose LP solution fails forward validation are counted as
-spurious and the search continues past them.
+on the most fractional one. Every node relaxation minimises the output: an
+integral point with output <= 0 that passes forward validation stops the
+search with SAT, and a positive global lower bound proves the property.
+The feasibility form of the question (is "output <= 0" satisfiable?) needs
+no separate model: the row is feasible exactly when the minimum is <= 0,
+and minimising also yields the margin of an UNSAT instance. Candidates
+whose LP solution fails forward validation are counted as spurious and the
+search continues past them.
 
 Node LPs start warm. The root starts from the all-slack basis with every
 structural column at the bound its cost pulls it to; its reduced costs are
@@ -52,15 +51,13 @@ from . import lp
 from .bab import SAT, TIMEOUT, UNSAT, BabResult
 from .canon import validate_point
 from .interval import LayerBounds, propagate_box
-from .model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
+from .model import BoxDomain, Linear, Network, Relu, forward_eval
 from .relax import build_planet
 
 ASYM = "asym"
 SYM = "sym"
 BOUNDS_INTERVAL = "interval"
 BOUNDS_PLANET = "planet"
-FEASIBILITY = "feasibility"
-OPTIMIZE = "optimize"
 
 _INT_TOL = 1e-6  # |delta - round(delta)| below this counts as integral
 
@@ -69,22 +66,18 @@ _INT_TOL = 1e-6  # |delta - round(delta)| below this counts as integral
 class MipVariant:
     encoding: str = ASYM
     bounds_source: str = BOUNDS_PLANET
-    objective_mode: str = FEASIBILITY
 
     def __post_init__(self):
         if self.encoding not in (ASYM, SYM):
             raise ValueError(f"unknown encoding {self.encoding!r}")
         if self.bounds_source not in (BOUNDS_INTERVAL, BOUNDS_PLANET):
             raise ValueError(f"unknown bounds source {self.bounds_source!r}")
-        if self.objective_mode not in (FEASIBILITY, OPTIMIZE):
-            raise ValueError(f"unknown objective mode {self.objective_mode!r}")
 
 
-# The four variants reported in the comparison experiments.
-PLANET_FEASIBLE = MipVariant(ASYM, BOUNDS_PLANET, FEASIBILITY)
-INTERVAL_VARIANT = MipVariant(ASYM, BOUNDS_INTERVAL, FEASIBILITY)
-PLANET_SYMFEASIBLE = MipVariant(SYM, BOUNDS_PLANET, FEASIBILITY)
-PLANET_OPT = MipVariant(ASYM, BOUNDS_PLANET, OPTIMIZE)
+# The three variants reported in the comparison experiments.
+PLANET_OPT = MipVariant(ASYM, BOUNDS_PLANET)
+INTERVAL_VARIANT = MipVariant(ASYM, BOUNDS_INTERVAL)
+PLANET_SYMFEASIBLE = MipVariant(SYM, BOUNDS_PLANET)
 
 
 @dataclass
@@ -92,10 +85,9 @@ class EncodedMip:
     net: Network
     box: BoxDomain
     variant: MipVariant
-    model: lp.LpModel  # full encoding (feasibility row included when asked)
+    model: lp.LpModel  # full encoding, output minimised
     output_var: int | None
     int_vars: list[int]
-    feas_row: int | None
     bounds: LayerBounds
     input_vars: list[int] = field(default_factory=list)
     relu_units: list[tuple[int, int, int, int, int]] = field(default_factory=list)
@@ -181,23 +173,8 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
             prev = new_vars
 
     output_var = prev[0] if prev else None
-    feas_row = None
-    if variant.objective_mode == FEASIBILITY:
-        if output_var is not None:
-            feas_row = model.add_row({output_var: 1.0}, lp.LE, 0.0)
-        model.set_objective(np.zeros(model.num_vars))
-    else:
-        model.set_objective({output_var: 1.0} if output_var is not None else np.zeros(model.num_vars))
-    return EncodedMip(
-        net, box, variant, model, output_var, int_vars, feas_row, bounds, input_vars, relu_units, pool_groups
-    )
-
-
-def _relaxation_base(enc: EncodedMip) -> lp.LpModel:
-    rows = [r for k, r in enumerate(enc.model.rows) if k != enc.feas_row]
-    base = lp.LpModel(list(enc.model.lower), list(enc.model.upper), rows)
-    base.set_objective({enc.output_var: 1.0} if enc.output_var is not None else np.zeros(base.num_vars))
-    return base
+    model.set_objective({output_var: 1.0} if output_var is not None else np.zeros(model.num_vars))
+    return EncodedMip(net, box, variant, model, output_var, int_vars, bounds, input_vars, relu_units, pool_groups)
 
 
 def _pinned(base: lp.LpModel, fixes: dict[int, int]) -> lp.LpModel:
@@ -224,7 +201,6 @@ def solve_mip(
     the smallest bound that was pruned.
     """
     t0 = time.monotonic()
-    base = _relaxation_base(enc)
     n_in = len(enc.input_vars)
 
     nodes = 0
@@ -259,7 +235,7 @@ def solve_mip(
     def process(fixes: dict[int, int], basis: lp.Basis) -> np.ndarray | None:
         """Solve one node from ``basis``; returns a validated counterexample or None."""
         nonlocal seq, spurious, margin_floor, best_seen
-        sol = lp.solve(_pinned(base, fixes), basis)
+        sol = lp.solve(_pinned(enc.model, fixes), basis)
         if sol.status != lp.OPTIMAL:
             return None  # infeasible subtree, nothing below it
         lb = sol.objective
@@ -301,7 +277,9 @@ def solve_mip(
 
     # all-slack basis, every column at the bound its cost pulls it to: the
     # reduced costs are the costs, so the start is dual feasible
-    root = lp.Basis([~i for i in range(len(base.rows))], {int(j) for j in np.flatnonzero(base.objective < 0.0)})
+    root = lp.Basis(
+        [~i for i in range(len(enc.model.rows))], {int(j) for j in np.flatnonzero(enc.model.objective < 0.0)}
+    )
     nodes += 1
     cx = process({}, root)
     if cx is not None:

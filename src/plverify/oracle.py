@@ -40,9 +40,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .canon import VerificationProblem, maxpool_to_relu, validate_counterexample
+from .canon import VerificationProblem, lower_maxpools, validate_counterexample
 from .interval import propagate_box
-from .model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
+from .model import BoxDomain, Linear, MaxPool, Network, Relu
 
 
 class CapExceeded(Exception):
@@ -197,10 +197,7 @@ class _Search:
 def oracle_verdict(problem: VerificationProblem, relu_cap: int = 16) -> tuple[str, float | np.ndarray]:
     """("sat", counterexample) when the canonical minimum is <= 0, else
     ("unsat", margin). MaxPools are lowered before enumeration."""
-    net = problem.canonical_net
-    if any(isinstance(l, MaxPool) for l in net.layers):
-        net = maxpool_to_relu(net, propagate_box(net, problem.domain))
-    res = oracle_min(net, problem.domain, relu_cap)
+    res = oracle_min(lower_maxpools(problem).canonical_net, problem.domain, relu_cap)
     if res.min_value <= 0.0:
         if not validate_counterexample(problem, res.argmin, 1e-6):
             raise RuntimeError("oracle argmin failed counterexample validation")

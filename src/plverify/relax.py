@@ -238,13 +238,9 @@ def _minimise_output(pm: PlanetModel) -> tuple[float, np.ndarray | None]:
     return sol.objective, sol.x[: len(pm.input_vars)]
 
 
-def planet_lower_bound(pm: PlanetModel) -> float:
-    """LP minimum of the output variable; +inf prunes an infeasible subdomain."""
-    return _minimise_output(pm)[0]
-
-
 def planet_lower_bound_with_point(pm: PlanetModel) -> tuple[float, np.ndarray | None]:
-    """Lower bound plus the input coordinates of the LP minimiser."""
+    """LP minimum of the output variable (+inf prunes an infeasible
+    subdomain) plus the input coordinates of the LP minimiser."""
     return _minimise_output(pm)
 
 

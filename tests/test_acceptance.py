@@ -17,13 +17,14 @@ from plverify.bab import BabConfig, INPUT_SMART, bab_optimize
 from plverify.canon import (
     Geq,
     canonicalize,
+    lower_maxpools,
     maxpool_to_relu,
     validate_counterexample,
 )
 from plverify.cli import METHODS, cactus, run_bench, run_verify
 from plverify.gensuite import GenSpec, generate, standard_suite, write_suite
 from plverify.interval import propagate_box
-from plverify.mip import ASYM, BOUNDS_INTERVAL, MipVariant, OPTIMIZE, encode_mip
+from plverify.mip import ASYM, BOUNDS_INTERVAL, MipVariant, encode_mip
 from plverify.model import (
     BoxDomain,
     Linear,
@@ -37,7 +38,7 @@ from plverify.oracle import oracle_min
 from plverify.relax import (
     build_planet,
     fast_dual_bound,
-    planet_lower_bound,
+    planet_lower_bound_with_point,
     reluplex_lower_bound,
 )
 
@@ -100,14 +101,9 @@ def test_criterion_2_oracle_agreement(suite200, method_runs):
             want = "UNSAT" if inst.expected == "unsat" else "SAT"
             assert rec.status == want, (inst.spec, method, rec.status)
         # optimisation agreement on the ReLU-only canonical problem
-        problem = inst.problem()
-        work_net = problem.canonical_net
-        if not is_relu_only(work_net):
-            work_net = maxpool_to_relu(work_net, propagate_box(work_net, inst.box))
-        exact = oracle_min(work_net, inst.box).min_value
-        from plverify.cli import canonicalize_lowered
-
-        res = bab_optimize(canonicalize_lowered(problem, work_net), BabConfig(epsilon=eps, seed=7, timeout=RUN_TIMEOUT))
+        lowered = lower_maxpools(inst.problem())
+        exact = oracle_min(lowered.canonical_net, inst.box).min_value
+        res = bab_optimize(lowered, BabConfig(epsilon=eps, seed=7, timeout=RUN_TIMEOUT))
         assert res.status == "converged", inst.spec
         assert abs(res.min_estimate - exact) <= eps + 1e-6, inst.spec
     _report("criterion 2 (200 instances x 7 methods vs oracle)", f"{len(suite200)} instances, 0 spurious SAT")
@@ -123,7 +119,7 @@ def test_criterion_3_bound_ordering():
         box = random_box(rng, n_in)
         bounds = propagate_box(net, box)
         interval_lb = float(bounds.output_lb[0])
-        planet = planet_lower_bound(build_planet(net, box))
+        planet = planet_lower_bound_with_point(build_planet(net, box))[0]
         fast = fast_dual_bound(net, box, bounds)
         rlx, _ = reluplex_lower_bound(net, box)
         exact = oracle_min(net, box).min_value
@@ -155,9 +151,9 @@ def test_criterion_4_sherali_adams_level0():
         widths = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(1, 3)))]
         net = random_net(rng, n_in, widths)
         box = random_box(rng, n_in)
-        enc = encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL, OPTIMIZE))
+        enc = encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL))
         root = lp.solve(enc.model).objective
-        planet = planet_lower_bound(build_planet(net, box, tighten=False))
+        planet = planet_lower_bound_with_point(build_planet(net, box, tighten=False))[0]
         assert root == pytest.approx(planet, abs=1e-6)
         agree += 1
     _report("criterion 4 (level-0 equivalence)", f"1000 triples + {agree} root-relaxation matches")
@@ -175,8 +171,8 @@ def test_criterion_5_tightening_dominates_on_shrinking_boxes():
         for k in range(20):
             half = 1.5 * (0.8**k)
             box = BoxDomain(center - half, center + half)
-            loose = planet_lower_bound(build_planet(net, box, tighten=False))
-            tight = planet_lower_bound(build_planet(net, box, tighten=True))
+            loose = planet_lower_bound_with_point(build_planet(net, box, tighten=False))[0]
+            tight = planet_lower_bound_with_point(build_planet(net, box, tighten=True))[0]
             assert tight >= loose - 1e-6
             if tight > loose + 1e-6:
                 strict += 1
@@ -259,7 +255,7 @@ def test_criterion_8_maxpool_equivalence():
         ),
     )
     box = BoxDomain(-np.ones(3), np.ones(3))
-    enc = encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL, OPTIMIZE))
+    enc = encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL))
     checked = 0
     for layer, gi, deltas, y in enc.pool_groups:
         for pick in range(len(deltas)):

@@ -306,11 +306,11 @@ def test_child_bounds_dominate_parent():
     root = Subdomain(InputBox(problem.domain), -np.inf, 0)
     from plverify.bab import _bound_region
 
-    lb_root, bounds, _ = _bound_region(problem, net, root.region, cfg)
+    lb_root, bounds, _ = _bound_region(net, root.region, cfg)
     root.bounds = bounds
     root.lower_bound = lb_root
     for child in split_input_longest(root):
-        lb_child, _, _ = _bound_region(problem, net, child.region, cfg)
+        lb_child, _, _ = _bound_region(net, child.region, cfg)
         assert lb_child >= lb_root - 1e-6
 
 
@@ -324,11 +324,3 @@ def test_deterministic_repeat_runs():
     assert (a.margin is None) == (b.margin is None)
     if a.margin is not None:
         assert a.margin == b.margin
-
-
-def test_multiworker_agrees_with_single():
-    for problem, margin in _suite(400, 4):
-        want = "unsat" if margin > 0 else "sat"
-        one = bab_verify(problem, BabConfig(seed=7))
-        four = bab_verify(problem, BabConfig(seed=7), workers=4)
-        assert one.status == four.status == want

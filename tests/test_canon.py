@@ -8,6 +8,7 @@ from plverify.canon import (
     Geq,
     canonicalize,
     clause_holds_strict,
+    lower_maxpools,
     maxpool_to_relu,
     validate_counterexample,
 )
@@ -157,13 +158,20 @@ def test_maxpool_to_relu_exact_on_domain_for_canonical_or():
     problem = canonicalize(toy_net(), prop, toy_box())
     bounds = propagate_box(problem.canonical_net, problem.domain)
     lowered = maxpool_to_relu(problem.canonical_net, bounds)
-    assert is_relu_only(lowered)
+    lowered_problem = lower_maxpools(problem)
+    assert lowered_problem.domain is problem.domain
+    assert lowered_problem.original_net is problem.original_net
+    assert lowered_problem.original_property is problem.original_property
+    relu_only = toy_problem(-5.0)
+    assert lower_maxpools(relu_only) is relu_only
     rng = np.random.default_rng(7)
-    for _ in range(1000):
-        x = rng.uniform(-2, 2, size=2)
-        a = forward_eval(problem.canonical_net, x)[0]
-        b = forward_eval(lowered, x)[0]
-        assert abs(a - b) <= 1e-9
+    for net in (lowered, lowered_problem.canonical_net):
+        assert is_relu_only(net)
+        for _ in range(1000):
+            x = rng.uniform(-2, 2, size=2)
+            a = forward_eval(problem.canonical_net, x)[0]
+            b = forward_eval(net, x)[0]
+            assert abs(a - b) <= 1e-9
 
 
 def test_maxpool_to_relu_requires_finite_bounds():

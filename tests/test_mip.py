@@ -9,10 +9,7 @@ from plverify.mip import (
     ASYM,
     BOUNDS_INTERVAL,
     BOUNDS_PLANET,
-    FEASIBILITY,
     INTERVAL_VARIANT,
-    OPTIMIZE,
-    PLANET_FEASIBLE,
     PLANET_OPT,
     PLANET_SYMFEASIBLE,
     SYM,
@@ -23,7 +20,7 @@ from plverify.mip import (
 )
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
 from plverify.oracle import oracle_min, oracle_verdict
-from plverify.relax import build_planet, planet_lower_bound
+from plverify.relax import build_planet, planet_lower_bound_with_point
 
 
 def _pin(enc: EncodedMip, fixes: dict[int, int]) -> lp.LpModel:
@@ -65,23 +62,12 @@ def test_sym_variant_uses_single_m():
         (Linear(np.array([[1.0]]), np.array([1.0])), Relu(), Linear(np.array([[1.0]]), np.zeros(1))),
     )
     box = BoxDomain(np.array([-3.0]), np.array([3.0]))  # pre in [-2, 4], M = 4
-    enc = encode_mip(net, box, MipVariant(SYM, BOUNDS_INTERVAL, FEASIBILITY))
+    enc = encode_mip(net, box, MipVariant(SYM, BOUNDS_INTERVAL))
     (_, _, d, pre, post) = enc.relu_units[0]
     # upper bound row x <= M delta with M = max(2, 4) = 4
     rows = [r for r in enc.model.rows if len(r[0]) > d and r[0][d] != 0.0]
     ubs = [-(r[0][d]) for r in rows if r[0][post] == 1.0 and r[0][pre] == 0.0 if len(r[0]) > post]
     assert any(u == pytest.approx(4.0) for u in ubs)
-
-
-def test_feasibility_encoding_carries_output_row():
-    problem = toy_problem(-5.0)
-    enc = encode_mip(problem.canonical_net, problem.domain, PLANET_FEASIBLE)
-    assert enc.feas_row is not None
-    row, rel, rhs = enc.model.rows[enc.feas_row]
-    assert rel == lp.LE and rhs == 0.0
-    assert row[enc.output_var] == 1.0
-    opt = encode_mip(problem.canonical_net, problem.domain, PLANET_OPT)
-    assert opt.feas_row is None
 
 
 def test_root_relaxation_equals_planet_lp():
@@ -91,9 +77,9 @@ def test_root_relaxation_equals_planet_lp():
         widths = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(1, 3)))]
         net = random_net(rng, n_in, widths)
         box = random_box(rng, n_in)
-        enc = encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL, OPTIMIZE))
+        enc = encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL))
         root = lp.solve(enc.model)
-        planet = planet_lower_bound(build_planet(net, box, tighten=False))
+        planet = planet_lower_bound_with_point(build_planet(net, box, tighten=False))[0]
         assert root.objective == pytest.approx(planet, abs=1e-6)
 
 
@@ -102,8 +88,8 @@ def test_sym_root_no_tighter_than_asym():
     for _ in range(50):
         net = random_net(rng, 2, [3])
         box = random_box(rng, 2)
-        asym = lp.solve(encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL, OPTIMIZE)).model)
-        sym = lp.solve(encode_mip(net, box, MipVariant(SYM, BOUNDS_INTERVAL, OPTIMIZE)).model)
+        asym = lp.solve(encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL)).model)
+        sym = lp.solve(encode_mip(net, box, MipVariant(SYM, BOUNDS_INTERVAL)).model)
         assert sym.objective <= asym.objective + 1e-6
 
 
@@ -112,7 +98,7 @@ def test_integral_deltas_project_to_relu_graph():
     for _ in range(40):
         net = random_net(rng, 2, [3])
         box = random_box(rng, 2)
-        enc = encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL, OPTIMIZE))
+        enc = encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL))
         if not enc.int_vars:
             continue
         fixes = {d: int(rng.integers(0, 2)) for d in enc.int_vars}
@@ -136,7 +122,7 @@ def test_maxpool_encoding_projects_to_max():
         ),
     )
     box = BoxDomain(-np.ones(3), np.ones(3))
-    enc = encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL, OPTIMIZE))
+    enc = encode_mip(net, box, MipVariant(ASYM, BOUNDS_INTERVAL))
     (layer, gi, deltas, y) = enc.pool_groups[0]
     checked = 0
     for pick in range(4):
@@ -154,7 +140,7 @@ def test_maxpool_encoding_projects_to_max():
 
 
 def test_toy_all_variants():
-    for variant in (PLANET_OPT, PLANET_FEASIBLE, INTERVAL_VARIANT, PLANET_SYMFEASIBLE):
+    for variant in (PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE):
         unsat = toy_problem(-5.0)
         enc = encode_mip(unsat.canonical_net, unsat.domain, variant)
         res = solve_mip(enc)
@@ -172,7 +158,7 @@ def test_toy_all_variants():
 
 def test_verdicts_match_oracle_all_variants():
     rng = np.random.default_rng(46)
-    variants = (PLANET_OPT, PLANET_FEASIBLE, INTERVAL_VARIANT, PLANET_SYMFEASIBLE)
+    variants = (PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE)
     for _ in range(12):
         n_in = int(rng.integers(2, 4))
         widths = [int(rng.integers(2, 4)) for _ in range(int(rng.integers(1, 3)))]
@@ -190,7 +176,7 @@ def test_verdicts_match_oracle_all_variants():
                 assert validate_counterexample(problem, res.counterexample, 1e-6)
 
 
-@pytest.mark.parametrize("variant", [PLANET_OPT, PLANET_FEASIBLE, INTERVAL_VARIANT, PLANET_SYMFEASIBLE])
+@pytest.mark.parametrize("variant", [PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE])
 def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     # every node LP starts from its parent's basis (the root from the
     # all-slack basis), runs no phase 1, reports INFEASIBLE only through a

@@ -15,7 +15,7 @@ from plverify.relax import (
     build_planet,
     build_reluplex,
     fast_dual_bound,
-    planet_lower_bound,
+    planet_lower_bound_with_point,
     reluplex_feasible,
     reluplex_lower_bound,
 )
@@ -24,13 +24,13 @@ from plverify.relax import (
 def test_toy_planet_bound_is_one():
     problem = toy_problem(-5.0)
     pm = build_planet(problem.canonical_net, problem.domain)
-    assert planet_lower_bound(pm) == pytest.approx(1.0, abs=1e-8)
+    assert planet_lower_bound_with_point(pm)[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_toy_planet_bound_shifted():
     problem = toy_problem(-3.0)
     pm = build_planet(problem.canonical_net, problem.domain)
-    assert planet_lower_bound(pm) == pytest.approx(-1.0, abs=1e-8)
+    assert planet_lower_bound_with_point(pm)[0] == pytest.approx(-1.0, abs=1e-8)
 
 
 def test_planet_exact_on_point_box():
@@ -39,7 +39,7 @@ def test_planet_exact_on_point_box():
     x = rng.uniform(-1, 1, size=3)
     box = BoxDomain(x, x)
     pm = build_planet(net, box)
-    assert planet_lower_bound(pm) == pytest.approx(forward_eval(net, x)[0], abs=1e-6)
+    assert planet_lower_bound_with_point(pm)[0] == pytest.approx(forward_eval(net, x)[0], abs=1e-6)
 
 
 def test_planet_with_blocked_phase():
@@ -47,7 +47,7 @@ def test_planet_with_blocked_phase():
     pm = build_planet(problem.canonical_net, problem.domain, phases={(1, 0): BLOCKED}, tighten=True)
     assert not pm.infeasible
     # unit a contributes the constant 0; x_hat_a is clamped <= 0
-    bound = planet_lower_bound(pm)
+    bound = planet_lower_bound_with_point(pm)[0]
     assert bound >= 1.0 - 1e-8
     assert bound == pytest.approx(1.0, abs=1e-6)
 
@@ -60,7 +60,7 @@ def test_planet_sign_fixed_passing_unit_has_no_hull_rows():
     box = BoxDomain(np.array([-1.0]), np.array([1.0]))  # pre in [1, 3]
     pm = build_planet(net, box)
     assert pm.hull_units == []
-    assert planet_lower_bound(pm) == pytest.approx(1.0, abs=1e-8)
+    assert planet_lower_bound_with_point(pm)[0] == pytest.approx(1.0, abs=1e-8)
 
 
 def test_planet_structure_three_constraints_per_ambiguous_unit():
@@ -89,7 +89,7 @@ def test_planet_infeasible_phases_marker():
     box = BoxDomain(np.array([-1.0]), np.array([1.0]))
     pm = build_planet(net, box, phases={(1, 0): BLOCKED})
     assert pm.infeasible
-    assert planet_lower_bound(pm) == np.inf
+    assert planet_lower_bound_with_point(pm)[0] == np.inf
 
 
 def test_reluplex_toy_results():
@@ -157,7 +157,7 @@ def test_soundness_and_dominance_on_random_nets():
         bounds = propagate_box(net, box)
         interval_lb = bounds.output_lb[0]
         pm = build_planet(net, box)
-        planet = planet_lower_bound(pm)
+        planet = planet_lower_bound_with_point(pm)[0]
         fast = fast_dual_bound(net, box, bounds)
         rlx, _ = reluplex_lower_bound(net, box)
         exact = oracle_min(net, box).min_value
@@ -196,8 +196,8 @@ def test_tightening_never_hurts_and_helps_on_shrinking_boxes():
         for k in range(8):
             half = 1.2 * (0.7**k)
             box = BoxDomain(center - half, center + half)
-            loose = planet_lower_bound(build_planet(net, box, tighten=False))
-            tight = planet_lower_bound(build_planet(net, box, tighten=True))
+            loose = planet_lower_bound_with_point(build_planet(net, box, tighten=False))[0]
+            tight = planet_lower_bound_with_point(build_planet(net, box, tighten=True))[0]
             assert tight >= loose - 1e-6
             if tight > loose + 1e-6:
                 strict_improvement = True
@@ -217,7 +217,7 @@ def test_maxpool_hull_bound_is_sound():
         )
         box = random_box(rng, 3)
         pm = build_planet(net, box)
-        lb = planet_lower_bound(pm)
+        lb = planet_lower_bound_with_point(pm)[0]
         pts = rng.uniform(box.lb, box.ub, size=(200, 3))
         for x in pts:
             assert forward_eval(net, x)[0] >= lb - 1e-7
@@ -285,10 +285,10 @@ def test_warm_relaxation_lps_match_cold_solves(monkeypatch):
     for net, box, phases in _differential_cases(np.random.default_rng(8)):
         monkeypatch.setattr(lp, "solve", checked_solve)
         warm = build_planet(net, box, phases, tighten=True)
-        warm_lb = planet_lower_bound(warm)
+        warm_lb = planet_lower_bound_with_point(warm)[0]
         monkeypatch.setattr(lp, "solve", cold_solve)
         cold = build_planet(net, box, phases, tighten=True)
-        cold_lb = planet_lower_bound(cold)
+        cold_lb = planet_lower_bound_with_point(cold)[0]
         assert warm.infeasible == cold.infeasible
         if not warm.infeasible:
             for got, want in ((warm.bounds.pre_lb, cold.bounds.pre_lb), (warm.bounds.pre_ub, cold.bounds.pre_ub)):
@@ -320,7 +320,7 @@ def test_relaxation_lps_never_run_phase_one(monkeypatch):
     monkeypatch.setattr(lp, "solve", counted)
     for net, box in _bound_suite(100, 5):
         pm = build_planet(net, box, tighten=True)
-        assert not pm.infeasible and np.isfinite(planet_lower_bound(pm))
+        assert not pm.infeasible and np.isfinite(planet_lower_bound_with_point(pm)[0])
         assert np.isfinite(reluplex_lower_bound(net, box)[0])
     assert cold_passes == []
     assert all(solves) and len(solves) > 300
@@ -361,7 +361,7 @@ def test_first_layer_tightening_runs_no_lp(monkeypatch):
             low = real_solve(pm.model.with_objective({unit.var_pre: 1.0})).objective
             high = -real_solve(pm.model.with_objective({unit.var_pre: -1.0})).objective
             assert low - _SAFETY <= unit.lb and high + _SAFETY >= unit.ub
-        planet_lower_bound(pm)
+        planet_lower_bound_with_point(pm)
         assert len(solves) == 1
         solves.clear()
     assert ambiguous > 20
