@@ -3,15 +3,42 @@
 The solver is a bounded-variable primal simplex over models whose variables
 all carry finite box bounds (every LP in this artifact is box-bounded, so the
 objective can never be unbounded), with a bounded dual simplex for warm
-starts. Bland's rule takes over after 50 consecutive degenerate pivots to
-rule out cycling, and the basis inverse is refactorised periodically to
-contain drift.
+starts. Both loops are built for the small LPs of this artifact (about 13
+to 25 rows): each iteration makes a handful of numpy calls, and the ratio
+tests are scalar passes over Python lists.
+
+* Primal pricing keeps a sign vector over the columns: +1 for a movable
+  nonbasic column at its lower bound, -1 for one at its upper bound, 0 for
+  a basic or fixed column. The entering column is the first argmax of
+  (c_B B^-1 A - c) * sign; the run is optimal when that maximum is at most
+  the optimality tolerance.
+* The primal ratio test walks the basic rows once. Ties within 1e-12 of
+  the shortest step go to the largest |B^-1 a_e| entry. The basic values
+  live in a list during the run, updated as x_B - (s t) w.
+* The dual loop takes the most violated basic as the leaving row. Its
+  entering candidates are the columns whose signed row entry pushes that
+  value toward its bound by more than the pivot threshold. Among them, a
+  scalar pass takes the smallest |d_j| / |alpha_j|, ties within 1e-12 to
+  the largest |alpha_j|.
+* Bland's rule takes over after 50 consecutive degenerate pivots, to rule
+  out cycling. It picks the first improving column and the smallest basic
+  column among the ratio ties (dual: the smallest violated basic column,
+  the first column among the ties).
+* The basis inverse is updated in product form and refactorised every 64
+  pivots and at the end, to contain drift.
 
 A solve given a start ``Basis`` starts from that basis and overwrites it
 with its final basis; the relaxation builder hands each LP the previous
 LP's optimum, extended by a crash column per new row, the MIP search hands
 each node its parent's optimum, and the oracle hands each pattern LP the
 last basis on its pattern's path, extended by a basic slack per new row.
+The final basis carries the basis matrix last inverted and its inverse. The
+next solve from that ``Basis`` reuses the inverse only when its own basis
+matrix is the same bytes, so the reuse returns exactly what inverting again
+would. The relaxation builder gets this reuse between LPs that add no row;
+the MIP queue drops the matrices, so its memory does not grow with the
+open nodes.
+
 A start whose basic values lie within their bounds runs primal phase 2
 only. A start that puts a basic value
 outside its bounds but keeps every reduced cost's sign within the
@@ -32,7 +59,9 @@ Tolerances (fixed for the whole artifact): feasibility 1e-8, optimality
 1e-7, pivot threshold 1e-9, iteration cap 50000.
 
 ``solve_reference`` is the independent test oracle: exhaustive enumeration of
-basic solutions (vertices) for models with at most 8 variables.
+basic solutions (vertices) for models with at most 8 variables. One Gaussian
+elimination with partial pivoting per chunk of subsets solves them all, and
+a pivot at most the pivot threshold marks a subset singular.
 """
 
 from __future__ import annotations
@@ -144,10 +173,15 @@ class Basis:
     A column is a variable index ``j``, or ``~i`` for the slack of row ``i``.
     ``basic`` holds one column per row; nonbasic columns listed in
     ``at_upper`` start at their upper bound, all others at their lower bound.
+    ``inverse`` is solver state, not a setting: the basis matrix the final
+    basis was last inverted from, and that inverse. A solve reuses it only
+    for a byte-identical basis matrix, where inverting again would return the
+    same bytes.
     """
 
     basic: list[int] = field(default_factory=list)
     at_upper: set[int] = field(default_factory=set)
+    inverse: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
 def solve(model: LpModel, basis: Basis | None = None) -> LpSolution:
@@ -215,30 +249,42 @@ def _standard_form(model: LpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, 
     return arow, rhs, np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi])
 
 
+def _columns(cols: list[int] | set[int], n: int) -> np.ndarray:
+    """Indices into structural | slack columns of ``Basis`` columns."""
+    b = np.fromiter(cols, dtype=np.intp, count=len(cols))
+    return np.where(b >= 0, b, n + ~b)
+
+
 def _warm_start(form, n: int, basis: Basis, c: np.ndarray) -> "_SimplexState | None":
     """The state at ``basis``; None when a basic value lies outside its
     bounds by more than TOL_FEAS and some reduced cost of ``c`` has the wrong
     sign by more than TOL_OPT (neither simplex can start there). A singular
-    basis raises NumericalFailure."""
+    basis raises NumericalFailure. The inverse ``basis`` carries is taken
+    out of it and reused when its matrix is the same bytes as this basis
+    matrix."""
     arow, rhs, lo, hi = form
     m = len(rhs)
     if len(basis.basic) != m:
         raise ValueError(f"basis names {len(basis.basic)} basic columns for {m} rows")
-    basic = np.array([j if j >= 0 else n + ~j for j in basis.basic], dtype=np.intp)
+    basic = _columns(basis.basic, n)
     at_upper = np.zeros(n + m, dtype=bool)
-    at_upper[[j if j >= 0 else n + ~j for j in basis.at_upper]] = True
+    at_upper[_columns(basis.at_upper, n)] = True
     at_upper[basic] = False
-    in_basis = np.zeros(n + m, dtype=bool)
-    in_basis[basic] = True
     x = np.where(at_upper, hi, lo)
     a = np.hstack([arow, np.eye(m)])
-    state = _SimplexState(a, rhs, lo, hi, x, at_upper, basic, in_basis, None)
+    state = _SimplexState(a, rhs, lo, hi, x, at_upper, basic, None)
+    carried, basis.inverse = basis.inverse, None
+    if carried is not None:
+        bmat = a[:, basic]
+        if carried[0].shape == bmat.shape and carried[0].tobytes() == bmat.tobytes():
+            state.bmat, state.binv = carried
+            state.fresh = True
     state.refactor()
     xb = state.x[basic]
     if np.any(xb < lo[basic] - TOL_FEAS) or np.any(xb > hi[basic] + TOL_FEAS):
         d = c - (c[basic] @ state.binv) @ a
-        wrong = np.where(at_upper, d > TOL_OPT, d < -TOL_OPT)
-        if np.any(wrong & ~in_basis & (hi > lo)):
+        # a nonbasic column whose cost improves by leaving its bound
+        if np.any(d * state.start_run() < -TOL_OPT):
             return None
     return state
 
@@ -270,11 +316,9 @@ def _phase_one(form, n: int) -> "tuple[_SimplexState, int] | None":
     x[n + m :] = np.abs(resid)
 
     basis = np.arange(n + m, total)
-    in_basis = np.zeros(total, dtype=bool)
-    in_basis[basis] = True
     binv = np.diag(sigma).copy()
 
-    state = _SimplexState(a_full, rhs, lo_full, hi_full, x, at_upper, basis, in_basis, binv)
+    state = _SimplexState(a_full, rhs, lo_full, hi_full, x, at_upper, basis, binv)
 
     c_phase1 = np.zeros(total)
     c_phase1[n + m :] = 1.0
@@ -304,14 +348,18 @@ def _phase_two(state: "_SimplexState", form, c_obj: np.ndarray, max_iter: int, b
     if basis is not None:
         # a basic artificial (pinned at 0) stands in for its row's slack:
         # the two columns differ only in sign
-        basis.basic = [int(j) if j < n else ~int((j - n) % m) for j in state.basis]
-        upper = state.at_upper[: n + m] & ~state.in_basis[: n + m]
-        basis.at_upper = {int(j) if j < n else ~int(j - n) for j in np.flatnonzero(upper)}
+        b = state.basis
+        basis.basic = np.where(b < n, b, ~((b - n) % m)).tolist()
+        upper = state.at_upper.copy()
+        upper[b] = False
+        u = np.flatnonzero(upper[: n + m])
+        basis.at_upper = set(np.where(u < n, u, ~(u - n)).tolist())
+        basis.inverse = (state.bmat, state.binv) if m else None
     return LpSolution(OPTIMAL, float(c_obj @ xs), xs.copy())
 
 
 class _SimplexState:
-    def __init__(self, a, rhs, lo, hi, x, at_upper, basis, in_basis, binv):
+    def __init__(self, a, rhs, lo, hi, x, at_upper, basis, binv):
         self.a = a
         self.rhs = rhs
         self.lo = lo
@@ -319,9 +367,23 @@ class _SimplexState:
         self.x = x
         self.at_upper = at_upper
         self.basis = basis
-        self.in_basis = in_basis
+        self.cols = basis.tolist()  # ``basis`` as a list, for scalar loops
         self.binv = binv
+        self.bmat = None  # the basis matrix binv was last inverted from
         self.fresh = False  # binv was inverted from the basis, no pivot since
+        self.lo_l = self.hi_l = self.sgn = None
+
+    def start_run(self) -> np.ndarray:
+        """Start a run of pivots: the bounds as lists, and the sign vector,
+        +1 for a movable nonbasic column at its lower bound, -1 for one at
+        its upper bound, 0 for a basic or fixed column (the direction each
+        column can move in). ``pivot`` keeps the sign vector current."""
+        self.lo_l, self.hi_l = self.lo.tolist(), self.hi.tolist()
+        sgn = np.where(self.at_upper, -1.0, 1.0)
+        sgn[self.hi - self.lo <= 0.0] = 0.0
+        sgn[self.basis] = 0.0
+        self.sgn = sgn
+        return sgn
 
     def refactor(self) -> None:
         """Recompute the basic values, inverting the basis again unless no
@@ -331,26 +393,30 @@ class _SimplexState:
         if m == 0:
             return
         if not self.fresh:
+            bmat = self.a[:, self.basis]
             try:
-                self.binv = np.linalg.inv(self.a[:, self.basis])
+                self.binv = np.linalg.inv(bmat)
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure("singular basis") from exc
+            self.bmat = bmat
             self.fresh = True
         xn = self.x.copy()
         xn[self.basis] = 0.0
         self.x[self.basis] = self.binv @ (self.rhs - self.a @ xn)
 
-    def pivot(self, e: int, leave: int, w: np.ndarray, to_upper) -> None:
+    def pivot(self, e: int, leave: int, w: np.ndarray, to_upper: bool) -> None:
         """Column ``e`` enters the basis in row ``leave``, whose basic column
         leaves at its upper bound when ``to_upper``, else at its lower bound;
         ``w`` is B^-1 a_e. Product-form update of the inverse, shared by the
         primal and the dual loop."""
-        lv = int(self.basis[leave])
-        self.x[lv] = self.hi[lv] if to_upper else self.lo[lv]
+        lv = self.cols[leave]
+        lo, hi = self.lo_l[lv], self.hi_l[lv]
+        self.x[lv] = hi if to_upper else lo
         self.at_upper[lv] = to_upper
-        self.in_basis[lv] = False
+        self.sgn[lv] = 0.0 if hi - lo <= 0.0 else -1.0 if to_upper else 1.0
+        self.sgn[e] = 0.0
         self.basis[leave] = e
-        self.in_basis[e] = True
+        self.cols[leave] = e
         piv = w[leave]
         if abs(piv) < PIVOT_TOL:
             raise NumericalFailure("pivot below threshold")
@@ -361,52 +427,64 @@ class _SimplexState:
 
 
 def _run_simplex(state: _SimplexState, c: np.ndarray, max_iter: int) -> int:
-    a, lo, hi = state.a, state.lo, state.hi
-    m = len(state.basis)
-    movable = hi - lo > 0.0
-    no_ratio = np.full(m, np.inf)
+    """Primal simplex from a feasible state until no reduced cost improves;
+    the iterations used.
+
+    The entering column has the largest score (c_B B^-1 a_j - c_j) sgn_j,
+    improving when above TOL_OPT; it moves until it reaches its other bound
+    (a flip) or a basic value reaches a bound first. That ratio test is a
+    scalar pass over the basic rows, whose values the loop keeps in a list;
+    ties within 1e-12 of the shortest step go to the largest |w|. Bland's
+    rule (the first improving column, the smallest basic column among the
+    ties) takes over after _BLAND_TRIGGER consecutive degenerate pivots.
+    """
+    a, x, cols = state.a, state.x, state.cols
+    m = len(cols)
+    sgn = state.start_run()
+    lo_l, hi_l = state.lo_l, state.hi_l
+    xb = x[state.basis].tolist()
     degen_run = 0
     bland = False
 
     for it in range(max_iter):
         if m and it > 0 and it % _REFACTOR_EVERY == 0:
             state.refactor()
-        x, basis, in_basis, at_upper, binv = state.x, state.basis, state.in_basis, state.at_upper, state.binv
+            xb = x[state.basis].tolist()
+        binv = state.binv
 
-        y = c[basis] @ binv if m else np.zeros(0)
-        d = c - (y @ a if m else 0.0)
-        # a nonbasic at its lower bound improves by increasing, one at its
-        # upper bound by decreasing
-        eligible = movable & ~in_basis & np.where(at_upper, d > TOL_OPT, d < -TOL_OPT)
-        if not eligible.any():
+        score = (((c[state.basis] @ binv) @ a if m else 0.0) - c) * sgn
+        e = int((score > TOL_OPT).argmax() if bland else score.argmax())
+        if not score.item(e) > TOL_OPT:
+            x[state.basis] = xb
             return it
-        if bland:
-            e = int(eligible.argmax())  # first eligible index
-        else:
-            e = int(np.where(eligible, np.abs(d), -1.0).argmax())
-        sgn = -1.0 if at_upper[e] else 1.0
-
-        w = binv @ a[:, e] if m else np.zeros(0)
-        delta = -sgn * w  # movement of basics per unit step
-        t_flip = hi[e] - lo[e]
+        s = sgn.item(e)  # +1 when e rises from its lower bound, -1 when it falls
+        t_flip = hi_l[e] - lo_l[e]
 
         t_leave = np.inf
-        leave = -1
         if m:
-            xb = x[basis]
-            up = np.divide(hi[basis] - xb, delta, out=no_ratio.copy(), where=delta > PIVOT_TOL)
-            dn = np.divide(xb - lo[basis], -delta, out=no_ratio.copy(), where=delta < -PIVOT_TOL)
-            ratios = np.maximum(np.minimum(up, dn), 0.0)
-            t_leave = float(ratios.min())
-            if np.isfinite(t_leave):
-                near = (ratios <= t_leave + 1e-12).nonzero()[0]
-                if bland:
-                    leave = int(near[basis[near].argmin()])
+            w = binv @ a[:, e]
+            wl = w.tolist()
+            # basic value i moves by -s w_i per unit step
+            ratios = []
+            for wi, xi, j in zip(wl, xb, cols):
+                move = -s * wi
+                if move > PIVOT_TOL:
+                    r = (hi_l[j] - xi) / move
+                elif move < -PIVOT_TOL:
+                    r = (xi - lo_l[j]) / -move
                 else:
-                    leave = int(near[np.abs(w[near]).argmax()])
+                    r = np.inf
+                ratios.append(r if r > 0.0 else 0.0)
+            t_leave = min(ratios)
+            if t_leave < np.inf:
+                near = [i for i, r in enumerate(ratios) if r <= t_leave + 1e-12]
+                if bland:
+                    leave = min(near, key=cols.__getitem__)
+                else:
+                    leave = max(near, key=lambda i: abs(wl[i]))
 
         t = min(t_flip, t_leave)
-        if not np.isfinite(t):
+        if not t < np.inf:
             raise NumericalFailure("unbounded direction in box-bounded model")
 
         if t <= _DEGEN_TOL:
@@ -416,14 +494,17 @@ def _run_simplex(state: _SimplexState, c: np.ndarray, max_iter: int) -> int:
         else:
             degen_run = 0
 
-        x[e] += sgn * t
+        step = s * t
+        x[e] += step
         if m:
-            x[basis] += delta * t
+            xb = [xi - step * wi for xi, wi in zip(xb, wl)]
         if t_flip <= t_leave:
-            at_upper[e] = not at_upper[e]
-            x[e] = hi[e] if at_upper[e] else lo[e]
+            state.at_upper[e] = s > 0.0
+            x[e] = hi_l[e] if s > 0.0 else lo_l[e]
+            sgn[e] = -s
         else:
-            state.pivot(e, leave, w, delta[leave] > 0)
+            state.pivot(e, leave, w, s * wl[leave] < 0.0)
+            xb[leave] = x.item(e)
     raise NumericalFailure(f"iteration cap {MAX_ITER} exceeded")
 
 
@@ -433,54 +514,62 @@ def _run_dual(state: _SimplexState, c: np.ndarray, max_iter: int) -> int | None:
     checked Farkas row proves the model infeasible.
 
     Each pivot takes the most violated basic out at its violated bound and
-    brings in the column that keeps every reduced cost's sign (dual ratio
-    test, ties to the largest pivot); Bland's rule takes over after
-    _BLAND_TRIGGER consecutive dual-degenerate pivots.
+    brings in the column that keeps every reduced cost's sign: among the
+    columns whose move pushes the leaving value toward that bound, a scalar
+    pass takes the smallest ratio |d_j| / |alpha_j|, ties within 1e-12 to
+    the largest |alpha_j|. Bland's rule (the smallest violated basic column,
+    the first column among the ties) takes over after _BLAND_TRIGGER
+    consecutive dual-degenerate pivots.
     """
-    a, lo, hi = state.a, state.lo, state.hi
-    movable = hi - lo > 0.0
+    a, x, basis, cols = state.a, state.x, state.basis, state.cols
+    if not cols:
+        return 0  # no basic value to lie outside its bounds
+    lo_b, hi_b = state.lo[basis], state.hi[basis]
+    sgn = None  # set up at the first violated row
     degen_run = 0
     bland = False
 
     for it in range(max_iter):
         if it > 0 and it % _REFACTOR_EVERY == 0:
             state.refactor()
-        x, basis, in_basis, at_upper, binv = state.x, state.basis, state.in_basis, state.at_upper, state.binv
+        binv = state.binv
 
         xb = x[basis]
-        below = lo[basis] - xb
-        above = xb - hi[basis]
-        violation = np.maximum(below, above)
-        bad = violation > TOL_FEAS
-        if not bad.any():
-            return it
+        violation = np.maximum(lo_b - xb, xb - hi_b)
         if bland:
-            rows = bad.nonzero()[0]
-            r = int(rows[basis[rows].argmin()])
+            bad = [i for i, v in enumerate(violation.tolist()) if v > TOL_FEAS]
+            if not bad:
+                return it
+            r = min(bad, key=cols.__getitem__)
         else:
             r = int(violation.argmax())
-        rise = below[r] > 0.0  # the leaving value climbs to its lower bound
+            if not violation.item(r) > TOL_FEAS:
+                return it
+        if sgn is None:
+            sgn = state.start_run()
+            lo_l, hi_l = state.lo_l, state.hi_l
+        rise = lo_l[cols[r]] - xb.item(r) > 0.0  # the leaving value climbs to its lower bound
 
-        d = c - (c[basis] @ binv) @ a
         alpha = binv[r] @ a
-        # x_B[r] moves by -alpha_j per unit increase of column j
-        toward = -alpha if rise else alpha
-        eligible = movable & ~in_basis & np.where(at_upper, toward < -PIVOT_TOL, toward > PIVOT_TOL)
-        if not eligible.any():
+        # x_B[r] moves by -alpha_j sgn_j per unit step of column j
+        moves = alpha * sgn
+        eligible = np.flatnonzero(moves < -PIVOT_TOL if rise else moves > PIVOT_TOL).tolist()
+        if not eligible:
             if not state.fresh:
                 state.refactor()  # decide on an inverse without drift
                 continue
             if _farkas_row(state, r):
                 return None
             raise NumericalFailure("dual ratio test found no column, Farkas check failed")
-        slack = np.maximum(np.where(at_upper, -d, d), 0.0)
-        ratios = np.divide(slack, np.abs(alpha), out=np.full(len(alpha), np.inf), where=eligible)
-        theta = float(ratios.min())
-        near = (ratios <= theta + 1e-12).nonzero()[0]
-        if bland:
-            e = int(near[0])
-        else:
-            e = int(near[np.abs(alpha[near]).argmax()])
+        d = c - (c[basis] @ binv) @ a
+        dl, al, sl = d.tolist(), alpha.tolist(), sgn.tolist()
+        ratios = []
+        for j in eligible:
+            room = dl[j] * sl[j]  # the reduced cost's room, >= 0 when dual feasible
+            ratios.append((room if room > 0.0 else 0.0) / abs(al[j]))
+        theta = min(ratios)
+        near = [j for j, q in zip(eligible, ratios) if q <= theta + 1e-12]
+        e = near[0] if bland else max(near, key=lambda j: abs(al[j]))
 
         if theta <= _DEGEN_TOL:
             degen_run += 1
@@ -490,11 +579,12 @@ def _run_dual(state: _SimplexState, c: np.ndarray, max_iter: int) -> int | None:
             degen_run = 0
 
         w = binv @ a[:, e]
-        target = lo[basis[r]] if rise else hi[basis[r]]
-        step = (xb[r] - target) / w[r]
+        target = lo_l[cols[r]] if rise else hi_l[cols[r]]
+        step = (xb.item(r) - target) / w.item(r)
         x[e] += step
         x[basis] -= w * step
         state.pivot(e, r, w, not rise)
+        lo_b[r], hi_b[r] = lo_l[e], hi_l[e]
     raise NumericalFailure(f"iteration cap {MAX_ITER} exceeded")
 
 
@@ -536,6 +626,43 @@ def _subsets(k: int, n: int):
             blocks, size = [], 0
     if blocks:
         yield np.concatenate(blocks)
+
+
+def _vertices(g: np.ndarray, h: np.ndarray, chunk: np.ndarray) -> np.ndarray:
+    """The solutions of g[s] z = h[s] for the subsets s (rows of ``chunk``),
+    as columns in subset order, without the singular subsets.
+
+    One Gaussian elimination with partial pivoting runs over all subsets at
+    once; a subset is singular when a pivot is at most PIVOT_TOL (the rows
+    of g have unit norm). Entry (i, j) of subset s's system is a[j, i, s],
+    and column n is its right-hand side, so every step works on contiguous
+    runs of subsets.
+    """
+    count, n = chunk.shape
+    a = np.empty((n + 1, n, count))
+    np.take(g.T, chunk.T, axis=1, out=a[:n])
+    np.take(h, chunk.T, out=a[n])
+    flat = a.reshape(-1)
+    subsets = np.arange(count)
+    ok = np.ones(count, dtype=bool)
+    for k in range(n):
+        size = np.abs(a[k, k:])
+        p = size.argmax(axis=0)  # pivot row, counted from row k
+        ok &= size[p, subsets] > PIVOT_TOL
+        swap = np.flatnonzero(p)
+        if len(swap):  # exchange rows k and k + p in columns k..n
+            cols = np.arange(k, n + 1)[:, None] * (n * count)
+            at_k = cols + (k * count + swap)
+            at_p = cols + ((k + p[swap]) * count + swap)
+            flat[at_k], flat[at_p] = flat[at_p], flat[at_k]
+        # a singular subset divides by 1, so its numbers stay finite
+        factor = a[k, k + 1 :] / np.where(ok, a[k, k], 1.0)
+        a[k + 1 :, k + 1 :] -= a[k + 1 :, None, k] * factor
+    diag = np.where(ok, a[np.arange(n), np.arange(n)], 1.0)
+    z = np.empty((n, count))
+    for k in range(n - 1, -1, -1):
+        z[k] = (a[n, k] - np.einsum("jc,jc->c", a[k + 1 : n, k], z[k + 1 :])) / diag[k]
+    return z[:, ok]
 
 
 def solve_reference(model: LpModel) -> LpSolution:
@@ -587,20 +714,19 @@ def solve_reference(model: LpModel) -> LpSolution:
 
     # the first best vertex in enumeration order wins, as in one batch
     best_val, best_pt = np.inf, None
+    # a subset holding a row next to its negation (a variable's two bounds,
+    # an equality's two halves) is singular
+    negated = np.flatnonzero(np.all(g[1:] == -g[:-1], axis=1))
     for chunk in _subsets(len(g), n):
-        mats = g[chunk]
-        dets = np.abs(np.linalg.det(mats))
-        ok = dets > 1e-8
-        if not np.any(ok):
-            continue
-        pts = np.linalg.solve(mats[ok], h[chunk][ok][..., None])[..., 0]
-        feas = np.all(g @ pts.T <= h[:, None] + 1e-7, axis=0)
+        pairs = np.isin(chunk[:, :-1], negated) & (np.diff(chunk, axis=1) == 1)
+        pts = _vertices(g, h, chunk[~pairs.any(axis=1)])
+        feas = np.all(g @ pts <= h[:, None] + 1e-7, axis=0)
         if not np.any(feas):
             continue
-        vals = pts[feas] @ c
+        vals = c @ pts[:, feas]
         best = int(np.argmin(vals))
         if vals[best] < best_val:
-            best_val, best_pt = float(vals[best]), pts[feas][best]
+            best_val, best_pt = float(vals[best]), pts[:, feas][:, best].copy()
     if best_pt is None:
         return LpSolution(INFEASIBLE, np.inf, None)
     return LpSolution(OPTIMAL, best_val, best_pt)

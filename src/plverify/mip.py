@@ -30,10 +30,10 @@ search continues past them.
 Node LPs start warm. The root starts from the all-slack basis with every
 structural column at the bound its cost pulls it to; its reduced costs are
 the costs, so the start is dual feasible. Each queued node keeps the final
-``lp.Basis`` of its LP, and both children start from a copy of it. A child
-differs from its parent only in one pinned binary, so that basis stays dual
-feasible and ``lp.solve`` repairs it with dual simplex pivots, without a
-phase 1. An optimum reached this way can be another vertex among ties than
+``lp.Basis`` of its LP, without the inverse that basis carries, and both
+children start from a copy of it. A child differs from its parent only in
+one pinned binary, so that basis stays dual feasible and ``lp.solve``
+repairs it with dual simplex pivots, without a phase 1. An optimum reached this way can be another vertex among ties than
 a cold solve's, so the branching binary can differ from a cold search, and
 with it the node count and an UNSAT margin (the smallest pruned bound of
 the tree searched); each node LP's value and the verdict do not.
@@ -52,7 +52,7 @@ from .bab import SAT, TIMEOUT, UNSAT, BabResult
 from .canon import validate_point
 from .interval import LayerBounds, propagate_box
 from .model import BoxDomain, Linear, Network, Relu, forward_eval
-from .relax import build_planet
+from .relax import build_planet, linear_rows
 
 ASYM = "asym"
 SYM = "sym"
@@ -117,16 +117,11 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
 
     for i, layer in enumerate(net.layers):
         if isinstance(layer, Linear):
-            new_vars: list[int | None] = []
-            for j in range(layer.out_width):
-                v = model.add_var(bounds.pre_lb[i][j], bounds.pre_ub[i][j])
-                coefs = {v: 1.0}
-                for k, p in enumerate(prev):
-                    if p is not None and layer.weight[j, k] != 0.0:
-                        coefs[p] = coefs.get(p, 0.0) - layer.weight[j, k]
-                model.add_row(coefs, lp.EQ, float(layer.bias[j]))
-                new_vars.append(v)
-            prev = new_vars
+            first = model.num_vars
+            for j, row in enumerate(linear_rows(layer.weight, prev, first)):
+                model.add_var(bounds.pre_lb[i][j], bounds.pre_ub[i][j])
+                model.add_row(row, lp.EQ, float(layer.bias[j]))
+            prev = list(range(first, model.num_vars))
         elif isinstance(layer, Relu):
             new_vars = []
             for j, p in enumerate(prev):
@@ -236,6 +231,7 @@ def solve_mip(
         """Solve one node from ``basis``; returns a validated counterexample or None."""
         nonlocal seq, spurious, margin_floor, best_seen
         sol = lp.solve(_pinned(enc.model, fixes), basis)
+        basis.inverse = None  # a queued node keeps no matrices; its children invert again
         if sol.status != lp.OPTIMAL:
             return None  # infeasible subtree, nothing below it
         lb = sol.objective

@@ -20,7 +20,9 @@ far (two LPs per unit), before that unit's ReLU is encoded. Tightening is
 what the branch-and-bound engine uses per subdomain by default. A ReLU layer
 fed by one Linear layer straight from the input box is skipped unless one
 of its units has a fixed phase: the interval bound of an affine map over a
-box is exact, so those LPs could only return it.
+box is exact, so those LPs could only return it. A tightening LP that
+fails numerically (``lp.NumericalFailure``) leaves its unit with the
+interval bounds it had, which are sound, and the encoding goes on.
 
 Every LP over one relaxation starts warm (``lp.Basis``) from the previous
 LP's optimum: tightened bounds contain every feasible point, so that optimum
@@ -93,6 +95,21 @@ class PlanetModel:
     basis: lp.Basis | None = None  # start of the next LP over ``model``
 
 
+def linear_rows(weight: np.ndarray, prev: list[int | None], first: int) -> list[np.ndarray]:
+    """The rows x_hat_j - sum_k weight[j, k] prev[k] of one Linear layer,
+    dense, where x_hat_j is variable ``first + j`` and row j spans the
+    variables up to it. ``prev`` names distinct variables, or None for a
+    constant-zero input; None inputs and zero weights leave a +0.0."""
+    out = weight.shape[0]
+    cols = np.array([-1 if p is None else p for p in prev], dtype=np.intp)
+    live = cols >= 0
+    w = weight[:, live]
+    block = np.zeros((out, first + out))
+    block[:, cols[live]] = np.where(w != 0.0, -w, 0.0)
+    block[np.arange(out), first + np.arange(out)] = 1.0
+    return [block[j, : first + j + 1] for j in range(out)]
+
+
 def _encode(
     net: Network,
     box: BoxDomain,
@@ -108,7 +125,7 @@ def _encode(
     model = lp.LpModel()
     basis = lp.Basis()
 
-    def add_row(coefs: dict[int, float], rel: str, rhs: float, crash: int | None = None) -> int:
+    def add_row(coefs: dict[int, float] | np.ndarray, rel: str, rhs: float, crash: int | None = None) -> int:
         """Add a row with its crash column: ``crash`` basic, or the row's slack."""
         basis.basic.append(~len(model.rows) if crash is None else crash)
         return model.add_row(coefs, rel, rhs)
@@ -125,16 +142,11 @@ def _encode(
             wn = np.minimum(layer.weight, 0.0)
             lo = np.maximum(wp @ cur_lb + wn @ cur_ub + layer.bias, refined.pre_lb[i])
             hi = np.minimum(wp @ cur_ub + wn @ cur_lb + layer.bias, refined.pre_ub[i])
-            new_vars: list[int | None] = []
-            for j in range(layer.out_width):
+            first = model.num_vars
+            for j, row in enumerate(linear_rows(layer.weight, prev, first)):
                 v = model.add_var(lo[j], hi[j])
-                coefs = {v: 1.0}
-                for k, p in enumerate(prev):
-                    if p is not None and layer.weight[j, k] != 0.0:
-                        coefs[p] = coefs.get(p, 0.0) - layer.weight[j, k]
-                add_row(coefs, lp.EQ, float(layer.bias[j]), crash=v)
-                new_vars.append(v)
-            prev = new_vars
+                add_row(row, lp.EQ, float(layer.bias[j]), crash=v)
+            prev = list(range(first, model.num_vars))
             cur_lb, cur_ub = lo, hi
             out.pre_lb[i], out.pre_ub[i] = lo.copy(), hi.copy()
             out.post_lb[i], out.post_ub[i] = lo.copy(), hi.copy()
@@ -153,10 +165,13 @@ def _encode(
                 for j, p in enumerate(prev):
                     if not (lo[j] < 0.0 < hi[j]):
                         continue
-                    sol_min = lp.solve(model.with_objective({p: 1.0}), basis)
-                    if sol_min.status == lp.INFEASIBLE:
-                        return PlanetModel(None, None, [], None, [], infeasible=True)
-                    sol_max = lp.solve(model.with_objective({p: -1.0}), basis)
+                    try:
+                        sol_min = lp.solve(model.with_objective({p: 1.0}), basis)
+                        if sol_min.status == lp.INFEASIBLE:
+                            return PlanetModel(None, None, [], None, [], infeasible=True)
+                        sol_max = lp.solve(model.with_objective({p: -1.0}), basis)
+                    except lp.NumericalFailure:
+                        continue  # the unit keeps its interval bounds, which are sound
                     lo[j] = max(lo[j], sol_min.objective - _SAFETY)
                     hi[j] = min(hi[j], -sol_max.objective + _SAFETY)
                     model.lower[p] = float(lo[j])

@@ -116,7 +116,23 @@ def _random_model(rng: np.random.Generator) -> LpModel:
     return m
 
 
+@pytest.fixture
+def blands_rule(monkeypatch):
+    """Bland's rule from the first pivot on, in both simplex loops: every
+    pivot counts as degenerate, and one is enough."""
+    monkeypatch.setattr(lp_module, "_BLAND_TRIGGER", 1)
+    monkeypatch.setattr(lp_module, "_DEGEN_TOL", np.inf)
+
+
 def test_agreement_with_reference_on_random_lps():
+    _agreement_with_reference()
+
+
+def test_agreement_with_reference_under_blands_rule(blands_rule):
+    _agreement_with_reference()
+
+
+def _agreement_with_reference():
     rng = np.random.default_rng(2024)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0}
     for _ in range(500):
@@ -242,6 +258,14 @@ def test_failed_warm_start_is_retried_cold(monkeypatch):
 
 
 def test_dual_warm_start_after_bound_cut_matches_cold(monkeypatch):
+    _dual_warm_start_after_bound_cut(monkeypatch)
+
+
+def test_dual_warm_start_after_bound_cut_under_blands_rule(monkeypatch, blands_rule):
+    _dual_warm_start_after_bound_cut(monkeypatch)
+
+
+def _dual_warm_start_after_bound_cut(monkeypatch):
     # cut a bound of a basic variable through its optimal value: the optimal
     # basis stays dual feasible, so the warm solve runs dual pivots only
     phase_one = _count_calls(monkeypatch, "_phase_one")
@@ -355,8 +379,39 @@ def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
             again = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
             assert inversions[0] == 2
         assert got.objective == again.objective and got.x.tobytes() == again.x.tobytes()
+        # ``basis`` still carries the inverse of its first solve: no inversion
+        inversions[0] = 0
+        carried = solve(model, basis)
+        assert inversions[0] == 0
+        assert carried.objective == got.objective and carried.x.tobytes() == got.x.tobytes()
+        # an inverse carried to another basis of the same size is not reused
+        slack = [~i for i in range(len(model.rows))]
+        fresh = solve(model, Basis(slack))
+        stale = solve(model, Basis(slack, set(), basis.inverse))
+        assert stale.x.tobytes() == fresh.x.tobytes()
+        # a new row (its slack basic) changes the basis matrix: invert again
+        model.add_row(np.ones(model.num_vars), LE, float(np.sum(np.abs(model.upper)) + 1.0))
+        basis.basic.append(~(len(model.rows) - 1))
+        inversions[0] = 0
+        assert solve(model, basis).status == OPTIMAL
+        assert inversions[0] >= 1
         checked += 1
     assert checked > 30
+
+
+def test_warm_solve_without_rows(monkeypatch):
+    phase_one = _count_calls(monkeypatch, "_phase_one")
+    m = LpModel()
+    x = m.add_var(0.0, 2.0)
+    y = m.add_var(-1.0, 1.0)
+    m.set_objective({x: -1.0, y: 1.0})
+    basis = Basis()
+    got = solve(m, basis)
+    assert got.status == OPTIMAL and got.objective == -3.0 and got.x.tolist() == [2.0, -1.0]
+    assert basis.basic == [] and basis.at_upper == {x}
+    again = solve(m, basis)
+    assert again.objective == got.objective and again.x.tobytes() == got.x.tobytes()
+    assert phase_one[0] == 0
 
 
 def test_reference_memory_stays_bounded():

@@ -230,6 +230,28 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     assert counts["dual"] == counts["nodes"] > 20
 
 
+def test_queued_nodes_hold_no_matrices(monkeypatch):
+    # a node LP's final basis comes back carrying its inverse; the queue
+    # keeps the basis only, so memory does not grow with the open nodes
+    import heapq
+
+    pushed = []
+    push = heapq.heappush
+
+    def recorded(queue, item):
+        pushed.append(item[-1])
+        push(queue, item)
+
+    monkeypatch.setattr(heapq, "heappush", recorded)
+    rng = np.random.default_rng(52)
+    for _ in range(6):
+        net = random_net(rng, 3, [5, 5])
+        enc = encode_mip(net, random_box(rng, 3), INTERVAL_VARIANT)
+        solve_mip(enc, node_cap=40)
+    assert len(pushed) > 10
+    assert all(isinstance(b, lp.Basis) and b.inverse is None for b in pushed)
+
+
 def test_timeout():
     problem = toy_problem(-5.0)
     enc = encode_mip(problem.canonical_net, problem.domain, PLANET_OPT)

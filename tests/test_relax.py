@@ -6,7 +6,7 @@ from helpers import random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify import lp
 from plverify.interval import BLOCKED, PASSING, propagate_box, refine_with_fixed_phases
-from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
+from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_batch, forward_eval
 from plverify.oracle import oracle_min
 from plverify.relax import (
     _SAFETY,
@@ -376,3 +376,40 @@ def test_first_layer_phase_still_tightens(monkeypatch):
     assert len(solves) == 2
     assert pm.bounds.pre_lb[1][1] == pytest.approx(0.0, abs=1e-8)
     assert propagate_box(problem.canonical_net, problem.domain).pre_lb[1][1] == -4.0
+
+
+def test_tightening_failure_keeps_the_interval_bound(monkeypatch):
+    # a tightening LP that fails numerically costs its unit the tightening,
+    # not the run: the unit keeps its interval bounds, which are sound
+    real_solve = lp.solve
+    failed: list[int] = []
+
+    def flaky(model, basis=None):
+        var = int(np.flatnonzero(model.objective)[0])
+        if not failed or var == failed[0]:  # the first unit tightened fails
+            failed[:] = [var]
+            raise lp.NumericalFailure("forced")
+        return real_solve(model, basis)
+
+    monkeypatch.setattr(lp, "solve", flaky)
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _ in range(10):
+        net = random_net(rng, 3, [4, 4])
+        box = random_box(rng, 3)
+        failed.clear()
+        pm = build_planet(net, box, tighten=True)
+        if not failed:
+            continue  # no ambiguous unit in the second ReLU layer
+        # the first ReLU layer is not tightened, so the second one's
+        # interval bounds are those of plain propagation
+        interval = propagate_box(net, box)
+        (unit,) = [u for u in pm.hull_units if u.var_pre == failed[0]]
+        assert unit.layer == 3
+        assert pm.bounds.pre_lb[3][unit.unit] == interval.pre_lb[3][unit.unit] == unit.lb
+        assert pm.bounds.pre_ub[3][unit.unit] == interval.pre_ub[3][unit.unit] == unit.ub
+        low = planet_lower_bound_with_point(pm)[0]
+        points = rng.uniform(box.lb, box.ub, size=(500, 3))
+        assert low <= forward_batch(net, points).min() + 1e-9
+        checked += 1
+    assert checked >= 3
