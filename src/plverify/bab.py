@@ -34,6 +34,11 @@ the LP minimiser is fed back as an upper-bound witness; sampling alone
 cannot close the gap on phase-set leaves, so this is what makes the
 phase-splitting search terminate.
 
+An output LP that fails numerically (``lp.NumericalFailure``) does not end
+the run: its subdomain takes the fast dual bound over the relaxation's layer
+bounds, which stay sound without it (their interval output bound for a net
+with an unlowered MaxPool), and offers no LP point.
+
 The loop is single-threaded, and all randomness flows from a splitmix64
 stream derived from (seed, node index), so every run is bit-reproducible.
 """
@@ -46,6 +51,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import lp
 from .canon import VerificationProblem, validate_counterexample
 from .interval import (
     BLOCKED,
@@ -56,7 +62,7 @@ from .interval import (
     propagate_box,
     refine_with_fixed_phases,
 )
-from .model import BoxDomain, Linear, Network, Relu, forward_batch, forward_eval
+from .model import BoxDomain, Network, forward_batch, forward_eval, is_relu_only
 from .relax import (
     build_planet,
     fast_dual_bound,
@@ -265,24 +271,16 @@ def split_relu(dom: Subdomain, net: Network, bounds: LayerBounds) -> list[Subdom
     return children
 
 
-def _phase_match_mask(net: Network, pts: np.ndarray, phases: PhaseMap) -> np.ndarray:
+def _forward_phases(net: Network, pts: np.ndarray, phases: PhaseMap) -> tuple[np.ndarray, np.ndarray]:
+    """The canonical outputs of ``pts`` and which of the points meet every
+    phase in ``phases``, from one forward pass."""
+    relu_inputs: dict[int, np.ndarray] = {}
+    vals = forward_batch(net, pts, relu_inputs)[:, 0]
     mask = np.ones(len(pts), dtype=bool)
-    cur = pts
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Linear):
-            cur = cur @ layer.weight.T + layer.bias
-        elif isinstance(layer, Relu):
-            for (li, j), phase in phases.items():
-                if li != i:
-                    continue
-                if phase == PASSING:
-                    mask &= cur[:, j] >= 0.0
-                else:
-                    mask &= cur[:, j] <= 0.0
-            cur = np.maximum(cur, 0.0)
-        else:
-            cur = np.stack([np.max(cur[:, list(g)], axis=1) for g in layer.groups], axis=1)
-    return mask
+    for (i, j), phase in phases.items():
+        pre = relu_inputs[i][:, j]
+        mask &= pre >= 0.0 if phase == PASSING else pre <= 0.0
+    return vals, mask
 
 
 def sample_upper_bound(
@@ -297,9 +295,8 @@ def sample_upper_bound(
     box = dom.box
     phases = dom.phase_map() if isinstance(dom, PhaseSet) else {}
     pts = rng.uniform_box(box.lb, box.ub, count)
-    vals = forward_batch(net, pts)[:, 0]
+    vals, mask = _forward_phases(net, pts, phases)
     if phases:
-        mask = _phase_match_mask(net, pts, phases)
         if not np.any(mask):
             return np.inf, None
         vals = np.where(mask, vals, np.inf)
@@ -312,7 +309,7 @@ def sample_upper_bound(
             trial[j] = cand
             v = float(forward_eval(net, trial)[0])
             if v < best_val:
-                if phases and not _phase_match_mask(net, trial[None, :], phases)[0]:
+                if phases and not _forward_phases(net, trial[None, :], phases)[1][0]:
                     continue
                 best_val, best_pt = v, trial
     return best_val, best_pt
@@ -327,7 +324,14 @@ def _bound_region(net: Network, region: Region, cfg: BabConfig) -> tuple[float, 
 
     if cfg.bounding in (PLANET_TIGHTENED, PLANET_FIXED):
         pm = build_planet(net, box, phases, tighten=cfg.bounding == PLANET_TIGHTENED)
-        lb, point = planet_lower_bound_with_point(pm)
+        try:
+            lb, point = planet_lower_bound_with_point(pm)
+        except lp.NumericalFailure:
+            # the relaxation's layer bounds stay sound without its output LP;
+            # the fast dual bound needs a ReLU-only net
+            bounds = pm.bounds
+            lb = fast_dual_bound(net, box, bounds) if is_relu_only(net) else float(bounds.output_lb[0])
+            point = None
         return lb, pm.bounds, point
 
     refined = refine_with_fixed_phases(net, propagate_box(net, box), phases)

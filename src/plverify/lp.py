@@ -58,16 +58,29 @@ once cold; only a cold failure propagates.
 Tolerances (fixed for the whole artifact): feasibility 1e-8, optimality
 1e-7, pivot threshold 1e-9, iteration cap 50000.
 
+``solve`` reads a model through its ``standard_form``: the row matrix, the
+right-hand sides and the bounds of the structural and slack columns. An
+``LpModel`` builds it from its rows on every solve. A ``RowStack`` (box
+variables and a stack of ``<=`` rows; the oracle's pattern LPs) keeps it in
+buffers that double when full, together with the matrix [rows | I] a warm
+start reads, so ``push`` and ``truncate`` touch one row and a solve starts
+from views. Its slack bounds are computed for the whole stack in the matrix
+product ``LpModel`` uses, once per stack state that gets solved, so a
+``RowStack`` solve returns the bytes of an ``LpModel`` solve with the same
+rows.
+
 ``solve_reference`` is the independent test oracle: exhaustive enumeration of
-basic solutions (vertices) for models with at most 8 variables. One Gaussian
-elimination with partial pivoting per chunk of subsets solves them all, and
-a pivot at most the pivot threshold marks a subset singular.
+basic solutions (vertices) for models with at most 8 variables. The subsets
+come in bounded chunks built in numpy, one Gaussian elimination with partial
+pivoting per chunk solves them all, and a pivot at most the pivot threshold
+marks a subset singular.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -86,6 +99,7 @@ _DEGEN_TOL = 1e-12
 _BLAND_TRIGGER = 50
 _REFACTOR_EVERY = 64
 _REFERENCE_CHUNK = 1 << 15
+_STACK_ROWS = 8  # the rows a new RowStack has room for
 
 
 class NumericalFailure(Exception):
@@ -94,6 +108,18 @@ class NumericalFailure(Exception):
 
 class TooLarge(Exception):
     """Model too large for the enumeration reference solver."""
+
+
+class _Form(NamedTuple):
+    """An LP as ``solve`` reads it: row i is rows[i] . x + slack_i = rhs[i],
+    and ``lo``/``hi`` bound the columns structural | one slack per row.
+    ``full`` is the matrix [rows | I] over those columns."""
+
+    rows: np.ndarray
+    rhs: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
+    full: np.ndarray
 
 
 @dataclass
@@ -151,6 +177,119 @@ class LpModel:
             clone.objective = self.objective.copy()
         return clone
 
+    def standard_form(self) -> _Form | None:
+        """The rows as ``solve`` reads them (see ``_Form``), built from
+        ``rows``; None when some lower > upper."""
+        n = self.num_vars
+        lo = np.asarray(self.lower, dtype=np.float64)
+        hi = np.asarray(self.upper, dtype=np.float64)
+        if np.any(lo > hi + 1e-12):
+            return None
+        hi = np.maximum(hi, lo)  # collapse sub-tolerance inversions
+
+        m = len(self.rows)
+        arow = np.zeros((m, n))
+        rhs = np.zeros(m)
+        rels = []
+        for i, (row, rel, r) in enumerate(self.rows):
+            if len(row) > n:
+                raise ValueError("row references unknown variables")
+            arow[i, : len(row)] = row
+            rhs[i] = r
+            rels.append(rel)
+
+        # Standard form: one slack per row (fixed at 0 for equalities), finite
+        # bounds derived from the row range over the variable boxes.
+        wp = np.maximum(arow, 0.0)
+        wn = np.minimum(arow, 0.0)
+        row_min = wp @ lo + wn @ hi
+        row_max = wp @ hi + wn @ lo
+        is_le = np.array([rel == LE for rel in rels], dtype=bool)
+        is_ge = np.array([rel == GE for rel in rels], dtype=bool)
+        room_up = rhs - row_min
+        room_dn = rhs - row_max
+        slack_lo = np.where(is_ge & (room_dn < 0.0), room_dn, 0.0)
+        slack_hi = np.where(is_le & (room_up > 0.0), room_up, 0.0)
+        lo, hi = np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi])
+        return _Form(arow, rhs, lo, hi, np.hstack([arow, np.eye(m)]))
+
+
+class RowStack:
+    """Minimisation LP over fixed box variables whose rows, all ``<=``,
+    form a stack: ``push`` adds a row, ``truncate`` drops back to a depth.
+
+    The stack keeps its standard form in buffers that double when full: the
+    rows, the matrix [rows | slack identity], the right-hand sides and the
+    column bounds, so the form ``solve`` reads is a set of views. A slack's
+    upper bound, the row's room over the box, is computed for the whole
+    stack in one matrix product, once per stack state that gets solved: a
+    row's range computed alone can differ from it in the last bit, and
+    ``solve`` must return the bytes an ``LpModel`` with the same rows gives.
+    ``objective`` (None: zero) is read by each solve.
+    """
+
+    def __init__(self, lower, upper):
+        lo = np.array(lower, dtype=np.float64)
+        hi = np.array(upper, dtype=np.float64)
+        if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+            raise ValueError("variable bounds must be finite")
+        if np.any(lo > hi):
+            raise ValueError("variable lb > ub")
+        self.num_vars = n = len(lo)
+        self.objective: np.ndarray | None = None
+        self.depth = 0
+        self._box = lo, hi
+        self._rows = np.zeros((0, n))
+        self._full = np.zeros((0, n))
+        self._rhs = np.zeros(0)
+        self._stale = False  # the slack bounds predate the last push or truncate
+        self._grow(_STACK_ROWS)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._rows[: self.depth]
+
+    def push(self, row: np.ndarray, rhs: float) -> None:
+        """Add the row ``row . x <= rhs`` on top of the stack."""
+        k, n = self.depth, self.num_vars
+        if k == len(self._rhs):
+            self._grow(2 * k)
+        self._rows[k] = row
+        self._full[k, :n] = row
+        self._rhs[k] = rhs
+        self.depth = k + 1
+        self._stale = True
+
+    def truncate(self, depth: int) -> None:
+        """Drop the rows above ``depth``."""
+        if not 0 <= depth <= self.depth:
+            raise ValueError(f"cannot truncate a stack of {self.depth} rows to {depth}")
+        self.depth = depth
+        self._stale = True
+
+    def _grow(self, cap: int) -> None:
+        k, n = self.depth, self.num_vars
+        rows = np.zeros((cap, n))
+        rows[:k] = self._rows[:k]
+        full = np.zeros((cap, n + cap))
+        full[:, :n] = rows
+        full[:, n:] = np.eye(cap)
+        self._rows, self._full = rows, full
+        self._rhs = np.concatenate([self._rhs[:k], np.zeros(cap - k)])
+        # only push grows a stack, and it marks the slack bounds stale
+        self._lo, self._hi = (np.concatenate([b, np.zeros(cap)]) for b in self._box)
+
+    def standard_form(self) -> _Form:
+        k, n = self.depth, self.num_vars
+        rows, rhs = self._rows[:k], self._rhs[:k]
+        lo, hi = self._box
+        if self._stale:
+            # as in LpModel.standard_form: slack_i in [0, max(rhs_i - row_i min, 0)]
+            room = rhs - (np.maximum(rows, 0.0) @ lo + np.minimum(rows, 0.0) @ hi)
+            self._hi[n : n + k] = np.where(room > 0.0, room, 0.0)
+            self._stale = False
+        return _Form(rows, rhs, self._lo[: n + k], self._hi[: n + k], self._full[:k, : n + k])
+
 
 @dataclass
 class LpSolution:
@@ -159,7 +298,7 @@ class LpSolution:
     x: np.ndarray | None
 
 
-def _padded_objective(model: LpModel) -> np.ndarray:
+def _padded_objective(model: LpModel | RowStack) -> np.ndarray:
     c = np.zeros(model.num_vars)
     if model.objective is not None:
         c[: len(model.objective)] = model.objective
@@ -184,19 +323,19 @@ class Basis:
     inverse: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
 
 
-def solve(model: LpModel, basis: Basis | None = None) -> LpSolution:
+def solve(model: LpModel | RowStack, basis: Basis | None = None) -> LpSolution:
     """Bounded-variable simplex, warm from ``basis`` when it is given,
     nonsingular and primal or dual feasible; two-phase from scratch otherwise."""
     n = model.num_vars
     if n == 0:
         return LpSolution(OPTIMAL, 0.0, np.zeros(0))
-    form = _standard_form(model)
+    form = model.standard_form()
     if form is None:
         return LpSolution(INFEASIBLE, np.inf, None)
     c_obj = _padded_objective(model)
     if basis is not None:
         try:
-            c = np.concatenate([c_obj, np.zeros(len(form[1]))])
+            c = np.concatenate([c_obj, np.zeros(len(form.rhs))])
             state = _warm_start(form, n, basis, c)
             if state is not None:
                 used = _run_dual(state, c, MAX_ITER)
@@ -212,57 +351,20 @@ def solve(model: LpModel, basis: Basis | None = None) -> LpSolution:
     return _phase_two(state, form, c_obj, MAX_ITER - iters_used, basis)
 
 
-def _standard_form(model: LpModel) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray] | None:
-    """(rows, rhs, lo, hi): the row matrix over the structural columns, and
-    the bounds of the columns structural | one slack per row, where row i
-    reads rows[i] . x + slack_i = rhs[i]; None when some lower > upper."""
-    n = model.num_vars
-    lo = np.asarray(model.lower, dtype=np.float64)
-    hi = np.asarray(model.upper, dtype=np.float64)
-    if np.any(lo > hi + 1e-12):
-        return None
-    hi = np.maximum(hi, lo)  # collapse sub-tolerance inversions
-
-    m = len(model.rows)
-    arow = np.zeros((m, n))
-    rhs = np.zeros(m)
-    rels = []
-    for i, (row, rel, r) in enumerate(model.rows):
-        if len(row) > n:
-            raise ValueError("row references unknown variables")
-        arow[i, : len(row)] = row
-        rhs[i] = r
-        rels.append(rel)
-
-    # Standard form: one slack per row (fixed at 0 for equalities), finite
-    # bounds derived from the row range over the variable boxes.
-    wp = np.maximum(arow, 0.0)
-    wn = np.minimum(arow, 0.0)
-    row_min = wp @ lo + wn @ hi
-    row_max = wp @ hi + wn @ lo
-    is_le = np.array([rel == LE for rel in rels], dtype=bool)
-    is_ge = np.array([rel == GE for rel in rels], dtype=bool)
-    room_up = rhs - row_min
-    room_dn = rhs - row_max
-    slack_lo = np.where(is_ge & (room_dn < 0.0), room_dn, 0.0)
-    slack_hi = np.where(is_le & (room_up > 0.0), room_up, 0.0)
-    return arow, rhs, np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi])
-
-
 def _columns(cols: list[int] | set[int], n: int) -> np.ndarray:
     """Indices into structural | slack columns of ``Basis`` columns."""
     b = np.fromiter(cols, dtype=np.intp, count=len(cols))
     return np.where(b >= 0, b, n + ~b)
 
 
-def _warm_start(form, n: int, basis: Basis, c: np.ndarray) -> "_SimplexState | None":
+def _warm_start(form: _Form, n: int, basis: Basis, c: np.ndarray) -> "_SimplexState | None":
     """The state at ``basis``; None when a basic value lies outside its
     bounds by more than TOL_FEAS and some reduced cost of ``c`` has the wrong
     sign by more than TOL_OPT (neither simplex can start there). A singular
     basis raises NumericalFailure. The inverse ``basis`` carries is taken
     out of it and reused when its matrix is the same bytes as this basis
     matrix."""
-    arow, rhs, lo, hi = form
+    _, rhs, lo, hi, a = form
     m = len(rhs)
     if len(basis.basic) != m:
         raise ValueError(f"basis names {len(basis.basic)} basic columns for {m} rows")
@@ -271,7 +373,6 @@ def _warm_start(form, n: int, basis: Basis, c: np.ndarray) -> "_SimplexState | N
     at_upper[_columns(basis.at_upper, n)] = True
     at_upper[basic] = False
     x = np.where(at_upper, hi, lo)
-    a = np.hstack([arow, np.eye(m)])
     state = _SimplexState(a, rhs, lo, hi, x, at_upper, basic, None)
     carried, basis.inverse = basis.inverse, None
     if carried is not None:
@@ -289,15 +390,14 @@ def _warm_start(form, n: int, basis: Basis, c: np.ndarray) -> "_SimplexState | N
     return state
 
 
-def _phase_one(form, n: int) -> "tuple[_SimplexState, int] | None":
+def _phase_one(form: _Form, n: int) -> "tuple[_SimplexState, int] | None":
     """A feasible state from one artificial variable per row, plus the
     iterations used; None when the model is infeasible."""
-    arow, rhs, lo, hi = form
+    arow, rhs, lo, hi, full = form
     m = len(rhs)
     total = n + m + m  # structural | slacks | artificials
     a_full = np.zeros((m, total))
-    a_full[:, :n] = arow
-    a_full[:, n : n + m] = np.eye(m)
+    a_full[:, : n + m] = full
     lo_full = np.concatenate([lo, np.zeros(m)])
     hi_full = np.concatenate([hi, np.zeros(m)])
     slack_lo, slack_hi = lo[n:], hi[n:]
@@ -332,9 +432,9 @@ def _phase_one(form, n: int) -> "tuple[_SimplexState, int] | None":
     return state, iters_used
 
 
-def _phase_two(state: "_SimplexState", form, c_obj: np.ndarray, max_iter: int, basis: Basis | None) -> LpSolution:
+def _phase_two(state: "_SimplexState", form: _Form, c_obj: np.ndarray, max_iter: int, basis: Basis | None) -> LpSolution:
     """Minimise c_obj from a feasible state; record the final basis."""
-    arow, rhs = form[0], form[1]
+    arow, rhs = form.rows, form.rhs
     n, m = len(c_obj), len(rhs)
     c = np.concatenate([c_obj, np.zeros(len(state.x) - n)])
     _run_simplex(state, c, max_iter)
@@ -608,24 +708,50 @@ def _farkas_row(state: _SimplexState, r: int) -> bool:
     return value < low - TOL_FEAS * scale or value > high + TOL_FEAS * scale
 
 
+def _after(heads: np.ndarray, tails: np.ndarray) -> np.ndarray:
+    """For each head, the first row of ``tails`` whose first index exceeds
+    the head's last (tails sorted by first index)."""
+    if heads.shape[1] == 0:
+        return np.zeros(len(heads), dtype=np.intp)
+    return np.searchsorted(tails[:, 0], heads[:, -1], side="right")
+
+
+def _join(heads: np.ndarray, tails: np.ndarray, start: np.ndarray) -> np.ndarray:
+    """Each head followed by every row of ``tails`` from its ``start`` on,
+    head by head."""
+    counts = len(tails) - start
+    offset = np.cumsum(counts) - counts  # where each head's rows begin
+    rows = np.repeat(start - offset, counts) + np.arange(counts.sum())
+    return np.hstack([np.repeat(heads, counts, axis=0), tails[rows]])
+
+
+def _combinations(k: int, r: int) -> np.ndarray:
+    """The r-subsets of range(k) in lexicographic order, one per row."""
+    out = np.zeros((1, 0), dtype=np.intp)
+    singles = np.arange(k, dtype=np.intp)[:, None]
+    for _ in range(r):
+        out = _join(out, singles, _after(out, singles))
+    return out
+
+
 def _subsets(k: int, n: int):
     """The n-subsets of range(k) in lexicographic order, as index arrays of
-    about _REFERENCE_CHUNK rows each, so memory stays bounded. Each head of
-    n - 3 indices is joined in numpy to every 3-subset that follows it."""
+    about _REFERENCE_CHUNK rows each, so memory stays bounded. A chunk is a
+    run of heads of n - 3 indices, each joined to every 3-subset that
+    follows it; it ends at the first head that brings it to
+    _REFERENCE_CHUNK rows."""
     r = min(n, 3)
-    tails = np.array(list(itertools.combinations(range(k), r)), dtype=np.intp).reshape(-1, r)
-    after = np.searchsorted(tails[:, 0], np.arange(k), side="right")
-    blocks, size = [], 0
-    for head in itertools.combinations(range(k), n - r):
-        tail = tails[after[head[-1]] :] if head else tails
-        if len(tail):
-            blocks.append(np.hstack([np.broadcast_to(np.array(head, dtype=np.intp), (len(tail), n - r)), tail]))
-            size += len(tail)
-        if size >= _REFERENCE_CHUNK:
-            yield np.concatenate(blocks)
-            blocks, size = [], 0
-    if blocks:
-        yield np.concatenate(blocks)
+    tails = _combinations(k, r)
+    heads = _combinations(k, n - r)
+    start = _after(heads, tails)
+    ends = np.cumsum(len(tails) - start)
+    lo = 0
+    while lo < len(heads):
+        done = int(ends[lo - 1]) if lo else 0
+        hi = min(int(np.searchsorted(ends, done + _REFERENCE_CHUNK)) + 1, len(heads))
+        if ends[hi - 1] > done:
+            yield _join(heads[lo:hi], tails, start[lo:hi])
+        lo = hi
 
 
 def _vertices(g: np.ndarray, h: np.ndarray, chunk: np.ndarray) -> np.ndarray:

@@ -176,15 +176,19 @@ def forward_eval(net: Network, x0: np.ndarray) -> np.ndarray:
     return x
 
 
-def forward_batch(net: Network, points: np.ndarray) -> np.ndarray:
-    """Evaluate a batch of points, shape (n, input_size) -> (n, out_width)."""
+def forward_batch(net: Network, points: np.ndarray, relu_inputs: dict[int, np.ndarray] | None = None) -> np.ndarray:
+    """Evaluate a batch of points, shape (n, input_size) -> (n, out_width).
+    ``relu_inputs``, when given, receives each ReLU layer's input batch,
+    keyed by layer index."""
     x = np.asarray(points, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != net.input_size:
         raise ValueError(f"batch has shape {x.shape}, expected (n, {net.input_size})")
-    for layer in net.layers:
+    for i, layer in enumerate(net.layers):
         if isinstance(layer, Linear):
             x = x @ layer.weight.T + layer.bias
         elif isinstance(layer, Relu):
+            if relu_inputs is not None:
+                relu_inputs[i] = x
             x = np.maximum(x, 0.0)
         else:
             x = np.stack([np.max(x[:, list(g)], axis=1) for g in layer.groups], axis=1)

@@ -20,17 +20,22 @@ off high in the tree instead of costing one leaf LP each. The leaf LPs and
 the order in which patterns are visited are the same as with plain
 enumeration, so the result does not depend on the pruning.
 
-Pattern LPs start warm (``lp.Basis``). A pattern carries, beside its rows,
-the final basis of the last LP solved on its path, extended by one basic
-slack per row added since; a child adds its new row's slack the same way,
-and rows keep the order in which units were decided, so slack indices line
-up. A feasibility LP has a zero objective, so that start is always dual
-feasible: ``lp.solve`` repairs it with the bounded dual simplex, and an
-empty pattern is pruned through a checked Farkas row, not a phase-1
-residual (a warm run whose Farkas check fails is retried cold). Each leaf
-LP starts from a copy of its pattern's basis, which is usually primal
-feasible, so it runs phase 2 only; a start that is neither primal nor dual
-feasible falls back to the cold two-phase path.
+One ``lp.RowStack`` per search holds the halfspaces of the current partial
+pattern, in the order in which units were decided: deciding a unit pushes
+its row before the feasibility test and truncates it after the subtree, and
+a leaf LP sets its objective on the stack. No pattern LP rebuilds its model.
+
+Pattern LPs start warm (``lp.Basis``). A pattern carries the final basis of
+the last LP solved on its path, extended by one basic slack per row added
+since; a child adds its new row's slack the same way, and the stack keeps
+rows in decision order, so slack indices line up. A feasibility LP has a
+zero objective, so that start is always dual feasible: ``lp.solve``
+repairs it with the bounded dual simplex, and an empty pattern is pruned
+through a checked Farkas row, not a phase-1 residual (a warm run whose
+Farkas check fails is retried cold). Each leaf LP starts from a copy of its
+pattern's basis, which is usually primal feasible, so it runs phase 2 only;
+a start that is neither primal nor dual feasible falls back to the cold
+two-phase path.
 """
 
 from __future__ import annotations
@@ -79,7 +84,7 @@ def oracle_min(net: Network, box: BoxDomain, relu_cap: int = 16) -> OracleResult
 
     state = _Search(net, box, bounds)
     center = 0.5 * (box.lb + box.ub)
-    state.descend(0, np.eye(net.input_size), np.zeros(net.input_size), [], [], lp.Basis(), center)
+    state.descend(0, np.eye(net.input_size), np.zeros(net.input_size), lp.Basis(), center)
     if state.best_x is None:
         raise RuntimeError("no feasible activation pattern; box should be non-empty")
     return OracleResult(state.best_val, state.best_x, state.feasible)
@@ -90,6 +95,7 @@ class _Search:
         self.net = net
         self.box = box
         self.bounds = bounds
+        self.stack = lp.RowStack(box.lb, box.ub)  # the current partial pattern's halfspaces
         self.best_val = np.inf
         self.best_x: np.ndarray | None = None
         self.feasible = 0
@@ -102,18 +108,16 @@ class _Search:
             float(pos @ self.box.ub + neg @ self.box.lb + const),
         )
 
-    def descend(
-        self, idx: int, mat: np.ndarray, const: np.ndarray, rows: list, rhs: list, basis: lp.Basis, witness: np.ndarray
-    ) -> None:
+    def descend(self, idx: int, mat: np.ndarray, const: np.ndarray, basis: lp.Basis, witness: np.ndarray) -> None:
         """Enumerate the patterns of layers idx.. below a partial pattern whose
-        input polyhedron (box plus `rows`/`rhs`) contains `witness`; `basis`
-        is the last LP's final basis with one basic slack per later row."""
+        input polyhedron (box plus the stack's rows) contains `witness`;
+        `basis` is the last LP's final basis with one basic slack per later row."""
         if idx == len(self.net.layers):
-            self._solve_leaf(mat, const, rows, rhs, basis)
+            self._solve_leaf(mat, const, basis)
             return
         layer = self.net.layers[idx]
         if isinstance(layer, Linear):
-            self.descend(idx + 1, layer.weight @ mat, layer.weight @ const + layer.bias, rows, rhs, basis, witness)
+            self.descend(idx + 1, layer.weight @ mat, layer.weight @ const + layer.bias, basis, witness)
             return
 
         lo, hi = self.bounds.pre_lb[idx], self.bounds.pre_ub[idx]
@@ -128,63 +132,58 @@ class _Search:
             elif (lo[j] >= 0.0 and r_hi < 0.0) or (lo[j] < 0.0 and r_lo > 0.0):
                 return
         chosen: dict[int, bool] = {}
+        stack = self.stack
 
-        def finish(part_rows: list, part_rhs: list, part_basis: lp.Basis, witness: np.ndarray) -> None:
+        def finish(part_basis: lp.Basis, witness: np.ndarray) -> None:
             blocked = [j for j in range(len(lo)) if not chosen.get(j, lo[j] >= 0.0)]
             new_mat = mat.copy()
             new_const = const.copy()
             new_mat[blocked] = 0.0
             new_const[blocked] = 0.0
-            self.descend(idx + 1, new_mat, new_const, part_rows, part_rhs, part_basis, witness)
+            self.descend(idx + 1, new_mat, new_const, part_basis, witness)
 
-        def choose(k: int, part_rows: list, part_rhs: list, part_basis: lp.Basis, witness: np.ndarray) -> None:
+        def choose(k: int, part_basis: lp.Basis, witness: np.ndarray) -> None:
             # the highest free unit is decided first, blocked before passing,
             # so patterns are visited in the order of their bit masks
             if k < 0:
-                finish(part_rows, part_rhs, part_basis, witness)
+                finish(part_basis, witness)
                 return
             j = free[k]
+            depth = stack.depth
             for passing in (False, True):
                 if not allowed[k][passing]:
                     continue
                 # pre >= 0 is written as -pre <= const
                 row = -mat[j] if passing else mat[j]
                 b = const[j] if passing else -const[j]
-                child = lp.Basis(part_basis.basic + [~len(part_rows)], set(part_basis.at_upper))
+                child = lp.Basis(part_basis.basic + [~depth], set(part_basis.at_upper))
+                stack.push(row, b)
                 inside = witness
                 if float(row @ witness) > b:
-                    inside = self._feasible_point(part_rows + [row], part_rhs + [b], child)
-                    if inside is None:
-                        continue
-                chosen[j] = passing
-                choose(k - 1, part_rows + [row], part_rhs + [b], child, inside)
-                del chosen[j]
+                    inside = self._feasible_point(child)
+                if inside is not None:
+                    chosen[j] = passing
+                    choose(k - 1, child, inside)
+                    del chosen[j]
+                stack.truncate(depth)
 
-        choose(len(free) - 1, rows, rhs, basis, witness)
+        choose(len(free) - 1, basis, witness)
 
-    def _pattern_lp(
-        self, rows: list, rhs: list, basis: lp.Basis, objective: np.ndarray | None = None
-    ) -> lp.LpSolution:
+    def _pattern_lp(self, basis: lp.Basis, objective: np.ndarray | None = None) -> lp.LpSolution:
         """Minimise `objective` (none: find any point) over the box cut by
-        the halfspaces row @ x <= rhs, starting from `basis`."""
-        model = lp.LpModel()
-        for j in range(self.box.size):
-            model.add_var(self.box.lb[j], self.box.ub[j])
-        for row, b in zip(rows, rhs):
-            model.add_row(row, lp.LE, float(b))
-        if objective is not None:
-            model.set_objective(objective)
-        return lp.solve(model, basis)
+        the stack's halfspaces, starting from `basis`."""
+        self.stack.objective = objective
+        return lp.solve(self.stack, basis)
 
-    def _feasible_point(self, rows: list, rhs: list, basis: lp.Basis) -> np.ndarray | None:
+    def _feasible_point(self, basis: lp.Basis) -> np.ndarray | None:
         """A point of the box meeting every row, or None if there is none;
         `basis` becomes the final basis."""
-        sol = self._pattern_lp(rows, rhs, basis)
+        sol = self._pattern_lp(basis)
         return sol.x if sol.status == lp.OPTIMAL else None
 
-    def _solve_leaf(self, mat: np.ndarray, const: np.ndarray, rows: list, rhs: list, basis: lp.Basis) -> None:
+    def _solve_leaf(self, mat: np.ndarray, const: np.ndarray, basis: lp.Basis) -> None:
         start = lp.Basis(list(basis.basic), set(basis.at_upper))
-        sol = self._pattern_lp(rows, rhs, start, mat[0])
+        sol = self._pattern_lp(start, mat[0])
         if sol.status != lp.OPTIMAL:
             return
         self.feasible += 1

@@ -28,9 +28,11 @@ from plverify.bab import (
     split_input_smart,
     split_relu,
 )
-from plverify.canon import Geq, canonicalize, validate_counterexample
+from plverify import bab as bab_module
+from plverify.canon import Geq, canonicalize, lower_maxpools, validate_counterexample
 from plverify.interval import BLOCKED, PASSING, propagate_box
-from plverify.model import BoxDomain, Linear, Network, Relu, forward_eval
+from plverify.lp import NumericalFailure
+from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
 from plverify.oracle import oracle_min, oracle_verdict
 from plverify.rng import SplitMix64
 
@@ -297,6 +299,42 @@ def test_alternative_boundings_still_sound():
             cfg = BabConfig(bounding=bounding, branching=INPUT_LONGEST, node_cap=50_000)
             res = bab_verify(problem, cfg)
             assert res.status in (want, TIMEOUT), (bounding, margin)
+
+
+def test_failed_output_lp_falls_back_to_an_lp_free_bound(monkeypatch):
+    # a NumericalFailure in a subdomain's output LP does not end the run:
+    # the subdomain takes the fast dual bound over its relaxation's layer
+    # bounds, or their interval output bound past an unlowered MaxPool
+    def failing(pm):
+        raise NumericalFailure("forced")
+
+    monkeypatch.setattr(bab_module, "planet_lower_bound_with_point", failing)
+    for problem, margin in _suite(400, 8):
+        want, _ = oracle_verdict(problem)
+        exact = oracle_min(problem.canonical_net, problem.domain).min_value
+        res = bab_verify(problem, BabConfig(seed=3))
+        assert res.status == want, margin
+        if res.status == UNSAT:
+            assert 0.0 < res.margin <= exact + 1e-6
+        res = bab_optimize(problem, BabConfig(seed=5))
+        assert res.status == CONVERGED
+        assert res.best_lb <= exact + 1e-6
+
+    rng = np.random.default_rng(401)
+    net = Network(
+        2,
+        (
+            Linear(rng.normal(size=(4, 2)), rng.uniform(-0.5, 0.5, 4)),
+            Relu(),
+            Linear(rng.normal(size=(4, 4)) / 2.0, rng.uniform(-0.5, 0.5, 4)),
+            MaxPool(((0, 1), (2, 3))),
+            Linear(rng.normal(size=(1, 2)), rng.uniform(-0.5, 0.5, 1)),
+        ),
+    )
+    problem = canonicalize(net, Geq(np.array([1.0]), 0.0), BoxDomain(-np.ones(2), np.ones(2)))
+    exact = oracle_min(lower_maxpools(problem).canonical_net, problem.domain).min_value
+    lb, bounds, point = bab_module._bound_region(problem.canonical_net, InputBox(problem.domain), BabConfig())
+    assert point is None and lb == bounds.output_lb[0] and lb <= exact + 1e-9
 
 
 def test_child_bounds_dominate_parent():

@@ -1,3 +1,5 @@
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -13,6 +15,7 @@ from plverify.lp import (
     Basis,
     LpModel,
     NumericalFailure,
+    RowStack,
     TooLarge,
     solve,
     solve_reference,
@@ -412,6 +415,76 @@ def test_warm_solve_without_rows(monkeypatch):
     again = solve(m, basis)
     assert again.objective == got.objective and again.x.tobytes() == got.x.tobytes()
     assert phase_one[0] == 0
+
+
+def test_row_stack_solves_like_an_lp_model():
+    # random push/truncate sequences, from the empty stack to past the
+    # buffers' first capacity; every solve must return the bytes and the
+    # final basis of an LpModel built from the same rows
+    rng = np.random.default_rng(41)
+    statuses = set()
+    deepest = 0
+    for _ in range(40):
+        n = int(rng.integers(1, 5))
+        lo = rng.uniform(-2.0, 0.5, size=n)
+        hi = lo + rng.uniform(0.1, 3.0, size=n)
+        stack = RowStack(lo, hi)
+        rows: list[tuple[np.ndarray, float]] = []
+        last = Basis()
+        push_p = rng.uniform(0.4, 0.9)
+        for _ in range(40):
+            if rng.uniform() < push_p:
+                a = rng.normal(size=n)
+                b = float(a @ rng.uniform(lo, hi) + rng.uniform(-0.5, 1.0))
+                stack.push(a, b)
+                rows.append((a, b))
+            else:
+                k = int(rng.integers(0, len(rows) + 1))
+                stack.truncate(k)
+                del rows[k:]
+            deepest = max(deepest, stack.depth)
+            model = LpModel()
+            for j in range(n):
+                model.add_var(lo[j], hi[j])
+            for a, b in rows:
+                model.add_row(a, LE, b)
+            objective = rng.normal(size=n) if rng.uniform() < 0.5 else None
+            stack.objective = objective
+            if objective is not None:
+                model.set_objective(objective)
+            # the last final basis, a new row's slack basic, as the oracle does
+            start = last.basic[: len(rows)] + [~i for i in range(len(last.basic), len(rows))]
+            if any(j < 0 and ~j >= len(rows) for j in start):
+                start = [~i for i in range(len(rows))]
+            upper = {j for j in last.at_upper if j >= 0 or ~j < len(rows)}
+            for basis in (None, start):
+                got_basis = None if basis is None else Basis(list(basis), set(upper))
+                want_basis = None if basis is None else Basis(list(basis), set(upper))
+                got, want = solve(stack, got_basis), solve(model, want_basis)
+                assert got.status == want.status
+                statuses.add(got.status)
+                assert float(got.objective).hex() == float(want.objective).hex()
+                assert (got.x is None and want.x is None) or got.x.tobytes() == want.x.tobytes()
+                assert got_basis == want_basis
+            if got.status == OPTIMAL:
+                last = got_basis
+        with pytest.raises(ValueError):
+            stack.truncate(stack.depth + 1)
+    assert statuses == {OPTIMAL, INFEASIBLE}
+    assert deepest > 2 * lp_module._STACK_ROWS
+
+
+def test_reference_subsets_come_in_lexicographic_chunks(monkeypatch):
+    monkeypatch.setattr(lp_module, "_REFERENCE_CHUNK", 50)
+    for k, n in [(0, 1), (2, 3), (5, 3), (6, 1), (9, 4), (12, 6), (16, 8)]:
+        chunks = list(lp_module._subsets(k, n))
+        got = [tuple(row) for chunk in chunks for row in chunk.tolist()]
+        assert got == list(itertools.combinations(range(k), n))
+        # a chunk closes at the first head that brings it to 50 rows, and
+        # one head adds at most C(k - 1, 3) rows
+        most = 50 + math.comb(max(k - 1, 0), 3)
+        assert all(0 < len(c) < most for c in chunks)
+        assert all(len(c) >= 50 for c in chunks[:-1])
 
 
 def test_reference_memory_stays_bounded():
