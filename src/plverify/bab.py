@@ -15,7 +15,12 @@ Two modes share the loop:
   positive lower bound cannot contain a counterexample and is pruned; the
   search stops the moment any sampled or LP-solved point with canonical
   output <= 0 passes counterexample validation. If everything is pruned the
-  property is UNSAT with margin equal to the smallest pruned bound.
+  property is UNSAT with margin equal to the smallest pruned bound. Each
+  subdomain runs the cheap steps first: a positive interval bound prunes it,
+  and a validated sampled counterexample ends the run, before any LP. The
+  verdict and the node count are those of the LP-first order, since neither
+  step can act on a subdomain the LP bound would keep; a subdomain pruned by
+  its interval bound contributes that (looser) bound to the margin.
 
 Subdomains are either input sub-boxes (bisection branching, optionally with
 the smart scoring that test-splits every dimension and keeps the one whose
@@ -315,6 +320,14 @@ def sample_upper_bound(
     return best_val, best_pt
 
 
+def _interval_bounds(net: Network, region: Region) -> LayerBounds | None:
+    """Interval bounds of the region; None when its phases are infeasible."""
+    bounds = propagate_box(net, region.box)
+    if isinstance(region, PhaseSet) and region.phases:
+        return refine_with_fixed_phases(net, bounds, region.phase_map())
+    return bounds
+
+
 def _bound_region(net: Network, region: Region, cfg: BabConfig) -> tuple[float, LayerBounds | None, np.ndarray | None]:
     """Lower bound, refreshed bounds, and optional LP minimiser input point."""
     if isinstance(region, InputBox):
@@ -334,7 +347,7 @@ def _bound_region(net: Network, region: Region, cfg: BabConfig) -> tuple[float, 
             point = None
         return lb, pm.bounds, point
 
-    refined = refine_with_fixed_phases(net, propagate_box(net, box), phases)
+    refined = _interval_bounds(net, region)
     if refined is None:
         return np.inf, None, None
     if cfg.bounding == INTERVAL:
@@ -368,7 +381,22 @@ class _Engine:
         return self.elapsed() >= self.cfg.timeout or self.nodes >= self.cfg.node_cap
 
     def evaluate(self, sub: Subdomain) -> tuple[Subdomain, list[tuple[float, np.ndarray]]]:
-        """Bound one subdomain; returns it (lb/bounds filled) + UB candidates."""
+        """Bound one subdomain; returns it (lb/bounds filled) + UB candidates.
+
+        A satisfiability search tries the cheap steps before the bounding
+        LP: a positive interval bound prunes the subdomain, and a validated
+        sampled counterexample ends the run. Either way no LP is solved."""
+        sample = None
+        if self.cfg.mode == SATISFIABILITY:
+            interval = _interval_bounds(self.net, sub.region)
+            if interval is None or interval.output_lb[0] > 0.0:
+                sub.lower_bound = np.inf if interval is None else max(float(interval.output_lb[0]), sub.lower_bound)
+                sub.bounds = interval
+                return sub, []
+            sample = self._sample(sub)
+            val, pt = sample
+            if pt is not None and val <= 0.0 and validate_counterexample(self.problem, pt, 1e-6):
+                return sub, [sample]
         parent_lb = sub.lower_bound
         lb, bounds, lp_point = _bound_region(self.net, sub.region, self.cfg)
         if np.isfinite(parent_lb) and np.isfinite(lb) and np.isfinite(self.global_ub):
@@ -381,13 +409,17 @@ class _Engine:
         sub.bounds = bounds
         candidates: list[tuple[float, np.ndarray]] = []
         if np.isfinite(lb):
-            rng = self.rng.spawn(sub.seq)
-            val, pt = sample_upper_bound(self.net, sub.region, self.cfg.sample_count, rng)
+            if sample is None:
+                sample = self._sample(sub)
+            val, pt = sample
             if pt is not None:
                 candidates.append((val, pt))
             if lp_point is not None:
                 candidates.append((float(forward_eval(self.net, lp_point)[0]), lp_point))
         return sub, candidates
+
+    def _sample(self, sub: Subdomain) -> tuple[float, np.ndarray | None]:
+        return sample_upper_bound(self.net, sub.region, self.cfg.sample_count, self.rng.spawn(sub.seq))
 
     def global_lb(self) -> float:
         lbs = [self.queue[0][0]] if self.queue else []

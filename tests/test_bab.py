@@ -208,6 +208,28 @@ def test_toy_verify_sat_all_bab_methods():
         assert validate_counterexample(problem, res.counterexample, 1e-6)
 
 
+def test_satisfiability_runs_cheap_steps_before_the_lp(monkeypatch):
+    # a positive interval bound prunes a subdomain and a sampled
+    # counterexample ends the run, so neither toy instance bounds by LP
+    calls = []
+    bound_region = bab_module._bound_region
+    monkeypatch.setattr(bab_module, "_bound_region", lambda *args: calls.append(args) or bound_region(*args))
+    for branching in (INPUT_LONGEST, INPUT_SMART, RELU_SPLIT):
+        problem = toy_problem(-100.0)
+        interval_lb = float(propagate_box(problem.canonical_net, problem.domain).output_lb[0])
+        res = bab_verify(problem, BabConfig(branching=branching))
+        assert res.status == UNSAT and res.nodes == 1, branching
+        assert res.margin == interval_lb > 0.0
+        problem = toy_problem(100.0)
+        res = bab_verify(problem, BabConfig(branching=branching))
+        assert res.status == SAT and res.nodes == 1, branching
+        assert validate_counterexample(problem, res.counterexample, 1e-6)
+    assert calls == []
+    # the LP still bounds what the interval bound cannot prune
+    res = bab_verify(toy_problem(-5.0), BabConfig())
+    assert len(calls) == 1 and res.margin == pytest.approx(1.0, abs=1e-3)
+
+
 def test_toy_optimize_converges_to_oracle():
     problem = toy_problem(-5.0)
     res = bab_optimize(problem, BabConfig(branching=INPUT_LONGEST))
