@@ -3,9 +3,10 @@
 The engine keeps a priority queue of subdomains ordered by lower bound. Each
 iteration pops the most promising subdomain, splits it, and bounds the
 children: an upper bound from random sampling (any point value is an upper
-bound on the minimum) and a lower bound from one of the pluggable bounding
-methods. Children whose lower bound cannot improve on the incumbent are
-pruned; the global lower bound is the smallest bound over the open queue.
+bound on the minimum) and a lower bound from the tightened hull LP of the
+subdomain (``relax.build_planet``, over a ReLU-only net). Children whose
+lower bound cannot improve on the incumbent are pruned; the global lower
+bound is the smallest bound over the open queue.
 
 Two modes share the loop:
 
@@ -34,15 +35,15 @@ No box edge can therefore keep its width while the others shrink, so the
 subdomain diameter goes to zero along every branch, which input-domain
 branch and bound needs to converge (Bunel et al., JMLR 2020).
 
-Whenever a bounding LP is exact for its subdomain (no ambiguous unit left),
-the LP minimiser is fed back as an upper-bound witness; sampling alone
-cannot close the gap on phase-set leaves, so this is what makes the
-phase-splitting search terminate.
+Every bounding LP's minimiser is fed back as an upper-bound witness;
+sampling alone cannot close the gap on phase-set leaves, so this is what
+makes the phase-splitting search terminate. A leaf that cannot be split is
+resolved only when its exact LP minimiser was fed back; otherwise its bound
+stays a floor of the global lower bound.
 
 An output LP that fails numerically (``lp.NumericalFailure``) does not end
 the run: its subdomain takes the fast dual bound over the relaxation's layer
-bounds, which stay sound without it (their interval output bound for a net
-with an unlowered MaxPool), and offers no LP point.
+bounds, which stay sound without it, and offers no LP point.
 
 The loop is single-threaded, and all randomness flows from a splitmix64
 stream derived from (seed, node index), so every run is bit-reproducible.
@@ -52,7 +53,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,23 +68,12 @@ from .interval import (
     propagate_box,
     refine_with_fixed_phases,
 )
-from .model import BoxDomain, Network, forward_batch, forward_eval, is_relu_only
-from .relax import (
-    build_planet,
-    fast_dual_bound,
-    planet_lower_bound_with_point,
-    reluplex_lower_bound,
-)
+from .model import BoxDomain, Network, forward_batch, forward_eval
+from .relax import build_planet, fast_dual_bound, planet_lower_bound_with_point
 from .rng import SplitMix64
 
 OPTIMIZE = "optimize"
 SATISFIABILITY = "satisfiability"
-
-PLANET_TIGHTENED = "planet-tightened"
-PLANET_FIXED = "planet-fixed"
-INTERVAL = "interval"
-FAST_DUAL = "fast-dual"
-RELUPLEX_RELAX = "reluplex-relax"
 
 INPUT_LONGEST = "input-longest"
 INPUT_SMART = "input-smart"
@@ -132,13 +122,12 @@ class Subdomain:
     seq: int = 0
     bounds: LayerBounds | None = None
     stalled: bool = False  # bound did not improve on the parent's
+    witnessed: bool = False  # the bounding LP's minimiser was fed to the incumbent
 
 
 @dataclass
 class BabConfig:
     epsilon: float = 1e-4
-    mode: str = SATISFIABILITY
-    bounding: str = PLANET_TIGHTENED
     branching: str = INPUT_SMART
     sample_count: int = 1024
     timeout: float = np.inf
@@ -328,47 +317,29 @@ def _interval_bounds(net: Network, region: Region) -> LayerBounds | None:
     return bounds
 
 
-def _bound_region(net: Network, region: Region, cfg: BabConfig) -> tuple[float, LayerBounds | None, np.ndarray | None]:
-    """Lower bound, refreshed bounds, and optional LP minimiser input point."""
-    if isinstance(region, InputBox):
-        box, phases = region.box, {}
-    else:
-        box, phases = region.box, region.phase_map()
-
-    if cfg.bounding in (PLANET_TIGHTENED, PLANET_FIXED):
-        pm = build_planet(net, box, phases, tighten=cfg.bounding == PLANET_TIGHTENED)
-        try:
-            lb, point = planet_lower_bound_with_point(pm)
-        except lp.NumericalFailure:
-            # the relaxation's layer bounds stay sound without its output LP;
-            # the fast dual bound needs a ReLU-only net
-            bounds = pm.bounds
-            lb = fast_dual_bound(net, box, bounds) if is_relu_only(net) else float(bounds.output_lb[0])
-            point = None
-        return lb, pm.bounds, point
-
-    refined = _interval_bounds(net, region)
-    if refined is None:
-        return np.inf, None, None
-    if cfg.bounding == INTERVAL:
-        return float(refined.output_lb[0]), refined, None
-    if cfg.bounding == FAST_DUAL:
-        return fast_dual_bound(net, box, refined), refined, None
-    if cfg.bounding == RELUPLEX_RELAX:
-        lb, point = reluplex_lower_bound(net, box, phases)
-        return lb, refined, point
-    raise ValueError(f"unknown bounding method {cfg.bounding!r}")
+def _bound_region(net: Network, region: Region) -> tuple[float, LayerBounds | None, np.ndarray | None]:
+    """Lower bound, refreshed bounds, and optional LP minimiser input point,
+    from the tightened hull LP."""
+    phases = region.phase_map() if isinstance(region, PhaseSet) else {}
+    pm = build_planet(net, region.box, phases, tighten=True)
+    try:
+        lb, point = planet_lower_bound_with_point(pm)
+    except lp.NumericalFailure:
+        # the relaxation's layer bounds stay sound without its output LP
+        return fast_dual_bound(net, region.box, pm.bounds), pm.bounds, None
+    return lb, pm.bounds, point
 
 
 class _Engine:
-    def __init__(self, problem: VerificationProblem, cfg: BabConfig):
+    def __init__(self, problem: VerificationProblem, cfg: BabConfig, mode: str):
         self.problem = problem
         self.net = problem.canonical_net
         self.cfg = cfg
+        self.mode = mode
         self.rng = SplitMix64(cfg.seed)
         self.nodes = 0
         self.t0 = time.monotonic()
-        self.global_ub = np.inf if cfg.mode == OPTIMIZE else 0.0
+        self.global_ub = np.inf if mode == OPTIMIZE else 0.0
         self.sat_point: np.ndarray | None = None
         self.pruned_lb = np.inf  # min lower bound among pruned subdomains
         self.final_lbs: list[float] = []  # unsplittable leaves w/o exact witness
@@ -387,7 +358,7 @@ class _Engine:
         LP: a positive interval bound prunes the subdomain, and a validated
         sampled counterexample ends the run. Either way no LP is solved."""
         sample = None
-        if self.cfg.mode == SATISFIABILITY:
+        if self.mode == SATISFIABILITY:
             interval = _interval_bounds(self.net, sub.region)
             if interval is None or interval.output_lb[0] > 0.0:
                 sub.lower_bound = np.inf if interval is None else max(float(interval.output_lb[0]), sub.lower_bound)
@@ -398,7 +369,7 @@ class _Engine:
             if pt is not None and val <= 0.0 and validate_counterexample(self.problem, pt, 1e-6):
                 return sub, [sample]
         parent_lb = sub.lower_bound
-        lb, bounds, lp_point = _bound_region(self.net, sub.region, self.cfg)
+        lb, bounds, lp_point = _bound_region(self.net, sub.region)
         if np.isfinite(parent_lb) and np.isfinite(lb) and np.isfinite(self.global_ub):
             # progress is measured against the gap that still has to close;
             # a bound creeping by epsilons while the gap stands still means
@@ -416,6 +387,7 @@ class _Engine:
                 candidates.append((val, pt))
             if lp_point is not None:
                 candidates.append((float(forward_eval(self.net, lp_point)[0]), lp_point))
+                sub.witnessed = True
         return sub, candidates
 
     def _sample(self, sub: Subdomain) -> tuple[float, np.ndarray | None]:
@@ -442,12 +414,12 @@ class _Engine:
             return res
         while self.queue:
             glb = self.global_lb()
-            if cfg.mode == OPTIMIZE and self.global_ub - glb <= cfg.epsilon:
+            if self.mode == OPTIMIZE and self.global_ub - glb <= cfg.epsilon:
                 return self._result(CONVERGED, glb)
             if self.out_of_budget():
                 return self._result(TIMEOUT, glb)
             parent = pick_out(self.queue)
-            if cfg.mode == OPTIMIZE and parent.lower_bound >= self.global_ub:
+            if self.mode == OPTIMIZE and parent.lower_bound >= self.global_ub:
                 continue  # lazily pruned by a better incumbent
             try:
                 children = self._split(parent)
@@ -484,12 +456,11 @@ class _Engine:
         return children
 
     def _finalize_leaf(self, sub: Subdomain) -> None:
-        # Bound is final for this region. With an LP bounding the minimiser
-        # witness already fed the incumbent, so the region is resolved; for
-        # LP-free boundings keep the bound as a permanent floor.
-        if self.cfg.bounding in (PLANET_TIGHTENED, PLANET_FIXED, RELUPLEX_RELAX):
-            return
-        self.final_lbs.append(sub.lower_bound)
+        # The bound is final for this region. When its exact LP minimiser
+        # already fed the incumbent the region is resolved; otherwise keep
+        # the bound as a permanent floor.
+        if not sub.witnessed:
+            self.final_lbs.append(sub.lower_bound)
 
     def _process(self, subs: list[Subdomain]) -> BabResult | None:
         for sub in subs:
@@ -499,16 +470,15 @@ class _Engine:
         return None
 
     def _absorb(self, sub: Subdomain, candidates: list[tuple[float, np.ndarray]]) -> BabResult | None:
-        cfg = self.cfg
         for val, pt in candidates:
-            if cfg.mode == SATISFIABILITY:
+            if self.mode == SATISFIABILITY:
                 if val <= 0.0 and validate_counterexample(self.problem, pt, 1e-6):
                     self.sat_point = pt
                     return self._result(SAT, self.global_lb())
-            if val < self.global_ub and cfg.mode == OPTIMIZE:
+            if val < self.global_ub and self.mode == OPTIMIZE:
                 self.global_ub = val
         lb = sub.lower_bound
-        if cfg.mode == SATISFIABILITY:
+        if self.mode == SATISFIABILITY:
             if lb > 0.0:
                 self.pruned_lb = min(self.pruned_lb, lb)
             else:
@@ -521,14 +491,13 @@ class _Engine:
         return None
 
     def _wrap_up(self) -> BabResult:
-        cfg = self.cfg
-        if cfg.mode == SATISFIABILITY:
+        if self.mode == SATISFIABILITY:
             if self.final_lbs and min(self.final_lbs) <= 0.0:
                 return self._result(TIMEOUT, self.global_lb())
             margin = min(self.pruned_lb, min(self.final_lbs) if self.final_lbs else np.inf)
             return self._result(UNSAT, margin)
         glb = self.global_lb()
-        if self.global_ub - glb <= cfg.epsilon:
+        if self.global_ub - glb <= self.cfg.epsilon:
             return self._result(CONVERGED, glb)
         return self._result(TIMEOUT, glb)
 
@@ -547,8 +516,7 @@ class _Engine:
 
 def bab_optimize(problem: VerificationProblem, config: BabConfig | None = None) -> BabResult:
     """Estimate the global minimum of the canonical output to within epsilon."""
-    cfg = replace(config or BabConfig(), mode=OPTIMIZE)
-    return _Engine(problem, cfg).run()
+    return _Engine(problem, config or BabConfig(), OPTIMIZE).run()
 
 
 def bab_verify(
@@ -558,5 +526,4 @@ def bab_verify(
 ) -> BabResult:
     """Decide the property: UNSAT with a margin, SAT with a validated
     counterexample, or timeout."""
-    cfg = replace(config or BabConfig(), mode=SATISFIABILITY)
-    return _Engine(problem, cfg).run(initial_phases=initial_phases)
+    return _Engine(problem, config or BabConfig(), SATISFIABILITY).run(initial_phases=initial_phases)

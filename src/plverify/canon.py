@@ -119,12 +119,12 @@ def _stack_parallel(suffixes: list[list[Layer]], in_width: int) -> list[Layer]:
             offset = 0
             for s in suffixes:
                 layer = s[t]
-                in_w = _suffix_width_before(s, t, in_width)
+                in_w = Network(in_width, tuple(s[:t])).output_size
                 groups.extend(tuple(idx + offset for idx in g) for g in layer.groups)
                 offset += in_w
             out.append(MaxPool(tuple(groups)))
         else:
-            widths_in = [_suffix_width_before(s, t, in_width) for s in suffixes]
+            widths_in = [Network(in_width, tuple(s[:t])).output_size for s in suffixes]
             widths_out = [s[t].out_width for s in suffixes]
             weight = np.zeros((sum(widths_out), sum(widths_in)))
             bias = np.concatenate([s[t].bias for s in suffixes])
@@ -135,16 +135,6 @@ def _stack_parallel(suffixes: list[list[Layer]], in_width: int) -> list[Layer]:
                 c += wi
             out.append(Linear(weight, bias))
     return out
-
-
-def _suffix_width_before(suffix: list[Layer], t: int, in_width: int) -> int:
-    w = in_width
-    for layer in suffix[:t]:
-        if isinstance(layer, Linear):
-            w = layer.out_width
-        elif isinstance(layer, MaxPool):
-            w = layer.out_width
-    return w
 
 
 def _encode_clause(prop: PropertyClause, width: int) -> list[Layer]:

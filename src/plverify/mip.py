@@ -15,7 +15,9 @@ y <= x_k + (U - l_k)(1 - delta_k) with U the group upper bound, and
 sum_k delta_k = 1.
 
 Intermediate bounds come either from interval propagation or from the
-tightened hull relaxation (better bounds, more work to obtain).
+tightened hull relaxation (better bounds, more work to obtain; it needs a
+ReLU-only net). The native MaxPool encoding stays, over interval bounds,
+for the MaxPool equivalence check of acceptance criterion 8.
 
 The search relaxes unfixed binaries to [0, 1] and branches best-bound-first
 on the most fractional one. Every node relaxation minimises the output: an
@@ -37,6 +39,10 @@ repairs it with dual simplex pivots, without a phase 1. An optimum reached this 
 a cold solve's, so the branching binary can differ from a cold search, and
 with it the node count and an UNSAT margin (the smallest pruned bound of
 the tree searched); each node LP's value and the verdict do not.
+
+A node LP that fails numerically does not end the run: the node takes its
+parent's bound (-inf at the root) and branches on its first unfixed binary
+from its start basis; a fully pinned node keeps that bound under the margin.
 """
 
 from __future__ import annotations
@@ -227,18 +233,30 @@ def solve_mip(
             res.best_ub = float(forward_eval(enc.net, point)[0])
         return res
 
-    def process(fixes: dict[int, int], basis: lp.Basis) -> np.ndarray | None:
+    def process(fixes: dict[int, int], basis: lp.Basis, parent_lb: float) -> np.ndarray | None:
         """Solve one node from ``basis``; returns a validated counterexample or None."""
         nonlocal seq, spurious, margin_floor, best_seen
-        sol = lp.solve(_pinned(enc.model, fixes), basis)
+        unfixed = [d for d in enc.int_vars if d not in fixes]
+        try:
+            sol = lp.solve(_pinned(enc.model, fixes), basis)
+        except lp.NumericalFailure:
+            sol = None
         basis.inverse = None  # a queued node keeps no matrices; its children invert again
+        if sol is None:
+            # keep the parent's bound; a failed solve leaves the start basis
+            # unchanged, so a branched node restarts from it
+            if unfixed:
+                seq += 1
+                heapq.heappush(queue, (parent_lb, seq, fixes, unfixed[0], basis))
+            else:
+                margin_floor = min(margin_floor, parent_lb)
+            return None
         if sol.status != lp.OPTIMAL:
             return None  # infeasible subtree, nothing below it
         lb = sol.objective
         if lb > 0.0:
             margin_floor = min(margin_floor, lb)
             return None
-        unfixed = [d for d in enc.int_vars if d not in fixes]
         if unfixed:
             vals = np.array([sol.x[d] for d in unfixed])
             dist = np.abs(vals - np.round(vals))
@@ -277,7 +295,7 @@ def solve_mip(
         [~i for i in range(len(enc.model.rows))], {int(j) for j in np.flatnonzero(enc.model.objective < 0.0)}
     )
     nodes += 1
-    cx = process({}, root)
+    cx = process({}, root, -np.inf)
     if cx is not None:
         return result(SAT, open_lb(), cx)
 
@@ -287,12 +305,12 @@ def solve_mip(
             return result(UNSAT, glb)
         if elapsed() >= timeout or nodes >= node_cap:
             return result(TIMEOUT, glb)
-        _, _, fixes, branch_var, basis = heapq.heappop(queue)
+        lb, _, fixes, branch_var, basis = heapq.heappop(queue)
         for val in (0, 1):
             child = dict(fixes)
             child[branch_var] = val
             nodes += 1
-            cx = process(child, lp.Basis(list(basis.basic), set(basis.at_upper)))
+            cx = process(child, lp.Basis(list(basis.basic), set(basis.at_upper)), lb)
             if cx is not None:
                 return result(SAT, open_lb(), cx)
 

@@ -68,9 +68,7 @@ class Network:
         widths = []
         w = self.input_size
         for layer in self.layers:
-            if isinstance(layer, Linear):
-                w = layer.out_width
-            elif isinstance(layer, MaxPool):
+            if isinstance(layer, (Linear, MaxPool)):
                 w = layer.out_width
             widths.append(w)
         return widths

@@ -1,7 +1,9 @@
 """Convex relaxations of ReLU networks and the fast dual lower bound.
 
-Two LP relaxations are built layer by layer over variables for the inputs,
-every affine output (x_hat) and every activation output (x):
+Two LP relaxations of a ReLU-only network (``canon.lower_maxpools`` rewrites
+MaxPools first; an unlowered one raises ``ValueError``) are built layer by
+layer over variables for the inputs, every affine output (x_hat) and every
+activation output (x):
 
 * the tight hull ("planet" mode): an ambiguous unit (l < 0 < u) contributes
   x >= 0 (variable bound), x >= x_hat, and the upper chord
@@ -10,9 +12,7 @@ every affine output (x_hat) and every activation output (x):
   keeping the box part but dropping the chord.
 
 Units fixed by sign (bounds or an explicit phase) are encoded exactly:
-blocked contributes the constant 0, passing aliases x to x_hat. MaxPool
-layers, when not lowered, use the elementwise hull y >= x_k and
-y <= sum_k (x_k - l_k) + max_k l_k.
+blocked contributes the constant 0, passing aliases x to x_hat.
 
 Optional bound tightening re-derives every ambiguous unit's pre-activation
 range by minimising/maximising its variable over the partial model built so
@@ -32,13 +32,11 @@ primal-feasible without pivoting (inputs start at their lower bounds):
 * a Linear equality row: its x_hat basic;
 * a hull unit: x basic in its chord row (x then sits on the chord, inside
   [max(0, x_hat), u]) and the slack basic in its x >= x_hat row;
-* a reluplex unit: x nonbasic at its upper bound u, the slack basic;
-* a MaxPool hull group: y basic in its sum row, the slacks basic in its
-  y >= x_k rows (this start can exceed y's upper bound).
+* a reluplex unit: x nonbasic at its upper bound u, the slack basic.
 
-Where a start is infeasible after all (a bound cut by fixed ReLU phases,
-or the MaxPool case above), ``lp.solve`` falls back to its cold two-phase
-path, which also reports infeasible phase sets.
+Where a start is infeasible after all (a bound cut by fixed ReLU phases),
+``lp.solve`` falls back to its cold two-phase path, which also reports
+infeasible phase sets.
 
 The fast dual bound is an LP-free backward pass producing the value of a
 feasible dual point of the hull LP: it maintains an affine under-estimator
@@ -62,7 +60,7 @@ from .interval import (
     propagate_box,
     refine_with_fixed_phases,
 )
-from .model import BoxDomain, Linear, MaxPool, Network, Relu
+from .model import BoxDomain, Linear, Network, Relu, is_relu_only
 
 MAYBE_SAT = "maybe_sat"
 UNSAT = "unsat"
@@ -117,6 +115,8 @@ def _encode(
     tighten: bool,
     mode: str,
 ) -> PlanetModel:
+    if not is_relu_only(net):
+        raise ValueError("relaxation requires a ReLU-only network (lower MaxPools first)")
     base = propagate_box(net, box)
     refined = refine_with_fixed_phases(net, base, phases or {})
     if refined is None:
@@ -151,7 +151,7 @@ def _encode(
             out.pre_lb[i], out.pre_ub[i] = lo.copy(), hi.copy()
             out.post_lb[i], out.post_ub[i] = lo.copy(), hi.copy()
 
-        elif isinstance(layer, Relu):
+        else:  # Relu
             lo = np.maximum(cur_lb, refined.pre_lb[i])
             hi = np.minimum(cur_ub, refined.pre_ub[i])
             for j, p in enumerate(prev):
@@ -204,23 +204,6 @@ def _encode(
             out.pre_lb[i], out.pre_ub[i] = lo.copy(), hi.copy()
             out.post_lb[i], out.post_ub[i] = p_lo.copy(), p_hi.copy()
 
-        else:  # MaxPool hull
-            p_lo = np.array([np.max(cur_lb[list(g)]) for g in layer.groups])
-            p_hi = np.array([np.max(cur_ub[list(g)]) for g in layer.groups])
-            new_vars = []
-            for gi, g in enumerate(layer.groups):
-                y = model.add_var(p_lo[gi], p_hi[gi])
-                coefs = {y: 1.0}
-                for k in g:
-                    add_row({y: 1.0, prev[k]: -1.0}, lp.GE, 0.0)
-                    coefs[prev[k]] = -1.0
-                lbs = cur_lb[list(g)]
-                add_row(coefs, lp.LE, float(-np.sum(lbs) + np.max(lbs)), crash=y)
-                new_vars.append(y)
-            prev = new_vars
-            cur_lb, cur_ub = p_lo, p_hi
-            out.post_lb[i], out.post_ub[i] = p_lo.copy(), p_hi.copy()
-
     output_var = prev[0] if prev else None
     return PlanetModel(model, output_var, input_vars, out, hull_units, basis=basis)
 
@@ -237,8 +220,6 @@ def build_planet(
 
 def build_reluplex(net: Network, box: BoxDomain, phases: PhaseMap | None = None) -> PlanetModel:
     """The looser relaxation: box rows plus x >= x_hat only."""
-    if any(isinstance(l, MaxPool) for l in net.layers):
-        raise ValueError("reluplex relaxation requires a ReLU-only network (lower MaxPools first)")
     return _encode(net, box, phases, False, "reluplex")
 
 

@@ -4,13 +4,9 @@ from helpers import random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify.bab import (
     CONVERGED,
-    FAST_DUAL,
     INPUT_LONGEST,
     INPUT_SMART,
-    INTERVAL,
-    PLANET_TIGHTENED,
     RELU_SPLIT,
-    RELUPLEX_RELAX,
     SAT,
     TIMEOUT,
     UNSAT,
@@ -29,10 +25,10 @@ from plverify.bab import (
     split_relu,
 )
 from plverify import bab as bab_module
-from plverify.canon import Geq, canonicalize, lower_maxpools, validate_counterexample
+from plverify.canon import Geq, canonicalize, validate_counterexample
 from plverify.interval import BLOCKED, PASSING, propagate_box
 from plverify.lp import NumericalFailure
-from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
+from plverify.model import BoxDomain, Linear, Network, Relu, forward_eval
 from plverify.oracle import oracle_min, oracle_verdict
 from plverify.rng import SplitMix64
 
@@ -314,19 +310,10 @@ def test_optimize_matches_oracle_and_brackets():
         assert res.best_ub >= exact - 1e-6
 
 
-def test_alternative_boundings_still_sound():
-    for problem, margin in _suite(300, 6):
-        want = "unsat" if margin > 0 else "sat"
-        for bounding in (INTERVAL, FAST_DUAL, RELUPLEX_RELAX):
-            cfg = BabConfig(bounding=bounding, branching=INPUT_LONGEST, node_cap=50_000)
-            res = bab_verify(problem, cfg)
-            assert res.status in (want, TIMEOUT), (bounding, margin)
-
-
 def test_failed_output_lp_falls_back_to_an_lp_free_bound(monkeypatch):
     # a NumericalFailure in a subdomain's output LP does not end the run:
     # the subdomain takes the fast dual bound over its relaxation's layer
-    # bounds, or their interval output bound past an unlowered MaxPool
+    # bounds
     def failing(pm):
         raise NumericalFailure("forced")
 
@@ -342,35 +329,49 @@ def test_failed_output_lp_falls_back_to_an_lp_free_bound(monkeypatch):
         assert res.status == CONVERGED
         assert res.best_lb <= exact + 1e-6
 
-    rng = np.random.default_rng(401)
-    net = Network(
-        2,
-        (
-            Linear(rng.normal(size=(4, 2)), rng.uniform(-0.5, 0.5, 4)),
-            Relu(),
-            Linear(rng.normal(size=(4, 4)) / 2.0, rng.uniform(-0.5, 0.5, 4)),
-            MaxPool(((0, 1), (2, 3))),
-            Linear(rng.normal(size=(1, 2)), rng.uniform(-0.5, 0.5, 1)),
-        ),
-    )
-    problem = canonicalize(net, Geq(np.array([1.0]), 0.0), BoxDomain(-np.ones(2), np.ones(2)))
-    exact = oracle_min(lower_maxpools(problem).canonical_net, problem.domain).min_value
-    lb, bounds, point = bab_module._bound_region(problem.canonical_net, InputBox(problem.domain), BabConfig())
-    assert point is None and lb == bounds.output_lb[0] and lb <= exact + 1e-9
+
+def test_unwitnessed_leaves_keep_their_bound(monkeypatch):
+    # a leaf that cannot be split has an exact bound, but it is resolved only
+    # when its LP minimiser fed the incumbent; a leaf whose output LP failed
+    # has none, so its bound stays a floor and cannot yield a wrong UNSAT or
+    # a lower bound above the minimum
+    real = bab_module.planet_lower_bound_with_point
+
+    def failing(pm):
+        if pm.infeasible or pm.output_var is None:
+            return real(pm)  # no LP is solved here
+        raise NumericalFailure("forced")
+
+    monkeypatch.setattr(bab_module, "planet_lower_bound_with_point", failing)
+    rng = np.random.default_rng(500)
+    for _ in range(60):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in, [int(rng.integers(2, 4)) for _ in range(int(rng.integers(1, 3)))])
+        box = random_box(rng, n_in)
+        base = oracle_min(net, box).min_value
+        for margin in (-0.3, -0.02, 0.3):
+            problem = canonicalize(net, Geq(np.array([1.0]), base - margin), box)
+            want, _ = oracle_verdict(problem)
+            res = bab_verify(problem, BabConfig(branching=RELU_SPLIT, sample_count=1))
+            assert res.status in (want, TIMEOUT), margin
+            if res.status == UNSAT:
+                assert res.margin <= margin + 1e-6
+        exact = oracle_min(problem.canonical_net, box).min_value
+        res = bab_optimize(problem, BabConfig(branching=RELU_SPLIT, sample_count=1))
+        assert res.best_lb <= exact + 1e-6
 
 
 def test_child_bounds_dominate_parent():
     problem = toy_problem(-4.5)
     net = problem.canonical_net
-    cfg = BabConfig(branching=INPUT_LONGEST)
     root = Subdomain(InputBox(problem.domain), -np.inf, 0)
     from plverify.bab import _bound_region
 
-    lb_root, bounds, _ = _bound_region(net, root.region, cfg)
+    lb_root, bounds, _ = _bound_region(net, root.region)
     root.bounds = bounds
     root.lower_bound = lb_root
     for child in split_input_longest(root):
-        lb_child, _, _ = _bound_region(net, child.region, cfg)
+        lb_child, _, _ = _bound_region(net, child.region)
         assert lb_child >= lb_root - 1e-6
 
 

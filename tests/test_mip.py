@@ -257,3 +257,43 @@ def test_timeout():
     enc = encode_mip(problem.canonical_net, problem.domain, PLANET_OPT)
     res = solve_mip(enc, timeout=0.0)
     assert res.status == "timeout"
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_failed_node_lps_degrade_to_the_parent_bound(monkeypatch, k):
+    # every k-th node LP fails numerically: the node keeps its parent's
+    # bound and is branched on, or, fully pinned, holds that bound under
+    # the margin, so the run never aborts and never claims a wrong UNSAT
+    real_solve = lp.solve
+    calls = [0]
+
+    def flaky(model, basis=None):
+        calls[0] += 1
+        if calls[0] % k == 0:
+            raise lp.NumericalFailure("forced")
+        return real_solve(model, basis)
+
+    rng = np.random.default_rng(53)
+    decided = 0
+    for _ in range(10):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in, [int(rng.integers(2, 4)) for _ in range(int(rng.integers(1, 3)))])
+        box = random_box(rng, n_in)
+        base = oracle_min(net, box).min_value
+        margin = float(rng.choice([-0.3, 0.3]))
+        problem = canonicalize(net, Geq(np.array([1.0]), base - margin), box)
+        want, _ = oracle_verdict(problem)
+        exact = oracle_min(problem.canonical_net, box).min_value
+        for variant in (PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE):
+            enc = encode_mip(problem.canonical_net, box, variant)
+            monkeypatch.setattr(lp, "solve", flaky)
+            res = solve_mip(enc)
+            monkeypatch.setattr(lp, "solve", real_solve)
+            assert res.status in (want, "timeout"), (variant, margin)
+            if res.status == "unsat":
+                assert res.margin <= exact + 1e-6
+            elif res.status == "sat":
+                assert validate_counterexample(problem, res.counterexample, 1e-6)
+            decided += res.status != "timeout"
+    if k > 1:
+        assert decided > 0

@@ -5,6 +5,7 @@ import pytest
 from helpers import random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify import lp
+from plverify.canon import maxpool_to_relu
 from plverify.interval import BLOCKED, PASSING, propagate_box, refine_with_fixed_phases
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_batch, forward_eval
 from plverify.oracle import oracle_min
@@ -204,32 +205,31 @@ def test_tightening_never_hurts_and_helps_on_shrinking_boxes():
     assert strict_improvement
 
 
-def test_maxpool_hull_bound_is_sound():
-    rng = np.random.default_rng(31)
-    for _ in range(30):
-        net = Network(
-            3,
-            (
-                Linear(rng.normal(size=(4, 3)), rng.uniform(-0.5, 0.5, 4)),
-                MaxPool(((0, 1), (2, 3))),
-                Linear(rng.normal(size=(1, 2)), rng.uniform(-0.5, 0.5, 1)),
-            ),
-        )
-        box = random_box(rng, 3)
-        pm = build_planet(net, box)
-        lb = planet_lower_bound_with_point(pm)[0]
-        pts = rng.uniform(box.lb, box.ub, size=(200, 3))
-        for x in pts:
-            assert forward_eval(net, x)[0] >= lb - 1e-7
+def test_relaxations_reject_an_unlowered_maxpool():
+    net = Network(
+        3,
+        (
+            Linear(np.eye(4, 3), np.zeros(4)),
+            MaxPool(((0, 1), (2, 3))),
+            Linear(np.ones((1, 2)), np.zeros(1)),
+        ),
+    )
+    box = BoxDomain(-np.ones(3), np.ones(3))
+    with pytest.raises(ValueError, match="ReLU-only"):
+        build_planet(net, box)
+    with pytest.raises(ValueError, match="ReLU-only"):
+        build_reluplex(net, box)
 
 
 def _differential_cases(rng):
-    """Random small nets (some with a MaxPool hull), nested boxes, random
-    phase maps; some maps contradict the bounds or each other."""
+    """Random small nets (some with a MaxPool, lowered over the first box,
+    which contains every later one), nested boxes, random phase maps; some
+    maps contradict the bounds or each other."""
     for _ in range(40):
         n_in = int(rng.integers(1, 4))
         net = random_net(rng, n_in, [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 3)))])
-        if rng.random() < 0.25:
+        pooled = rng.random() < 0.25
+        if pooled:
             w = 2 * int(rng.integers(1, 3))
             net = Network(n_in, (
                 Linear(rng.normal(size=(w, n_in)), rng.uniform(-0.5, 0.5, w)),
@@ -237,10 +237,12 @@ def _differential_cases(rng):
                 MaxPool(tuple((k, k + 1) for k in range(0, w, 2))),
                 Linear(rng.normal(size=(1, w // 2)), rng.uniform(-0.5, 0.5, 1)),
             ))
-        units = [(i, j) for i, layer in enumerate(net.layers) if isinstance(layer, Relu)
-                 for j in range(net.layers[i - 1].out_width)]
         center = rng.uniform(-0.5, 0.5, size=n_in)
         half = rng.uniform(0.3, 1.5, size=n_in)
+        if pooled:
+            net = maxpool_to_relu(net, propagate_box(net, BoxDomain(center - half, center + half)))
+        units = [(i, j) for i, layer in enumerate(net.layers) if isinstance(layer, Relu)
+                 for j in range(net.layers[i - 1].out_width)]
         for _ in range(3):
             box = BoxDomain(center - half, center + half)
             for _ in range(3):
