@@ -32,12 +32,15 @@ with its final basis; the relaxation builder hands each LP the previous
 LP's optimum, extended by a crash column per new row, the MIP search hands
 each node its parent's optimum, and the oracle hands each pattern LP the
 last basis on its pattern's path, extended by a basic slack per new row.
-The final basis carries the basis matrix last inverted and its inverse. The
-next solve from that ``Basis`` reuses the inverse only when its own basis
-matrix is the same bytes, so the reuse returns exactly what inverting again
-would. The relaxation builder gets this reuse between LPs that add no row;
-the MIP queue drops the matrices, so its memory does not grow with the
-open nodes.
+The final basis of a warm run also carries that run's final simplex state:
+basic columns, inverse and values. The next solve from that ``Basis``
+resumes it when it reads the same standard form object (so the same rows)
+and the basis was not edited since. With unchanged bounds the state is
+taken as it is; after a bound change only the basic values are recomputed,
+from the same inverse. Either way the start has the bytes that deriving it
+from the basis again gives, because that inverts the same basis matrix.
+The relaxation builder gets this between the LPs over one row set; the MIP
+queue drops the state, so its memory does not grow with the open nodes.
 
 A start whose basic values lie within their bounds runs primal phase 2
 only. A start that puts a basic value
@@ -60,14 +63,17 @@ Tolerances (fixed for the whole artifact): feasibility 1e-8, optimality
 
 ``solve`` reads a model through its ``standard_form``: the row matrix, the
 right-hand sides and the bounds of the structural and slack columns. An
-``LpModel`` builds it from its rows on every solve. A ``RowStack`` (box
-variables and a stack of ``<=`` rows; the oracle's pattern LPs) keeps it in
-buffers that double when full, together with the matrix [rows | I] a warm
-start reads, so ``push`` and ``truncate`` touch one row and a solve starts
-from views. Its slack bounds are computed for the whole stack in the matrix
-product ``LpModel`` uses, once per stack state that gets solved, so a
-``RowStack`` solve returns the bytes of an ``LpModel`` solve with the same
-rows.
+``LpModel`` keeps its last form, shared with its ``with_objective`` clones:
+the row matrix and the matrix [rows | I] a warm start reads are built once
+per row set, and the slack bounds again only when a variable bound changes,
+by the same formula, so they are the same bytes. A ``RowStack`` (box
+variables and a stack of ``<=`` rows; the oracle's pattern LPs) keeps its
+form in buffers that double when full, so ``push`` and ``truncate`` touch
+one row and a solve starts from views. Its slack bounds are computed for the
+whole stack in the matrix product ``LpModel`` uses, once per stack state
+that gets solved, so a ``RowStack`` solve returns the bytes of an
+``LpModel`` solve with the same rows. Every array of a form is read-only,
+so a write by the solver raises instead of corrupting the next solve.
 
 ``solve_reference`` is the independent test oracle: exhaustive enumeration of
 basic solutions (vertices) for models with at most 8 variables. The subsets
@@ -78,7 +84,7 @@ marks a subset singular.
 
 from __future__ import annotations
 
-import itertools
+import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -122,14 +128,63 @@ class _Form(NamedTuple):
     full: np.ndarray
 
 
+class _RowPart(NamedTuple):
+    """The part of an ``LpModel``'s standard form that its bounds leave
+    alone, built from the row tuples ``key`` over ``n`` variables."""
+
+    n: int
+    key: list
+    rows: np.ndarray
+    rhs: np.ndarray
+    full: np.ndarray
+    pos: np.ndarray  # max(rows, 0)
+    neg: np.ndarray  # min(rows, 0)
+    is_le: np.ndarray
+    is_ge: np.ndarray
+
+
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
+def _row_part(rows: list[tuple[np.ndarray, str, float]], n: int) -> _RowPart:
+    m = len(rows)
+    arow = np.zeros((m, n))
+    rhs = np.zeros(m)
+    for i, (row, _, r) in enumerate(rows):
+        if len(row) > n:
+            raise ValueError("row references unknown variables")
+        arow[i, : len(row)] = row
+        rhs[i] = r
+    is_le = np.array([rel == LE for _, rel, _ in rows], dtype=bool)
+    is_ge = np.array([rel == GE for _, rel, _ in rows], dtype=bool)
+    arrays = arow, rhs, np.hstack([arow, np.eye(m)]), np.maximum(arow, 0.0), np.minimum(arow, 0.0), is_le, is_ge
+    return _RowPart(n, list(rows), *_read_only(*arrays))
+
+
+class _FormCache:
+    """An ``LpModel``'s last standard form and what it was built from."""
+
+    def __init__(self):
+        self.part: _RowPart | None = None
+        self.bounds = b""  # the variable bounds of ``form``, as bytes
+        self.form: _Form | None = None
+
+
 @dataclass
 class LpModel:
-    """Minimisation LP: variables with finite bounds, dense rows."""
+    """Minimisation LP: variables with finite bounds, dense rows.
+
+    A row, once added, is never changed in place: ``standard_form`` knows a
+    row set by the identity of its row tuples."""
 
     lower: list[float] = field(default_factory=list)
     upper: list[float] = field(default_factory=list)
     rows: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
     objective: np.ndarray | None = None
+    _cache: _FormCache = field(default_factory=_FormCache, init=False, repr=False, compare=False)
 
     @property
     def num_vars(self) -> int:
@@ -166,8 +221,10 @@ class LpModel:
         self.objective = c
 
     def with_objective(self, coefs) -> "LpModel":
-        """Shallow copy sharing rows, with a different objective."""
+        """Shallow copy sharing rows and the cached standard form, with a
+        different objective."""
         clone = LpModel(list(self.lower), list(self.upper), list(self.rows))
+        clone._cache = self._cache
         clone.set_objective(coefs)
         return clone
 
@@ -178,40 +235,35 @@ class LpModel:
         return clone
 
     def standard_form(self) -> _Form | None:
-        """The rows as ``solve`` reads them (see ``_Form``), built from
-        ``rows``; None when some lower > upper."""
+        """The rows as ``solve`` reads them (see ``_Form``); None when some
+        lower > upper. The row part is built again only for another row
+        set, the column bounds only for other variable bounds."""
         n = self.num_vars
         lo = np.asarray(self.lower, dtype=np.float64)
         hi = np.asarray(self.upper, dtype=np.float64)
-        if np.any(lo > hi + 1e-12):
+        if (lo > hi + 1e-12).any():
             return None
         hi = np.maximum(hi, lo)  # collapse sub-tolerance inversions
 
-        m = len(self.rows)
-        arow = np.zeros((m, n))
-        rhs = np.zeros(m)
-        rels = []
-        for i, (row, rel, r) in enumerate(self.rows):
-            if len(row) > n:
-                raise ValueError("row references unknown variables")
-            arow[i, : len(row)] = row
-            rhs[i] = r
-            rels.append(rel)
-
-        # Standard form: one slack per row (fixed at 0 for equalities), finite
-        # bounds derived from the row range over the variable boxes.
-        wp = np.maximum(arow, 0.0)
-        wn = np.minimum(arow, 0.0)
-        row_min = wp @ lo + wn @ hi
-        row_max = wp @ hi + wn @ lo
-        is_le = np.array([rel == LE for rel in rels], dtype=bool)
-        is_ge = np.array([rel == GE for rel in rels], dtype=bool)
-        room_up = rhs - row_min
-        room_dn = rhs - row_max
-        slack_lo = np.where(is_ge & (room_dn < 0.0), room_dn, 0.0)
-        slack_hi = np.where(is_le & (room_up > 0.0), room_up, 0.0)
-        lo, hi = np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi])
-        return _Form(arow, rhs, lo, hi, np.hstack([arow, np.eye(m)]))
+        cache, rows = self._cache, self.rows
+        part = cache.part
+        if part is None or part.n != n or len(part.key) != len(rows) or not all(map(operator.is_, rows, part.key)):
+            part = cache.part = _row_part(rows, n)
+            cache.form = None
+        bounds = lo.tobytes() + hi.tobytes()
+        if cache.form is None or bounds != cache.bounds:
+            # one slack per row (fixed at 0 for equalities), finite bounds
+            # derived from the row range over the variable boxes
+            row_min = part.pos @ lo + part.neg @ hi
+            row_max = part.pos @ hi + part.neg @ lo
+            room_up = part.rhs - row_min
+            room_dn = part.rhs - row_max
+            slack_lo = np.where(part.is_ge & (room_dn < 0.0), room_dn, 0.0)
+            slack_hi = np.where(part.is_le & (room_up > 0.0), room_up, 0.0)
+            col_lo, col_hi = _read_only(np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi]))
+            cache.form = _Form(part.rows, part.rhs, col_lo, col_hi, part.full)
+            cache.bounds = bounds
+        return cache.form
 
 
 class RowStack:
@@ -288,7 +340,7 @@ class RowStack:
             room = rhs - (np.maximum(rows, 0.0) @ lo + np.minimum(rows, 0.0) @ hi)
             self._hi[n : n + k] = np.where(room > 0.0, room, 0.0)
             self._stale = False
-        return _Form(rows, rhs, self._lo[: n + k], self._hi[: n + k], self._full[:k, : n + k])
+        return _Form(*_read_only(rows, rhs, self._lo[: n + k], self._hi[: n + k], self._full[:k, : n + k]))
 
 
 @dataclass
@@ -312,32 +364,35 @@ class Basis:
     A column is a variable index ``j``, or ``~i`` for the slack of row ``i``.
     ``basic`` holds one column per row; nonbasic columns listed in
     ``at_upper`` start at their upper bound, all others at their lower bound.
-    ``inverse`` is solver state, not a setting: the basis matrix the final
-    basis was last inverted from, and that inverse. A solve reuses it only
-    for a byte-identical basis matrix, where inverting again would return the
-    same bytes.
+    ``state`` is solver state, not a setting: the final simplex state of the
+    warm run that wrote this basis. The next solve resumes it only over the
+    same standard form and an unedited basis, where deriving the start from
+    the basis again would give the same bytes.
     """
 
     basic: list[int] = field(default_factory=list)
     at_upper: set[int] = field(default_factory=set)
-    inverse: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False, compare=False)
+    state: "_SimplexState | None" = field(default=None, repr=False, compare=False)
 
 
 def solve(model: LpModel | RowStack, basis: Basis | None = None) -> LpSolution:
     """Bounded-variable simplex, warm from ``basis`` when it is given,
     nonsingular and primal or dual feasible; two-phase from scratch otherwise."""
-    n = model.num_vars
-    if n == 0:
-        return LpSolution(OPTIMAL, 0.0, np.zeros(0))
     form = model.standard_form()
     if form is None:
         return LpSolution(INFEASIBLE, np.inf, None)
+    n = model.num_vars
+    if n == 0:  # x = () meets row i when rhs_i lies within its slack's bounds
+        if np.any(form.rhs < form.lo - TOL_FEAS) or np.any(form.rhs > form.hi + TOL_FEAS):
+            return LpSolution(INFEASIBLE, np.inf, None)
+        return LpSolution(OPTIMAL, 0.0, np.zeros(0))
     c_obj = _padded_objective(model)
     if basis is not None:
+        carried, basis.state = basis.state, None
         try:
+            state = _resumed(carried, form, basis) or _warm_start(form, n, basis)
             c = np.concatenate([c_obj, np.zeros(len(form.rhs))])
-            state = _warm_start(form, n, basis, c)
-            if state is not None:
+            if _can_start(state, c):
                 used = _run_dual(state, c, MAX_ITER)
                 if used is None:
                     return LpSolution(INFEASIBLE, np.inf, None)
@@ -357,13 +412,24 @@ def _columns(cols: list[int] | set[int], n: int) -> np.ndarray:
     return np.where(b >= 0, b, n + ~b)
 
 
-def _warm_start(form: _Form, n: int, basis: Basis, c: np.ndarray) -> "_SimplexState | None":
-    """The state at ``basis``; None when a basic value lies outside its
-    bounds by more than TOL_FEAS and some reduced cost of ``c`` has the wrong
-    sign by more than TOL_OPT (neither simplex can start there). A singular
-    basis raises NumericalFailure. The inverse ``basis`` carries is taken
-    out of it and reused when its matrix is the same bytes as this basis
-    matrix."""
+def _resumed(carried: "_SimplexState | None", form: _Form, basis: Basis) -> "_SimplexState | None":
+    """The final state of the run that wrote ``basis``, moved to ``form``'s
+    bounds; None unless that run read this form's rows and ``basis`` is as
+    it left it. A bound change sets the nonbasic values to their bounds
+    again and recomputes the basic ones with the inverse the state holds."""
+    if carried is None or carried.a is not form.full or carried.written != (basis.basic, basis.at_upper):
+        return None
+    carried.written = None  # until this run records its final basis
+    if carried.lo is not form.lo or carried.hi is not form.hi:
+        carried.lo, carried.hi = form.lo, form.hi
+        carried.x = np.where(carried.at_upper, form.hi, form.lo)
+        carried.refactor()
+    return carried
+
+
+def _warm_start(form: _Form, n: int, basis: Basis) -> "_SimplexState":
+    """The state at ``basis``, derived from its columns; a singular basis
+    raises NumericalFailure."""
     _, rhs, lo, hi, a = form
     m = len(rhs)
     if len(basis.basic) != m:
@@ -374,20 +440,21 @@ def _warm_start(form: _Form, n: int, basis: Basis, c: np.ndarray) -> "_SimplexSt
     at_upper[basic] = False
     x = np.where(at_upper, hi, lo)
     state = _SimplexState(a, rhs, lo, hi, x, at_upper, basic, None)
-    carried, basis.inverse = basis.inverse, None
-    if carried is not None:
-        bmat = a[:, basic]
-        if carried[0].shape == bmat.shape and carried[0].tobytes() == bmat.tobytes():
-            state.bmat, state.binv = carried
-            state.fresh = True
     state.refactor()
-    xb = state.x[basic]
-    if np.any(xb < lo[basic] - TOL_FEAS) or np.any(xb > hi[basic] + TOL_FEAS):
-        d = c - (c[basic] @ state.binv) @ a
-        # a nonbasic column whose cost improves by leaving its bound
-        if np.any(d * state.start_run() < -TOL_OPT):
-            return None
     return state
+
+
+def _can_start(state: "_SimplexState", c: np.ndarray) -> bool:
+    """False when a basic value lies outside its bounds by more than
+    TOL_FEAS and some reduced cost of ``c`` has the wrong sign by more than
+    TOL_OPT: neither simplex can start there."""
+    basic, lo, hi = state.basis, state.lo, state.hi
+    xb = state.x[basic]
+    if (xb < lo[basic] - TOL_FEAS).any() or (xb > hi[basic] + TOL_FEAS).any():
+        d = c - (c[basic] @ state.binv) @ state.a
+        # a nonbasic column whose cost improves by leaving its bound
+        return not (d * state.start_run() < -TOL_OPT).any()
+    return True
 
 
 def _phase_one(form: _Form, n: int) -> "tuple[_SimplexState, int] | None":
@@ -442,7 +509,7 @@ def _phase_two(state: "_SimplexState", form: _Form, c_obj: np.ndarray, max_iter:
     state.refactor()
     xs = state.x[:n]
     if m:
-        residual = np.max(np.abs(arow @ xs + state.x[n : n + m] - rhs))
+        residual = np.abs(arow @ xs + state.x[n : n + m] - rhs).max()
         if residual > 1e-6:
             raise NumericalFailure(f"final residual {residual:.2e}")
     if basis is not None:
@@ -452,9 +519,20 @@ def _phase_two(state: "_SimplexState", form: _Form, c_obj: np.ndarray, max_iter:
         basis.basic = np.where(b < n, b, ~((b - n) % m)).tolist()
         upper = state.at_upper.copy()
         upper[b] = False
-        u = np.flatnonzero(upper[: n + m])
+        upper = upper[: n + m]
+        u = np.flatnonzero(upper)
         basis.at_upper = set(np.where(u < n, u, ~(u - n)).tolist())
-        basis.inverse = (state.bmat, state.binv) if m else None
+        if state.a is not form.full and (b < n + m).all():
+            # a cold run without a basic artificial: its inverse is the
+            # inverse of the same basis matrix over the form's columns
+            binv = state.binv
+            state = _SimplexState(form.full, form.rhs, form.lo, form.hi, np.where(upper, form.hi, form.lo), upper, b, binv)
+            state.fresh = True
+            state.refactor()
+        if state.a is form.full:
+            state.at_upper = upper
+            state.written = (list(basis.basic), set(basis.at_upper))
+            basis.state = state
     return LpSolution(OPTIMAL, float(c_obj @ xs), xs.copy())
 
 
@@ -469,9 +547,9 @@ class _SimplexState:
         self.basis = basis
         self.cols = basis.tolist()  # ``basis`` as a list, for scalar loops
         self.binv = binv
-        self.bmat = None  # the basis matrix binv was last inverted from
         self.fresh = False  # binv was inverted from the basis, no pivot since
         self.lo_l = self.hi_l = self.sgn = None
+        self.written = None  # (basic, at_upper) of the Basis this final state was recorded in
 
     def start_run(self) -> np.ndarray:
         """Start a run of pivots: the bounds as lists, and the sign vector,
@@ -493,12 +571,10 @@ class _SimplexState:
         if m == 0:
             return
         if not self.fresh:
-            bmat = self.a[:, self.basis]
             try:
-                self.binv = np.linalg.inv(bmat)
+                self.binv = np.linalg.inv(self.a[:, self.basis])
             except np.linalg.LinAlgError as exc:
                 raise NumericalFailure("singular basis") from exc
-            self.bmat = bmat
             self.fresh = True
         xn = self.x.copy()
         xn[self.basis] = 0.0

@@ -32,13 +32,17 @@ search continues past them.
 Node LPs start warm. The root starts from the all-slack basis with every
 structural column at the bound its cost pulls it to; its reduced costs are
 the costs, so the start is dual feasible. Each queued node keeps the final
-``lp.Basis`` of its LP, without the inverse that basis carries, and both
-children start from a copy of it. A child differs from its parent only in
-one pinned binary, so that basis stays dual feasible and ``lp.solve``
-repairs it with dual simplex pivots, without a phase 1. An optimum reached this way can be another vertex among ties than
-a cold solve's, so the branching binary can differ from a cold search, and
-with it the node count and an UNSAT margin (the smallest pruned bound of
-the tree searched); each node LP's value and the verdict do not.
+``lp.Basis`` of its LP, without the simplex state that basis carries, and
+both children start from a copy of it. A child differs from its parent
+only in one pinned binary, so that basis stays dual feasible and
+``lp.solve`` repairs it with dual simplex pivots, without a phase 1. An
+optimum reached this way can be another vertex among ties than a cold
+solve's, so the branching binary can differ from a cold search, and with
+it the node count and an UNSAT margin (the smallest pruned bound of the
+tree searched); each node LP's value and the verdict do not. Every node LP
+is a clone of the encoding's model with pinned bounds, so all of them
+share its row matrix and [rows | I]; only the slack bounds are computed
+per node.
 
 A node LP that fails numerically does not end the run: the node takes its
 parent's bound (-inf at the root) and branches on its first unfixed binary
@@ -179,7 +183,7 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
 
 
 def _pinned(base: lp.LpModel, fixes: dict[int, int]) -> lp.LpModel:
-    model = lp.LpModel(list(base.lower), list(base.upper), base.rows, base.objective)
+    model = base.with_objective(base.objective)  # shares the row part of the standard form
     for var, val in fixes.items():
         model.lower[var] = float(val)
         model.upper[var] = float(val)
@@ -241,7 +245,7 @@ def solve_mip(
             sol = lp.solve(_pinned(enc.model, fixes), basis)
         except lp.NumericalFailure:
             sol = None
-        basis.inverse = None  # a queued node keeps no matrices; its children invert again
+        basis.state = None  # a queued node keeps no matrices; its children invert again
         if sol is None:
             # keep the parent's bound; a failed solve leaves the start basis
             # unchanged, so a branched node restarts from it

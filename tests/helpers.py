@@ -49,3 +49,11 @@ def random_box(rng: np.random.Generator, n_in: int, radius: float = 1.0) -> BoxD
     center = rng.uniform(-0.5, 0.5, size=n_in)
     half = rng.uniform(0.2, radius, size=n_in)
     return BoxDomain(center - half, center + half)
+
+
+def assert_same_solve(got, want, got_basis=None, want_basis=None) -> None:
+    """Two ``lp.solve`` results are the same bytes: status, objective, x and final basis."""
+    assert got.status == want.status
+    assert float(got.objective).hex() == float(want.objective).hex()
+    assert (got.x is None and want.x is None) or got.x.tobytes() == want.x.tobytes()
+    assert got_basis == want_basis

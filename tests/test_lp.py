@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from helpers import assert_same_solve
 
 import plverify.lp as lp_module
 from plverify.lp import (
@@ -304,6 +305,47 @@ def _dual_warm_start_after_bound_cut(monkeypatch):
     assert outcomes[OPTIMAL] > 40 and outcomes[INFEASIBLE] > 40
 
 
+def test_resumed_state_matches_a_fresh_start_bytewise(monkeypatch):
+    # a Basis carries its final state into the next solve over the same
+    # cached form: as it is under another objective, moved to the new
+    # bounds after a cut through a basic value (then dual pivots first).
+    # Each result, final basis included, is the bytes of a fresh copy of
+    # the model solved from a copy of the basis.
+    resumed = _count_calls(monkeypatch, "_resumed", lambda state: state is not None)
+    dual = _count_calls(monkeypatch, "_run_dual", lambda used: bool(used))
+    rng = np.random.default_rng(37)
+    runs = {"same_bounds": 0, "cut": 0, "cut_dual": 0}
+    for _ in range(300):
+        model = _random_model(rng)
+        basis = Basis([~i for i in range(len(model.rows))])
+        if solve(model, basis).status != OPTIMAL:
+            continue
+        for step in ("same_bounds", "cut"):
+            clone = model.with_objective(rng.normal(size=model.num_vars))
+            if step == "cut":
+                first = solve(clone, basis)
+                lo, hi = np.array(model.lower), np.array(model.upper)
+                inside = [j for j in basis.basic if j >= 0 and lo[j] + 1e-6 < first.x[j] < hi[j] - 1e-6]
+                if first.status != OPTIMAL or not inside:
+                    break
+                j = inside[int(rng.integers(0, len(inside)))]
+                cut = float(first.x[j]) + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 1.0)
+                if cut > first.x[j]:
+                    clone.lower[j] = min(cut, clone.upper[j])
+                else:
+                    clone.upper[j] = max(cut, clone.lower[j])
+            fresh, start = clone.copy(), Basis(list(basis.basic), set(basis.at_upper))
+            was_resumed, ran_dual = resumed[0], dual[0]
+            got = solve(clone, basis)
+            assert resumed[0] == was_resumed + 1
+            runs[step] += 1
+            runs["cut_dual"] += step == "cut" and dual[0] > ran_dual
+            assert_same_solve(got, solve(fresh, start), basis, start)
+            if got.status != OPTIMAL:
+                break
+    assert runs["same_bounds"] > 100 and runs["cut_dual"] > 50, runs
+
+
 def _capped_pair(objective) -> tuple[LpModel, Basis]:
     # x, y in [0, 2], x + y <= 3; the basis of min -x - y (x at its upper
     # bound, y basic at 1) with y's upper bound cut to 0.5
@@ -382,15 +424,15 @@ def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
             again = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
             assert inversions[0] == 2
         assert got.objective == again.objective and got.x.tobytes() == again.x.tobytes()
-        # ``basis`` still carries the inverse of its first solve: no inversion
+        # ``basis`` still carries the final state of its first solve: no inversion
         inversions[0] = 0
         carried = solve(model, basis)
         assert inversions[0] == 0
         assert carried.objective == got.objective and carried.x.tobytes() == got.x.tobytes()
-        # an inverse carried to another basis of the same size is not reused
+        # a state carried to another basis of the same size is not resumed
         slack = [~i for i in range(len(model.rows))]
         fresh = solve(model, Basis(slack))
-        stale = solve(model, Basis(slack, set(), basis.inverse))
+        stale = solve(model, Basis(slack, set(), basis.state))
         assert stale.x.tobytes() == fresh.x.tobytes()
         # a new row (its slack basic) changes the basis matrix: invert again
         model.add_row(np.ones(model.num_vars), LE, float(np.sum(np.abs(model.upper)) + 1.0))
@@ -415,6 +457,50 @@ def test_warm_solve_without_rows(monkeypatch):
     again = solve(m, basis)
     assert again.objective == got.objective and again.x.tobytes() == got.x.tobytes()
     assert phase_one[0] == 0
+
+
+@pytest.mark.parametrize("rel, rhs", [(EQ, 2.0), (EQ, 0.0), (LE, 1.0), (LE, -1.0), (GE, -1.0), (GE, 1.0)])
+def test_model_without_variables_checks_its_rows(rel, rhs):
+    # x = () meets a row only when 0 meets its relation
+    model = LpModel()
+    model.add_row({}, rel, rhs)
+    got, want = solve(model), solve_reference(model)
+    assert got.status == want.status
+    if rel != LE:
+        return
+    stack = RowStack([], [])
+    stack.push(np.zeros(0), rhs)
+    assert solve(stack).status == want.status
+
+
+def test_reused_form_is_read_only(monkeypatch):
+    # a solver write into the cached form raises; the next solve, from the
+    # same cache, returns the bytes of a fresh model
+    model = _toy_planet_lp()
+    basis = Basis([~i for i in range(len(model.rows))])
+    want = solve(model.copy(), Basis(list(basis.basic)))
+    first = solve(model, basis)
+    assert first.x.tobytes() == want.x.tobytes()
+    original = lp_module._run_simplex
+    for name in ("a", "rhs", "lo", "hi"):
+
+        def writing(state, *args):
+            getattr(state, name)[0] = 7.0
+            return original(state, *args)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(lp_module, "_run_simplex", writing)
+            with pytest.raises(ValueError, match="read-only"):
+                solve(model, Basis(list(basis.basic), set(basis.at_upper)))
+        again = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
+        assert again.x.tobytes() == want.x.tobytes() and again.objective == want.objective
+    stack = RowStack([0.0, 0.0], [1.0, 1.0])
+    stack.push(np.ones(2), 1.5)
+    form = stack.standard_form()
+    for array in form:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 7.0
+    stack.push(np.ones(2), 1.0)  # the stack's own buffers stay writeable
 
 
 def test_row_stack_solves_like_an_lp_model():

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_box, random_net, toy_box, toy_net, toy_problem
+from helpers import assert_same_solve, random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify import lp
 from plverify.canon import Geq, canonicalize, validate_counterexample
@@ -180,7 +180,8 @@ def test_verdicts_match_oracle_all_variants():
 def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     # every node LP starts from its parent's basis (the root from the
     # all-slack basis), runs no phase 1, reports INFEASIBLE only through a
-    # checked Farkas row and agrees with a cold re-solve
+    # checked Farkas row, agrees with a cold re-solve and returns the bytes
+    # of a fresh copy of its model (no shared form) from a copy of its basis
     counts = {"nodes": 0, "phase_one": 0, "dual": 0, "infeasible": 0, "proofs": 0}
     recheck = [False]
     originals = {name: getattr(lp, name) for name in ("solve", "_phase_one", "_run_dual", "_farkas_row")}
@@ -188,8 +189,10 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     def solve(model, basis=None):
         assert basis is not None
         counts["nodes"] += 1
+        fresh, start = model.copy(), lp.Basis(list(basis.basic), set(basis.at_upper))
         got = originals["solve"](model, basis)
         recheck[0] = True
+        assert_same_solve(got, originals["solve"](fresh, start), basis, start)
         cold = originals["solve"](model)
         recheck[0] = False
         assert got.status == cold.status
@@ -249,7 +252,30 @@ def test_queued_nodes_hold_no_matrices(monkeypatch):
         enc = encode_mip(net, random_box(rng, 3), INTERVAL_VARIANT)
         solve_mip(enc, node_cap=40)
     assert len(pushed) > 10
-    assert all(isinstance(b, lp.Basis) and b.inverse is None for b in pushed)
+    assert all(isinstance(b, lp.Basis) and b.state is None for b in pushed)
+
+
+def test_one_search_builds_its_row_matrix_once(monkeypatch):
+    # every node LP pins bounds on a clone of the encoding's model, so the
+    # whole search reads one row matrix and one [rows | I]
+    part = lp._row_part
+    builds = [0]
+
+    def counted(*args):
+        builds[0] += 1
+        return part(*args)
+
+    monkeypatch.setattr(lp, "_row_part", counted)
+    rng = np.random.default_rng(54)
+    searched = 0
+    for _ in range(6):
+        net = random_net(rng, 3, [5, 5])
+        enc = encode_mip(net, random_box(rng, 3), PLANET_OPT)
+        builds[0] = 0
+        res = solve_mip(enc, node_cap=40)
+        assert builds[0] == 1
+        searched += res.nodes > 1
+    assert searched > 2
 
 
 def test_timeout():

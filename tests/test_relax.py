@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from helpers import random_box, random_net, toy_box, toy_net, toy_problem
+from helpers import assert_same_solve, random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify import lp
 from plverify.canon import maxpool_to_relu
@@ -305,6 +305,91 @@ def test_warm_relaxation_lps_match_cold_solves(monkeypatch):
             outcomes["feasible"] += 1
     assert min(outcomes.values()) > 0, outcomes
     assert checked["warm_lps"] > 500 and checked["reference"] > 100, checked
+
+
+def test_relaxation_lps_match_fresh_copies_bytewise(monkeypatch):
+    # an LP over the cached form, resuming the previous LP's final state,
+    # returns the bytes of the same call on a fresh copy of its model from
+    # a copy of its start basis, which builds the form and the start again
+    real = {name: getattr(lp, name) for name in ("solve", "_resumed", "_run_dual")}
+    counts = {"lps": 0, "resumed": 0, "resumed_dual": 0}
+    resumed = [False]
+
+    def tracked_resumed(*args):
+        state = real["_resumed"](*args)
+        resumed[0] = state is not None
+        return state
+
+    def tracked_dual(*args):
+        used = real["_run_dual"](*args)
+        counts["resumed_dual"] += bool(resumed[0] and used)
+        return used
+
+    def checked_solve(model, basis=None):
+        fresh_model = model.copy()
+        fresh_basis = None if basis is None else lp.Basis(list(basis.basic), set(basis.at_upper))
+        resumed[0] = False
+        got = real["solve"](model, basis)
+        counts["lps"] += 1
+        counts["resumed"] += resumed[0]
+        resumed[0] = False
+        want = real["solve"](fresh_model, fresh_basis)
+        assert_same_solve(got, want, basis, fresh_basis)
+        return got
+
+    monkeypatch.setattr(lp, "solve", checked_solve)
+    monkeypatch.setattr(lp, "_resumed", tracked_resumed)
+    monkeypatch.setattr(lp, "_run_dual", tracked_dual)
+    for net, box, phases in _differential_cases(np.random.default_rng(8)):
+        planet_lower_bound_with_point(build_planet(net, box, phases, tighten=True))
+    # tightened bounds contain the previous optimum, so no resume here
+    # needs dual pivots (test_lp covers resumes through the dual path)
+    assert counts["lps"] > 400 and counts["resumed"] > 100 and counts["resumed_dual"] == 0, counts
+
+
+def test_relaxation_builds_each_row_set_once(monkeypatch):
+    # the LPs over one row set share one row matrix, and a unit's max LP,
+    # over its min LP's bounds, reads the min LP's form and final state
+    real = {name: getattr(lp, name) for name in ("solve", "_row_part", "_warm_start")}
+    counts = {"_row_part": 0, "_warm_start": 0}
+
+    def counter(name):
+        def counted(*args):
+            counts[name] += 1
+            return real[name](*args)
+
+        return counted
+
+    solves = []
+
+    def recorded(model, basis=None):
+        before = dict(counts)
+        got = real["solve"](model, basis)
+        solves.append((len(model.rows), model.objective.min() < 0.0, model.standard_form(), before, dict(counts)))
+        return got
+
+    monkeypatch.setattr(lp, "solve", recorded)
+    for name in counts:
+        monkeypatch.setattr(lp, name, counter(name))
+    max_lps = 0
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in, [int(rng.integers(3, 5)) for _ in range(3)])
+        box = random_box(rng, n_in)
+        solves.clear()
+        for name in counts:
+            counts[name] = 0
+        pm = build_planet(net, box, tighten=True)
+        planet_lower_bound_with_point(pm)
+        row_sets = len({rows for rows, *_ in solves})
+        # no fixed phase, so no LP runs cold: only a new row set derives a start
+        assert counts == {"_row_part": row_sets, "_warm_start": row_sets}
+        for (_, _, form_min, _, _), (_, is_max, form_max, before, after) in zip(solves, solves[1:]):
+            if is_max:
+                assert form_max is form_min and before == after
+                max_lps += 1
+    assert max_lps > 50
 
 
 def test_relaxation_lps_never_run_phase_one(monkeypatch):
