@@ -4,7 +4,10 @@ The engine keeps a priority queue of subdomains ordered by lower bound. Each
 iteration pops the most promising subdomain, splits it, and bounds the
 children: an upper bound from random sampling (any point value is an upper
 bound on the minimum) and a lower bound from the tightened hull LP of the
-subdomain (``relax.build_planet``, over a ReLU-only net). Children whose
+subdomain (``relax.build_planet``, over a ReLU-only net). An input sub-box
+skips the tightening LPs that cannot move its bound (``output_only``),
+since input branching never reads the layer bounds; a phase set keeps
+them all, because phase splitting picks its unit from them. Children whose
 lower bound cannot improve on the incumbent are pruned; the global lower
 bound is the smallest bound over the open queue.
 
@@ -321,7 +324,8 @@ def _bound_region(net: Network, region: Region) -> tuple[float, LayerBounds | No
     """Lower bound, refreshed bounds, and optional LP minimiser input point,
     from the tightened hull LP."""
     phases = region.phase_map() if isinstance(region, PhaseSet) else {}
-    pm = build_planet(net, region.box, phases, tighten=True)
+    # only phase splitting reads the bounds back (split_relu)
+    pm = build_planet(net, region.box, phases, tighten=True, output_only=isinstance(region, InputBox))
     try:
         lb, point = planet_lower_bound_with_point(pm)
     except lp.NumericalFailure:

@@ -66,10 +66,12 @@ right-hand sides and the bounds of the structural and slack columns. An
 ``LpModel`` keeps its last form, shared with its ``with_objective`` clones:
 the row matrix and the matrix [rows | I] a warm start reads are built once
 per row set, and the slack bounds again only when a variable bound changes,
-by the same formula, so they are the same bytes. A ``RowStack`` (box
-variables and a stack of ``<=`` rows; the oracle's pattern LPs) keeps its
-form in buffers that double when full, so ``push`` and ``truncate`` touch
-one row and a solve starts from views. Its slack bounds are computed for the
+by the same formula, so they are the same bytes. A row set that extends the
+cached one (the relaxation builder only appends) copies the shared rows and
+fills in only the new ones. A ``RowStack`` (box variables and a stack of
+``<=`` rows; the oracle's pattern LPs) keeps its form in buffers that
+double when full, so ``push`` and ``truncate`` touch one row and a solve
+starts from views. Its slack bounds are computed for the
 whole stack in the matrix product ``LpModel`` uses, once per stack state
 that gets solved, so a ``RowStack`` solve returns the bytes of an
 ``LpModel`` solve with the same rows. Every array of a form is read-only,
@@ -149,17 +151,29 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _row_part(rows: list[tuple[np.ndarray, str, float]], n: int) -> _RowPart:
+def _row_part(rows: list[tuple[np.ndarray, str, float]], n: int, prev: _RowPart | None = None) -> _RowPart:
+    """The row part of ``rows`` over ``n`` variables. ``prev``, a part
+    whose row tuples are a prefix of ``rows`` over at most ``n`` variables,
+    lends its rows, so only the appended ones are filled in; the bytes are
+    those of a fresh build."""
     m = len(rows)
     arow = np.zeros((m, n))
     rhs = np.zeros(m)
-    for i, (row, _, r) in enumerate(rows):
+    is_le = np.zeros(m, dtype=bool)
+    is_ge = np.zeros(m, dtype=bool)
+    done = 0
+    if prev is not None:
+        done = len(prev.key)
+        arow[:done, : prev.n] = prev.rows
+        rhs[:done], is_le[:done], is_ge[:done] = prev.rhs, prev.is_le, prev.is_ge
+    for i in range(done, m):
+        row, rel, r = rows[i]
         if len(row) > n:
             raise ValueError("row references unknown variables")
         arow[i, : len(row)] = row
         rhs[i] = r
-    is_le = np.array([rel == LE for _, rel, _ in rows], dtype=bool)
-    is_ge = np.array([rel == GE for _, rel, _ in rows], dtype=bool)
+        is_le[i] = rel == LE
+        is_ge[i] = rel == GE
     arrays = arow, rhs, np.hstack([arow, np.eye(m)]), np.maximum(arow, 0.0), np.minimum(arow, 0.0), is_le, is_ge
     return _RowPart(n, list(rows), *_read_only(*arrays))
 
@@ -247,8 +261,10 @@ class LpModel:
 
         cache, rows = self._cache, self.rows
         part = cache.part
-        if part is None or part.n != n or len(part.key) != len(rows) or not all(map(operator.is_, rows, part.key)):
-            part = cache.part = _row_part(rows, n)
+        # rows are only appended, so the cached part usually holds a prefix
+        prefix = part is not None and part.n <= n and len(part.key) <= len(rows) and all(map(operator.is_, rows, part.key))
+        if not (prefix and part.n == n and len(part.key) == len(rows)):
+            part = cache.part = _row_part(rows, n, part if prefix else None)
             cache.form = None
         bounds = lo.tobytes() + hi.tobytes()
         if cache.form is None or bounds != cache.bounds:
@@ -904,7 +920,7 @@ def solve_reference(model: LpModel) -> LpSolution:
             g_rows.append(-a)
             h_vals.append(-rhs)
 
-    g = np.array(g_rows)
+    g = np.array(g_rows).reshape(len(g_rows), n)
     h = np.array(h_vals)
     norms = np.linalg.norm(g, axis=1)
     zero_rows = norms < 1e-14

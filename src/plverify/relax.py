@@ -20,9 +20,20 @@ far (two LPs per unit), before that unit's ReLU is encoded. Tightening is
 what the branch-and-bound engine uses per subdomain by default. A ReLU layer
 fed by one Linear layer straight from the input box is skipped unless one
 of its units has a fixed phase: the interval bound of an affine map over a
-box is exact, so those LPs could only return it. A tightening LP that
-fails numerically (``lp.NumericalFailure``) leaves its unit with the
-interval bounds it had, which are sound, and the encoding goes on.
+box is exact, so those LPs could only return it. A caller that reads only
+the output LP's minimum, not ``bounds`` (``output_only``; the input-split
+search), also skips both LPs of every ambiguous unit of the last ReLU layer
+whose weight in the scalar output, the product of the Linear layers after
+it, is >= 0. Minimising the output holds such a unit at max(0, x_hat),
+which lies under its chord over any [l, u] that contains x_hat, so its
+tightened bounds could not change the output minimum; nor could they
+change another unit's LP, since a tightened bound (an LP optimum less
+``_SAFETY``) cuts no feasible point. The ``bounds`` entries and hull rows
+of a skipped unit are its interval ones. Rounding in the weight product
+can cost tightness but not soundness: interval bounds are sound. A
+tightening LP that fails numerically (``lp.NumericalFailure``) leaves its
+unit with the interval bounds it had, which are sound, and the encoding
+goes on.
 
 Every LP over one relaxation starts warm (``lp.Basis``) from the previous
 LP's optimum: tightened bounds contain every feasible point, so that optimum
@@ -113,15 +124,29 @@ def linear_rows(weight: np.ndarray, prev: list[int | None], first: int) -> list[
     return [block[j, : first + j + 1] for j in range(out)]
 
 
+def _output_weights(net: Network, i: int) -> np.ndarray:
+    """The weight of each unit of layer ``i`` in the scalar output, when
+    only Linear layers follow it: row 0 of their product."""
+    g = np.eye(net.output_size)[0]
+    for layer in reversed(net.layers[i + 1 :]):
+        g = layer.weight.T @ g
+    return g
+
+
 def _encode(
     net: Network,
     box: BoxDomain,
     phases: PhaseMap | None,
     tighten: bool,
     mode: str,
+    output_only: bool = False,
 ) -> PlanetModel:
     if not is_relu_only(net):
         raise ValueError("relaxation requires a ReLU-only network (lower MaxPools first)")
+    relus = [i for i, layer in enumerate(net.layers) if isinstance(layer, Relu)]
+    # per ReLU layer, the units whose LPs cannot move the output minimum:
+    # those of the last one with a non-negative output weight
+    untightened = {relus[-1]: _output_weights(net, relus[-1]) >= 0.0} if output_only and relus else {}
     base = propagate_box(net, box)
     refined = refine_with_fixed_phases(net, base, phases or {})
     if refined is None:
@@ -167,8 +192,9 @@ def _encode(
             # cuts the box
             exact = i == 1 and isinstance(net.layers[0], Linear) and not any(l == i for l, _ in phases or {})
             if tighten and not exact:
+                skip = untightened.get(i, np.zeros(len(prev), dtype=bool))
                 for j, p in enumerate(prev):
-                    if not (lo[j] < 0.0 < hi[j]):
+                    if skip[j] or not (lo[j] < 0.0 < hi[j]):
                         continue
                     try:
                         sol_min = lp.solve(model.with_objective({p: 1.0}), basis)
@@ -218,9 +244,14 @@ def build_planet(
     box: BoxDomain,
     phases: PhaseMap | None = None,
     tighten: bool = False,
+    output_only: bool = False,
 ) -> PlanetModel:
-    """Hull relaxation of the canonical network over the (sub)domain."""
-    return _encode(net, box, phases, tighten, "planet")
+    """Hull relaxation of the canonical network over the (sub)domain.
+
+    ``output_only`` says the caller reads the output LP's bound and not
+    ``bounds``: tightening then skips the units of the last ReLU layer
+    with a non-negative output weight, which keep their interval bounds."""
+    return _encode(net, box, phases, tighten, "planet", output_only)
 
 
 def build_reluplex(net: Network, box: BoxDomain, phases: PhaseMap | None = None) -> PlanetModel:

@@ -25,10 +25,11 @@ from plverify.bab import (
     split_relu,
 )
 from plverify import bab as bab_module
+from plverify import lp as lp_module
 from plverify.canon import Geq, canonicalize, validate_counterexample
 from plverify.interval import BLOCKED, PASSING, propagate_box
 from plverify.lp import NumericalFailure
-from plverify.model import BoxDomain, Linear, Network, Relu, forward_eval
+from plverify.model import BoxDomain, Linear, Network, Relu, forward_batch, forward_eval
 from plverify.oracle import oracle_min, oracle_verdict
 from plverify.rng import SplitMix64
 
@@ -385,3 +386,50 @@ def test_deterministic_repeat_runs():
     assert (a.margin is None) == (b.margin is None)
     if a.margin is not None:
         assert a.margin == b.margin
+
+
+def test_input_split_search_is_unchanged_by_skipped_tightening(monkeypatch):
+    # input boxes skip the tightening LPs that cannot move their bound; the
+    # searches keep the verdicts, node counts and lower bounds of a run that
+    # tightens every unit
+    real_solve, real_build = lp_module.solve, bab_module.build_planet
+    calls = [0]
+
+    def counted_solve(*args):
+        calls[0] += 1
+        return real_solve(*args)
+
+    def full(net, box, phases=None, tighten=False, output_only=False):
+        return real_build(net, box, phases, tighten)
+
+    monkeypatch.setattr(lp_module, "solve", counted_solve)
+    lps = {"skip": 0, "full": 0}
+    rng = np.random.default_rng(77)
+    for _ in range(12):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in, [int(rng.integers(5, 9)) for _ in range(int(rng.integers(2, 4)))])
+        box = random_box(rng, n_in, radius=2.0)
+        # thresholds just below the best of a few samples: some SAT, some
+        # UNSAT, few decided at the root
+        base = float(forward_batch(net, rng.uniform(box.lb, box.ub, size=(200, n_in)))[:, 0].min())
+        for margin in (0.01, 0.05):
+            problem = canonicalize(net, Geq(np.array([1.0]), base - margin), box)
+            runs = [
+                lambda: bab_verify(problem, BabConfig(branching=INPUT_SMART, seed=4)),
+                lambda: bab_verify(problem, BabConfig(branching=INPUT_LONGEST, seed=4)),
+            ]
+            if margin == 0.01:
+                runs.append(lambda: bab_optimize(problem, BabConfig(seed=4)))
+            for run in runs:
+                results = {}
+                for side, build in (("skip", real_build), ("full", full)):
+                    monkeypatch.setattr(bab_module, "build_planet", build)
+                    before = calls[0]
+                    results[side] = run()
+                    lps[side] += calls[0] - before
+                got, want = results["skip"], results["full"]
+                assert (got.status, got.nodes) == (want.status, want.nodes)
+                assert abs(got.best_lb - want.best_lb) <= 1e-9 * max(1.0, abs(want.best_lb))
+                if want.margin is not None:
+                    assert abs(got.margin - want.margin) <= 1e-9 * max(1.0, abs(want.margin))
+    assert lps["skip"] < 0.9 * lps["full"], lps

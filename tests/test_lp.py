@@ -459,13 +459,20 @@ def test_warm_solve_without_rows(monkeypatch):
     assert phase_one[0] == 0
 
 
-@pytest.mark.parametrize("rel, rhs", [(EQ, 2.0), (EQ, 0.0), (LE, 1.0), (LE, -1.0), (GE, -1.0), (GE, 1.0)])
+@pytest.mark.parametrize(
+    "rel, rhs", [(EQ, 2.0), (EQ, 0.0), (LE, 1.0), (LE, -1.0), (GE, -1.0), (GE, 1.0), (None, None)]
+)
 def test_model_without_variables_checks_its_rows(rel, rhs):
-    # x = () meets a row only when 0 meets its relation
+    # x = () meets a row only when 0 meets its relation; with no row at all
+    # (rel None) it is the optimum, of value 0
     model = LpModel()
-    model.add_row({}, rel, rhs)
+    if rel is not None:
+        model.add_row({}, rel, rhs)
     got, want = solve(model), solve_reference(model)
     assert got.status == want.status
+    if rel is None:
+        assert got.status == OPTIMAL and got.objective == want.objective == 0.0
+        assert got.x.shape == want.x.shape == (0,)
     if rel != LE:
         return
     stack = RowStack([], [])

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from helpers import assert_same_solve, random_box, random_net, toy_box, toy_net, toy_problem
 
-from plverify import lp
+from plverify import bab, lp
 from plverify.canon import maxpool_to_relu
 from plverify.interval import BLOCKED, PASSING, propagate_box, refine_with_fixed_phases
+from plverify.mip import BOUNDS_PLANET, compute_bounds
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_batch, forward_eval
 from plverify.oracle import oracle_min
 from plverify.relax import (
@@ -500,3 +501,108 @@ def test_tightening_failure_keeps_the_interval_bound(monkeypatch):
         assert low <= forward_batch(net, points).min() + 1e-9
         checked += 1
     assert checked >= 3
+
+
+def test_grown_row_parts_match_fresh_builds(monkeypatch):
+    # relax only appends rows, so a new row set's part is grown from the
+    # cached one; it has the bytes of a fresh build
+    real = lp._row_part
+    grown = [0]
+
+    def checked(rows, n, prev=None):
+        got = real(rows, n, prev)
+        if prev is not None:
+            want = real(rows, n)
+            assert got.n == want.n and len(got.key) == len(want.key)
+            assert all(a is b for a, b in zip(got.key, want.key))
+            for a, b in zip(got[2:], want[2:]):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            grown[0] += 1
+        return got
+
+    monkeypatch.setattr(lp, "_row_part", checked)
+    for net, box, phases in _differential_cases(np.random.default_rng(8)):
+        planet_lower_bound_with_point(build_planet(net, box, phases, tighten=True))
+    assert grown[0] > 100, grown
+
+
+def _skip_cases(rng):
+    """Random depth-2 and depth-3 nets, every third one with a MaxPool
+    before its last Linear (lowered over the root box), each over a root box
+    and two random sub-boxes of it."""
+    for k in range(36):
+        n_in = int(rng.integers(1, 4))
+        depth = 2 + k % 2
+        net = random_net(rng, n_in, [int(rng.integers(2, 5)) for _ in range(depth)])
+        root = random_box(rng, n_in)
+        if k % 3 == 0:
+            w = 2 * int(rng.integers(1, 3))
+            head = random_net(rng, n_in, [int(rng.integers(2, 5))], out=w).layers
+            net = Network(n_in, head + (
+                MaxPool(tuple((j, j + 1) for j in range(0, w, 2))),
+                Linear(rng.normal(size=(1, w // 2)), rng.uniform(-0.5, 0.5, 1)),
+            ))
+            net = maxpool_to_relu(net, propagate_box(net, root))
+        yield net, root
+        for _ in range(2):
+            lo = rng.uniform(root.lb, root.ub)
+            hi = rng.uniform(root.lb, root.ub)
+            yield net, BoxDomain(np.minimum(lo, hi), np.maximum(lo, hi))
+
+
+def _flat_bounds(bounds):
+    return [*bounds.pre_lb, *bounds.pre_ub, *bounds.post_lb, *bounds.post_ub]
+
+
+def test_output_only_tightening_skips_lps_that_cannot_move_the_bound(monkeypatch):
+    # a unit of the last ReLU layer with a non-negative output weight sits at
+    # max(0, x_hat) in the output minimum, whatever its bounds: skipping its
+    # tightening LPs keeps the output LP's value; every other bound reader
+    # (phase sets, the MIP encodings) keeps full tightening
+    solves = _recorded_solves(monkeypatch)
+    skipped_total = 0
+    for net, box in _skip_cases(np.random.default_rng(31)):
+        relus = [i for i, layer in enumerate(net.layers) if isinstance(layer, Relu)]
+        last = relus[-1]
+        full = build_planet(net, box, tighten=True)
+        full_lps = len(solves)
+        solves.clear()
+        skip = build_planet(net, box, tighten=True, output_only=True)
+        skip_lps = len(solves)
+        solves.clear()
+        # a ReLU layer's bounds before tightening are those of the Linear
+        # layer feeding it; the first ReLU layer is never tightened
+        ambiguous = {i: (full.bounds.pre_lb[i - 1] < 0.0) & (full.bounds.pre_ub[i - 1] > 0.0) for i in relus[1:]}
+        weights = np.eye(1)
+        for layer in reversed(net.layers[last + 1 :]):
+            weights = weights @ layer.weight
+        skipped = ambiguous.get(last, np.zeros(0, dtype=bool)) & (weights[0] >= 0.0)
+        assert full_lps == 2 * sum(int(a.sum()) for a in ambiguous.values())
+        assert skip_lps == full_lps - 2 * int(skipped.sum())
+        skipped_total += int(skipped.sum())
+        # skipped units keep their interval bounds; all other layers match
+        for j in np.flatnonzero(skipped):
+            assert skip.bounds.pre_lb[last][j] == skip.bounds.pre_lb[last - 1][j]
+            assert skip.bounds.pre_ub[last][j] == skip.bounds.pre_ub[last - 1][j]
+        for got, want in ((skip.bounds.pre_lb, full.bounds.pre_lb), (skip.bounds.pre_ub, full.bounds.pre_ub)):
+            for i in range(last):
+                assert got[i].tobytes() == want[i].tobytes()
+        v_full = planet_lower_bound_with_point(full)[0]
+        v_skip = planet_lower_bound_with_point(skip)[0]
+        assert abs(v_skip - v_full) <= 1e-9 * max(1.0, abs(v_full))
+        # the engine skips for input boxes only
+        assert bab._bound_region(net, bab.InputBox(box))[0] == v_skip
+        solves.clear()
+        units = [(i, j) for i in relus for j in range(len(full.bounds.pre_lb[i]))]
+        for phases in ({}, {units[-1]: BLOCKED}, {units[0]: PASSING, units[-1]: PASSING}):
+            want = build_planet(net, box, phases, tighten=True).bounds
+            got = bab._bound_region(net, bab.PhaseSet(box, tuple(sorted(phases.items()))))[1]
+            assert (got is None) == (want is None)
+            if want is not None:
+                for a, b in zip(_flat_bounds(got), _flat_bounds(want)):
+                    assert a.tobytes() == b.tobytes()
+        for a, b in zip(_flat_bounds(compute_bounds(net, box, BOUNDS_PLANET)), _flat_bounds(full.bounds)):
+            assert a.tobytes() == b.tobytes()
+        solves.clear()
+    assert skipped_total > 30, skipped_total
+
