@@ -69,7 +69,6 @@ from .interval import (
     PhaseMap,
     ambiguous_units,
     propagate_box,
-    refine_with_fixed_phases,
 )
 from .model import BoxDomain, Network, forward_batch, forward_eval
 from .relax import build_planet, fast_dual_bound, planet_lower_bound_with_point
@@ -104,6 +103,9 @@ class NoAmbiguousUnit(Exception):
 class InputBox:
     box: BoxDomain
 
+    def phase_map(self) -> PhaseMap:
+        return {}
+
 
 @dataclass(frozen=True)
 class PhaseSet:
@@ -121,7 +123,6 @@ Region = InputBox | PhaseSet
 class Subdomain:
     region: Region
     lower_bound: float
-    depth: int
     seq: int = 0
     bounds: LayerBounds | None = None
     stalled: bool = False  # bound did not improve on the parent's
@@ -187,8 +188,8 @@ def _bisect(dom: Subdomain, i: int) -> list[Subdomain]:
     hi_lb = box.lb.copy()
     hi_lb[i] = mid
     return [
-        Subdomain(InputBox(BoxDomain(box.lb.copy(), lo_ub)), dom.lower_bound, dom.depth + 1),
-        Subdomain(InputBox(BoxDomain(hi_lb, box.ub.copy())), dom.lower_bound, dom.depth + 1),
+        Subdomain(InputBox(BoxDomain(box.lb.copy(), lo_ub)), dom.lower_bound),
+        Subdomain(InputBox(BoxDomain(hi_lb, box.ub.copy())), dom.lower_bound),
     ]
 
 
@@ -264,7 +265,7 @@ def split_relu(dom: Subdomain, net: Network, bounds: LayerBounds) -> list[Subdom
         phases = dict(fixed)
         phases[unit] = phase
         region = PhaseSet(dom.region.box, tuple(sorted(phases.items())))
-        children.append(Subdomain(region, dom.lower_bound, dom.depth + 1))
+        children.append(Subdomain(region, dom.lower_bound))
     return children
 
 
@@ -290,7 +291,7 @@ def sample_upper_bound(
     descent pass from the best sample. Phase-set domains sample the root box
     and keep only phase-consistent points (+inf, None when none match)."""
     box = dom.box
-    phases = dom.phase_map() if isinstance(dom, PhaseSet) else {}
+    phases = dom.phase_map()
     pts = rng.uniform_box(box.lb, box.ub, count)
     vals, mask = _forward_phases(net, pts, phases)
     if phases:
@@ -312,20 +313,11 @@ def sample_upper_bound(
     return best_val, best_pt
 
 
-def _interval_bounds(net: Network, region: Region) -> LayerBounds | None:
-    """Interval bounds of the region; None when its phases are infeasible."""
-    bounds = propagate_box(net, region.box)
-    if isinstance(region, PhaseSet) and region.phases:
-        return refine_with_fixed_phases(net, bounds, region.phase_map())
-    return bounds
-
-
 def _bound_region(net: Network, region: Region) -> tuple[float, LayerBounds | None, np.ndarray | None]:
     """Lower bound, refreshed bounds, and optional LP minimiser input point,
     from the tightened hull LP."""
-    phases = region.phase_map() if isinstance(region, PhaseSet) else {}
     # only phase splitting reads the bounds back (split_relu)
-    pm = build_planet(net, region.box, phases, tighten=True, output_only=isinstance(region, InputBox))
+    pm = build_planet(net, region.box, region.phase_map(), tighten=True, output_only=isinstance(region, InputBox))
     try:
         lb, point = planet_lower_bound_with_point(pm)
     except lp.NumericalFailure:
@@ -363,7 +355,7 @@ class _Engine:
         sampled counterexample ends the run. Either way no LP is solved."""
         sample = None
         if self.mode == SATISFIABILITY:
-            interval = _interval_bounds(self.net, sub.region)
+            interval = propagate_box(self.net, sub.region.box, sub.region.phase_map())
             if interval is None or interval.output_lb[0] > 0.0:
                 sub.lower_bound = np.inf if interval is None else max(float(interval.output_lb[0]), sub.lower_bound)
                 sub.bounds = interval
@@ -411,7 +403,7 @@ class _Engine:
             root_region = PhaseSet(self.problem.domain, tuple(sorted((initial_phases or {}).items())))
         else:
             root_region = InputBox(self.problem.domain)
-        root = Subdomain(root_region, -np.inf, 0, seq=self._next_seq())
+        root = Subdomain(root_region, -np.inf, seq=self._next_seq())
 
         res = self._process([root])
         if res is not None:

@@ -74,7 +74,7 @@ def _random_net(rng: SplitMix64, spec: GenSpec) -> Network:
     return Network(spec.inputs, tuple(layers))
 
 
-def generate(seed: int, spec: GenSpec, relu_cap: int = 16) -> Instance:
+def generate(seed: int, spec: GenSpec) -> Instance:
     """Build one instance whose margin is exactly spec.margin (up to LP tol)."""
     if abs(spec.margin) < BOUNDARY_GUARD:
         raise ValueError(f"margin {spec.margin} is inside the boundary guard {BOUNDARY_GUARD}")
@@ -84,12 +84,12 @@ def generate(seed: int, spec: GenSpec, relu_cap: int = 16) -> Instance:
     box = BoxDomain(-np.ones(spec.inputs), np.ones(spec.inputs))
 
     zero_problem = lower_maxpools(canonicalize(net, Geq(np.ones(1), 0.0), box))
-    base = oracle_min(zero_problem.canonical_net, box, relu_cap=relu_cap).min_value
+    base = oracle_min(zero_problem.canonical_net, box).min_value
     prop = Geq(np.ones(1), base - spec.margin)
     expected = "unsat" if spec.margin > 0 else "sat"
 
     instance = Instance(spec, net, prop, box, expected)
-    got, _ = oracle_verdict(instance.problem(), relu_cap=relu_cap)
+    got, _ = oracle_verdict(instance.problem())
     if got != expected:  # tautological by construction; a failure is a bug
         raise RuntimeError(f"self-check failed: expected {expected}, oracle says {got}")
     return instance
@@ -119,7 +119,7 @@ def standard_suite(count: int = 200, seed0: int = 1000) -> list[GenSpec]:
     return specs
 
 
-def write_suite(specs: list[GenSpec], out_dir: str | Path, relu_cap: int = 16) -> list[dict]:
+def write_suite(specs: list[GenSpec], out_dir: str | Path) -> list[dict]:
     """Generate every spec to disk in the benchmark layout.
 
     Writes <id>.net.json / <id>.prop.json pairs plus manifest.json holding
@@ -129,7 +129,7 @@ def write_suite(specs: list[GenSpec], out_dir: str | Path, relu_cap: int = 16) -
     out.mkdir(parents=True, exist_ok=True)
     manifest = []
     for spec in specs:
-        inst = generate(spec.seed, spec, relu_cap=relu_cap)
+        inst = generate(spec.seed, spec)
         name = f"i{spec.seed:06d}"
         formats.save_network(inst.net, out / f"{name}.net.json")
         formats.save_property(inst.prop, inst.box, out / f"{name}.prop.json")

@@ -8,7 +8,15 @@ bounds come from the positive/negative split of the weights,
 
 with a+ = max(a, 0) and a- = min(a, 0). For the first layer the raw box
 bounds are used, signs included. ReLU transfer clamps both bounds at zero;
-maxpool transfer takes the per-group max of both bounds.
+maxpool transfer takes the per-group max of both bounds. A ReLU phase fixed
+by a branch clamps the unit's pre-activation bound at zero first.
+
+This module is the one place interval bounds are computed. Each layer takes
+two steps: ``pre_bounds`` (what the layer reads, phases clamped) and
+``post_bounds`` (what it outputs); ``propagate_box`` chains them over a box.
+``relax`` feeds its LP-tightened bounds through the same two steps layer by
+layer, and ``oracle`` bounds a collapsed affine map with one ``pre_bounds``
+call.
 
 All arithmetic is plain 64-bit float; directed rounding is out of scope and
 soundness tests carry a fixed 1e-9 slack instead.
@@ -20,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BoxDomain, Linear, MaxPool, Network, Relu
+from .model import BoxDomain, Layer, Linear, Network, Relu
 
 # Phase values for a fixed ReLU: passing means x = x_hat, blocked means x = 0.
 PASSING = True
@@ -55,92 +63,65 @@ class LayerBounds:
     def output_ub(self) -> np.ndarray:
         return self.post_ub[-1]
 
-    def copy(self) -> "LayerBounds":
-        return LayerBounds(
-            self.input_lb.copy(),
-            self.input_ub.copy(),
-            [v.copy() for v in self.pre_lb],
-            [v.copy() for v in self.pre_ub],
-            [v.copy() for v in self.post_lb],
-            [v.copy() for v in self.post_ub],
-        )
 
-
-def _linear_transfer(layer: Linear, lb: np.ndarray, ub: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    wp = np.maximum(layer.weight, 0.0)
-    wn = np.minimum(layer.weight, 0.0)
-    lo = wp @ lb + wn @ ub + layer.bias
-    hi = wp @ ub + wn @ lb + layer.bias
+def pre_bounds(
+    layer: Layer, i: int, lb: np.ndarray, ub: np.ndarray, phases: PhaseMap | None = None
+) -> tuple[np.ndarray, np.ndarray] | None:
+    """The ``pre`` entry of layer ``i`` from bounds [lb, ub] on its input:
+    the affine image for a Linear layer, the input itself otherwise. A ReLU
+    unit fixed BLOCKED gets its upper bound clamped to 0, one fixed PASSING
+    its lower bound. None when a fixed phase contradicts the bounds (lower
+    bound > 0 blocked, upper bound < 0 passing)."""
+    if isinstance(layer, Linear):
+        wp = np.maximum(layer.weight, 0.0)
+        wn = np.minimum(layer.weight, 0.0)
+        return wp @ lb + wn @ ub + layer.bias, wp @ ub + wn @ lb + layer.bias
+    lo, hi = lb.copy(), ub.copy()
+    if isinstance(layer, Relu) and phases:
+        for (l, j), phase in phases.items():
+            if l != i:
+                continue
+            if phase == BLOCKED:
+                if lo[j] > 0.0:
+                    return None
+                hi[j] = min(hi[j], 0.0)
+            else:
+                if hi[j] < 0.0:
+                    return None
+                lo[j] = max(lo[j], 0.0)
     return lo, hi
 
 
-def _propagate(net: Network, box: BoxDomain, phases: PhaseMap | None) -> LayerBounds | None:
-    """Shared worker; returns None when a fixed phase contradicts the bounds."""
-    cur_lb, cur_ub = box.lb.copy(), box.ub.copy()
-    pre_lb: list[np.ndarray] = []
-    pre_ub: list[np.ndarray] = []
-    post_lb: list[np.ndarray] = []
-    post_ub: list[np.ndarray] = []
+def post_bounds(layer: Layer, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``post`` entry of a layer from its ``pre`` entry [lo, hi]. A ReLU
+    unit with hi <= 0, which every unit fixed BLOCKED has after
+    ``pre_bounds``, outputs exactly 0."""
+    if isinstance(layer, Linear):
+        return lo.copy(), hi.copy()
+    if isinstance(layer, Relu):
+        return np.where(hi > 0.0, np.maximum(lo, 0.0), 0.0), np.maximum(hi, 0.0)
+    return (
+        np.array([np.max(lo[list(g)]) for g in layer.groups]),
+        np.array([np.max(hi[list(g)]) for g in layer.groups]),
+    )
 
+
+def propagate_box(net: Network, box: BoxDomain, phases: PhaseMap | None = None) -> LayerBounds | None:
+    """Sound interval bounds for every pre/post activation over the box,
+    with the ReLU phases of ``phases`` pinned (see ``pre_bounds``). None
+    when a fixed phase contradicts the bounds: the subdomain is infeasible."""
+    cur_lb, cur_ub = box.lb, box.ub
+    out = LayerBounds(box.lb.copy(), box.ub.copy(), [], [], [], [])
     for i, layer in enumerate(net.layers):
-        if isinstance(layer, Linear):
-            lo, hi = _linear_transfer(layer, cur_lb, cur_ub)
-            p_lo, p_hi = lo.copy(), hi.copy()
-        elif isinstance(layer, Relu):
-            lo, hi = cur_lb.copy(), cur_ub.copy()
-            if phases:
-                for j in range(len(lo)):
-                    phase = phases.get((i, j))
-                    if phase is None:
-                        continue
-                    if phase == BLOCKED:
-                        if lo[j] > 0.0:
-                            return None
-                        hi[j] = min(hi[j], 0.0)
-                    else:
-                        if hi[j] < 0.0:
-                            return None
-                        lo[j] = max(lo[j], 0.0)
-            p_lo = np.maximum(lo, 0.0)
-            p_hi = np.maximum(hi, 0.0)
-            if phases:
-                for j in range(len(lo)):
-                    if phases.get((i, j)) == BLOCKED:
-                        p_lo[j] = 0.0
-                        p_hi[j] = 0.0
-        else:
-            lo, hi = cur_lb.copy(), cur_ub.copy()
-            p_lo = np.array([np.max(lo[list(g)]) for g in layer.groups])
-            p_hi = np.array([np.max(hi[list(g)]) for g in layer.groups])
-        pre_lb.append(lo)
-        pre_ub.append(hi)
-        post_lb.append(p_lo)
-        post_ub.append(p_hi)
-        cur_lb, cur_ub = p_lo, p_hi
-
-    return LayerBounds(box.lb.copy(), box.ub.copy(), pre_lb, pre_ub, post_lb, post_ub)
-
-
-def propagate_box(net: Network, box: BoxDomain) -> LayerBounds:
-    """Sound interval bounds for every pre/post activation over the box."""
-    out = _propagate(net, box, None)
-    assert out is not None
+        pre = pre_bounds(layer, i, cur_lb, cur_ub, phases)
+        if pre is None:
+            return None
+        cur_lb, cur_ub = post_bounds(layer, *pre)
+        out.pre_lb.append(pre[0])
+        out.pre_ub.append(pre[1])
+        out.post_lb.append(cur_lb)
+        out.post_ub.append(cur_ub)
     return out
-
-
-def refine_with_fixed_phases(net: Network, bounds: LayerBounds, phases: PhaseMap) -> LayerBounds | None:
-    """Re-propagate with some ReLU phases pinned.
-
-    A unit fixed BLOCKED gets pre_ub clamped to 0 and post = [0, 0]; fixed
-    PASSING gets pre_lb clamped to 0 and post = pre. Everything downstream is
-    re-propagated from the clamped bounds. Returns None when a fixed phase
-    contradicts the interval bounds (pre_lb > 0 blocked, or pre_ub < 0
-    passing): the subdomain is infeasible.
-    """
-    box = BoxDomain(bounds.input_lb, bounds.input_ub)
-    if not phases:
-        return bounds.copy()
-    return _propagate(net, box, phases)
 
 
 def ambiguous_units(net: Network, bounds: LayerBounds) -> list[tuple[int, int]]:

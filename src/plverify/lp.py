@@ -66,12 +66,10 @@ right-hand sides and the bounds of the structural and slack columns. An
 ``LpModel`` keeps its last form, shared with its ``with_objective`` clones:
 the row matrix and the matrix [rows | I] a warm start reads are built once
 per row set, and the slack bounds again only when a variable bound changes,
-by the same formula, so they are the same bytes. A row set that extends the
-cached one (the relaxation builder only appends) copies the shared rows and
-fills in only the new ones. A ``RowStack`` (box variables and a stack of
-``<=`` rows; the oracle's pattern LPs) keeps its form in buffers that
-double when full, so ``push`` and ``truncate`` touch one row and a solve
-starts from views. Its slack bounds are computed for the
+by the same formula, so they are the same bytes. A ``RowStack`` (box
+variables and a stack of ``<=`` rows; the oracle's pattern LPs) keeps its
+form in buffers that double when full, so ``push`` and ``truncate`` touch
+one row and a solve starts from views. Its slack bounds are computed for the
 whole stack in the matrix product ``LpModel`` uses, once per stack state
 that gets solved, so a ``RowStack`` solve returns the bytes of an
 ``LpModel`` solve with the same rows. Every array of a form is read-only,
@@ -151,23 +149,14 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-def _row_part(rows: list[tuple[np.ndarray, str, float]], n: int, prev: _RowPart | None = None) -> _RowPart:
-    """The row part of ``rows`` over ``n`` variables. ``prev``, a part
-    whose row tuples are a prefix of ``rows`` over at most ``n`` variables,
-    lends its rows, so only the appended ones are filled in; the bytes are
-    those of a fresh build."""
+def _row_part(rows: list[tuple[np.ndarray, str, float]], n: int) -> _RowPart:
+    """The row part of ``rows`` over ``n`` variables."""
     m = len(rows)
     arow = np.zeros((m, n))
     rhs = np.zeros(m)
     is_le = np.zeros(m, dtype=bool)
     is_ge = np.zeros(m, dtype=bool)
-    done = 0
-    if prev is not None:
-        done = len(prev.key)
-        arow[:done, : prev.n] = prev.rows
-        rhs[:done], is_le[:done], is_ge[:done] = prev.rhs, prev.is_le, prev.is_ge
-    for i in range(done, m):
-        row, rel, r = rows[i]
+    for i, (row, rel, r) in enumerate(rows):
         if len(row) > n:
             raise ValueError("row references unknown variables")
         arow[i, : len(row)] = row
@@ -261,10 +250,8 @@ class LpModel:
 
         cache, rows = self._cache, self.rows
         part = cache.part
-        # rows are only appended, so the cached part usually holds a prefix
-        prefix = part is not None and part.n <= n and len(part.key) <= len(rows) and all(map(operator.is_, rows, part.key))
-        if not (prefix and part.n == n and len(part.key) == len(rows)):
-            part = cache.part = _row_part(rows, n, part if prefix else None)
+        if part is None or part.n != n or len(part.key) != len(rows) or not all(map(operator.is_, rows, part.key)):
+            part = cache.part = _row_part(rows, n)
             cache.form = None
         bounds = lo.tobytes() + hi.tobytes()
         if cache.form is None or bounds != cache.bounds:

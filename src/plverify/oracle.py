@@ -9,7 +9,10 @@ other method is judged against; it only scales to a handful of units.
 
 Units whose interval bounds already fix their sign are not enumerated, and
 subtrees whose partial sign constraints are interval-infeasible are pruned,
-so the 2^R blow-up only counts genuinely ambiguous units.
+so the 2^R blow-up only counts genuinely ambiguous units. Both bounds come
+from ``interval``: ``propagate_box`` over the box, and one ``pre_bounds``
+call per ReLU layer for the affine map ``Linear(mat, const)`` from the input
+to that layer's pre-activations that the partial pattern above it leaves.
 
 Ambiguous units are decided one at a time, and a partial pattern is kept
 only while its input polyhedron is non-empty: a known point of the parent
@@ -46,7 +49,7 @@ import numpy as np
 
 from . import lp
 from .canon import VerificationProblem, lower_maxpools, validate_counterexample
-from .interval import propagate_box
+from .interval import pre_bounds, propagate_box
 from .model import BoxDomain, Linear, MaxPool, Network, Relu
 
 
@@ -100,14 +103,6 @@ class _Search:
         self.best_x: np.ndarray | None = None
         self.feasible = 0
 
-    def _row_range(self, row: np.ndarray, const: float) -> tuple[float, float]:
-        pos = np.maximum(row, 0.0)
-        neg = np.minimum(row, 0.0)
-        return (
-            float(pos @ self.box.lb + neg @ self.box.ub + const),
-            float(pos @ self.box.ub + neg @ self.box.lb + const),
-        )
-
     def descend(self, idx: int, mat: np.ndarray, const: np.ndarray, basis: lp.Basis, witness: np.ndarray) -> None:
         """Enumerate the patterns of layers idx.. below a partial pattern whose
         input polyhedron (box plus the stack's rows) contains `witness`;
@@ -124,12 +119,12 @@ class _Search:
         free = [j for j in range(len(lo)) if lo[j] < 0.0 < hi[j]]
         # phases each unit may take: a phase whose sign constraint the
         # affine pre-activation cannot meet anywhere on the box is dropped
+        r_lo, r_hi = pre_bounds(Linear(mat, const), idx - 1, self.box.lb, self.box.ub)
         allowed = []
         for j in range(len(lo)):
-            r_lo, r_hi = self._row_range(mat[j], const[j])
             if j in free:
-                allowed.append((r_lo <= 0.0, r_hi >= 0.0))
-            elif (lo[j] >= 0.0 and r_hi < 0.0) or (lo[j] < 0.0 and r_lo > 0.0):
+                allowed.append((r_lo[j] <= 0.0, r_hi[j] >= 0.0))
+            elif (lo[j] >= 0.0 and r_hi[j] < 0.0) or (lo[j] < 0.0 and r_lo[j] > 0.0):
                 return
         chosen: dict[int, bool] = {}
         stack = self.stack
@@ -193,10 +188,10 @@ class _Search:
             self.best_x = sol.x
 
 
-def oracle_verdict(problem: VerificationProblem, relu_cap: int = 16) -> tuple[str, float | np.ndarray]:
+def oracle_verdict(problem: VerificationProblem) -> tuple[str, float | np.ndarray]:
     """("sat", counterexample) when the canonical minimum is <= 0, else
     ("unsat", margin). MaxPools are lowered before enumeration."""
-    res = oracle_min(lower_maxpools(problem).canonical_net, problem.domain, relu_cap)
+    res = oracle_min(lower_maxpools(problem).canonical_net, problem.domain)
     if res.min_value <= 0.0:
         if not validate_counterexample(problem, res.argmin, 1e-6):
             raise RuntimeError("oracle argmin failed counterexample validation")

@@ -14,6 +14,13 @@ activation output (x):
 Units fixed by sign (bounds or an explicit phase) are encoded exactly:
 blocked contributes the constant 0, passing aliases x to x_hat.
 
+The bounds of each layer come from ``interval.pre_bounds`` and
+``interval.post_bounds`` applied to the previous layer's bounds as this
+encoding left them, tightened or not; without tightening they are the
+bytes of ``interval.propagate_box``. A fixed phase that the bounds reaching
+its layer contradict makes the relaxation ``infeasible`` on the spot, with
+no further LP solved.
+
 Optional bound tightening re-derives every ambiguous unit's pre-activation
 range by minimising/maximising its variable over the partial model built so
 far (two LPs per unit), before that unit's ReLU is encoded. Tightening is
@@ -68,14 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .interval import (
-    BLOCKED,
-    PASSING,
-    LayerBounds,
-    PhaseMap,
-    propagate_box,
-    refine_with_fixed_phases,
-)
+from .interval import BLOCKED, PASSING, LayerBounds, PhaseMap, post_bounds, pre_bounds
 from .model import BoxDomain, Linear, Network, Relu, is_relu_only
 
 MAYBE_SAT = "maybe_sat"
@@ -147,11 +147,7 @@ def _encode(
     # per ReLU layer, the units whose LPs cannot move the output minimum:
     # those of the last one with a non-negative output weight
     untightened = {relus[-1]: _output_weights(net, relus[-1]) >= 0.0} if output_only and relus else {}
-    base = propagate_box(net, box)
-    refined = refine_with_fixed_phases(net, base, phases or {})
-    if refined is None:
-        return PlanetModel(None, None, [], None, [], infeasible=True)
-
+    infeasible = PlanetModel(None, None, [], None, [], infeasible=True)
     model = lp.LpModel()
     basis = lp.Basis()
 
@@ -162,31 +158,26 @@ def _encode(
 
     input_vars = [model.add_var(box.lb[j], box.ub[j]) for j in range(box.size)]
     prev: list[int | None] = list(input_vars)
-    cur_lb, cur_ub = box.lb.copy(), box.ub.copy()
-    out = refined.copy()
+    cur_lb, cur_ub = box.lb, box.ub
+    out = LayerBounds(box.lb.copy(), box.ub.copy(), [], [], [], [])
     hull_units: list[HullUnit] = []
 
     for i, layer in enumerate(net.layers):
+        pre = pre_bounds(layer, i, cur_lb, cur_ub, phases)
+        if pre is None:
+            return infeasible
+        lo, hi = pre
         if isinstance(layer, Linear):
-            wp = np.maximum(layer.weight, 0.0)
-            wn = np.minimum(layer.weight, 0.0)
-            lo = np.maximum(wp @ cur_lb + wn @ cur_ub + layer.bias, refined.pre_lb[i])
-            hi = np.minimum(wp @ cur_ub + wn @ cur_lb + layer.bias, refined.pre_ub[i])
             first = model.num_vars
             for j, row in enumerate(linear_rows(layer.weight, prev, first)):
                 v = model.add_var(lo[j], hi[j])
                 add_row(row, lp.EQ, float(layer.bias[j]), crash=v)
             prev = list(range(first, model.num_vars))
-            cur_lb, cur_ub = lo, hi
-            out.pre_lb[i], out.pre_ub[i] = lo.copy(), hi.copy()
-            out.post_lb[i], out.post_ub[i] = lo.copy(), hi.copy()
 
         else:  # Relu
-            lo = np.maximum(cur_lb, refined.pre_lb[i])
-            hi = np.minimum(cur_ub, refined.pre_ub[i])
             for j, p in enumerate(prev):
-                model.lower[p] = max(model.lower[p], float(lo[j]))
-                model.upper[p] = min(model.upper[p], float(hi[j]))
+                model.lower[p] = float(lo[j])
+                model.upper[p] = float(hi[j])
             # over the input box the interval bound of one affine layer is
             # exact, so its LPs cannot move it unless a phase of this layer
             # cuts the box
@@ -199,7 +190,7 @@ def _encode(
                     try:
                         sol_min = lp.solve(model.with_objective({p: 1.0}), basis)
                         if sol_min.status == lp.INFEASIBLE:
-                            return PlanetModel(None, None, [], None, [], infeasible=True)
+                            return infeasible
                         sol_max = lp.solve(model.with_objective({p: -1.0}), basis)
                     except lp.NumericalFailure:
                         continue  # the unit keeps its interval bounds, which are sound
@@ -226,14 +217,11 @@ def _encode(
                     hull_units.append(HullUnit(i, j, p, x, r_low, r_up, l, u))
                     new_vars.append(x)
             prev = new_vars
-            p_lo = np.maximum(lo, 0.0)
-            p_hi = np.maximum(hi, 0.0)
-            for j in range(len(prev)):
-                if prev[j] is None:
-                    p_lo[j] = p_hi[j] = 0.0
-            cur_lb, cur_ub = p_lo, p_hi
-            out.pre_lb[i], out.pre_ub[i] = lo.copy(), hi.copy()
-            out.post_lb[i], out.post_ub[i] = p_lo.copy(), p_hi.copy()
+        cur_lb, cur_ub = post_bounds(layer, lo, hi)
+        out.pre_lb.append(lo)
+        out.pre_ub.append(hi)
+        out.post_lb.append(cur_lb)
+        out.post_ub.append(cur_ub)
 
     output_var = prev[0] if prev else None
     return PlanetModel(model, output_var, input_vars, out, hull_units, basis=basis)

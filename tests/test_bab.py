@@ -39,7 +39,7 @@ def _heap(entries):
 
     h = []
     for seq, (lb, name) in enumerate(entries):
-        heapq.heappush(h, (lb, seq, Subdomain(name, lb, 0, seq=seq)))
+        heapq.heappush(h, (lb, seq, Subdomain(name, lb, seq=seq)))
     return h
 
 
@@ -55,7 +55,7 @@ def test_pick_out_minimum_and_fifo_ties():
 
 
 def _boxdom(lb, ub):
-    return Subdomain(InputBox(BoxDomain(np.array(lb), np.array(ub))), -np.inf, 0)
+    return Subdomain(InputBox(BoxDomain(np.array(lb), np.array(ub))), -np.inf)
 
 
 def test_split_input_longest():
@@ -133,19 +133,17 @@ def test_split_relu_tiebreak_and_progress():
     problem = toy_problem(-5.0)
     net = problem.canonical_net
     bounds = propagate_box(net, problem.domain)
-    root = Subdomain(PhaseSet(problem.domain, ()), -np.inf, 0)
+    root = Subdomain(PhaseSet(problem.domain, ()), -np.inf)
     kids = split_relu(root, net, bounds)
     # both units score min(4,4); tie broken by lowest (layer, unit)
     assert dict(kids[0].region.phases) == {(1, 0): BLOCKED}
     assert dict(kids[1].region.phases) == {(1, 0): PASSING}
 
-    half = Subdomain(PhaseSet(problem.domain, (((1, 0), PASSING),)), -np.inf, 1)
+    half = Subdomain(PhaseSet(problem.domain, (((1, 0), PASSING),)), -np.inf)
     kids = split_relu(half, net, bounds)
     assert dict(kids[0].region.phases)[(1, 1)] == BLOCKED
 
-    full = Subdomain(
-        PhaseSet(problem.domain, (((1, 0), PASSING), ((1, 1), BLOCKED))), -np.inf, 2
-    )
+    full = Subdomain(PhaseSet(problem.domain, (((1, 0), PASSING), ((1, 1), BLOCKED))), -np.inf)
     with pytest.raises(NoAmbiguousUnit):
         split_relu(full, net, bounds)
 
@@ -365,7 +363,7 @@ def test_unwitnessed_leaves_keep_their_bound(monkeypatch):
 def test_child_bounds_dominate_parent():
     problem = toy_problem(-4.5)
     net = problem.canonical_net
-    root = Subdomain(InputBox(problem.domain), -np.inf, 0)
+    root = Subdomain(InputBox(problem.domain), -np.inf)
     from plverify.bab import _bound_region
 
     lb_root, bounds, _ = _bound_region(net, root.region)

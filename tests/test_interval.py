@@ -7,7 +7,6 @@ from plverify.interval import (
     PASSING,
     ambiguous_units,
     propagate_box,
-    refine_with_fixed_phases,
 )
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
 
@@ -83,8 +82,7 @@ def test_monotone_under_shrinking_boxes():
 
 def test_refine_passing_unit():
     net = toy_net()
-    b = propagate_box(net, toy_box())
-    refined = refine_with_fixed_phases(net, b, {(1, 0): PASSING})
+    refined = propagate_box(net, toy_box(), {(1, 0): PASSING})
     assert refined is not None
     assert refined.pre_lb[1][0] == pytest.approx(0.0)
     assert refined.pre_ub[1][0] == pytest.approx(4.0)
@@ -96,8 +94,7 @@ def test_refine_passing_unit():
 
 def test_refine_blocked_unit_zeroes_post():
     net = toy_net()
-    b = propagate_box(net, toy_box())
-    refined = refine_with_fixed_phases(net, b, {(1, 1): BLOCKED})
+    refined = propagate_box(net, toy_box(), {(1, 1): BLOCKED})
     assert refined is not None
     assert refined.pre_ub[1][1] == pytest.approx(0.0)
     assert refined.post_lb[1][1] == 0.0 and refined.post_ub[1][1] == 0.0
@@ -108,17 +105,16 @@ def test_refine_blocked_unit_zeroes_post():
 def test_refine_contradiction_is_infeasible():
     net = Network(1, (Linear(np.array([[1.0]]), np.array([2.5])), Relu(), Linear(np.array([[1.0]]), np.zeros(1))))
     box = BoxDomain(np.array([-1.0]), np.array([1.0]))
-    b = propagate_box(net, box)  # pre in [1.5, 3.5], strictly positive
-    assert refine_with_fixed_phases(net, b, {(1, 0): BLOCKED}) is None
+    # pre in [1.5, 3.5], strictly positive
+    assert propagate_box(net, box, {(1, 0): BLOCKED}) is None
     net2 = Network(1, (Linear(np.array([[1.0]]), np.array([-2.5])), Relu(), Linear(np.array([[1.0]]), np.zeros(1))))
-    b2 = propagate_box(net2, box)
-    assert refine_with_fixed_phases(net2, b2, {(1, 0): PASSING}) is None
+    assert propagate_box(net2, box, {(1, 0): PASSING}) is None
 
 
 def test_refine_empty_phases_is_identity():
     net = toy_net()
     b = propagate_box(net, toy_box())
-    refined = refine_with_fixed_phases(net, b, {})
+    refined = propagate_box(net, toy_box(), {})
     for i in range(len(net.layers)):
         assert np.allclose(refined.pre_lb[i], b.pre_lb[i])
         assert np.allclose(refined.pre_ub[i], b.pre_ub[i])

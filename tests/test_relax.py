@@ -6,7 +6,7 @@ from helpers import assert_same_solve, random_box, random_net, toy_box, toy_net,
 
 from plverify import bab, lp
 from plverify.canon import maxpool_to_relu
-from plverify.interval import BLOCKED, PASSING, propagate_box, refine_with_fixed_phases
+from plverify.interval import BLOCKED, PASSING, propagate_box
 from plverify.mip import BOUNDS_PLANET, compute_bounds
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_batch, forward_eval
 from plverify.oracle import oracle_min
@@ -299,7 +299,7 @@ def test_warm_relaxation_lps_match_cold_solves(monkeypatch):
                     assert np.all(np.abs(a - b) <= 1e-9)
         if warm_lb == np.inf:
             assert cold_lb == np.inf
-            base = refine_with_fixed_phases(net, propagate_box(net, box), phases)
+            base = propagate_box(net, box, phases)
             outcomes["interval_infeasible" if base is None else "lp_infeasible"] += 1
         else:
             assert abs(warm_lb - cold_lb) <= 1e-9
@@ -503,27 +503,59 @@ def test_tightening_failure_keeps_the_interval_bound(monkeypatch):
     assert checked >= 3
 
 
-def test_grown_row_parts_match_fresh_builds(monkeypatch):
-    # relax only appends rows, so a new row set's part is grown from the
-    # cached one; it has the bytes of a fresh build
-    real = lp._row_part
-    grown = [0]
+def _same_bytes(got, want):
+    xs = [got.input_lb, got.input_ub, *_flat_bounds(got)]
+    ys = [want.input_lb, want.input_ub, *_flat_bounds(want)]
+    return len(xs) == len(ys) and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
 
-    def checked(rows, n, prev=None):
-        got = real(rows, n, prev)
-        if prev is not None:
-            want = real(rows, n)
-            assert got.n == want.n and len(got.key) == len(want.key)
-            assert all(a is b for a, b in zip(got.key, want.key))
-            for a, b in zip(got[2:], want[2:]):
-                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
-            grown[0] += 1
-        return got
 
-    monkeypatch.setattr(lp, "_row_part", checked)
-    for net, box, phases in _differential_cases(np.random.default_rng(8)):
-        planet_lower_bound_with_point(build_planet(net, box, phases, tighten=True))
-    assert grown[0] > 100, grown
+def test_relaxation_bounds_are_interval_bounds():
+    # without tightening a relaxation's layer bounds are the bytes of
+    # propagate_box; tightened ones lie inside them, layer by layer
+    outcomes = {"feasible": 0, "interval_infeasible": 0, "tightened_infeasible": 0}
+    for net, box, phases in _differential_cases(np.random.default_rng(13)):
+        want = propagate_box(net, box, phases)
+        plain = build_planet(net, box, phases)
+        tight = build_planet(net, box, phases, tighten=True)
+        if want is None:
+            assert plain.infeasible and tight.infeasible
+            outcomes["interval_infeasible"] += 1
+            continue
+        assert not plain.infeasible and _same_bytes(plain.bounds, want)
+        if tight.infeasible:
+            outcomes["tightened_infeasible"] += 1
+            continue
+        got = tight.bounds
+        for lo, hi, w_lo, w_hi in zip(
+            got.pre_lb + got.post_lb, got.pre_ub + got.post_ub, want.pre_lb + want.post_lb, want.pre_ub + want.post_ub
+        ):
+            assert np.all(lo >= w_lo) and np.all(hi <= w_hi)
+        outcomes["feasible"] += 1
+    assert outcomes["feasible"] > 100 and outcomes["interval_infeasible"] > 10, outcomes
+
+
+def test_tightening_exposes_a_phase_contradiction(monkeypatch):
+    # x in [-1, 1]; fixing a = relu(x) passing cuts the box to x >= 0, so
+    # tightening b = -x gives b <= 1e-9, and c = relu(b) - 0.5 < 0 then
+    # contradicts c fixed passing; plain interval bounds give c up to 0.5
+    net = Network(1, (
+        Linear(np.array([[1.0], [-1.0]]), np.zeros(2)),
+        Relu(),
+        Linear(np.array([[0.0, 1.0]]), np.array([-0.5])),
+        Relu(),
+        Linear(np.array([[1.0]]), np.zeros(1)),
+    ))
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    phases = {(1, 0): PASSING, (3, 0): PASSING}
+    assert propagate_box(net, box, phases).pre_ub[3][0] == 0.5
+    assert not build_planet(net, box, phases).infeasible
+    solves = []
+    real = lp.solve
+    monkeypatch.setattr(lp, "solve", lambda model, basis=None: solves.append(1) or real(model, basis))
+    pm = build_planet(net, box, phases, tighten=True)
+    assert pm.infeasible
+    assert planet_lower_bound_with_point(pm) == (np.inf, None)
+    assert len(solves) == 2  # the two tightening LPs of b, none after
 
 
 def _skip_cases(rng):
