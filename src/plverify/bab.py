@@ -352,14 +352,18 @@ class _Engine:
 
         A satisfiability search tries the cheap steps before the bounding
         LP: a positive interval bound prunes the subdomain, and a validated
-        sampled counterexample ends the run. Either way no LP is solved."""
+        sampled counterexample ends the run. An optimise search runs only
+        the interval step, and only on a phase set, to prune one whose
+        phases the interval bounds contradict; an input box has no phases,
+        so there the pass could prune nothing. Either way no LP is solved."""
         sample = None
-        if self.mode == SATISFIABILITY:
+        if self.mode == SATISFIABILITY or isinstance(sub.region, PhaseSet):
             interval = propagate_box(self.net, sub.region.box, sub.region.phase_map())
-            if interval is None or interval.output_lb[0] > 0.0:
+            if interval is None or (self.mode == SATISFIABILITY and interval.output_lb[0] > 0.0):
                 sub.lower_bound = np.inf if interval is None else max(float(interval.output_lb[0]), sub.lower_bound)
                 sub.bounds = interval
                 return sub, []
+        if self.mode == SATISFIABILITY:
             sample = self._sample(sub)
             val, pt = sample
             if pt is not None and val <= 0.0 and validate_counterexample(self.problem, pt, 1e-6):

@@ -2,10 +2,10 @@
 
 The solver is a bounded-variable primal simplex over models whose variables
 all carry finite box bounds (every LP in this artifact is box-bounded, so the
-objective can never be unbounded), with a bounded dual simplex for warm
-starts. Both loops are built for the small LPs of this artifact (about 13
-to 25 rows): each iteration makes a handful of numpy calls, and the ratio
-tests are scalar passes over Python lists.
+objective can never be unbounded), with a bounded dual simplex that makes
+a start primal feasible. Both loops are built for the small LPs of this
+artifact (about 13 to 25 rows): each iteration makes a handful of numpy
+calls, and the ratio tests are scalar passes over Python lists.
 
 * Primal pricing keeps a sign vector over the columns: +1 for a movable
   nonbasic column at its lower bound, -1 for one at its upper bound, 0 for
@@ -32,34 +32,44 @@ with its final basis; the relaxation builder hands each LP the previous
 LP's optimum, extended by a crash column per new row, the MIP search hands
 each node its parent's optimum, and the oracle hands each pattern LP the
 last basis on its pattern's path, extended by a basic slack per new row.
-The final basis of a warm run also carries that run's final simplex state:
-basic columns, inverse and values. The next solve from that ``Basis``
-resumes it when it reads the same standard form object (so the same rows)
-and the basis was not edited since. With unchanged bounds the state is
-taken as it is; after a bound change only the basic values are recomputed,
-from the same inverse. Either way the start has the bytes that deriving it
+The final basis also carries the run's final simplex state: basic columns,
+inverse and values. The next solve from that ``Basis`` resumes it when it
+reads the same standard form object (so the same rows) and the basis was
+not edited since. With unchanged bounds the state is taken as it is; after
+a bound change only the basic values are recomputed, from the same
+inverse. Either way the start has the bytes that deriving it
 from the basis again gives, because that inverts the same basis matrix.
 The relaxation builder gets this between the LPs over one row set; the MIP
 queue drops the state, so its memory does not grow with the open nodes.
 
-A start whose basic values lie within their bounds runs primal phase 2
-only. A start that puts a basic value
-outside its bounds but keeps every reduced cost's sign within the
-optimality tolerance (dual feasible; a bound cut after an optimum) first
-runs dual simplex pivots until the basic values are within bounds, then
-hands over to primal phase 2. The dual path reports INFEASIBLE only through
-a checked Farkas row: when its ratio test finds no entering column, row r of
-B^-1 is taken after a fresh refactor, and the range of that row's
-combination of the columns over their box must miss its right-hand side by
-more than the feasibility tolerance, scaled by the row's magnitude;
-otherwise the warm run raises ``NumericalFailure``. A start that is neither
-primal nor dual feasible, or is singular, falls back to the cold two-phase
-path (phase 1 with one artificial variable per row, which decides
-infeasibility, then phase 2), and a warm ``NumericalFailure`` is retried
-once cold; only a cold failure propagates.
+Every solve takes one route: from a start basis, dual simplex pivots until
+the basic values lie within their bounds, then primal phase 2. The start is
+the given ``Basis`` when it is nonsingular and either primal feasible or
+dual feasible (every reduced cost's sign right within the optimality
+tolerance; a bound cut after an optimum). Otherwise, and after a
+``NumericalFailure`` of that run, the solve starts from ``slack_basis``:
+every slack basic, every structural column at the bound its cost prefers.
+B = I there, so the reduced costs are the costs and this cold start is
+always dual feasible; a failure from it propagates.
 
-Tolerances (fixed for the whole artifact): feasibility 1e-8, optimality
-1e-7, pivot threshold 1e-9, iteration cap 50000.
+The dual pass stops once every basic value lies within the feasibility
+tolerance of its bounds from a given start, within ``_TOL_COLD`` from the
+slack basis: a cold pass stopped at the feasibility tolerance can leave a
+basic value further outside a bound than the 1e-9 by which the relaxation
+builder widens its tightened bounds. The pass reports INFEASIBLE only
+through a checked Farkas row: when its ratio test finds no entering column,
+row r of B^-1 is taken after a fresh refactor, and the range of that row's
+combination of the columns over their box must miss its right-hand side by
+more than the feasibility tolerance, scaled by the row's magnitude. When
+the check fails but no basic value lies outside its bounds by more than the
+feasibility tolerance, the start counts as feasible; otherwise the run
+raises ``NumericalFailure``. The only other INFEASIBLE results are a
+variable with lower > upper and a model without variables whose rows 0
+does not meet.
+
+Tolerances (fixed for the whole artifact): feasibility 1e-8 (1e-10 for
+the dual pass from the slack basis), optimality 1e-7, pivot threshold
+1e-9, iteration cap 50000.
 
 ``solve`` reads a model through its ``standard_form``: the row matrix, the
 right-hand sides and the bounds of the structural and slack columns. An
@@ -98,6 +108,7 @@ EQ = "="
 GE = ">="
 
 TOL_FEAS = 1e-8
+_TOL_COLD = 1e-10  # the dual pass's feasibility tolerance from the slack basis
 TOL_OPT = 1e-7
 PIVOT_TOL = 1e-9
 MAX_ITER = 50_000
@@ -378,9 +389,17 @@ class Basis:
     state: "_SimplexState | None" = field(default=None, repr=False, compare=False)
 
 
+def slack_basis(model: LpModel | RowStack) -> Basis:
+    """Every row's slack basic, every structural column at its upper bound
+    when its cost is < 0, else at its lower bound. B = I, so the reduced
+    costs are the costs and this start is dual feasible."""
+    return Basis([~i for i in range(len(model.rows))], set(np.flatnonzero(_padded_objective(model) < 0.0).tolist()))
+
+
 def solve(model: LpModel | RowStack, basis: Basis | None = None) -> LpSolution:
-    """Bounded-variable simplex, warm from ``basis`` when it is given,
-    nonsingular and primal or dual feasible; two-phase from scratch otherwise."""
+    """Bounded-variable simplex from ``basis`` when it is given, nonsingular
+    and primal or dual feasible, else from ``slack_basis(model)``; dual
+    pivots until the start is primal feasible, then primal phase 2."""
     form = model.standard_form()
     if form is None:
         return LpSolution(INFEASIBLE, np.inf, None)
@@ -389,24 +408,25 @@ def solve(model: LpModel | RowStack, basis: Basis | None = None) -> LpSolution:
         if np.any(form.rhs < form.lo - TOL_FEAS) or np.any(form.rhs > form.hi + TOL_FEAS):
             return LpSolution(INFEASIBLE, np.inf, None)
         return LpSolution(OPTIMAL, 0.0, np.zeros(0))
-    c_obj = _padded_objective(model)
+    c = np.concatenate([_padded_objective(model), np.zeros(len(form.rhs))])
     if basis is not None:
         carried, basis.state = basis.state, None
         try:
             state = _resumed(carried, form, basis) or _warm_start(form, n, basis)
-            c = np.concatenate([c_obj, np.zeros(len(form.rhs))])
             if _can_start(state, c):
-                used = _run_dual(state, c, MAX_ITER)
-                if used is None:
-                    return LpSolution(INFEASIBLE, np.inf, None)
-                return _phase_two(state, form, c_obj, MAX_ITER - used, basis)
+                return _run(state, form, c, TOL_FEAS, basis)
         except NumericalFailure:
-            pass  # retried once from scratch
-    start = _phase_one(form, n)
-    if start is None:
+            pass  # retried once from the slack basis
+    return _run(_slack_start(model, form), form, c, _TOL_COLD, basis)
+
+
+def _run(state: "_SimplexState", form: _Form, c: np.ndarray, tol: float, basis: Basis | None) -> LpSolution:
+    """Dual pivots until every basic value lies within ``tol`` of its
+    bounds, then primal phase 2; INFEASIBLE when the dual pass proves it."""
+    used = _run_dual(state, c, tol, MAX_ITER)
+    if used is None:
         return LpSolution(INFEASIBLE, np.inf, None)
-    state, iters_used = start
-    return _phase_two(state, form, c_obj, MAX_ITER - iters_used, basis)
+    return _phase_two(state, form, c, MAX_ITER - used, basis)
 
 
 def _columns(cols: list[int] | set[int], n: int) -> np.ndarray:
@@ -460,83 +480,33 @@ def _can_start(state: "_SimplexState", c: np.ndarray) -> bool:
     return True
 
 
-def _phase_one(form: _Form, n: int) -> "tuple[_SimplexState, int] | None":
-    """A feasible state from one artificial variable per row, plus the
-    iterations used; None when the model is infeasible."""
-    arow, rhs, lo, hi, full = form
-    m = len(rhs)
-    total = n + m + m  # structural | slacks | artificials
-    a_full = np.zeros((m, total))
-    a_full[:, : n + m] = full
-    lo_full = np.concatenate([lo, np.zeros(m)])
-    hi_full = np.concatenate([hi, np.zeros(m)])
-    slack_lo, slack_hi = lo[n:], hi[n:]
-
-    x = np.concatenate([lo[:n], np.zeros(m), np.zeros(m)])
-    at_upper = np.zeros(total, dtype=bool)
-    # Slacks start at whichever of their bounds is nearer the row residual.
-    desired = rhs - arow @ lo[:n]
-    start_upper = np.abs(desired - slack_hi) < np.abs(desired - slack_lo)
-    x[n : n + m] = np.where(start_upper, slack_hi, slack_lo)
-    at_upper[n : n + m] = start_upper
-    resid = rhs - arow @ lo[:n] - x[n : n + m]
-    sigma = np.where(resid >= 0.0, 1.0, -1.0)
-    a_full[:, n + m :] = np.diag(sigma)
-    hi_full[n + m :] = np.abs(resid)
-    x[n + m :] = np.abs(resid)
-
-    basis = np.arange(n + m, total)
-    binv = np.diag(sigma).copy()
-
-    state = _SimplexState(a_full, rhs, lo_full, hi_full, x, at_upper, basis, binv)
-
-    c_phase1 = np.zeros(total)
-    c_phase1[n + m :] = 1.0
-    iters_used = _run_simplex(state, c_phase1, MAX_ITER)
-    if c_phase1 @ state.x > TOL_FEAS:
-        return None
-
-    # Pin artificials at zero for phase 2; basic ones stay at 0 harmlessly.
-    state.hi[n + m :] = 0.0
-    state.x[n + m :] = np.minimum(state.x[n + m :], 0.0)
-    return state, iters_used
+def _slack_start(model: LpModel | RowStack, form: _Form) -> "_SimplexState":
+    """The cold start: the state at ``slack_basis(model)``."""
+    return _warm_start(form, model.num_vars, slack_basis(model))
 
 
-def _phase_two(state: "_SimplexState", form: _Form, c_obj: np.ndarray, max_iter: int, basis: Basis | None) -> LpSolution:
-    """Minimise c_obj from a feasible state; record the final basis."""
+def _phase_two(state: "_SimplexState", form: _Form, c: np.ndarray, max_iter: int, basis: Basis | None) -> LpSolution:
+    """Minimise c from a feasible state over ``form``'s columns; record the
+    final basis and state in ``basis``."""
     arow, rhs = form.rows, form.rhs
-    n, m = len(c_obj), len(rhs)
-    c = np.concatenate([c_obj, np.zeros(len(state.x) - n)])
+    n, m = arow.shape[1], len(rhs)
     _run_simplex(state, c, max_iter)
 
     state.refactor()
     xs = state.x[:n]
     if m:
-        residual = np.abs(arow @ xs + state.x[n : n + m] - rhs).max()
+        residual = np.abs(arow @ xs + state.x[n:] - rhs).max()
         if residual > 1e-6:
             raise NumericalFailure(f"final residual {residual:.2e}")
     if basis is not None:
-        # a basic artificial (pinned at 0) stands in for its row's slack:
-        # the two columns differ only in sign
         b = state.basis
-        basis.basic = np.where(b < n, b, ~((b - n) % m)).tolist()
-        upper = state.at_upper.copy()
-        upper[b] = False
-        upper = upper[: n + m]
-        u = np.flatnonzero(upper)
+        basis.basic = np.where(b < n, b, ~(b - n)).tolist()
+        state.at_upper[b] = False
+        u = np.flatnonzero(state.at_upper)
         basis.at_upper = set(np.where(u < n, u, ~(u - n)).tolist())
-        if state.a is not form.full and (b < n + m).all():
-            # a cold run without a basic artificial: its inverse is the
-            # inverse of the same basis matrix over the form's columns
-            binv = state.binv
-            state = _SimplexState(form.full, form.rhs, form.lo, form.hi, np.where(upper, form.hi, form.lo), upper, b, binv)
-            state.fresh = True
-            state.refactor()
-        if state.a is form.full:
-            state.at_upper = upper
-            state.written = (list(basis.basic), set(basis.at_upper))
-            basis.state = state
-    return LpSolution(OPTIMAL, float(c_obj @ xs), xs.copy())
+        state.written = (list(basis.basic), set(basis.at_upper))
+        basis.state = state
+    return LpSolution(OPTIMAL, float(c[:n] @ xs), xs.copy())
 
 
 class _SimplexState:
@@ -687,10 +657,10 @@ def _run_simplex(state: _SimplexState, c: np.ndarray, max_iter: int) -> int:
     raise NumericalFailure(f"iteration cap {MAX_ITER} exceeded")
 
 
-def _run_dual(state: _SimplexState, c: np.ndarray, max_iter: int) -> int | None:
+def _run_dual(state: _SimplexState, c: np.ndarray, tol: float, max_iter: int) -> int | None:
     """Bounded dual simplex from a dual feasible state until every basic
-    value lies within its bounds; the iterations used, or None when a
-    checked Farkas row proves the model infeasible.
+    value lies within ``tol`` of its bounds; the iterations used, or None
+    when a checked Farkas row proves the model infeasible.
 
     Each pivot takes the most violated basic out at its violated bound and
     brings in the column that keeps every reduced cost's sign: among the
@@ -698,7 +668,10 @@ def _run_dual(state: _SimplexState, c: np.ndarray, max_iter: int) -> int | None:
     pass takes the smallest ratio |d_j| / |alpha_j|, ties within 1e-12 to
     the largest |alpha_j|. Bland's rule (the smallest violated basic column,
     the first column among the ties) takes over after _BLAND_TRIGGER
-    consecutive dual-degenerate pivots.
+    consecutive dual-degenerate pivots. When no column can repair the
+    chosen row and its Farkas check fails, the state still counts as
+    feasible if no basic value lies outside its bounds by more than
+    TOL_FEAS (only a ``tol`` below TOL_FEAS can get there).
     """
     a, x, basis, cols = state.a, state.x, state.basis, state.cols
     if not cols:
@@ -716,13 +689,13 @@ def _run_dual(state: _SimplexState, c: np.ndarray, max_iter: int) -> int | None:
         xb = x[basis]
         violation = np.maximum(lo_b - xb, xb - hi_b)
         if bland:
-            bad = [i for i, v in enumerate(violation.tolist()) if v > TOL_FEAS]
+            bad = [i for i, v in enumerate(violation.tolist()) if v > tol]
             if not bad:
                 return it
             r = min(bad, key=cols.__getitem__)
         else:
             r = int(violation.argmax())
-            if not violation.item(r) > TOL_FEAS:
+            if not violation.item(r) > tol:
                 return it
         if sgn is None:
             sgn = state.start_run()
@@ -739,6 +712,8 @@ def _run_dual(state: _SimplexState, c: np.ndarray, max_iter: int) -> int | None:
                 continue
             if _farkas_row(state, r):
                 return None
+            if not violation.max() > TOL_FEAS:
+                return it
             raise NumericalFailure("dual ratio test found no column, Farkas check failed")
         d = c - (c[basis] @ binv) @ a
         dl, al, sl = d.tolist(), alpha.tolist(), sgn.tolist()

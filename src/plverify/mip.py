@@ -29,13 +29,13 @@ and minimising also yields the margin of an UNSAT instance. Candidates
 whose LP solution fails forward validation are counted as spurious and the
 search continues past them.
 
-Node LPs start warm. The root starts from the all-slack basis with every
-structural column at the bound its cost pulls it to; its reduced costs are
-the costs, so the start is dual feasible. Each queued node keeps the final
+Node LPs start warm. The root is given ``lp.slack_basis`` as its start,
+which is dual feasible; as a given start, its dual pass stops at the
+feasibility tolerance of a warm repair. Each queued node keeps the final
 ``lp.Basis`` of its LP, without the simplex state that basis carries, and
 both children start from a copy of it. A child differs from its parent
 only in one pinned binary, so that basis stays dual feasible and
-``lp.solve`` repairs it with dual simplex pivots, without a phase 1. An
+``lp.solve`` repairs it with dual simplex pivots, with no cold start. An
 optimum reached this way can be another vertex among ties than a cold
 solve's, so the branching binary can differ from a cold search, and with
 it the node count and an UNSAT margin (the smallest pruned bound of the
@@ -293,13 +293,8 @@ def solve_mip(
     if elapsed() >= timeout:
         return result(TIMEOUT, -np.inf)
 
-    # all-slack basis, every column at the bound its cost pulls it to: the
-    # reduced costs are the costs, so the start is dual feasible
-    root = lp.Basis(
-        [~i for i in range(len(enc.model.rows))], {int(j) for j in np.flatnonzero(enc.model.objective < 0.0)}
-    )
     nodes += 1
-    cx = process({}, root, -np.inf)
+    cx = process({}, lp.slack_basis(enc.model), -np.inf)
     if cx is not None:
         return result(SAT, open_lb(), cx)
 

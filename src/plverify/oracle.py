@@ -34,11 +34,11 @@ since; a child adds its new row's slack the same way, and the stack keeps
 rows in decision order, so slack indices line up. A feasibility LP has a
 zero objective, so that start is always dual feasible: ``lp.solve``
 repairs it with the bounded dual simplex, and an empty pattern is pruned
-through a checked Farkas row, not a phase-1 residual (a warm run whose
-Farkas check fails is retried cold). Each leaf LP starts from a copy of its
-pattern's basis, which is usually primal feasible, so it runs phase 2 only;
-a start that is neither primal nor dual feasible falls back to the cold
-two-phase path.
+through a checked Farkas row (a warm run whose Farkas check fails starts
+again from the slack basis, which proves infeasibility the same way). Each
+leaf LP starts from a copy of its pattern's basis, which is usually primal
+feasible, so it runs phase 2 only; a start that is neither primal nor dual
+feasible falls back to the slack basis.
 """
 
 from __future__ import annotations

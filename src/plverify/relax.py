@@ -58,8 +58,9 @@ primal-feasible without pivoting (inputs start at their lower bounds):
 * a reluplex unit: x nonbasic at its upper bound u, the slack basic.
 
 Where a start is infeasible after all (a bound cut by fixed ReLU phases),
-``lp.solve`` falls back to its cold two-phase path, which also reports
-infeasible phase sets.
+``lp.solve`` either repairs it with dual pivots or starts again from its
+slack basis. Either way an infeasible phase set is reported only through
+a checked Farkas row.
 
 The fast dual bound is an LP-free backward pass producing the value of a
 feasible dual point of the hull LP: it maintains an affine under-estimator
@@ -247,7 +248,10 @@ def build_reluplex(net: Network, box: BoxDomain, phases: PhaseMap | None = None)
     return _encode(net, box, phases, False, "reluplex")
 
 
-def _minimise_output(pm: PlanetModel) -> tuple[float, np.ndarray | None]:
+def planet_lower_bound_with_point(pm: PlanetModel) -> tuple[float, np.ndarray | None]:
+    """LP minimum of the output variable (+inf prunes an infeasible
+    subdomain) plus the input coordinates of the LP minimiser; for either
+    relaxation mode."""
     if pm.infeasible:
         return np.inf, None
     if pm.output_var is None:
@@ -258,14 +262,8 @@ def _minimise_output(pm: PlanetModel) -> tuple[float, np.ndarray | None]:
     return sol.objective, sol.x[: len(pm.input_vars)]
 
 
-def planet_lower_bound_with_point(pm: PlanetModel) -> tuple[float, np.ndarray | None]:
-    """LP minimum of the output variable (+inf prunes an infeasible
-    subdomain) plus the input coordinates of the LP minimiser."""
-    return _minimise_output(pm)
-
-
 def reluplex_lower_bound(net: Network, box: BoxDomain, phases: PhaseMap | None = None) -> tuple[float, np.ndarray | None]:
-    return _minimise_output(build_reluplex(net, box, phases))
+    return planet_lower_bound_with_point(build_reluplex(net, box, phases))
 
 
 def reluplex_feasible(net: Network, box: BoxDomain, phases: PhaseMap | None = None) -> str:

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from plverify.canon import Geq, canonicalize
+from plverify.canon import Geq, canonicalize, maxpool_to_relu
+from plverify.interval import propagate_box
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu
 
 
@@ -51,9 +52,58 @@ def random_box(rng: np.random.Generator, n_in: int, radius: float = 1.0) -> BoxD
     return BoxDomain(center - half, center + half)
 
 
+def differential_cases(rng):
+    """Random small nets (some with a MaxPool, lowered over the first box,
+    which contains every later one), nested boxes, random phase maps; some
+    maps contradict the bounds or each other."""
+    for _ in range(40):
+        n_in = int(rng.integers(1, 4))
+        net = random_net(rng, n_in, [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 3)))])
+        pooled = rng.random() < 0.25
+        if pooled:
+            w = 2 * int(rng.integers(1, 3))
+            net = Network(n_in, (
+                Linear(rng.normal(size=(w, n_in)), rng.uniform(-0.5, 0.5, w)),
+                Relu(),
+                MaxPool(tuple((k, k + 1) for k in range(0, w, 2))),
+                Linear(rng.normal(size=(1, w // 2)), rng.uniform(-0.5, 0.5, 1)),
+            ))
+        center = rng.uniform(-0.5, 0.5, size=n_in)
+        half = rng.uniform(0.3, 1.5, size=n_in)
+        if pooled:
+            net = maxpool_to_relu(net, propagate_box(net, BoxDomain(center - half, center + half)))
+        units = [(i, j) for i, layer in enumerate(net.layers) if isinstance(layer, Relu)
+                 for j in range(net.layers[i - 1].out_width)]
+        for _ in range(3):
+            box = BoxDomain(center - half, center + half)
+            for _ in range(3):
+                picks = rng.random(len(units)) < 0.4
+                phases = {u: bool(rng.random() < 0.5) for u, pick in zip(units, picks) if pick}
+                yield net, box, phases
+            center = rng.uniform(box.lb, box.ub)
+            half = half * rng.uniform(0.3, 0.8, size=n_in)
+            center = np.clip(center, box.lb + half, box.ub - half)
+
+
 def assert_same_solve(got, want, got_basis=None, want_basis=None) -> None:
     """Two ``lp.solve`` results are the same bytes: status, objective, x and final basis."""
     assert got.status == want.status
     assert float(got.objective).hex() == float(want.objective).hex()
     assert (got.x is None and want.x is None) or got.x.tobytes() == want.x.tobytes()
     assert got_basis == want_basis
+
+
+def count_calls(monkeypatch, module, name: str, keep=lambda result: True) -> list[int]:
+    """Wrap ``module.name`` so that each call whose result passes ``keep``
+    adds one to the returned one-element counter."""
+    calls = [0]
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
+        if keep(result):
+            calls[0] += 1
+        return result
+
+    monkeypatch.setattr(module, name, counted)
+    return calls

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_box, random_net, toy_box, toy_net, toy_problem
+from helpers import count_calls, differential_cases, random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify.bab import (
     CONVERGED,
@@ -31,6 +31,7 @@ from plverify.interval import BLOCKED, PASSING, propagate_box
 from plverify.lp import NumericalFailure
 from plverify.model import BoxDomain, Linear, Network, Relu, forward_batch, forward_eval
 from plverify.oracle import oracle_min, oracle_verdict
+from plverify.relax import build_planet
 from plverify.rng import SplitMix64
 
 
@@ -263,6 +264,28 @@ def test_contradictory_initial_phases_unsat_immediately():
     assert res2.nodes == 1
 
 
+def test_optimize_prunes_contradictory_phase_sets_before_any_lp(monkeypatch):
+    # a phase set whose phases its interval bounds contradict takes +inf
+    # and offers no candidate in optimise mode too, before any LP; its
+    # relaxation alone can solve the tightening LPs of earlier layers
+    # before it reaches the contradiction
+    solves = count_calls(monkeypatch, lp_module, "solve")
+    pruned = relaxation_lps = 0
+    for net, box, phases in differential_cases(np.random.default_rng(8)):
+        problem = canonicalize(net, Geq(np.array([1.0]), 0.0), box)
+        if propagate_box(problem.canonical_net, box, phases) is not None:
+            continue
+        engine = bab_module._Engine(problem, BabConfig(branching=RELU_SPLIT), bab_module.OPTIMIZE)
+        sub, candidates = engine.evaluate(Subdomain(PhaseSet(box, tuple(sorted(phases.items()))), -np.inf))
+        assert solves[0] == 0
+        assert sub.lower_bound == np.inf and sub.bounds is None and candidates == []
+        pruned += 1
+        assert build_planet(problem.canonical_net, box, phases, tighten=True).infeasible
+        relaxation_lps += solves[0]
+        solves[0] = 0
+    assert pruned > 50 and relaxation_lps > 0
+
+
 def test_timeout_zero():
     res = bab_verify(toy_problem(-5.0), BabConfig(timeout=0.0))
     assert res.status == TIMEOUT
@@ -390,17 +413,12 @@ def test_input_split_search_is_unchanged_by_skipped_tightening(monkeypatch):
     # input boxes skip the tightening LPs that cannot move their bound; the
     # searches keep the verdicts, node counts and lower bounds of a run that
     # tightens every unit
-    real_solve, real_build = lp_module.solve, bab_module.build_planet
-    calls = [0]
-
-    def counted_solve(*args):
-        calls[0] += 1
-        return real_solve(*args)
+    real_build = bab_module.build_planet
+    calls = count_calls(monkeypatch, lp_module, "solve")
 
     def full(net, box, phases=None, tighten=False, output_only=False):
         return real_build(net, box, phases, tighten)
 
-    monkeypatch.setattr(lp_module, "solve", counted_solve)
     lps = {"skip": 0, "full": 0}
     rng = np.random.default_rng(77)
     for _ in range(12):

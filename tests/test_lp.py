@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from helpers import assert_same_solve
+from helpers import assert_same_solve, count_calls
 
 import plverify.lp as lp_module
 from plverify.lp import (
@@ -128,20 +128,25 @@ def blands_rule(monkeypatch):
     monkeypatch.setattr(lp_module, "_DEGEN_TOL", np.inf)
 
 
-def test_agreement_with_reference_on_random_lps():
-    _agreement_with_reference()
+def test_agreement_with_reference_on_random_lps(monkeypatch):
+    _agreement_with_reference(monkeypatch)
 
 
-def test_agreement_with_reference_under_blands_rule(blands_rule):
-    _agreement_with_reference()
+def test_agreement_with_reference_under_blands_rule(monkeypatch, blands_rule):
+    _agreement_with_reference(monkeypatch)
 
 
-def _agreement_with_reference():
+def _agreement_with_reference(monkeypatch):
+    # every solve starts from the slack basis, so each INFEASIBLE comes
+    # from its dual pass: one checked Farkas row, and no OPTIMAL has one
+    proofs = count_calls(monkeypatch, lp_module, "_farkas_row", lambda proved: proved)
     rng = np.random.default_rng(2024)
     statuses = {OPTIMAL: 0, INFEASIBLE: 0}
     for _ in range(500):
         model = _random_model(rng)
+        before = proofs[0]
         got = solve(model)
+        assert proofs[0] == before + (got.status == INFEASIBLE)
         ref = solve_reference(model)
         assert got.status == ref.status
         statuses[got.status] += 1
@@ -181,25 +186,10 @@ def test_deterministic_objective_values():
     assert first == second  # bitwise identical
 
 
-def _count_calls(monkeypatch, name: str, keep=lambda result: True) -> list[int]:
-    """Count the calls of an lp internal whose result passes ``keep``."""
-    calls = [0]
-    original = getattr(lp_module, name)
-
-    def counted(*args):
-        result = original(*args)
-        if keep(result):
-            calls[0] += 1
-        return result
-
-    monkeypatch.setattr(lp_module, name, counted)
-    return calls
-
-
 def test_warm_start_matches_cold_solve(monkeypatch):
     # from an all-slack crash basis, then from each previous optimum, also
     # after a bound is cut around that optimum (as tightening does)
-    phase_one = _count_calls(monkeypatch, "_phase_one")
+    cold_starts = count_calls(monkeypatch, lp_module, "_slack_start")
     rng = np.random.default_rng(17)
     statuses = set()
     warm = 0
@@ -214,15 +204,15 @@ def test_warm_start_matches_cold_solve(monkeypatch):
                 model.lower[j] = max(model.lower[j], float(got.x[j]) - 0.1)
                 model.upper[j] = min(model.upper[j], float(got.x[j]) + 0.1)
             clone = model.with_objective(obj)
-            before = phase_one[0]
+            before = cold_starts[0]
             got = solve(clone, basis)
             cold = solve(clone)
             assert got.status == cold.status
             statuses.add(got.status)
             if got.status == OPTIMAL:
                 assert abs(got.objective - cold.objective) <= 1e-12
-                if step > 0:  # from the previous optimum: only the cold solve ran phase 1
-                    assert phase_one[0] == before + 1
+                if step > 0:  # from the previous optimum: only the cold solve used the slack basis
+                    assert cold_starts[0] == before + 1
                     warm += 1
     assert statuses == {OPTIMAL, INFEASIBLE}
     assert warm > 200
@@ -231,10 +221,10 @@ def test_warm_start_matches_cold_solve(monkeypatch):
 def test_failed_warm_start_is_retried_cold(monkeypatch):
     model = _toy_planet_lp()
     cold = solve(model)
-    phase_one = _count_calls(monkeypatch, "_phase_one")
+    cold_starts = count_calls(monkeypatch, lp_module, "_slack_start")
     singular = Basis([0, 0, 0, 0])  # one column basic in every row
     got = solve(model, singular)
-    assert phase_one[0] == 1
+    assert cold_starts[0] == 1
     assert got.status == cold.status and got.objective == cold.objective
     assert len(singular.basic) == 4 and len(set(singular.basic)) == 4  # the final basis
     with pytest.raises(ValueError):
@@ -253,7 +243,7 @@ def test_failed_warm_start_is_retried_cold(monkeypatch):
     monkeypatch.setattr(lp_module, "_run_simplex", flaky)
     optimal = Basis(list(singular.basic), set(singular.at_upper))
     got = solve(model, optimal)
-    assert failures[0] == 0 and phase_one[0] == 2
+    assert failures[0] == 0 and cold_starts[0] == 2
     assert got.status == cold.status and got.objective == cold.objective
     failures[0] = 2
     with pytest.raises(NumericalFailure):
@@ -272,9 +262,9 @@ def test_dual_warm_start_after_bound_cut_under_blands_rule(monkeypatch, blands_r
 def _dual_warm_start_after_bound_cut(monkeypatch):
     # cut a bound of a basic variable through its optimal value: the optimal
     # basis stays dual feasible, so the warm solve runs dual pivots only
-    phase_one = _count_calls(monkeypatch, "_phase_one")
-    dual_runs = _count_calls(monkeypatch, "_run_dual", lambda used: used != 0)
-    proofs = _count_calls(monkeypatch, "_farkas_row", lambda proved: proved)
+    cold_starts = count_calls(monkeypatch, lp_module, "_slack_start")
+    dual_runs = count_calls(monkeypatch, lp_module, "_run_dual", lambda used: used != 0)
+    proofs = count_calls(monkeypatch, lp_module, "_farkas_row", lambda proved: proved)
     rng = np.random.default_rng(31)
     outcomes = {OPTIMAL: 0, INFEASIBLE: 0}
     for _ in range(300):
@@ -291,17 +281,16 @@ def _dual_warm_start_after_bound_cut(monkeypatch):
             model.lower[j] = min(cut, model.upper[j])
         else:
             model.upper[j] = max(cut, model.lower[j])
-        before, ran_dual, proved = phase_one[0], dual_runs[0], proofs[0]
+        before, ran_dual, proved = cold_starts[0], dual_runs[0], proofs[0]
         warm = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
-        assert phase_one[0] == before and dual_runs[0] == ran_dual + 1
+        assert cold_starts[0] == before and dual_runs[0] == ran_dual + 1
+        # reported INFEASIBLE only through a checked Farkas row
+        assert proofs[0] == proved + (warm.status == INFEASIBLE)
         cold = solve(model)
         assert warm.status == cold.status
         outcomes[warm.status] += 1
         if warm.status == OPTIMAL:
             assert abs(warm.objective - cold.objective) <= 1e-9
-            assert proofs[0] == proved
-        else:
-            assert proofs[0] == proved + 1  # reported only through a checked Farkas row
     assert outcomes[OPTIMAL] > 40 and outcomes[INFEASIBLE] > 40
 
 
@@ -311,8 +300,8 @@ def test_resumed_state_matches_a_fresh_start_bytewise(monkeypatch):
     # bounds after a cut through a basic value (then dual pivots first).
     # Each result, final basis included, is the bytes of a fresh copy of
     # the model solved from a copy of the basis.
-    resumed = _count_calls(monkeypatch, "_resumed", lambda state: state is not None)
-    dual = _count_calls(monkeypatch, "_run_dual", lambda used: bool(used))
+    resumed = count_calls(monkeypatch, lp_module, "_resumed", lambda state: state is not None)
+    dual = count_calls(monkeypatch, lp_module, "_run_dual", lambda used: bool(used))
     rng = np.random.default_rng(37)
     runs = {"same_bounds": 0, "cut": 0, "cut_dual": 0}
     for _ in range(300):
@@ -358,16 +347,17 @@ def _capped_pair(objective) -> tuple[LpModel, Basis]:
 
 
 def test_dual_warm_start_needs_a_dual_feasible_start(monkeypatch):
-    phase_one = _count_calls(monkeypatch, "_phase_one")
-    dual = _count_calls(monkeypatch, "_run_dual")
+    cold_starts = count_calls(monkeypatch, lp_module, "_slack_start")
+    dual = count_calls(monkeypatch, lp_module, "_run_dual")
     model, basis = _capped_pair({0: -1.0, 1: -1.0})
     got = solve(model, basis)
-    assert (phase_one[0], dual[0]) == (0, 1)
+    assert (cold_starts[0], dual[0]) == (0, 1)
     assert got.status == OPTIMAL and got.objective == pytest.approx(-2.5, abs=1e-12)
-    # the same start is not dual feasible for min x + y: solved cold
+    # the same start is not dual feasible for min x + y: solved from the
+    # slack basis, whose dual pass runs (and pivots nothing) as well
     model, basis = _capped_pair({0: 1.0, 1: 1.0})
     got = solve(model, basis)
-    assert (phase_one[0], dual[0]) == (1, 1)
+    assert (cold_starts[0], dual[0]) == (1, 2)
     assert got.status == OPTIMAL and got.objective == pytest.approx(0.0, abs=1e-12)
 
 
@@ -376,19 +366,37 @@ def test_dual_warm_start_reports_infeasible_only_with_a_proof(monkeypatch):
     # z's entry in x's row of B^-1 A is -1e-10, below the pivot tolerance, so
     # the dual ratio test finds no column. The Farkas check fails and the
     # solve is retried cold.
-    phase_one = _count_calls(monkeypatch, "_phase_one")
+    cold_starts = count_calls(monkeypatch, lp_module, "_slack_start")
     m = LpModel()
     x = m.add_var(2e-8, 1.0)
     z = m.add_var(0.0, 1000.0)
     m.add_row({x: 1e10, z: -1.0}, EQ, 0.0)
     m.set_objective({x: 1.0})
     got = solve(m, Basis([x]))
-    assert phase_one[0] == 1
+    assert cold_starts[0] == 1
     assert got.status == OPTIMAL and got.x[z] == pytest.approx(200.0)
     # with z capped at 10 the same row proves the model infeasible
     m.upper[z] = 10.0
-    assert solve(m, Basis([x])).status == INFEASIBLE and phase_one[0] == 1
+    assert solve(m, Basis([x])).status == INFEASIBLE and cold_starts[0] == 1
     assert solve(m).status == INFEASIBLE
+
+
+def test_cold_start_within_feasibility_tolerance_is_optimal(monkeypatch):
+    # x in [0, 0] with the row x = 5e-10: the slack sits 5e-10 outside its
+    # bounds, above the cold tolerance, and no column can move it. The
+    # Farkas check fails (the miss is below TOL_FEAS), so the start counts
+    # as feasible instead of raising NumericalFailure
+    proofs = count_calls(monkeypatch, lp_module, "_farkas_row")
+    m = LpModel()
+    x = m.add_var(0.0, 0.0)
+    m.add_row({x: 1.0}, EQ, 5e-10)
+    m.set_objective({x: 1.0})
+    got = solve(m)
+    assert proofs[0] == 1
+    assert got.status == OPTIMAL and got.objective == 0.0 and got.x.tolist() == [0.0]
+    m.rows.clear()
+    m.add_row({x: 1.0}, EQ, 2e-8)  # outside TOL_FEAS: a proof
+    assert solve(m).status == INFEASIBLE and proofs[0] == 2
 
 
 def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
@@ -445,7 +453,7 @@ def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
 
 
 def test_warm_solve_without_rows(monkeypatch):
-    phase_one = _count_calls(monkeypatch, "_phase_one")
+    cold_starts = count_calls(monkeypatch, lp_module, "_slack_start")
     m = LpModel()
     x = m.add_var(0.0, 2.0)
     y = m.add_var(-1.0, 1.0)
@@ -456,7 +464,7 @@ def test_warm_solve_without_rows(monkeypatch):
     assert basis.basic == [] and basis.at_upper == {x}
     again = solve(m, basis)
     assert again.objective == got.objective and again.x.tobytes() == got.x.tobytes()
-    assert phase_one[0] == 0
+    assert cold_starts[0] == 0
 
 
 @pytest.mark.parametrize(

@@ -1,0 +1,73 @@
+"""Cold ``lp.solve`` against SciPy's HiGHS on real relaxation LPs, most of
+them past the 8-variable cap of ``lp.solve_reference``."""
+
+import numpy as np
+import pytest
+from helpers import differential_cases
+
+from plverify import lp
+from plverify.relax import build_planet, planet_lower_bound_with_point
+
+linprog = pytest.importorskip("scipy.optimize").linprog
+
+_HIGHS_TOL = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
+
+
+def _highs(model: lp.LpModel) -> tuple[str, float]:
+    """Status and minimum of ``model`` by HiGHS."""
+    n = model.num_vars
+    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
+    for row, rel, rhs in model.rows:
+        a = np.zeros(n)
+        a[: len(row)] = row
+        if rel == lp.EQ:
+            eq_rows.append(a)
+            eq_rhs.append(rhs)
+        else:
+            sign = 1.0 if rel == lp.LE else -1.0
+            ub_rows.append(sign * a)
+            ub_rhs.append(sign * rhs)
+    c = np.zeros(n)
+    c[: len(model.objective)] = model.objective
+    res = linprog(
+        c,
+        A_ub=np.array(ub_rows) if ub_rows else None,
+        b_ub=ub_rhs or None,
+        A_eq=np.array(eq_rows) if eq_rows else None,
+        b_eq=eq_rhs or None,
+        bounds=list(zip(model.lower, model.upper)),
+        method="highs",
+        options=_HIGHS_TOL,
+    )
+    assert res.status in (0, 2), res.message  # optimal or infeasible
+    return (lp.OPTIMAL, float(res.fun)) if res.status == 0 else (lp.INFEASIBLE, np.inf)
+
+
+def test_cold_relaxation_lps_agree_with_highs(monkeypatch):
+    # every LP the tightened hull relaxations solve (tightening and output
+    # LPs, some infeasible through fixed phases), solved again from the
+    # slack basis
+    real_solve = lp.solve
+    models = []
+
+    def recorded(model, basis=None):
+        models.append(model.copy())
+        return real_solve(model, basis)
+
+    monkeypatch.setattr(lp, "solve", recorded)
+    for seed in (8, 13):
+        for net, box, phases in differential_cases(np.random.default_rng(seed)):
+            planet_lower_bound_with_point(build_planet(net, box, phases, tighten=True))
+    monkeypatch.undo()
+
+    outcomes = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0}
+    past_cap = 0
+    for model in models:
+        got = lp.solve(model)
+        status, value = _highs(model)
+        assert got.status == status
+        outcomes[status] += 1
+        past_cap += model.num_vars > 8
+        if status == lp.OPTIMAL:
+            assert abs(got.objective - value) <= 1e-9
+    assert outcomes[lp.OPTIMAL] > 900 and outcomes[lp.INFEASIBLE] > 10 and past_cap > 150, (outcomes, past_cap)

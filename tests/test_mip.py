@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import assert_same_solve, random_box, random_net, toy_box, toy_net, toy_problem
+from helpers import assert_same_solve, count_calls, random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify import lp
 from plverify.canon import Geq, canonicalize, validate_counterexample
@@ -179,21 +179,22 @@ def test_verdicts_match_oracle_all_variants():
 @pytest.mark.parametrize("variant", [PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE])
 def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     # every node LP starts from its parent's basis (the root from the
-    # all-slack basis), runs no phase 1, reports INFEASIBLE only through a
-    # checked Farkas row, agrees with a cold re-solve and returns the bytes
-    # of a fresh copy of its model (no shared form) from a copy of its basis
-    counts = {"nodes": 0, "phase_one": 0, "dual": 0, "infeasible": 0, "proofs": 0}
+    # all-slack basis), never falls back to a cold start, reports
+    # INFEASIBLE only through a checked Farkas row, agrees with a cold
+    # re-solve and returns the bytes of a fresh copy of its model (no shared
+    # form) from a copy of its basis
+    counts = {"nodes": 0, "cold_starts": 0, "dual": 0, "infeasible": 0, "proofs": 0}
     recheck = [False]
-    originals = {name: getattr(lp, name) for name in ("solve", "_phase_one", "_run_dual", "_farkas_row")}
+    real_solve = lp.solve
 
     def solve(model, basis=None):
         assert basis is not None
         counts["nodes"] += 1
         fresh, start = model.copy(), lp.Basis(list(basis.basic), set(basis.at_upper))
-        got = originals["solve"](model, basis)
+        got = real_solve(model, basis)
         recheck[0] = True
-        assert_same_solve(got, originals["solve"](fresh, start), basis, start)
-        cold = originals["solve"](model)
+        assert_same_solve(got, real_solve(fresh, start), basis, start)
+        cold = real_solve(model)
         recheck[0] = False
         assert got.status == cold.status
         if got.status == lp.OPTIMAL:
@@ -201,15 +202,6 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
         else:
             counts["infeasible"] += 1
         return got
-
-    def counter(name, key, keep):
-        def counted(*args):
-            result = originals[name](*args)
-            if not recheck[0] and keep(result):
-                counts[key] += 1
-            return result
-
-        return counted
 
     rng = np.random.default_rng(48)
     for _ in range(12):
@@ -223,12 +215,16 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
         enc = encode_mip(problem.canonical_net, problem.domain, variant)
         with monkeypatch.context() as patch:
             patch.setattr(lp, "solve", solve)
-            patch.setattr(lp, "_phase_one", counter("_phase_one", "phase_one", lambda start: True))
-            patch.setattr(lp, "_run_dual", counter("_run_dual", "dual", lambda used: True))
-            patch.setattr(lp, "_farkas_row", counter("_farkas_row", "proofs", lambda proved: proved))
+            counters = {
+                "cold_starts": count_calls(patch, lp, "_slack_start", lambda start: not recheck[0]),
+                "dual": count_calls(patch, lp, "_run_dual", lambda used: not recheck[0]),
+                "proofs": count_calls(patch, lp, "_farkas_row", lambda proved: proved and not recheck[0]),
+            }
             res = solve_mip(enc)
+        for key, calls in counters.items():
+            counts[key] += calls[0]
         assert res.status == oracle_verdict(problem)[0]
-    assert counts["phase_one"] == 0
+    assert counts["cold_starts"] == 0
     assert counts["proofs"] == counts["infeasible"] > 0
     assert counts["dual"] == counts["nodes"] > 20
 
@@ -258,14 +254,7 @@ def test_queued_nodes_hold_no_matrices(monkeypatch):
 def test_one_search_builds_its_row_matrix_once(monkeypatch):
     # every node LP pins bounds on a clone of the encoding's model, so the
     # whole search reads one row matrix and one [rows | I]
-    part = lp._row_part
-    builds = [0]
-
-    def counted(*args):
-        builds[0] += 1
-        return part(*args)
-
-    monkeypatch.setattr(lp, "_row_part", counted)
+    builds = count_calls(monkeypatch, lp, "_row_part")
     rng = np.random.default_rng(54)
     searched = 0
     for _ in range(6):

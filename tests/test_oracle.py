@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import random_box, random_net, toy_box, toy_net, toy_problem
+from helpers import count_calls, random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify import lp
 from plverify.canon import AnyClause, Geq, canonicalize, maxpool_to_relu
@@ -153,30 +153,23 @@ def test_warm_pattern_lps_match_cold_oracle(monkeypatch):
     # pattern LPs start from the parent pattern's basis; the cold oracle
     # solves every one from scratch, and both must enumerate the same
     # feasible patterns and reach the same minimum
-    real_solve, real_phase_one = lp.solve, lp._phase_one
-    counts = {"lps": 0, "phase_one": 0}
+    real_solve = lp.solve
+    warm_run = [False]
 
-    def counted_solve(model, basis=None):
-        counts["lps"] += 1
-        return real_solve(model, basis)
+    def solve(model, basis=None):
+        return real_solve(model, basis if warm_run[0] else None)
 
-    def counted_phase_one(*args):
-        counts["phase_one"] += 1
-        return real_phase_one(*args)
-
-    def cold_solve(model, basis=None):
-        return real_solve(model)
-
+    monkeypatch.setattr(lp, "solve", solve)
+    lps = count_calls(monkeypatch, lp, "solve", lambda sol: warm_run[0])
+    cold_starts = count_calls(monkeypatch, lp, "_slack_start", lambda start: warm_run[0])
     for net, relu_net, box in _differential_nets(np.random.default_rng(44)):
-        monkeypatch.setattr(lp, "solve", cold_solve)
-        monkeypatch.setattr(lp, "_phase_one", real_phase_one)
+        warm_run[0] = False
         cold = oracle_min(relu_net, box)
-        monkeypatch.setattr(lp, "solve", counted_solve)
-        monkeypatch.setattr(lp, "_phase_one", counted_phase_one)
+        warm_run[0] = True
         warm = oracle_min(relu_net, box)
         assert abs(warm.min_value - cold.min_value) <= 1e-9
         assert warm.feasible_patterns == cold.feasible_patterns
         assert np.all(warm.argmin >= box.lb - 1e-9) and np.all(warm.argmin <= box.ub + 1e-9)
         assert forward_eval(net, warm.argmin)[0] == pytest.approx(warm.min_value, abs=1e-7)
-    assert counts["lps"] > 1000, counts
-    assert counts["phase_one"] <= 0.03 * counts["lps"], counts
+    assert lps[0] > 1000, lps
+    assert cold_starts[0] <= 0.03 * lps[0], (cold_starts, lps)

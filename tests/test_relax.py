@@ -2,7 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from helpers import assert_same_solve, random_box, random_net, toy_box, toy_net, toy_problem
+from helpers import (
+    assert_same_solve,
+    count_calls,
+    differential_cases,
+    random_box,
+    random_net,
+    toy_box,
+    toy_net,
+    toy_problem,
+)
 
 from plverify import bab, lp
 from plverify.canon import maxpool_to_relu
@@ -222,39 +231,6 @@ def test_relaxations_reject_an_unlowered_maxpool():
         build_reluplex(net, box)
 
 
-def _differential_cases(rng):
-    """Random small nets (some with a MaxPool, lowered over the first box,
-    which contains every later one), nested boxes, random phase maps; some
-    maps contradict the bounds or each other."""
-    for _ in range(40):
-        n_in = int(rng.integers(1, 4))
-        net = random_net(rng, n_in, [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 3)))])
-        pooled = rng.random() < 0.25
-        if pooled:
-            w = 2 * int(rng.integers(1, 3))
-            net = Network(n_in, (
-                Linear(rng.normal(size=(w, n_in)), rng.uniform(-0.5, 0.5, w)),
-                Relu(),
-                MaxPool(tuple((k, k + 1) for k in range(0, w, 2))),
-                Linear(rng.normal(size=(1, w // 2)), rng.uniform(-0.5, 0.5, 1)),
-            ))
-        center = rng.uniform(-0.5, 0.5, size=n_in)
-        half = rng.uniform(0.3, 1.5, size=n_in)
-        if pooled:
-            net = maxpool_to_relu(net, propagate_box(net, BoxDomain(center - half, center + half)))
-        units = [(i, j) for i, layer in enumerate(net.layers) if isinstance(layer, Relu)
-                 for j in range(net.layers[i - 1].out_width)]
-        for _ in range(3):
-            box = BoxDomain(center - half, center + half)
-            for _ in range(3):
-                picks = rng.random(len(units)) < 0.4
-                phases = {u: bool(rng.random() < 0.5) for u, pick in zip(units, picks) if pick}
-                yield net, box, phases
-            center = rng.uniform(box.lb, box.ub)
-            half = half * rng.uniform(0.3, 0.8, size=n_in)
-            center = np.clip(center, box.lb + half, box.ub - half)
-
-
 def _vertex_subsets(model) -> int:
     """How many constraint subsets ``lp.solve_reference`` enumerates."""
     n = model.num_vars
@@ -285,7 +261,7 @@ def test_warm_relaxation_lps_match_cold_solves(monkeypatch):
         return warm_solve(model)
 
     outcomes = {"feasible": 0, "interval_infeasible": 0, "lp_infeasible": 0}
-    for net, box, phases in _differential_cases(np.random.default_rng(8)):
+    for net, box, phases in differential_cases(np.random.default_rng(8)):
         monkeypatch.setattr(lp, "solve", checked_solve)
         warm = build_planet(net, box, phases, tighten=True)
         warm_lb = planet_lower_bound_with_point(warm)[0]
@@ -341,7 +317,7 @@ def test_relaxation_lps_match_fresh_copies_bytewise(monkeypatch):
     monkeypatch.setattr(lp, "solve", checked_solve)
     monkeypatch.setattr(lp, "_resumed", tracked_resumed)
     monkeypatch.setattr(lp, "_run_dual", tracked_dual)
-    for net, box, phases in _differential_cases(np.random.default_rng(8)):
+    for net, box, phases in differential_cases(np.random.default_rng(8)):
         planet_lower_bound_with_point(build_planet(net, box, phases, tighten=True))
     # tightened bounds contain the previous optimum, so no resume here
     # needs dual pivots (test_lp covers resumes through the dual path)
@@ -351,27 +327,21 @@ def test_relaxation_lps_match_fresh_copies_bytewise(monkeypatch):
 def test_relaxation_builds_each_row_set_once(monkeypatch):
     # the LPs over one row set share one row matrix, and a unit's max LP,
     # over its min LP's bounds, reads the min LP's form and final state
-    real = {name: getattr(lp, name) for name in ("solve", "_row_part", "_warm_start")}
-    counts = {"_row_part": 0, "_warm_start": 0}
+    real_solve = lp.solve
+    counts = {name: count_calls(monkeypatch, lp, name) for name in ("_row_part", "_warm_start")}
 
-    def counter(name):
-        def counted(*args):
-            counts[name] += 1
-            return real[name](*args)
-
-        return counted
+    def snapshot():
+        return {name: calls[0] for name, calls in counts.items()}
 
     solves = []
 
     def recorded(model, basis=None):
-        before = dict(counts)
-        got = real["solve"](model, basis)
-        solves.append((len(model.rows), model.objective.min() < 0.0, model.standard_form(), before, dict(counts)))
+        before = snapshot()
+        got = real_solve(model, basis)
+        solves.append((len(model.rows), model.objective.min() < 0.0, model.standard_form(), before, snapshot()))
         return got
 
     monkeypatch.setattr(lp, "solve", recorded)
-    for name in counts:
-        monkeypatch.setattr(lp, name, counter(name))
     max_lps = 0
     rng = np.random.default_rng(9)
     for _ in range(20):
@@ -379,13 +349,13 @@ def test_relaxation_builds_each_row_set_once(monkeypatch):
         net = random_net(rng, n_in, [int(rng.integers(3, 5)) for _ in range(3)])
         box = random_box(rng, n_in)
         solves.clear()
-        for name in counts:
-            counts[name] = 0
+        for calls in counts.values():
+            calls[0] = 0
         pm = build_planet(net, box, tighten=True)
         planet_lower_bound_with_point(pm)
         row_sets = len({rows for rows, *_ in solves})
         # no fixed phase, so no LP runs cold: only a new row set derives a start
-        assert counts == {"_row_part": row_sets, "_warm_start": row_sets}
+        assert snapshot() == {"_row_part": row_sets, "_warm_start": row_sets}
         for (_, _, form_min, _, _), (_, is_max, form_max, before, after) in zip(solves, solves[1:]):
             if is_max:
                 assert form_max is form_min and before == after
@@ -393,11 +363,10 @@ def test_relaxation_builds_each_row_set_once(monkeypatch):
     assert max_lps > 50
 
 
-def test_relaxation_lps_never_run_phase_one(monkeypatch):
+def test_relaxation_lps_never_start_cold(monkeypatch):
     # without fixed phases every crash start is feasible, so no LP of a hull
-    # or loose relaxation falls back to the cold two-phase path
-    cold_passes = []
-    monkeypatch.setattr(lp, "_phase_one", lambda *args: cold_passes.append(args))
+    # or loose relaxation falls back to the slack basis
+    cold_starts = count_calls(monkeypatch, lp, "_slack_start")
     real_solve = lp.solve
     solves = []
 
@@ -410,7 +379,7 @@ def test_relaxation_lps_never_run_phase_one(monkeypatch):
         pm = build_planet(net, box, tighten=True)
         assert not pm.infeasible and np.isfinite(planet_lower_bound_with_point(pm)[0])
         assert np.isfinite(reluplex_lower_bound(net, box)[0])
-    assert cold_passes == []
+    assert cold_starts[0] == 0
     assert all(solves) and len(solves) > 300
 
 
@@ -513,7 +482,7 @@ def test_relaxation_bounds_are_interval_bounds():
     # without tightening a relaxation's layer bounds are the bytes of
     # propagate_box; tightened ones lie inside them, layer by layer
     outcomes = {"feasible": 0, "interval_infeasible": 0, "tightened_infeasible": 0}
-    for net, box, phases in _differential_cases(np.random.default_rng(13)):
+    for net, box, phases in differential_cases(np.random.default_rng(13)):
         want = propagate_box(net, box, phases)
         plain = build_planet(net, box, phases)
         tight = build_planet(net, box, phases, tighten=True)
