@@ -14,7 +14,15 @@ bound is the smallest bound over the open queue.
 Two modes share the loop:
 
 * optimise: run until the global upper/lower bounds are within epsilon; the
-  estimate returned is the incumbent upper bound.
+  estimate returned is the incumbent upper bound. Each subdomain runs one
+  cheap step first: when the fast dual bound over its interval bounds
+  (Wong & Kolter, arXiv 1711.00851) already reaches the incumbent, it is
+  pruned with that bound, with no LP and no sampling; after the LP, one
+  whose bound reaches the incumbent is not sampled. Results are those of
+  the LP-first order: the fast bound is a dual-feasible value of the
+  untightened hull LP, so up to rounding it never exceeds the LP bound,
+  and every point of such a subdomain is worth at least its bound, so its
+  samples could not have lowered the incumbent.
 * satisfiability: the incumbent is pinned at 0. A subdomain with a strictly
   positive lower bound cannot contain a counterexample and is pruned; the
   search stops the moment any sampled or LP-solved point with canonical
@@ -127,6 +135,7 @@ class Subdomain:
     bounds: LayerBounds | None = None
     stalled: bool = False  # bound did not improve on the parent's
     witnessed: bool = False  # the bounding LP's minimiser was fed to the incumbent
+    fast_lb: float | None = None  # fast dual bound over the region's interval bounds
 
 
 @dataclass
@@ -195,7 +204,9 @@ def _bisect(dom: Subdomain, i: int) -> list[Subdomain]:
 
 def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = None) -> list[Subdomain]:
     """Bisect the dimension whose tentative children have the best fast
-    dual bounds (scored by the worse of the two).
+    dual bounds (scored by the worse of the two). The children returned
+    are the scored ones and carry their fast bound (``fast_lb``); the
+    parent's own score is its ``fast_lb`` when set.
 
     Given the search's `root` box, the split keeps the width guarantee:
     edge widths are measured relative to `root`, and when the widest is
@@ -214,33 +225,35 @@ def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = Non
         live = rel[rel > 0.0]
         if live.max() > ASPECT_LIMIT * live.min():
             return _bisect(dom, int(np.argmax(rel)))
-    parent = fast_dual_bound(net, box, propagate_box(net, box))
+    parent = dom.fast_lb
+    if parent is None:
+        parent = fast_dual_bound(net, box, propagate_box(net, box))
     tol = 1e-9 * max(1.0, abs(parent))
     scores = np.full(box.size, -np.inf)
+    scored: dict[int, list[Subdomain]] = {}
     for i in range(box.size):
         # near-degenerate dimensions are not candidates: halving them can
         # only shave epsilons off the bound, and chasing those epsilons
         # slices the box into slivers without ever improving the queue
         if widths[i] < 1e-2 * np.max(widths):
             continue
-        vals = []
-        for child in _bisect(dom, i):
+        scored[i] = _bisect(dom, i)
+        for child in scored[i]:
             cbox = child.region.box
-            cb = propagate_box(net, cbox)
-            vals.append(fast_dual_bound(net, cbox, cb))
-        scores[i] = min(vals)
+            child.fast_lb = fast_dual_bound(net, cbox, propagate_box(net, cbox))
+        scores[i] = min(child.fast_lb for child in scored[i])
     # A dimension qualifies only if it actually raises the fast bound;
     # without the guard a dimension the bound ignores scores level with the
     # parent forever (the aggressive child of a useful split scores lower)
     # and the search livelocks halving it. No improvement anywhere means
-    # ties everywhere: fall back to the longest edge.
+    # ties everywhere: fall back to the longest edge (always scored).
     improving = np.flatnonzero(scores > parent + tol)
     if len(improving):
         best = improving[int(np.argmax(scores[improving]))]
         tied = improving[scores[improving] >= scores[best] - tol]
         best = tied[int(np.argmax(widths[tied]))]
-        return _bisect(dom, int(best))
-    return split_input_longest(dom)
+        return scored[int(best)]
+    return scored[int(np.argmax(widths))]
 
 
 def split_relu(dom: Subdomain, net: Network, bounds: LayerBounds) -> list[Subdomain]:
@@ -350,20 +363,32 @@ class _Engine:
     def evaluate(self, sub: Subdomain) -> tuple[Subdomain, list[tuple[float, np.ndarray]]]:
         """Bound one subdomain; returns it (lb/bounds filled) + UB candidates.
 
-        A satisfiability search tries the cheap steps before the bounding
-        LP: a positive interval bound prunes the subdomain, and a validated
-        sampled counterexample ends the run. An optimise search runs only
-        the interval step, and only on a phase set, to prune one whose
-        phases the interval bounds contradict; an input box has no phases,
-        so there the pass could prune nothing. Either way no LP is solved."""
+        The cheap steps run before the bounding LP. A satisfiability search
+        prunes a subdomain on a positive interval bound and ends the run on
+        a validated sampled counterexample. An optimise search prunes a
+        phase set whose phases the interval bounds contradict, then one
+        whose fast dual bound (carried from ``split_input_smart`` when set)
+        already reaches the incumbent. A subdomain pruned this way solves no
+        LP and draws no sample, and one whose LP bound reaches the
+        incumbent draws no sample: every point inside is worth at least
+        that bound, so none can lower the incumbent."""
         sample = None
+        box = sub.region.box
         if self.mode == SATISFIABILITY or isinstance(sub.region, PhaseSet):
-            interval = propagate_box(self.net, sub.region.box, sub.region.phase_map())
+            interval = propagate_box(self.net, box, sub.region.phase_map())
             if interval is None or (self.mode == SATISFIABILITY and interval.output_lb[0] > 0.0):
                 sub.lower_bound = np.inf if interval is None else max(float(interval.output_lb[0]), sub.lower_bound)
                 sub.bounds = interval
                 return sub, []
-        if self.mode == SATISFIABILITY:
+        if self.mode == OPTIMIZE:
+            if sub.fast_lb is None:
+                if isinstance(sub.region, InputBox):
+                    interval = propagate_box(self.net, box)
+                sub.fast_lb = fast_dual_bound(self.net, box, interval)
+            if self._reaches_incumbent(sub.fast_lb):
+                sub.lower_bound = max(sub.fast_lb, sub.lower_bound)
+                return sub, []
+        else:
             sample = self._sample(sub)
             val, pt = sample
             if pt is not None and val <= 0.0 and validate_counterexample(self.problem, pt, 1e-6):
@@ -380,15 +405,19 @@ class _Engine:
         sub.bounds = bounds
         candidates: list[tuple[float, np.ndarray]] = []
         if np.isfinite(lb):
-            if sample is None:
+            if sample is None and not self._reaches_incumbent(sub.lower_bound):
                 sample = self._sample(sub)
-            val, pt = sample
-            if pt is not None:
-                candidates.append((val, pt))
+            if sample is not None and sample[1] is not None:
+                candidates.append(sample)
             if lp_point is not None:
                 candidates.append((float(forward_eval(self.net, lp_point)[0]), lp_point))
                 sub.witnessed = True
         return sub, candidates
+
+    def _reaches_incumbent(self, bound: float) -> bool:
+        """No point of a region bounded below by ``bound`` can lower the
+        incumbent upper bound."""
+        return bound >= self.global_ub
 
     def _sample(self, sub: Subdomain) -> tuple[float, np.ndarray | None]:
         return sample_upper_bound(self.net, sub.region, self.cfg.sample_count, self.rng.spawn(sub.seq))

@@ -164,7 +164,7 @@ def run_bench(
                     sample_count=sample_count, out=out, problem_id=stem,
                 )
             except Exception as exc:  # record, keep benching
-                rec = RunRecord(stem, method, "ERROR", 0.0, 0, -np.inf, np.inf, 0, "")
+                rec = RunRecord(stem, method, "ERROR", 0.0, 0, -np.inf, np.inf, 0, str(out))
                 rec_doc = {"status": "ERROR", "error": str(exc)}
                 out.write_text(json.dumps(rec_doc) + "\n", encoding="utf-8")
             records.append(rec)

@@ -449,3 +449,83 @@ def test_input_split_search_is_unchanged_by_skipped_tightening(monkeypatch):
                 if want.margin is not None:
                     assert abs(got.margin - want.margin) <= 1e-9 * max(1.0, abs(want.margin))
     assert lps["skip"] < 0.9 * lps["full"], lps
+
+
+def test_optimize_prunes_on_the_fast_dual_bound_before_the_lp(monkeypatch):
+    # a subdomain whose fast dual bound reaches the incumbent solves no LP
+    # and draws no sample; one whose LP bound reaches it draws no sample
+    solves = count_calls(monkeypatch, lp_module, "solve")
+    samples = count_calls(monkeypatch, bab_module, "sample_upper_bound")
+    rng = np.random.default_rng(31)
+    net = random_net(rng, 2, [4, 3])
+    problem = canonicalize(net, Geq(np.array([1.0]), 0.0), random_box(rng, 2))
+    net, box = problem.canonical_net, problem.domain
+    fast = bab_module.fast_dual_bound(net, box, propagate_box(net, box))
+    lp_lb, _, _ = bab_module._bound_region(net, InputBox(box))
+    assert fast < lp_lb
+    solves[0] = 0
+    engine = bab_module._Engine(problem, BabConfig(), bab_module.OPTIMIZE)
+    for region in (InputBox(box), PhaseSet(box, ())):
+        for parent in (fast - 1.0, fast + 0.5):
+            engine.global_ub = fast
+            sub, candidates = engine.evaluate(Subdomain(region, parent))
+            assert candidates == [] and sub.lower_bound == max(fast, parent) and sub.fast_lb == fast
+            assert solves[0] == samples[0] == 0
+        engine.global_ub = lp_lb
+        sub, candidates = engine.evaluate(Subdomain(region, fast - 1.0))
+        assert sub.lower_bound == lp_lb and solves[0] > 0 and samples[0] == 0
+        assert all(val >= lp_lb - 1e-9 for val, _ in candidates)
+        solves[0] = 0
+    engine.global_ub = np.nextafter(lp_lb, np.inf)
+    engine.evaluate(Subdomain(InputBox(box), fast - 1.0))
+    assert samples[0] == 1
+
+
+def test_optimize_results_are_unchanged_by_the_pre_lp_prune(monkeypatch):
+    # every point of a region is worth at least its fast dual bound, so a
+    # region pruned on it could not have lowered the incumbent
+    evaluations = count_calls(monkeypatch, bab_module, "_bound_region")
+    totals = {"prune": 0, "off": 0}
+    rng = np.random.default_rng(15)
+    for k in range(12):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in, [int(rng.integers(4, 8)) for _ in range(2 + k % 2)])
+        problem = canonicalize(net, Geq(np.array([1.0]), 0.0), random_box(rng, n_in, radius=1.5))
+        for branching in (INPUT_SMART, INPUT_LONGEST, RELU_SPLIT):
+            cfg = BabConfig(branching=branching, node_cap=120, seed=k)
+            results, counts = {}, {}
+            for side in ("off", "prune"):
+                with monkeypatch.context() as patch:
+                    if side == "off":
+                        patch.setattr(bab_module._Engine, "_reaches_incumbent", lambda self, bound: False)
+                    before = evaluations[0]
+                    results[side] = bab_optimize(problem, cfg)
+                    counts[side] = evaluations[0] - before
+                    totals[side] += counts[side]
+            got, want = results["prune"], results["off"]
+            assert (got.status, got.nodes) == (want.status, want.nodes), (k, branching)
+            for name in ("best_lb", "best_ub", "min_estimate"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None and b is None) or abs(a - b) <= 1e-12, (k, branching, name)
+            assert counts["prune"] <= counts["off"]
+    assert totals["prune"] < 0.95 * totals["off"], totals
+
+
+def test_split_input_smart_children_carry_their_fast_bound(monkeypatch):
+    rng = np.random.default_rng(31)
+    net = random_net(rng, 3, [5, 4])
+    box = random_box(rng, 3)
+    propagations = count_calls(monkeypatch, bab_module, "propagate_box")
+    children = split_input_smart(Subdomain(InputBox(box), -np.inf), net)
+    for child in children:
+        cbox = child.region.box
+        want = bab_module.fast_dual_bound(net, cbox, propagate_box(net, cbox))
+        assert child.fast_lb is not None and child.fast_lb.hex() == want.hex()
+    scored = propagations[0] - 1  # the parent's own bound
+    parent = Subdomain(InputBox(box), -np.inf, fast_lb=bab_module.fast_dual_bound(net, box, propagate_box(net, box)))
+    propagations[0] = 0
+    again = split_input_smart(parent, net)
+    assert propagations[0] == scored
+    assert [c.region.box.lb.tobytes() + c.region.box.ub.tobytes() for c in again] == [
+        c.region.box.lb.tobytes() + c.region.box.ub.tobytes() for c in children
+    ]

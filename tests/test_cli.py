@@ -169,6 +169,25 @@ def test_bench_and_cactus(tmp_path):
         assert fractions[-1] == pytest.approx(1.0)
 
 
+def test_bench_names_the_result_file_of_an_error_run(tmp_path, monkeypatch):
+    from plverify import cli
+
+    def failing(*args, **kwargs):
+        raise RuntimeError("forced")
+
+    suite = tmp_path / "suite"
+    write_suite([GenSpec(2, 2, 3, margin=1.0, seed=21)], suite)
+    monkeypatch.setattr(cli, "run_verify", failing)
+    out_csv = tmp_path / "runs.csv"
+    records = run_bench(suite, ["babsb"], out_csv)
+    with open(out_csv) as fh:
+        (row,) = list(csv.DictReader(fh))
+    assert row["status"] == records[0].status == "ERROR"
+    assert row["result_file"] == records[0].result_file
+    doc = json.loads(open(row["result_file"], encoding="utf-8").read())
+    assert doc == {"status": "ERROR", "error": "forced"}
+
+
 def test_cactus_all_timeout_and_instant(tmp_path):
     path = tmp_path / "runs.csv"
     with open(path, "w", newline="") as fh:

@@ -1,11 +1,14 @@
-"""Cold ``lp.solve`` against SciPy's HiGHS on real relaxation LPs, most of
-them past the 8-variable cap of ``lp.solve_reference``."""
+"""Cold ``lp.solve`` against SciPy's HiGHS on real relaxation and MIP-node
+LPs, most of them past the 8-variable cap of ``lp.solve_reference``."""
 
 import numpy as np
 import pytest
 from helpers import differential_cases
 
 from plverify import lp
+from plverify.canon import Geq, canonicalize
+from plverify.mip import INTERVAL_VARIANT, PLANET_OPT, PLANET_SYMFEASIBLE, encode_mip, solve_mip
+from plverify.model import forward_batch
 from plverify.relax import build_planet, planet_lower_bound_with_point
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -71,3 +74,39 @@ def test_cold_relaxation_lps_agree_with_highs(monkeypatch):
         if status == lp.OPTIMAL:
             assert abs(got.objective - value) <= 1e-9
     assert outcomes[lp.OPTIMAL] > 900 and outcomes[lp.INFEASIBLE] > 10 and past_cap > 150, (outcomes, past_cap)
+
+
+def test_mip_node_lps_agree_with_highs(monkeypatch):
+    # every node LP the big-M searches of the three variants solve (warm,
+    # pinned binaries, some infeasible), solved again from the slack basis
+    real_solve = lp.solve
+    models = []
+
+    def recorded(model, basis=None):
+        models.append(model.copy())
+        return real_solve(model, basis)
+
+    for k, (net, box, _) in enumerate(differential_cases(np.random.default_rng(8))):
+        if k % 3:
+            continue  # one case per box
+        # thresholds near the sampled minimum, so that the searches branch
+        rng = np.random.default_rng(k)
+        y = forward_batch(net, rng.uniform(box.lb, box.ub, size=(64, box.size)))[:, 0]
+        problem = canonicalize(net, Geq(np.ones(1), float(y.min()) - 0.01), box)
+        for variant in (PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE):
+            enc = encode_mip(problem.canonical_net, box, variant)
+            with monkeypatch.context() as patch:
+                patch.setattr(lp, "solve", recorded)
+                solve_mip(enc)
+
+    outcomes = {lp.OPTIMAL: 0, lp.INFEASIBLE: 0}
+    past_cap = 0
+    for model in models:
+        got = lp.solve(model)
+        status, value = _highs(model)
+        assert got.status == status
+        outcomes[status] += 1
+        past_cap += model.num_vars > 8
+        if status == lp.OPTIMAL:
+            assert abs(got.objective - value) <= 1e-9
+    assert outcomes[lp.OPTIMAL] > 500 and outcomes[lp.INFEASIBLE] > 0 and past_cap > 400, (outcomes, past_cap)
