@@ -4,12 +4,14 @@ The engine keeps a priority queue of subdomains ordered by lower bound. Each
 iteration pops the most promising subdomain, splits it, and bounds the
 children: an upper bound from random sampling (any point value is an upper
 bound on the minimum) and a lower bound from the tightened hull LP of the
-subdomain (``relax.build_planet``, over a ReLU-only net). An input sub-box
-skips the tightening LPs that cannot move its bound (``output_only``),
-since input branching never reads the layer bounds; a phase set keeps
-them all, because phase splitting picks its unit from them. Children whose
-lower bound cannot improve on the incumbent are pruned; the global lower
-bound is the smallest bound over the open queue.
+subdomain (``relax.build_planet``, over a ReLU-only net). Under input
+branching a subdomain skips the tightening LPs that cannot move its bound
+(``output_only``), since input branching never reads the layer bounds; a
+phase set keeps them all, because phase splitting picks its unit from
+them. Children whose lower bound cannot improve on the incumbent are
+pruned; the global lower bound is the smallest bound over the open queue,
+capped at the incumbent (queued entries a later incumbent outgrew are
+pruned only when popped).
 
 Two modes share the loop:
 
@@ -34,10 +36,13 @@ Two modes share the loop:
   step can act on a subdomain the LP bound would keep; a subdomain pruned by
   its interval bound contributes that (looser) bound to the margin.
 
-Subdomains are either input sub-boxes (bisection branching, optionally with
-the smart scoring that test-splits every dimension and keeps the one whose
-children have the best fast dual bounds) or partial ReLU phase assignments
-(the phase-splitting branching, which rebuilds tightened bounds per child).
+A subdomain is an input box plus the ReLU phases fixed so far, and the
+branching rule alone decides which of the two it splits. Input branching
+bisects the box and fixes no phase (optionally with the smart scoring that
+test-splits every dimension and keeps the one whose children have the best
+fast dual bounds). Phase splitting keeps the root box and fixes one more
+unit per child, rebuilding tightened bounds per child; in the rest of this
+module a "phase set" is a subdomain of that search.
 
 Smart input branching carries a width guarantee: a box whose widest edge,
 measured relative to the root box, exceeds ASPECT_LIMIT times its narrowest
@@ -107,35 +112,16 @@ class NoAmbiguousUnit(Exception):
     """Every ReLU unit is already fixed; the subdomain's LP bound is exact."""
 
 
-@dataclass(frozen=True)
-class InputBox:
-    box: BoxDomain
-
-    def phase_map(self) -> PhaseMap:
-        return {}
-
-
-@dataclass(frozen=True)
-class PhaseSet:
-    box: BoxDomain  # the root box; phases restrict it
-    phases: tuple[tuple[tuple[int, int], bool], ...]
-
-    def phase_map(self) -> PhaseMap:
-        return dict(self.phases)
-
-
-Region = InputBox | PhaseSet
-
-
 @dataclass
 class Subdomain:
-    region: Region
+    box: BoxDomain  # under phase splitting, the root box; the phases restrict it
     lower_bound: float
+    phases: tuple[tuple[tuple[int, int], bool], ...] = ()  # sorted; empty under input splitting
     seq: int = 0
     bounds: LayerBounds | None = None
     stalled: bool = False  # bound did not improve on the parent's
     witnessed: bool = False  # the bounding LP's minimiser was fed to the incumbent
-    fast_lb: float | None = None  # fast dual bound over the region's interval bounds
+    fast_lb: float | None = None  # fast dual bound over the subdomain's interval bounds
 
 
 @dataclass
@@ -181,7 +167,7 @@ def _push(queue: list, sub: Subdomain) -> None:
 
 def split_input_longest(dom: Subdomain) -> list[Subdomain]:
     """Bisect the box along its longest edge (lowest index on ties)."""
-    box = dom.region.box
+    box = dom.box
     widths = box.widths()
     if np.max(widths) <= 0.0:
         raise SplitExhausted("box has zero width in every dimension")
@@ -190,15 +176,15 @@ def split_input_longest(dom: Subdomain) -> list[Subdomain]:
 
 
 def _bisect(dom: Subdomain, i: int) -> list[Subdomain]:
-    box = dom.region.box
+    box = dom.box
     mid = 0.5 * (box.lb[i] + box.ub[i])
     lo_ub = box.ub.copy()
     lo_ub[i] = mid
     hi_lb = box.lb.copy()
     hi_lb[i] = mid
     return [
-        Subdomain(InputBox(BoxDomain(box.lb.copy(), lo_ub)), dom.lower_bound),
-        Subdomain(InputBox(BoxDomain(hi_lb, box.ub.copy())), dom.lower_bound),
+        Subdomain(BoxDomain(box.lb.copy(), lo_ub), dom.lower_bound),
+        Subdomain(BoxDomain(hi_lb, box.ub.copy()), dom.lower_bound),
     ]
 
 
@@ -215,7 +201,7 @@ def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = Non
     reward splitting some dimension; without the guarantee such an edge
     keeps its full width while the others are cut to slivers, and the
     search stalls short of the minimum."""
-    box = dom.region.box
+    box = dom.box
     widths = box.widths()
     if np.max(widths) <= 0.0:
         raise SplitExhausted("box has zero width in every dimension")
@@ -239,8 +225,7 @@ def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = Non
             continue
         scored[i] = _bisect(dom, i)
         for child in scored[i]:
-            cbox = child.region.box
-            child.fast_lb = fast_dual_bound(net, cbox, propagate_box(net, cbox))
+            child.fast_lb = fast_dual_bound(net, child.box, propagate_box(net, child.box))
         scores[i] = min(child.fast_lb for child in scored[i])
     # A dimension qualifies only if it actually raises the fast bound;
     # without the guard a dimension the bound ignores scores level with the
@@ -262,7 +247,7 @@ def split_relu(dom: Subdomain, net: Network, bounds: LayerBounds) -> list[Subdom
     The unit maximising min(-l, u) under the subdomain's current bounds is
     chosen (ties: lowest (layer, unit)); children fix it blocked / passing.
     """
-    fixed = dom.region.phase_map()
+    fixed = dict(dom.phases)
     best = None
     for (i, j) in ambiguous_units(net, bounds):
         if (i, j) in fixed:
@@ -273,13 +258,10 @@ def split_relu(dom: Subdomain, net: Network, bounds: LayerBounds) -> list[Subdom
     if best is None:
         raise NoAmbiguousUnit("all units sign-fixed; bound is exact")
     unit = best[1]
-    children = []
-    for phase in (BLOCKED, PASSING):
-        phases = dict(fixed)
-        phases[unit] = phase
-        region = PhaseSet(dom.region.box, tuple(sorted(phases.items())))
-        children.append(Subdomain(region, dom.lower_bound))
-    return children
+    return [
+        Subdomain(dom.box, dom.lower_bound, tuple(sorted(dom.phases + ((unit, phase),))))
+        for phase in (BLOCKED, PASSING)
+    ]
 
 
 def _forward_phases(net: Network, pts: np.ndarray, phases: PhaseMap) -> tuple[np.ndarray, np.ndarray]:
@@ -296,15 +278,14 @@ def _forward_phases(net: Network, pts: np.ndarray, phases: PhaseMap) -> tuple[np
 
 def sample_upper_bound(
     net: Network,
-    dom: Region,
+    box: BoxDomain,
+    phases: PhaseMap,
     count: int,
     rng: SplitMix64,
 ) -> tuple[float, np.ndarray | None]:
-    """Best canonical output over uniform samples plus one greedy coordinate
-    descent pass from the best sample. Phase-set domains sample the root box
-    and keep only phase-consistent points (+inf, None when none match)."""
-    box = dom.box
-    phases = dom.phase_map()
+    """Best canonical output over uniform samples of ``box`` plus one greedy
+    coordinate descent pass from the best sample. Given phases, only points
+    that meet them count (+inf, None when none match)."""
     pts = rng.uniform_box(box.lb, box.ub, count)
     vals, mask = _forward_phases(net, pts, phases)
     if phases:
@@ -326,16 +307,17 @@ def sample_upper_bound(
     return best_val, best_pt
 
 
-def _bound_region(net: Network, region: Region) -> tuple[float, LayerBounds | None, np.ndarray | None]:
+def _bound_region(
+    net: Network, box: BoxDomain, phases: PhaseMap, output_only: bool
+) -> tuple[float, LayerBounds | None, np.ndarray | None]:
     """Lower bound, refreshed bounds, and optional LP minimiser input point,
-    from the tightened hull LP."""
-    # only phase splitting reads the bounds back (split_relu)
-    pm = build_planet(net, region.box, region.phase_map(), tighten=True, output_only=isinstance(region, InputBox))
+    from the tightened hull LP (``output_only`` as in ``build_planet``)."""
+    pm = build_planet(net, box, phases, tighten=True, output_only=output_only)
     try:
         lb, point = planet_lower_bound_with_point(pm)
     except lp.NumericalFailure:
         # the relaxation's layer bounds stay sound without its output LP
-        return fast_dual_bound(net, region.box, pm.bounds), pm.bounds, None
+        return fast_dual_bound(net, box, pm.bounds), pm.bounds, None
     return lb, pm.bounds, point
 
 
@@ -350,7 +332,7 @@ class _Engine:
         self.t0 = time.monotonic()
         self.global_ub = np.inf if mode == OPTIMIZE else 0.0
         self.sat_point: np.ndarray | None = None
-        self.pruned_lb = np.inf  # min lower bound among pruned subdomains
+        self.pruned_lb = np.inf  # min lower bound among pruned subdomains (satisfiability)
         self.final_lbs: list[float] = []  # unsplittable leaves w/o exact witness
         self.queue: list = []
 
@@ -373,32 +355,34 @@ class _Engine:
         incumbent draws no sample: every point inside is worth at least
         that bound, so none can lower the incumbent."""
         sample = None
-        box = sub.region.box
-        if self.mode == SATISFIABILITY or isinstance(sub.region, PhaseSet):
-            interval = propagate_box(self.net, box, sub.region.phase_map())
+        box, phases = sub.box, dict(sub.phases)
+        phase_split = self.cfg.branching == RELU_SPLIT
+        if self.mode == SATISFIABILITY or phase_split:
+            interval = propagate_box(self.net, box, phases)
             if interval is None or (self.mode == SATISFIABILITY and interval.output_lb[0] > 0.0):
                 sub.lower_bound = np.inf if interval is None else max(float(interval.output_lb[0]), sub.lower_bound)
                 sub.bounds = interval
                 return sub, []
         if self.mode == OPTIMIZE:
             if sub.fast_lb is None:
-                if isinstance(sub.region, InputBox):
+                if not phase_split:
                     interval = propagate_box(self.net, box)
                 sub.fast_lb = fast_dual_bound(self.net, box, interval)
             if self._reaches_incumbent(sub.fast_lb):
                 sub.lower_bound = max(sub.fast_lb, sub.lower_bound)
                 return sub, []
         else:
-            sample = self._sample(sub)
+            sample = self._sample(sub, phases)
             val, pt = sample
             if pt is not None and val <= 0.0 and validate_counterexample(self.problem, pt, 1e-6):
                 return sub, [sample]
         parent_lb = sub.lower_bound
-        lb, bounds, lp_point = _bound_region(self.net, sub.region)
+        # only phase splitting reads the layer bounds back (split_relu)
+        lb, bounds, lp_point = _bound_region(self.net, box, phases, not phase_split)
         if np.isfinite(parent_lb) and np.isfinite(lb) and np.isfinite(self.global_ub):
             # progress is measured against the gap that still has to close;
             # a bound creeping by epsilons while the gap stands still means
-            # the branching choice is not working on this region
+            # the branching choice is not working on this subdomain
             gap = max(self.global_ub - lb, self.cfg.epsilon)
             sub.stalled = lb - parent_lb <= 0.01 * gap
         sub.lower_bound = max(lb, sub.lower_bound)  # child never below parent
@@ -406,7 +390,7 @@ class _Engine:
         candidates: list[tuple[float, np.ndarray]] = []
         if np.isfinite(lb):
             if sample is None and not self._reaches_incumbent(sub.lower_bound):
-                sample = self._sample(sub)
+                sample = self._sample(sub, phases)
             if sample is not None and sample[1] is not None:
                 candidates.append(sample)
             if lp_point is not None:
@@ -415,28 +399,25 @@ class _Engine:
         return sub, candidates
 
     def _reaches_incumbent(self, bound: float) -> bool:
-        """No point of a region bounded below by ``bound`` can lower the
+        """No point of a subdomain bounded below by ``bound`` can lower the
         incumbent upper bound."""
         return bound >= self.global_ub
 
-    def _sample(self, sub: Subdomain) -> tuple[float, np.ndarray | None]:
-        return sample_upper_bound(self.net, sub.region, self.cfg.sample_count, self.rng.spawn(sub.seq))
+    def _sample(self, sub: Subdomain, phases: PhaseMap) -> tuple[float, np.ndarray | None]:
+        return sample_upper_bound(self.net, sub.box, phases, self.cfg.sample_count, self.rng.spawn(sub.seq))
 
     def global_lb(self) -> float:
-        lbs = [self.queue[0][0]] if self.queue else []
-        lbs.extend(self.final_lbs)
-        return min(lbs) if lbs else self.global_ub
+        """The smallest open bound, capped at the incumbent. A queue head at
+        or above the incumbent was pruned lazily by a later incumbent, and
+        so was every entry behind it."""
+        head = self.queue[0][0] if self.queue else np.inf
+        return min(head, *self.final_lbs, self.global_ub)
 
-    def run(self, initial_phases: PhaseMap | None = None) -> BabResult:
+    def run(self) -> BabResult:
         cfg = self.cfg
         if self.out_of_budget():
             return self._result(TIMEOUT, -np.inf)
-        root_region: Region
-        if cfg.branching == RELU_SPLIT or initial_phases:
-            root_region = PhaseSet(self.problem.domain, tuple(sorted((initial_phases or {}).items())))
-        else:
-            root_region = InputBox(self.problem.domain)
-        root = Subdomain(root_region, -np.inf, seq=self._next_seq())
+        root = Subdomain(self.problem.domain, -np.inf, seq=self._next_seq())
 
         res = self._process([root])
         if res is not None:
@@ -485,8 +466,8 @@ class _Engine:
         return children
 
     def _finalize_leaf(self, sub: Subdomain) -> None:
-        # The bound is final for this region. When its exact LP minimiser
-        # already fed the incumbent the region is resolved; otherwise keep
+        # The bound is final for this subdomain. When its exact LP minimiser
+        # already fed the incumbent it is resolved; otherwise keep
         # the bound as a permanent floor.
         if not sub.witnessed:
             self.final_lbs.append(sub.lower_bound)
@@ -512,11 +493,8 @@ class _Engine:
                 self.pruned_lb = min(self.pruned_lb, lb)
             else:
                 _push(self.queue, sub)
-        else:
-            if lb < self.global_ub:
-                _push(self.queue, sub)
-            else:
-                self.pruned_lb = min(self.pruned_lb, lb)
+        elif lb < self.global_ub:
+            _push(self.queue, sub)
         return None
 
     def _wrap_up(self) -> BabResult:
@@ -548,11 +526,7 @@ def bab_optimize(problem: VerificationProblem, config: BabConfig | None = None) 
     return _Engine(problem, config or BabConfig(), OPTIMIZE).run()
 
 
-def bab_verify(
-    problem: VerificationProblem,
-    config: BabConfig | None = None,
-    initial_phases: PhaseMap | None = None,
-) -> BabResult:
+def bab_verify(problem: VerificationProblem, config: BabConfig | None = None) -> BabResult:
     """Decide the property: UNSAT with a margin, SAT with a validated
     counterexample, or timeout."""
-    return _Engine(problem, config or BabConfig(), SATISFIABILITY).run(initial_phases=initial_phases)
+    return _Engine(problem, config or BabConfig(), SATISFIABILITY).run()

@@ -94,11 +94,9 @@ PLANET_SYMFEASIBLE = MipVariant(SYM, BOUNDS_PLANET)
 class EncodedMip:
     net: Network
     box: BoxDomain
-    variant: MipVariant
     model: lp.LpModel  # full encoding, output minimised
     output_var: int | None
     int_vars: list[int]
-    bounds: LayerBounds
     input_vars: list[int] = field(default_factory=list)
     relu_units: list[tuple[int, int, int, int, int]] = field(default_factory=list)
     # (layer, unit, delta_var, pre_var, post_var)
@@ -179,7 +177,7 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
 
     output_var = prev[0] if prev else None
     model.set_objective({output_var: 1.0} if output_var is not None else np.zeros(model.num_vars))
-    return EncodedMip(net, box, variant, model, output_var, int_vars, bounds, input_vars, relu_units, pool_groups)
+    return EncodedMip(net, box, model, output_var, int_vars, input_vars, relu_units, pool_groups)
 
 
 def _pinned(base: lp.LpModel, fixes: dict[int, int]) -> lp.LpModel:
@@ -298,12 +296,11 @@ def solve_mip(
     if cx is not None:
         return result(SAT, open_lb(), cx)
 
+    # a node is queued only with a bound <= 0 (a positive one is pruned), so
+    # the open bound turns positive only once the queue has drained
     while queue:
-        glb = open_lb()
-        if glb > 0.0:
-            return result(UNSAT, glb)
         if elapsed() >= timeout or nodes >= node_cap:
-            return result(TIMEOUT, glb)
+            return result(TIMEOUT, open_lb())
         lb, _, fixes, branch_var, basis = heapq.heappop(queue)
         for val in (0, 1):
             child = dict(fixes)

@@ -267,20 +267,14 @@ def reluplex_lower_bound(net: Network, box: BoxDomain, phases: PhaseMap | None =
 
 
 def reluplex_feasible(net: Network, box: BoxDomain, phases: PhaseMap | None = None) -> str:
-    """Feasibility of the loose relaxation plus the counterexample row.
+    """Feasibility of the loose relaxation plus the counterexample row
+    output <= 0, answered by the sign of its minimum: the row is feasible
+    exactly when the minimum is <= 0.
 
     UNSAT proves no counterexample exists in the subdomain; MAYBE_SAT says
     nothing either way (the relaxation is strictly looser than the hull).
     """
-    pm = build_reluplex(net, box, phases)
-    if pm.infeasible:
-        return UNSAT
-    if pm.output_var is None:
-        return MAYBE_SAT  # constant zero output satisfies <= 0
-    model = pm.model.copy()
-    model.add_row({pm.output_var: 1.0}, lp.LE, 0.0)
-    model.set_objective(np.zeros(model.num_vars))
-    return MAYBE_SAT if lp.solve(model).status == lp.OPTIMAL else UNSAT
+    return UNSAT if reluplex_lower_bound(net, box, phases)[0] > 0.0 else MAYBE_SAT
 
 
 def fast_dual_bound(net: Network, box: BoxDomain, bounds: LayerBounds) -> float:

@@ -106,6 +106,7 @@ def test_criterion_2_oracle_agreement(suite200, method_runs):
         res = bab_optimize(lowered, BabConfig(epsilon=eps, seed=7, timeout=RUN_TIMEOUT))
         assert res.status == "converged", inst.spec
         assert abs(res.min_estimate - exact) <= eps + 1e-6, inst.spec
+        assert res.best_lb <= exact + 1e-9, inst.spec
     _report("criterion 2 (200 instances x 7 methods vs oracle)", f"{len(suite200)} instances, 0 spurious SAT")
 
 

@@ -11,9 +11,7 @@ from plverify.bab import (
     TIMEOUT,
     UNSAT,
     BabConfig,
-    InputBox,
     NoAmbiguousUnit,
-    PhaseSet,
     SplitExhausted,
     Subdomain,
     bab_optimize,
@@ -26,7 +24,8 @@ from plverify.bab import (
 )
 from plverify import bab as bab_module
 from plverify import lp as lp_module
-from plverify.canon import Geq, canonicalize, validate_counterexample
+from plverify.canon import Geq, canonicalize, lower_maxpools, validate_counterexample
+from plverify.gensuite import GenSpec, generate
 from plverify.interval import BLOCKED, PASSING, propagate_box
 from plverify.lp import NumericalFailure
 from plverify.model import BoxDomain, Linear, Network, Relu, forward_batch, forward_eval
@@ -46,29 +45,29 @@ def _heap(entries):
 
 def test_pick_out_minimum_and_fifo_ties():
     q = _heap([(-3.0, "A"), (-1.0, "B")])
-    assert pick_out(q).region == "A"
+    assert pick_out(q).box == "A"
     q = _heap([(-1.0, "A"), (-1.0, "B")])
-    assert pick_out(q).region == "A"
+    assert pick_out(q).box == "A"
     q = _heap([(-1.0, "only")])
-    assert pick_out(q).region == "only"
+    assert pick_out(q).box == "only"
     with pytest.raises(IndexError):
         pick_out([])
 
 
 def _boxdom(lb, ub):
-    return Subdomain(InputBox(BoxDomain(np.array(lb), np.array(ub))), -np.inf)
+    return Subdomain(BoxDomain(np.array(lb), np.array(ub)), -np.inf)
 
 
 def test_split_input_longest():
     kids = split_input_longest(_boxdom([-2.0, -2.0], [2.0, 2.0]))
-    assert np.allclose(kids[0].region.box.ub, [0.0, 2.0])
-    assert np.allclose(kids[1].region.box.lb, [0.0, -2.0])
+    assert np.allclose(kids[0].box.ub, [0.0, 2.0])
+    assert np.allclose(kids[1].box.lb, [0.0, -2.0])
 
     kids = split_input_longest(_boxdom([0.0, -3.0], [1.0, 3.0]))
-    assert np.allclose(kids[0].region.box.ub, [1.0, 0.0])
+    assert np.allclose(kids[0].box.ub, [1.0, 0.0])
 
     kids = split_input_longest(_boxdom([5.0, 0.0], [5.0, 2.0]))
-    assert np.allclose(kids[0].region.box.ub, [5.0, 1.0])
+    assert np.allclose(kids[0].box.ub, [5.0, 1.0])
 
     with pytest.raises(SplitExhausted):
         split_input_longest(_boxdom([1.0, 2.0], [1.0, 2.0]))
@@ -79,7 +78,7 @@ def test_split_input_smart_symmetric_toy_falls_back_to_dim0():
     net = problem.canonical_net
     dom = _boxdom([-2.0, -2.0], [2.0, 2.0])
     kids = split_input_smart(dom, net)
-    assert kids[0].region.box.ub[0] == pytest.approx(0.0)  # dim 0 split
+    assert kids[0].box.ub[0] == pytest.approx(0.0)  # dim 0 split
 
 
 def test_split_input_smart_ignores_dead_dimension():
@@ -94,8 +93,8 @@ def test_split_input_smart_ignores_dead_dimension():
     )
     dom = _boxdom([-4.0, -4.0], [4.0, 4.0])
     kids = split_input_smart(dom, net)
-    assert kids[0].region.box.ub[0] == pytest.approx(0.0)
-    assert kids[0].region.box.ub[1] == pytest.approx(4.0)
+    assert kids[0].box.ub[0] == pytest.approx(0.0)
+    assert kids[0].box.ub[1] == pytest.approx(4.0)
 
 
 def test_split_input_smart_width_guarantee():
@@ -112,14 +111,14 @@ def test_split_input_smart_width_guarantee():
     root = BoxDomain(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
     dom = _boxdom([-1.0 / 16, -4.0], [1.0 / 16, 4.0])  # x0 is 1/64 of x1's width
     kids = split_input_smart(dom, net)
-    assert kids[0].region.box.ub[0] == pytest.approx(0.0)
+    assert kids[0].box.ub[0] == pytest.approx(0.0)
     kids = split_input_smart(dom, net, root=root)
-    assert kids[0].region.box.ub[1] == pytest.approx(0.0)
-    assert kids[0].region.box.ub[0] == pytest.approx(1.0 / 16)
+    assert kids[0].box.ub[1] == pytest.approx(0.0)
+    assert kids[0].box.ub[0] == pytest.approx(1.0 / 16)
     # relative to an anisotropic root the same box is not elongated
     wide_root = BoxDomain(np.array([-0.5, -4.0]), np.array([0.5, 4.0]))
     kids = split_input_smart(dom, net, root=wide_root)
-    assert kids[0].region.box.ub[0] == pytest.approx(0.0)
+    assert kids[0].box.ub[0] == pytest.approx(0.0)
 
 
 def test_split_input_smart_1d():
@@ -127,24 +126,24 @@ def test_split_input_smart_1d():
     # 1-D slice: fix x2 via a degenerate box on dim 1
     dom = _boxdom([-2.0, 0.0], [2.0, 0.0])
     kids = split_input_smart(dom, net)
-    assert kids[0].region.box.ub[0] == pytest.approx(0.0)
+    assert kids[0].box.ub[0] == pytest.approx(0.0)
 
 
 def test_split_relu_tiebreak_and_progress():
     problem = toy_problem(-5.0)
     net = problem.canonical_net
     bounds = propagate_box(net, problem.domain)
-    root = Subdomain(PhaseSet(problem.domain, ()), -np.inf)
+    root = Subdomain(problem.domain, -np.inf)
     kids = split_relu(root, net, bounds)
     # both units score min(4,4); tie broken by lowest (layer, unit)
-    assert dict(kids[0].region.phases) == {(1, 0): BLOCKED}
-    assert dict(kids[1].region.phases) == {(1, 0): PASSING}
+    assert dict(kids[0].phases) == {(1, 0): BLOCKED}
+    assert dict(kids[1].phases) == {(1, 0): PASSING}
 
-    half = Subdomain(PhaseSet(problem.domain, (((1, 0), PASSING),)), -np.inf)
+    half = Subdomain(problem.domain, -np.inf, (((1, 0), PASSING),))
     kids = split_relu(half, net, bounds)
-    assert dict(kids[0].region.phases)[(1, 1)] == BLOCKED
+    assert dict(kids[0].phases)[(1, 1)] == BLOCKED
 
-    full = Subdomain(PhaseSet(problem.domain, (((1, 0), PASSING), ((1, 1), BLOCKED))), -np.inf)
+    full = Subdomain(problem.domain, -np.inf, (((1, 0), PASSING), ((1, 1), BLOCKED)))
     with pytest.raises(NoAmbiguousUnit):
         split_relu(full, net, bounds)
 
@@ -152,15 +151,14 @@ def test_split_relu_tiebreak_and_progress():
 def test_sample_upper_bound_point_box():
     net = toy_problem(-5.0).canonical_net
     x = np.array([1.0, -0.5])
-    dom = InputBox(BoxDomain(x, x))
-    val, pt = sample_upper_bound(net, dom, 8, SplitMix64(0))
+    val, pt = sample_upper_bound(net, BoxDomain(x, x), {}, 8, SplitMix64(0))
     assert val == pytest.approx(forward_eval(net, x)[0])
     assert np.allclose(pt, x)
 
 
 def test_sample_upper_bound_toy():
     problem = toy_problem(-5.0)
-    val, pt = sample_upper_bound(problem.canonical_net, InputBox(problem.domain), 1024, SplitMix64(0))
+    val, pt = sample_upper_bound(problem.canonical_net, problem.domain, {}, 1024, SplitMix64(0))
     assert 1.0 - 1e-12 <= val <= 5.0
     # coordinate descent from the best of 1024 samples reaches a corner
     assert val == pytest.approx(1.0, abs=1e-9)
@@ -168,7 +166,7 @@ def test_sample_upper_bound_toy():
 
 def test_sample_upper_bound_finds_toy_counterexample():
     problem = toy_problem(-3.0)
-    val, pt = sample_upper_bound(problem.canonical_net, InputBox(problem.domain), 1024, SplitMix64(0))
+    val, pt = sample_upper_bound(problem.canonical_net, problem.domain, {}, 1024, SplitMix64(0))
     assert val <= 0.0
     assert validate_counterexample(problem, pt, 1e-6)
 
@@ -176,13 +174,12 @@ def test_sample_upper_bound_finds_toy_counterexample():
 def test_sample_upper_bound_phase_filtering():
     problem = toy_problem(-5.0)
     net = problem.canonical_net
-    dom = PhaseSet(problem.domain, (((1, 0), PASSING),))
-    val, pt = sample_upper_bound(net, dom, 256, SplitMix64(1))
+    val, pt = sample_upper_bound(net, problem.domain, {(1, 0): PASSING}, 256, SplitMix64(1))
     assert pt is not None
     assert pt[0] + pt[1] >= -1e-12  # passing phase of unit a means x1+x2 >= 0
-    impossible = PhaseSet(problem.domain, (((1, 0), PASSING), ((1, 1), PASSING)))
+    impossible = {(1, 0): PASSING, (1, 1): PASSING}
     # both passing only happens on the measure-zero line x1+x2=0
-    val, pt = sample_upper_bound(net, impossible, 64, SplitMix64(2))
+    val, pt = sample_upper_bound(net, problem.domain, impossible, 64, SplitMix64(2))
     assert val == np.inf and pt is None
 
 
@@ -250,18 +247,20 @@ def test_optimize_point_box():
 
 def test_contradictory_initial_phases_unsat_immediately():
     problem = toy_problem(-3.0)  # a SAT problem, but the phase set is empty
-    phases = {(1, 0): PASSING, (1, 1): PASSING}
+    engine = bab_module._Engine(problem, BabConfig(branching=RELU_SPLIT), bab_module.SATISFIABILITY)
     # both passing forces x1+x2 = 0, where y+3 = 3 > 0: planet proves it
-    res = bab_verify(problem, BabConfig(branching=RELU_SPLIT), initial_phases=phases)
-    assert res.status == UNSAT
+    sub, candidates = engine.evaluate(Subdomain(problem.domain, -np.inf, (((1, 0), PASSING), ((1, 1), PASSING))))
+    assert sub.lower_bound == pytest.approx(3.0, abs=1e-6)
+    assert all(val > 0.0 for val, _ in candidates)
     net = Network(
         1,
         (Linear(np.array([[1.0]]), np.array([2.5])), Relu(), Linear(np.array([[1.0]]), np.zeros(1))),
     )
     prob2 = canonicalize(net, Geq(np.array([1.0]), 100.0), BoxDomain(np.array([-1.0]), np.array([1.0])))
-    res2 = bab_verify(prob2, BabConfig(branching=RELU_SPLIT), initial_phases={(1, 0): BLOCKED})
-    assert res2.status == UNSAT
-    assert res2.nodes == 1
+    # x + 2.5 > 0 on the whole box: blocking the unit leaves no point
+    engine = bab_module._Engine(prob2, BabConfig(branching=RELU_SPLIT), bab_module.SATISFIABILITY)
+    sub, candidates = engine.evaluate(Subdomain(prob2.domain, -np.inf, (((1, 0), BLOCKED),)))
+    assert sub.lower_bound == np.inf and candidates == []
 
 
 def test_optimize_prunes_contradictory_phase_sets_before_any_lp(monkeypatch):
@@ -276,7 +275,7 @@ def test_optimize_prunes_contradictory_phase_sets_before_any_lp(monkeypatch):
         if propagate_box(problem.canonical_net, box, phases) is not None:
             continue
         engine = bab_module._Engine(problem, BabConfig(branching=RELU_SPLIT), bab_module.OPTIMIZE)
-        sub, candidates = engine.evaluate(Subdomain(PhaseSet(box, tuple(sorted(phases.items()))), -np.inf))
+        sub, candidates = engine.evaluate(Subdomain(box, -np.inf, tuple(sorted(phases.items()))))
         assert solves[0] == 0
         assert sub.lower_bound == np.inf and sub.bounds is None and candidates == []
         pruned += 1
@@ -319,6 +318,35 @@ def test_verdicts_match_oracle_across_methods():
                 # the reported margin is the final global lower bound: it is
                 # positive and never exceeds the true margin
                 assert 0.0 < res.margin <= margin + 1e-6
+
+
+def test_reported_lower_bound_never_exceeds_the_incumbent():
+    # a later incumbent prunes queued entries lazily; a queue head above it
+    # must not be reported as the lower bound
+    problem = lower_maxpools(generate(6, GenSpec(4, 3, 4, -1e-3)).problem())
+    exact = oracle_min(problem.canonical_net, problem.domain).min_value
+    res = bab_optimize(problem, BabConfig(epsilon=1e-4, node_cap=2000))
+    assert res.status == CONVERGED
+    assert res.best_lb <= res.best_ub
+    assert res.best_lb <= exact + 1e-9
+
+
+def test_only_input_branching_skips_tightening(monkeypatch):
+    # phase splitting picks its unit from the layer bounds, so it keeps
+    # every tightening LP
+    output_only = []
+    real_build = bab_module.build_planet
+
+    def build(*args, **kwargs):
+        output_only.append(kwargs["output_only"])
+        return real_build(*args, **kwargs)
+
+    monkeypatch.setattr(bab_module, "build_planet", build)
+    for branching in (INPUT_LONGEST, INPUT_SMART, RELU_SPLIT):
+        for run in (bab_verify, bab_optimize):
+            output_only.clear()
+            run(toy_problem(-5.0), BabConfig(branching=branching))
+            assert set(output_only) == {branching != RELU_SPLIT}, (branching, run)
 
 
 def test_optimize_matches_oracle_and_brackets():
@@ -386,14 +414,14 @@ def test_unwitnessed_leaves_keep_their_bound(monkeypatch):
 def test_child_bounds_dominate_parent():
     problem = toy_problem(-4.5)
     net = problem.canonical_net
-    root = Subdomain(InputBox(problem.domain), -np.inf)
+    root = Subdomain(problem.domain, -np.inf)
     from plverify.bab import _bound_region
 
-    lb_root, bounds, _ = _bound_region(net, root.region)
+    lb_root, bounds, _ = _bound_region(net, root.box, {}, True)
     root.bounds = bounds
     root.lower_bound = lb_root
     for child in split_input_longest(root):
-        lb_child, _, _ = _bound_region(net, child.region)
+        lb_child, _, _ = _bound_region(net, child.box, {}, True)
         assert lb_child >= lb_root - 1e-6
 
 
@@ -461,23 +489,26 @@ def test_optimize_prunes_on_the_fast_dual_bound_before_the_lp(monkeypatch):
     problem = canonicalize(net, Geq(np.array([1.0]), 0.0), random_box(rng, 2))
     net, box = problem.canonical_net, problem.domain
     fast = bab_module.fast_dual_bound(net, box, propagate_box(net, box))
-    lp_lb, _, _ = bab_module._bound_region(net, InputBox(box))
+    lp_lb, _, _ = bab_module._bound_region(net, box, {}, True)
     assert fast < lp_lb
     solves[0] = 0
-    engine = bab_module._Engine(problem, BabConfig(), bab_module.OPTIMIZE)
-    for region in (InputBox(box), PhaseSet(box, ())):
+    engines = {
+        b: bab_module._Engine(problem, BabConfig(branching=b), bab_module.OPTIMIZE) for b in (INPUT_SMART, RELU_SPLIT)
+    }
+    for engine in engines.values():
         for parent in (fast - 1.0, fast + 0.5):
             engine.global_ub = fast
-            sub, candidates = engine.evaluate(Subdomain(region, parent))
+            sub, candidates = engine.evaluate(Subdomain(box, parent))
             assert candidates == [] and sub.lower_bound == max(fast, parent) and sub.fast_lb == fast
             assert solves[0] == samples[0] == 0
         engine.global_ub = lp_lb
-        sub, candidates = engine.evaluate(Subdomain(region, fast - 1.0))
+        sub, candidates = engine.evaluate(Subdomain(box, fast - 1.0))
         assert sub.lower_bound == lp_lb and solves[0] > 0 and samples[0] == 0
         assert all(val >= lp_lb - 1e-9 for val, _ in candidates)
         solves[0] = 0
+    engine = engines[INPUT_SMART]
     engine.global_ub = np.nextafter(lp_lb, np.inf)
-    engine.evaluate(Subdomain(InputBox(box), fast - 1.0))
+    engine.evaluate(Subdomain(box, fast - 1.0))
     assert samples[0] == 1
 
 
@@ -516,16 +547,15 @@ def test_split_input_smart_children_carry_their_fast_bound(monkeypatch):
     net = random_net(rng, 3, [5, 4])
     box = random_box(rng, 3)
     propagations = count_calls(monkeypatch, bab_module, "propagate_box")
-    children = split_input_smart(Subdomain(InputBox(box), -np.inf), net)
+    children = split_input_smart(Subdomain(box, -np.inf), net)
     for child in children:
-        cbox = child.region.box
-        want = bab_module.fast_dual_bound(net, cbox, propagate_box(net, cbox))
+        want = bab_module.fast_dual_bound(net, child.box, propagate_box(net, child.box))
         assert child.fast_lb is not None and child.fast_lb.hex() == want.hex()
     scored = propagations[0] - 1  # the parent's own bound
-    parent = Subdomain(InputBox(box), -np.inf, fast_lb=bab_module.fast_dual_bound(net, box, propagate_box(net, box)))
+    parent = Subdomain(box, -np.inf, fast_lb=bab_module.fast_dual_bound(net, box, propagate_box(net, box)))
     propagations[0] = 0
     again = split_input_smart(parent, net)
     assert propagations[0] == scored
-    assert [c.region.box.lb.tobytes() + c.region.box.ub.tobytes() for c in again] == [
-        c.region.box.lb.tobytes() + c.region.box.ub.tobytes() for c in children
+    assert [c.box.lb.tobytes() + c.box.ub.tobytes() for c in again] == [
+        c.box.lb.tobytes() + c.box.ub.tobytes() for c in children
     ]

@@ -591,13 +591,13 @@ def test_output_only_tightening_skips_lps_that_cannot_move_the_bound(monkeypatch
         v_full = planet_lower_bound_with_point(full)[0]
         v_skip = planet_lower_bound_with_point(skip)[0]
         assert abs(v_skip - v_full) <= 1e-9 * max(1.0, abs(v_full))
-        # the engine skips for input boxes only
-        assert bab._bound_region(net, bab.InputBox(box))[0] == v_skip
+        # the engine skips under input branching only
+        assert bab._bound_region(net, box, {}, True)[0] == v_skip
         solves.clear()
         units = [(i, j) for i in relus for j in range(len(full.bounds.pre_lb[i]))]
         for phases in ({}, {units[-1]: BLOCKED}, {units[0]: PASSING, units[-1]: PASSING}):
             want = build_planet(net, box, phases, tighten=True).bounds
-            got = bab._bound_region(net, bab.PhaseSet(box, tuple(sorted(phases.items()))))[1]
+            got = bab._bound_region(net, box, phases, False)[1]
             assert (got is None) == (want is None)
             if want is not None:
                 for a, b in zip(_flat_bounds(got), _flat_bounds(want)):
