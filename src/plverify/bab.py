@@ -5,10 +5,10 @@ iteration pops the most promising subdomain, splits it, and bounds the
 children: an upper bound from random sampling (any point value is an upper
 bound on the minimum) and a lower bound from the tightened hull LP of the
 subdomain (``relax.build_planet``, over a ReLU-only net). Under input
-branching a subdomain skips the tightening LPs that cannot move its bound
-(``output_only``), since input branching never reads the layer bounds; a
-phase set keeps them all, because phase splitting picks its unit from
-them. Children whose lower bound cannot improve on the incumbent are
+branching a subdomain's intermediate bounds come from an LP-free backward
+pass (``output_only``), so it solves only its output LP; input branching
+never reads the layer bounds. A phase set keeps its tightening LPs, because
+phase splitting picks its unit from the bounds they give. Children whose lower bound cannot improve on the incumbent are
 pruned; the global lower bound is the smallest bound over the open queue,
 capped at the incumbent (queued entries a later incumbent outgrew are
 pruned only when popped).
@@ -22,7 +22,8 @@ Two modes share the loop:
   pruned with that bound, with no LP and no sampling; after the LP, one
   whose bound reaches the incumbent is not sampled. Results are those of
   the LP-first order: the fast bound is a dual-feasible value of the
-  untightened hull LP, so up to rounding it never exceeds the LP bound,
+  untightened hull LP, so up to rounding it never exceeds the LP bound over
+  any tighter intermediate bounds,
   and every point of such a subdomain is worth at least its bound, so its
   samples could not have lowered the incumbent.
 * satisfiability: the incumbent is pinned at 0. A subdomain with a strictly
@@ -311,7 +312,9 @@ def _bound_region(
     net: Network, box: BoxDomain, phases: PhaseMap, output_only: bool
 ) -> tuple[float, LayerBounds | None, np.ndarray | None]:
     """Lower bound, refreshed bounds, and optional LP minimiser input point,
-    from the tightened hull LP (``output_only`` as in ``build_planet``)."""
+    from the tightened hull LP. With ``output_only`` (an input box; see
+    ``build_planet``) its intermediate bounds come from the backward pass,
+    so the output LP is the only LP solved."""
     pm = build_planet(net, box, phases, tighten=True, output_only=output_only)
     try:
         lb, point = planet_lower_bound_with_point(pm)

@@ -22,25 +22,22 @@ its layer contradict makes the relaxation ``infeasible`` on the spot, with
 no further LP solved.
 
 Optional bound tightening re-derives every ambiguous unit's pre-activation
-range by minimising/maximising its variable over the partial model built so
-far (two LPs per unit), before that unit's ReLU is encoded. Tightening is
-what the branch-and-bound engine uses per subdomain by default. A ReLU layer
-fed by one Linear layer straight from the input box is skipped unless one
-of its units has a fixed phase: the interval bound of an affine map over a
-box is exact, so those LPs could only return it. A caller that reads only
-the output LP's minimum, not ``bounds`` (``output_only``; the input-split
-search), also skips both LPs of every ambiguous unit of the last ReLU layer
-whose weight in the scalar output, the product of the Linear layers after
-it, is >= 0. Minimising the output holds such a unit at max(0, x_hat),
-which lies under its chord over any [l, u] that contains x_hat, so its
-tightened bounds could not change the output minimum; nor could they
-change another unit's LP, since a tightened bound (an LP optimum less
-``_SAFETY``) cuts no feasible point. The ``bounds`` entries and hull rows
-of a skipped unit are its interval ones. Rounding in the weight product
-can cost tightness but not soundness: interval bounds are sound. A
-tightening LP that fails numerically (``lp.NumericalFailure``) leaves its
-unit with the interval bounds it had, which are sound, and the encoding
-goes on.
+range before that unit's ReLU is encoded, in one of two ways. By default it
+minimises/maximises the unit's variable over the partial model built so far
+(two LPs per unit); phase sets and the MIP encodings read these bounds. A
+caller that reads only the output LP's minimum, not ``bounds``
+(``output_only``; the input-split search), takes them instead from one
+LP-free backward pass per ReLU layer (``backward_bounds``) over the bounds
+already encoded for the layers before it, and so solves only the output
+LP. Either way a ReLU layer fed by one Linear layer straight from the input
+box is skipped unless one of its units has a fixed phase: the interval
+bound of an affine map over a box is exact, so tightening could only return
+it. A tightened bound is widened outward by ``_SAFETY`` and kept inside the
+interval bound, so it cuts no feasible point up to that slack. A backward
+pair that widening leaves inverted, which only rounding can cause (an input
+box is never empty), keeps its interval bounds. A tightening LP that fails
+numerically (``lp.NumericalFailure``) leaves its unit with the interval
+bounds it had, which are sound, and the encoding goes on.
 
 Every LP over one relaxation starts warm (``lp.Basis``) from the previous
 LP's optimum: tightened bounds contain every feasible point, so that optimum
@@ -57,13 +54,14 @@ primal-feasible without pivoting (inputs start at their lower bounds):
   [max(0, x_hat), u]) and the slack basic in its x >= x_hat row;
 * a reluplex unit: x nonbasic at its upper bound u, the slack basic.
 
-Where a start is infeasible after all (a bound cut by fixed ReLU phases),
-``lp.solve`` either repairs it with dual pivots or starts again from its
-slack basis. Either way an infeasible phase set is reported only through
+Where a start is infeasible after all (a bound cut by fixed ReLU phases or
+by the backward pass), ``lp.solve`` either repairs it with dual pivots or
+starts again from its slack basis. Either way an infeasible phase set is reported only through
 a checked Farkas row.
 
-The fast dual bound is an LP-free backward pass producing the value of a
-feasible dual point of the hull LP: it maintains an affine under-estimator
+The fast dual bound is the one-row case of that backward pass, over the
+scalar output and with lower slope d, producing the value of a feasible
+dual point of the hull LP: it maintains an affine under-estimator
 g . (layer value) + kappa of the scalar output. Ambiguous units scale their
 coefficient by d = u/(u-l); negative coefficients additionally pay the chord
 intercept (-l) d. At the input the box minimum of the affine form is exact.
@@ -82,7 +80,7 @@ from .model import BoxDomain, Linear, Network, Relu, is_relu_only
 MAYBE_SAT = "maybe_sat"
 UNSAT = "unsat"
 
-_SAFETY = 1e-9  # outward slack applied to LP-tightened bounds
+_SAFETY = 1e-9  # outward slack applied to tightened bounds
 
 
 @dataclass
@@ -125,13 +123,43 @@ def linear_rows(weight: np.ndarray, prev: list[int | None], first: int) -> list[
     return [block[j, : first + j + 1] for j in range(out)]
 
 
-def _output_weights(net: Network, i: int) -> np.ndarray:
-    """The weight of each unit of layer ``i`` in the scalar output, when
-    only Linear layers follow it: row 0 of their product."""
-    g = np.eye(net.output_size)[0]
-    for layer in reversed(net.layers[i + 1 :]):
-        g = layer.weight.T @ g
-    return g
+def backward_bounds(
+    net: Network, i: int, box: BoxDomain, bounds: LayerBounds, units: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the ``units`` of layer ``i``'s input over
+    the box, from one LP-free backward pass through layers ``i - 1`` down to
+    0 over the ReLU bounds ``bounds.pre_*`` of those layers.
+
+    The pass carries an affine under-estimator of each objective, the rows
+    [I; -I] over ``units``, stacked twice. At an ambiguous ReLU both copies
+    bound a negative coefficient's unit by its chord d (x_hat - l) with
+    d = u/(u-l). A positive coefficient's unit is bounded below by s x_hat
+    with the lower slope s: in the first copy CROWN's adaptive slope (1 when
+    u > -l, else 0; Zhang et al., arXiv 1811.00866), in the second 0. Each
+    bound is the tighter of the two copies; at the input the box minimum of
+    the affine form is exact.
+    """
+    k = len(units)
+    eye = np.eye(len(bounds.post_lb[i - 1]))[units]
+    g = np.vstack([eye, -eye, eye, -eye])
+    kappa = np.zeros(4 * k)
+    for layer, l, u in zip(reversed(net.layers[:i]), reversed(bounds.pre_lb[:i]), reversed(bounds.pre_ub[:i])):
+        if isinstance(layer, Linear):
+            kappa += g @ layer.bias
+            g = g @ layer.weight
+            continue
+        amb = (l < 0.0) & (u > 0.0)
+        flat = (l >= 0.0) * 1.0  # 1 for a passing unit, 0 for a blocked or ambiguous one
+        chord = np.divide(u, u - l, out=flat.copy(), where=amb)
+        neg = np.minimum(g, 0.0)
+        pos = g - neg
+        kappa += neg @ (-l * chord * amb)
+        g = neg * chord + pos * flat
+        g[: 2 * k] += pos[: 2 * k] * (amb & (u > -l))
+    kappa += np.maximum(g, 0.0) @ box.lb + np.minimum(g, 0.0) @ box.ub
+    low = np.maximum(kappa[:k], kappa[2 * k : 3 * k])
+    high = -np.maximum(kappa[k : 2 * k], kappa[3 * k :])
+    return low, high
 
 
 def _encode(
@@ -144,10 +172,6 @@ def _encode(
 ) -> PlanetModel:
     if not is_relu_only(net):
         raise ValueError("relaxation requires a ReLU-only network (lower MaxPools first)")
-    relus = [i for i, layer in enumerate(net.layers) if isinstance(layer, Relu)]
-    # per ReLU layer, the units whose LPs cannot move the output minimum:
-    # those of the last one with a non-negative output weight
-    untightened = {relus[-1]: _output_weights(net, relus[-1]) >= 0.0} if output_only and relus else {}
     infeasible = PlanetModel(None, None, [], None, [], infeasible=True)
     model = lp.LpModel()
     basis = lp.Basis()
@@ -176,18 +200,26 @@ def _encode(
             prev = list(range(first, model.num_vars))
 
         else:  # Relu
+            # over the input box the interval bound of one affine layer is
+            # exact, so tightening cannot move it unless a phase of this
+            # layer cuts the box
+            exact = i == 1 and isinstance(net.layers[0], Linear) and not any(l == i for l, _ in phases or {})
+            ambiguous = np.flatnonzero((lo < 0.0) & (hi > 0.0))
+            if tighten and output_only and not exact and len(ambiguous):
+                low, high = backward_bounds(net, i, box, out, ambiguous)
+                low = np.maximum(lo[ambiguous], low - _SAFETY)
+                high = np.minimum(hi[ambiguous], high + _SAFETY)
+                # the box is never empty: a pair that rounding inverted
+                # keeps its interval bounds
+                ok = low <= high
+                lo[ambiguous[ok]] = low[ok]
+                hi[ambiguous[ok]] = high[ok]
             for j, p in enumerate(prev):
                 model.lower[p] = float(lo[j])
                 model.upper[p] = float(hi[j])
-            # over the input box the interval bound of one affine layer is
-            # exact, so its LPs cannot move it unless a phase of this layer
-            # cuts the box
-            exact = i == 1 and isinstance(net.layers[0], Linear) and not any(l == i for l, _ in phases or {})
-            if tighten and not exact:
-                skip = untightened.get(i, np.zeros(len(prev), dtype=bool))
-                for j, p in enumerate(prev):
-                    if skip[j] or not (lo[j] < 0.0 < hi[j]):
-                        continue
+            if tighten and not output_only and not exact:
+                for j in ambiguous.tolist():
+                    p = prev[j]
                     try:
                         sol_min = lp.solve(model.with_objective({p: 1.0}), basis)
                         if sol_min.status == lp.INFEASIBLE:
@@ -237,9 +269,9 @@ def build_planet(
 ) -> PlanetModel:
     """Hull relaxation of the canonical network over the (sub)domain.
 
-    ``output_only`` says the caller reads the output LP's bound and not
-    ``bounds``: tightening then skips the units of the last ReLU layer
-    with a non-negative output weight, which keep their interval bounds."""
+    ``output_only`` says the caller reads only the output LP's minimum, not
+    ``bounds``: tightening then takes the intermediate bounds from the
+    backward pass (``backward_bounds``) instead of LPs."""
     return _encode(net, box, phases, tighten, "planet", output_only)
 
 

@@ -4,7 +4,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import reference_lp
 from helpers import assert_same_solve, count_calls
+from reference_lp import TooLarge, solve_reference
 
 import plverify.lp as lp_module
 from plverify.lp import (
@@ -17,9 +19,7 @@ from plverify.lp import (
     LpModel,
     NumericalFailure,
     RowStack,
-    TooLarge,
     solve,
-    solve_reference,
 )
 
 
@@ -576,9 +576,9 @@ def test_row_stack_solves_like_an_lp_model():
 
 
 def test_reference_subsets_come_in_lexicographic_chunks(monkeypatch):
-    monkeypatch.setattr(lp_module, "_REFERENCE_CHUNK", 50)
+    monkeypatch.setattr(reference_lp, "_REFERENCE_CHUNK", 50)
     for k, n in [(0, 1), (2, 3), (5, 3), (6, 1), (9, 4), (12, 6), (16, 8)]:
-        chunks = list(lp_module._subsets(k, n))
+        chunks = list(reference_lp._subsets(k, n))
         got = [tuple(row) for chunk in chunks for row in chunk.tolist()]
         assert got == list(itertools.combinations(range(k), n))
         # a chunk closes at the first head that brings it to 50 rows, and

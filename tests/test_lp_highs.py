@@ -1,5 +1,5 @@
 """Cold ``lp.solve`` against SciPy's HiGHS on real relaxation and MIP-node
-LPs, most of them past the 8-variable cap of ``lp.solve_reference``."""
+LPs, most of them past the 8-variable cap of ``reference_lp.solve_reference``."""
 
 import numpy as np
 import pytest

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from helpers import count_calls, random_box, random_net, toy_box, toy_net, toy_problem
+from reference_lp import solve_reference
 
 from plverify import lp
 from plverify.canon import AnyClause, Geq, canonicalize, maxpool_to_relu
@@ -112,7 +113,7 @@ def _plain_enumeration_min(net: Network, box: BoxDomain) -> float:
                     model.add_row(mat[j].copy(), lp.LE, float(-const[j]))
                     mat[j], const[j] = 0.0, 0.0
         model.set_objective(mat[0])
-        sol = lp.solve_reference(model)
+        sol = solve_reference(model)
         if sol.status == lp.OPTIMAL:
             best = min(best, sol.objective + float(const[0]))
     return best

@@ -12,8 +12,10 @@ from helpers import (
     toy_net,
     toy_problem,
 )
+from reference_lp import solve_reference
 
 from plverify import bab, lp
+from plverify import relax as relax_module
 from plverify.canon import maxpool_to_relu
 from plverify.interval import BLOCKED, PASSING, propagate_box
 from plverify.mip import BOUNDS_PLANET, compute_bounds
@@ -23,6 +25,7 @@ from plverify.relax import (
     _SAFETY,
     MAYBE_SAT,
     UNSAT,
+    backward_bounds,
     build_planet,
     build_reluplex,
     fast_dual_bound,
@@ -232,7 +235,7 @@ def test_relaxations_reject_an_unlowered_maxpool():
 
 
 def _vertex_subsets(model) -> int:
-    """How many constraint subsets ``lp.solve_reference`` enumerates."""
+    """How many constraint subsets ``solve_reference`` enumerates."""
     n = model.num_vars
     return math.comb(2 * n + sum(2 if rel == lp.EQ else 1 for _, rel, _ in model.rows), n)
 
@@ -250,7 +253,7 @@ def test_warm_relaxation_lps_match_cold_solves(monkeypatch):
         checked["warm_lps"] += basis is not None
         # the reference's memory grows with the subset count: 50k is ~20 MB
         if model.num_vars <= 8 and _vertex_subsets(model) <= 50_000:
-            ref = lp.solve_reference(model)
+            ref = solve_reference(model)
             assert got.status == ref.status
             if got.status == lp.OPTIMAL:
                 assert got.objective == pytest.approx(ref.objective, abs=1e-6)
@@ -555,55 +558,190 @@ def _flat_bounds(bounds):
     return [*bounds.pre_lb, *bounds.pre_ub, *bounds.post_lb, *bounds.post_ub]
 
 
-def test_output_only_tightening_skips_lps_that_cannot_move_the_bound(monkeypatch):
-    # a unit of the last ReLU layer with a non-negative output weight sits at
-    # max(0, x_hat) in the output minimum, whatever its bounds: skipping its
-    # tightening LPs keeps the output LP's value; every other bound reader
-    # (phase sets, the MIP encodings) keeps full tightening
+def test_input_box_relaxation_solves_only_the_output_lp(monkeypatch):
+    # an input box takes its intermediate bounds from the backward pass, so
+    # its relaxation solves no tightening LP and the engine solves exactly
+    # its output LP; phase sets and the MIP encodings keep LP tightening
     solves = _recorded_solves(monkeypatch)
-    skipped_total = 0
+    deep = 0
     for net, box in _skip_cases(np.random.default_rng(31)):
         relus = [i for i, layer in enumerate(net.layers) if isinstance(layer, Relu)]
-        last = relus[-1]
         full = build_planet(net, box, tighten=True)
         full_lps = len(solves)
-        solves.clear()
-        skip = build_planet(net, box, tighten=True, output_only=True)
-        skip_lps = len(solves)
         solves.clear()
         # a ReLU layer's bounds before tightening are those of the Linear
         # layer feeding it; the first ReLU layer is never tightened
         ambiguous = {i: (full.bounds.pre_lb[i - 1] < 0.0) & (full.bounds.pre_ub[i - 1] > 0.0) for i in relus[1:]}
-        weights = np.eye(1)
-        for layer in reversed(net.layers[last + 1 :]):
-            weights = weights @ layer.weight
-        skipped = ambiguous.get(last, np.zeros(0, dtype=bool)) & (weights[0] >= 0.0)
         assert full_lps == 2 * sum(int(a.sum()) for a in ambiguous.values())
-        assert skip_lps == full_lps - 2 * int(skipped.sum())
-        skipped_total += int(skipped.sum())
-        # skipped units keep their interval bounds; all other layers match
-        for j in np.flatnonzero(skipped):
-            assert skip.bounds.pre_lb[last][j] == skip.bounds.pre_lb[last - 1][j]
-            assert skip.bounds.pre_ub[last][j] == skip.bounds.pre_ub[last - 1][j]
-        for got, want in ((skip.bounds.pre_lb, full.bounds.pre_lb), (skip.bounds.pre_ub, full.bounds.pre_ub)):
-            for i in range(last):
-                assert got[i].tobytes() == want[i].tobytes()
-        v_full = planet_lower_bound_with_point(full)[0]
-        v_skip = planet_lower_bound_with_point(skip)[0]
-        assert abs(v_skip - v_full) <= 1e-9 * max(1.0, abs(v_full))
-        # the engine skips under input branching only
-        assert bab._bound_region(net, box, {}, True)[0] == v_skip
+        deep += full_lps > 0
+        fast = build_planet(net, box, tighten=True, output_only=True)
+        assert solves == []
+        v_fast = planet_lower_bound_with_point(fast)[0]
+        assert len(solves) == (fast.output_var is not None)
+        solves.clear()
+        # the engine bounds an input box with exactly that relaxation
+        assert bab._bound_region(net, box, {}, True)[0] == v_fast
+        assert len(solves) == (fast.output_var is not None)
+        assert v_fast <= planet_lower_bound_with_point(full)[0] + 1e-9
         solves.clear()
         units = [(i, j) for i in relus for j in range(len(full.bounds.pre_lb[i]))]
         for phases in ({}, {units[-1]: BLOCKED}, {units[0]: PASSING, units[-1]: PASSING}):
-            want = build_planet(net, box, phases, tighten=True).bounds
+            want = build_planet(net, box, phases, tighten=True)
+            if not want.infeasible:
+                planet_lower_bound_with_point(want)
+            want_lps = len(solves)
+            solves.clear()
             got = bab._bound_region(net, box, phases, False)[1]
-            assert (got is None) == (want is None)
-            if want is not None:
-                for a, b in zip(_flat_bounds(got), _flat_bounds(want)):
+            assert len(solves) == want_lps
+            solves.clear()
+            assert (got is None) == (want.bounds is None)
+            if got is not None:
+                for a, b in zip(_flat_bounds(got), _flat_bounds(want.bounds)):
                     assert a.tobytes() == b.tobytes()
         for a, b in zip(_flat_bounds(compute_bounds(net, box, BOUNDS_PLANET)), _flat_bounds(full.bounds)):
             assert a.tobytes() == b.tobytes()
+        assert len(solves) == full_lps
         solves.clear()
-    assert skipped_total > 30, skipped_total
+    assert deep > 30, deep
 
+
+def _sub_boxes(rng):
+    """Random depth-2 to depth-4 nets, each over a root box and random
+    sub-boxes of it, one of them a point."""
+    for k in range(30):
+        n_in = int(rng.integers(1, 5))
+        net = random_net(rng, n_in, [int(rng.integers(2, 7)) for _ in range(2 + k % 3)])
+        root = random_box(rng, n_in, radius=2.0)
+        yield net, root
+        for _ in range(3):
+            lo = rng.uniform(root.lb, root.ub)
+            hi = rng.uniform(root.lb, root.ub)
+            yield net, BoxDomain(np.minimum(lo, hi), np.maximum(lo, hi))
+        yield net, BoxDomain(lo, lo.copy())
+
+
+def test_backward_bounds_are_sound():
+    # every sampled pre-activation lies inside the backward bounds, which
+    # lie inside the interval bounds; the fast dual bound over them, a
+    # dual-feasible value of the hull LP over the same bounds, is at most
+    # that LP's minimum
+    rng = np.random.default_rng(57)
+    tightened = 0
+    for net, box in _sub_boxes(rng):
+        pm = build_planet(net, box, tighten=True, output_only=True)
+        interval = propagate_box(net, box)
+        got = pm.bounds
+        pre: dict[int, np.ndarray] = {}
+        points = rng.uniform(box.lb, box.ub, size=(400, box.size))
+        forward_batch(net, np.vstack([points, box.lb, box.ub]), pre)
+        # the corners meet the first layer's interval bound, up to rounding
+        for i, values in pre.items():
+            assert np.all(values >= got.pre_lb[i] - 1e-9) and np.all(values <= got.pre_ub[i] + 1e-9)
+        for lo, hi, w_lo, w_hi in zip(
+            got.pre_lb + got.post_lb, got.pre_ub + got.post_ub, interval.pre_lb + interval.post_lb, interval.pre_ub + interval.post_ub
+        ):
+            assert np.all(lo >= w_lo) and np.all(hi <= w_hi)
+            tightened += int(np.sum(lo > w_lo) + np.sum(hi < w_hi))
+        low = planet_lower_bound_with_point(pm)[0]
+        assert fast_dual_bound(net, box, got) <= low + 1e-9
+        assert low <= forward_batch(net, points)[:, 0].min() + 1e-9
+    assert tightened > 100, tightened
+
+
+def _backward_row(net, i, box, bounds, row, adaptive):
+    """Lower bound of row . (layer i's input) over the box, one objective
+    and one lower slope at a time, in the loop form of ``fast_dual_bound``."""
+    g = np.array(row, dtype=float)
+    kappa = 0.0
+    for k in range(i - 1, -1, -1):
+        layer = net.layers[k]
+        if isinstance(layer, Linear):
+            kappa += float(g @ layer.bias)
+            g = layer.weight.T @ g
+            continue
+        l, u = bounds.pre_lb[k], bounds.pre_ub[k]
+        for j in range(len(g)):
+            if u[j] <= 0.0:
+                g[j] = 0.0
+            elif l[j] < 0.0:
+                d = u[j] / (u[j] - l[j])
+                if g[j] < 0.0:
+                    kappa += g[j] * d * (-l[j])
+                    g[j] *= d
+                else:
+                    g[j] *= 1.0 if adaptive and u[j] > -l[j] else 0.0
+    return kappa + float(np.sum(np.where(g >= 0.0, g * box.lb, g * box.ub)))
+
+
+def test_backward_bounds_match_a_per_row_loop():
+    # the stacked pass sums in another order than one pass per objective
+    # and slope, so the two agree up to a few ulps of the terms' size
+    checked = 0
+    for net, box in _sub_boxes(np.random.default_rng(59)):
+        bounds = propagate_box(net, box)
+        for i in [i for i, layer in enumerate(net.layers) if isinstance(layer, Relu)][1:]:
+            units = np.flatnonzero((bounds.pre_lb[i] < 0.0) & (bounds.pre_ub[i] > 0.0))
+            if not len(units):
+                continue
+            low, high = backward_bounds(net, i, box, bounds, units)
+            for unit, got_low, got_high in zip(units, low, high):
+                row = np.eye(len(bounds.pre_lb[i]))[unit]
+                want_low = max(_backward_row(net, i, box, bounds, row, a) for a in (True, False))
+                want_high = -max(_backward_row(net, i, box, bounds, -row, a) for a in (True, False))
+                assert got_low == pytest.approx(want_low, rel=1e-12, abs=1e-12)
+                assert got_high == pytest.approx(want_high, rel=1e-12, abs=1e-12)
+                checked += 1
+    assert checked > 100, checked
+
+
+def test_backward_bounds_tighten_the_second_layer():
+    # a = relu(x + 0.5) and b = relu(0.5 - x) over x in [-1, 1] feed
+    # y = a + b - 1.2, whose interval bound is [-1.2, 1.8]. The adaptive
+    # lower slope is 1 for both units (u = 1.5 > -l = 0.5), so a + b >= 1
+    # and y >= -0.2; the chords a <= 0.75 (x + 1), b <= 0.75 (1 - x) give
+    # y <= 0.3. Both are the true range.
+    net = Network(1, (
+        Linear(np.array([[1.0], [-1.0]]), np.array([0.5, 0.5])),
+        Relu(),
+        Linear(np.array([[1.0, 1.0]]), np.array([-1.2])),
+        Relu(),
+        Linear(np.array([[1.0]]), np.zeros(1)),
+    ))
+    box = BoxDomain(np.array([-1.0]), np.array([1.0]))
+    interval = propagate_box(net, box)
+    assert (interval.pre_lb[3][0], interval.pre_ub[3][0]) == pytest.approx((-1.2, 1.8))
+    low, high = backward_bounds(net, 3, box, interval, np.array([0]))
+    assert (low[0], high[0]) == pytest.approx((-0.2, 0.3), abs=1e-12)
+    pm = build_planet(net, box, tighten=True, output_only=True)
+    assert pm.bounds.pre_lb[3][0] == pytest.approx(-0.2 - _SAFETY, abs=1e-12)
+    assert pm.bounds.pre_ub[3][0] == pytest.approx(0.3 + _SAFETY, abs=1e-12)
+
+
+def test_inverted_backward_bounds_keep_the_interval_bounds(monkeypatch):
+    # an input box is never empty, so a pair that rounding left inverted
+    # after widening must not make the relaxation infeasible: the unit
+    # keeps its interval bounds, the others take their backward bounds
+    real = relax_module.backward_bounds
+
+    def inverted(net, i, box, bounds, units):
+        low, high = real(net, i, box, bounds, units)
+        low[0], high[0] = high[0] + 1e-6, high[0] - 1e-6
+        return low, high
+
+    monkeypatch.setattr(relax_module, "backward_bounds", inverted)
+    rng = np.random.default_rng(58)
+    checked = 0
+    for net, box in _sub_boxes(rng):
+        pm = build_planet(net, box, tighten=True, output_only=True)
+        assert not pm.infeasible
+        relus = [i for i, layer in enumerate(net.layers) if isinstance(layer, Relu)]
+        for i in relus[1:]:
+            units = np.flatnonzero((pm.bounds.pre_lb[i - 1] < 0.0) & (pm.bounds.pre_ub[i - 1] > 0.0))
+            if len(units):
+                j = units[0]
+                assert pm.bounds.pre_lb[i][j] == pm.bounds.pre_lb[i - 1][j] <= pm.bounds.pre_ub[i][j]
+                assert pm.bounds.pre_ub[i][j] == pm.bounds.pre_ub[i - 1][j]
+                checked += 1
+        points = rng.uniform(box.lb, box.ub, size=(200, box.size))
+        assert planet_lower_bound_with_point(pm)[0] <= forward_batch(net, points)[:, 0].min() + 1e-9
+    assert checked > 20, checked
