@@ -85,7 +85,7 @@ from .interval import (
     propagate_box,
 )
 from .model import BoxDomain, Network, forward_batch, forward_eval
-from .relax import build_planet, fast_dual_bound, planet_lower_bound_with_point
+from .relax import CHORD, backward_pass, build_planet, fast_dual_bound, planet_lower_bound_with_point
 from .rng import SplitMix64
 
 OPTIMIZE = "optimize"
@@ -139,6 +139,8 @@ class BabConfig:
             raise ValueError("epsilon must be positive")
         if self.sample_count < 1:
             raise ValueError("sample_count must be >= 1")
+        if self.branching not in (INPUT_LONGEST, INPUT_SMART, RELU_SPLIT):
+            raise ValueError(f"unknown branching rule {self.branching!r}")
 
 
 @dataclass
@@ -191,9 +193,10 @@ def _bisect(dom: Subdomain, i: int) -> list[Subdomain]:
 
 def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = None) -> list[Subdomain]:
     """Bisect the dimension whose tentative children have the best fast
-    dual bounds (scored by the worse of the two). The children returned
-    are the scored ones and carry their fast bound (``fast_lb``); the
-    parent's own score is its ``fast_lb`` when set.
+    dual bounds (scored by the worse of the two; all children in one
+    ``backward_pass``). The children returned are the scored ones and carry
+    their fast bound (``fast_lb``); the parent's own score is its
+    ``fast_lb`` when set.
 
     Given the search's `root` box, the split keeps the width guarantee:
     edge widths are measured relative to `root`, and when the widest is
@@ -216,18 +219,22 @@ def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = Non
     if parent is None:
         parent = fast_dual_bound(net, box, propagate_box(net, box))
     tol = 1e-9 * max(1.0, abs(parent))
+    # near-degenerate dimensions are not candidates: halving them can only
+    # shave epsilons off the bound, and chasing those epsilons slices the
+    # box into slivers without ever improving the queue
+    scored = {i: _bisect(dom, i) for i in np.flatnonzero(widths >= 1e-2 * np.max(widths)).tolist()}
+    children = [child for pair in scored.values() for child in pair]
+    bounds = [propagate_box(net, child.box) for child in children]
+    lows = backward_pass(  # a row per child, over its own box and interval bounds
+        net.layers, np.ones((len(children), 1)), CHORD,
+        np.array([b.input_lb for b in bounds]), np.array([b.input_ub for b in bounds]),
+        [np.array(layer) for layer in zip(*(b.pre_lb for b in bounds))],
+        [np.array(layer) for layer in zip(*(b.pre_ub for b in bounds))],
+    )
     scores = np.full(box.size, -np.inf)
-    scored: dict[int, list[Subdomain]] = {}
-    for i in range(box.size):
-        # near-degenerate dimensions are not candidates: halving them can
-        # only shave epsilons off the bound, and chasing those epsilons
-        # slices the box into slivers without ever improving the queue
-        if widths[i] < 1e-2 * np.max(widths):
-            continue
-        scored[i] = _bisect(dom, i)
-        for child in scored[i]:
-            child.fast_lb = fast_dual_bound(net, child.box, propagate_box(net, child.box))
-        scores[i] = min(child.fast_lb for child in scored[i])
+    for (i, pair), low in zip(scored.items(), lows.reshape(-1, 2).tolist()):
+        pair[0].fast_lb, pair[1].fast_lb = low
+        scores[i] = min(low)
     # A dimension qualifies only if it actually raises the fast bound;
     # without the guard a dimension the bound ignores scores level with the
     # parent forever (the aggressive child of a useful split scores lower)
@@ -460,10 +467,8 @@ class _Engine:
                 children = split_input_longest(sub)
             else:
                 children = split_input_smart(sub, self.net, root=self.problem.domain)
-        elif cfg.branching == RELU_SPLIT:
-            children = split_relu(sub, self.net, sub.bounds)
         else:
-            raise ValueError(f"unknown branching rule {cfg.branching!r}")
+            children = split_relu(sub, self.net, sub.bounds)
         for child in children:
             child.seq = self._next_seq()
         return children

@@ -59,12 +59,12 @@ by the backward pass), ``lp.solve`` either repairs it with dual pivots or
 starts again from its slack basis. Either way an infeasible phase set is reported only through
 a checked Farkas row.
 
-The fast dual bound is the one-row case of that backward pass, over the
-scalar output and with lower slope d, producing the value of a feasible
-dual point of the hull LP: it maintains an affine under-estimator
-g . (layer value) + kappa of the scalar output. Ambiguous units scale their
-coefficient by d = u/(u-l); negative coefficients additionally pay the chord
-intercept (-l) d. At the input the box minimum of the affine form is exact.
+Every LP-free bound is a call of one kernel, ``backward_pass``, which
+carries an affine under-estimator g . (layer value) + kappa of a stack of
+objective rows back to the input box, where its box minimum is exact. The
+fast dual bound is its one-row call over the scalar output with the chord
+lower slope d = u/(u-l), a feasible dual value of the hull LP: ambiguous
+units scale their coefficient by d; negative ones also pay (-l) d.
 """
 
 from __future__ import annotations
@@ -123,43 +123,70 @@ def linear_rows(weight: np.ndarray, prev: list[int | None], first: int) -> list[
     return [block[j, : first + j + 1] for j in range(out)]
 
 
-def backward_bounds(
-    net: Network, i: int, box: BoxDomain, bounds: LayerBounds, units: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper bounds on the ``units`` of layer ``i``'s input over
-    the box, from one LP-free backward pass through layers ``i - 1`` down to
-    0 over the ReLU bounds ``bounds.pre_*`` of those layers.
+# lower-slope rules for an ambiguous unit's positive coefficient: the
+# chord's slope u/(u-l), CROWN's adaptive slope (1 if u > -l, else 0), or 0
+CHORD, ADAPTIVE, ZERO = 0, 1, 2
 
-    The pass carries an affine under-estimator of each objective, the rows
-    [I; -I] over ``units``, stacked twice. At an ambiguous ReLU both copies
-    bound a negative coefficient's unit by its chord d (x_hat - l) with
-    d = u/(u-l). A positive coefficient's unit is bounded below by s x_hat
-    with the lower slope s: in the first copy CROWN's adaptive slope (1 when
-    u > -l, else 0; Zhang et al., arXiv 1811.00866), in the second 0. Each
-    bound is the tighter of the two copies; at the input the box minimum of
-    the affine form is exact.
+
+def backward_pass(layers: tuple, g: np.ndarray, slope, lb, ub, pre_lb: list, pre_ub: list) -> np.ndarray:
+    """Lower bound of each objective row g[r] . v, where v is the output of
+    the ReLU-only ``layers``, over the box [lb, ub] and the layers' bounds
+    ``pre_lb``, ``pre_ub``, each shared by all rows (1-D) or given per row
+    (2-D). ``slope`` is one lower-slope rule, or one per row.
+
+    Through Linear(W, b): kappa += g . b and g <- g W. At an ambiguous ReLU
+    a negative coefficient's unit is bounded by its chord d (x_hat - l), a
+    positive one's by s x_hat with the row's lower slope s. Every step is
+    elementwise or takes one row at a time (``np.vecdot``, ``np.vecmat``: a
+    dot or a matrix-vector product per row, never a matrix-matrix one), so
+    a row's value does not depend on the rows stacked with it.
     """
-    k = len(units)
-    eye = np.eye(len(bounds.post_lb[i - 1]))[units]
-    g = np.vstack([eye, -eye, eye, -eye])
-    kappa = np.zeros(4 * k)
-    for layer, l, u in zip(reversed(net.layers[:i]), reversed(bounds.pre_lb[:i]), reversed(bounds.pre_ub[:i])):
+    chord_only = isinstance(slope, int) and slope == CHORD
+    kappa = np.zeros(len(g))
+    for layer, l, u in zip(reversed(layers), reversed(pre_lb), reversed(pre_ub)):
         if isinstance(layer, Linear):
-            kappa += g @ layer.bias
-            g = g @ layer.weight
+            kappa += np.vecdot(g, layer.bias)
+            g = np.vecmat(g, layer.weight)
             continue
+        if not isinstance(layer, Relu):
+            raise ValueError("the backward pass requires a ReLU-only network (lower MaxPools first)")
         amb = (l < 0.0) & (u > 0.0)
         flat = (l >= 0.0) * 1.0  # 1 for a passing unit, 0 for a blocked or ambiguous one
         chord = np.divide(u, u - l, out=flat.copy(), where=amb)
         neg = np.minimum(g, 0.0)
-        pos = g - neg
-        kappa += neg @ (-l * chord * amb)
-        g = neg * chord + pos * flat
-        g[: 2 * k] += pos[: 2 * k] * (amb & (u > -l))
-    kappa += np.maximum(g, 0.0) @ box.lb + np.minimum(g, 0.0) @ box.ub
+        kappa -= np.vecdot(neg, np.minimum(l, 0.0) * chord)  # the chord intercepts (-l) d
+        if chord_only:  # every coefficient scales by its unit's d
+            g = g * chord
+        else:
+            rule = np.reshape(slope, (-1, 1))
+            lower = np.where(rule == CHORD, chord, flat + (rule == ADAPTIVE) * (amb & (u > -l)))
+            g = neg * chord + (g - neg) * lower
+    return kappa + np.vecdot(g, np.where(g >= 0.0, lb, ub))
+
+
+def backward_bounds(
+    net: Network, i: int, box: BoxDomain, bounds: LayerBounds, units: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper bounds on the ``units`` of layer ``i``'s input over
+    the box, from one ``backward_pass`` through layers ``i - 1`` down to 0
+    over the ReLU bounds ``bounds.pre_*`` of those layers: the rows [I; -I]
+    over ``units`` with CROWN's adaptive lower slope (Zhang et al., arXiv
+    1811.00866) and again with lower slope 0 (Wong & Kolter, arXiv
+    1711.00851), the tighter of the two per bound."""
+    k = len(units)
+    eye = np.eye(len(bounds.post_lb[i - 1]))[units]
+    rows, slope = np.concatenate([eye, -eye] * 2), np.repeat((ADAPTIVE, ZERO), 2 * k)
+    kappa = backward_pass(net.layers[:i], rows, slope, box.lb, box.ub, bounds.pre_lb[:i], bounds.pre_ub[:i])
     low = np.maximum(kappa[:k], kappa[2 * k : 3 * k])
     high = -np.maximum(kappa[k : 2 * k], kappa[3 * k :])
     return low, high
+
+
+def fast_dual_bound(net: Network, box: BoxDomain, bounds: LayerBounds) -> float:
+    """Lower bound on the scalar output with no LP: the one-row
+    ``backward_pass`` with the chord lower slope, a dual-feasible value of
+    the hull LP over ``bounds`` (Wong & Kolter, arXiv 1711.00851)."""
+    return float(backward_pass(net.layers, np.ones((1, 1)), CHORD, box.lb, box.ub, bounds.pre_lb, bounds.pre_ub)[0])
 
 
 def _encode(
@@ -307,37 +334,3 @@ def reluplex_feasible(net: Network, box: BoxDomain, phases: PhaseMap | None = No
     nothing either way (the relaxation is strictly looser than the hull).
     """
     return UNSAT if reluplex_lower_bound(net, box, phases)[0] > 0.0 else MAYBE_SAT
-
-
-def fast_dual_bound(net: Network, box: BoxDomain, bounds: LayerBounds) -> float:
-    """Backward-pass lower bound on the scalar output; no LP involved.
-
-    Maintains the affine under-estimator g . v + kappa through the layers in
-    reverse. Through Linear(W, b): kappa += g . b and g <- W^T g. Through an
-    ambiguous ReLU with bounds (l, u) and d = u/(u-l): negative coefficients
-    pay kappa += (-l) d min(g, 0) (the chord intercept) and every coefficient
-    scales to d g. At the input the box minimum of the affine form is added.
-    """
-    g = np.ones(1)
-    kappa = 0.0
-    for i in range(len(net.layers) - 1, -1, -1):
-        layer = net.layers[i]
-        if isinstance(layer, Linear):
-            kappa += float(g @ layer.bias)
-            g = layer.weight.T @ g
-        elif isinstance(layer, Relu):
-            l = bounds.pre_lb[i]
-            u = bounds.pre_ub[i]
-            for j in range(len(g)):
-                if u[j] <= 0.0:
-                    g[j] = 0.0
-                elif l[j] >= 0.0:
-                    continue
-                else:
-                    d = u[j] / (u[j] - l[j])
-                    kappa += (-l[j]) * d * min(g[j], 0.0)
-                    g[j] = d * g[j]
-        else:
-            raise ValueError("fast dual bound requires a ReLU-only network")
-    kappa += float(np.sum(np.where(g >= 0.0, g * box.lb, g * box.ub)))
-    return kappa

@@ -12,11 +12,21 @@ Writes, on every instance of ``standard_suite(200, 1000)``:
 
 Every line is bit-reproducible, so diffing the files of two commits lists
 every result a change moved. pytest does not collect this file.
+
+    PYTHONPATH=src python tests/snapshot.py --compare PARENT.jsonl CHANGE.jsonl
+
+compares two such files line by line. It fails (exit status 1) on any line
+that differs outside its float fields: the status, the node counts, the
+instance and method, and whether there is a counterexample. It lists every
+moved float value (``margin``, ``lb``, ``ub``, ``best_lb``, ``best_ub``,
+``min_estimate`` and the counterexample's coordinates) with the size of the
+move, then the count and the largest move per field.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -62,7 +72,72 @@ def snapshot_lines():
             }
 
 
+FLOAT_FIELDS = ("margin", "lb", "ub", "best_lb", "best_ub", "min_estimate")
+
+
+def _fields(line: dict) -> dict:
+    """The line's fields, flat: sweep bounds decoded from hex, a verify
+    result's fields next to its instance keys."""
+    flat = {k: v for k, v in line.items() if k != "result"}
+    flat.update(line.get("result", {}))
+    for key in ("best_lb", "best_ub", "min_estimate"):
+        if isinstance(flat.get(key), str):
+            flat[key] = float.fromhex(flat[key])
+    return flat
+
+
+def _move(old, new) -> float:
+    """Size of a float field's move; 0 for identical bytes, inf when only
+    one side is finite or present."""
+    if old is None or new is None:
+        return 0.0 if old is new else math.inf
+    if float(old).hex() == float(new).hex():
+        return 0.0
+    return abs(new - old) if math.isfinite(old) and math.isfinite(new) else math.inf
+
+
+def _load(path: str) -> list[dict]:
+    with open(path, encoding="utf-8") as f:
+        return [_fields(json.loads(line)) for line in f]
+
+
+def compare(parent_path: str, change_path: str) -> int:
+    parent, change = _load(parent_path), _load(change_path)
+    if len(parent) != len(change):
+        print(f"line counts differ: {len(parent)} != {len(change)}")
+        return 1
+    failures = 0
+    moved: dict[str, list[float]] = {}
+    for n, (old, new) in enumerate(zip(parent, change), 1):
+        where = f"line {n} ({old['kind']} {old.get('method', old.get('branching'))} seed {old['seed']})"
+        old_cex, new_cex = old.pop("counterexample", None), new.pop("counterexample", None)
+        fixed = (set(old) | set(new)) - set(FLOAT_FIELDS)
+        diff = sorted(k for k in fixed if old.get(k) != new.get(k))
+        if (old_cex is None) != (new_cex is None) or len(old_cex or ()) != len(new_cex or ()):
+            diff.append("counterexample")
+        if diff:
+            failures += 1
+            print(f"{where}: differs in {', '.join(diff)}")
+            continue
+        sizes = [(k, old.get(k), new.get(k), _move(old.get(k), new.get(k))) for k in FLOAT_FIELDS]
+        if old_cex is not None:
+            size = max((_move(a, b) for a, b in zip(old_cex, new_cex)), default=0.0)
+            sizes.append(("counterexample", None, None, size))
+        for key, a, b, size in sizes:
+            if size > 0.0:
+                moved.setdefault(key, []).append(size)
+                values = "" if a is None else f" {a!r} -> {b!r}"
+                print(f"{where}: {key}{values} moved {size:.3g}")
+    for key in (*FLOAT_FIELDS, "counterexample"):
+        sizes = moved.get(key, [])
+        print(f"{key}: {len(sizes)} moved" + (f", largest {max(sizes):.3g}" if sizes else ""))
+    print(f"{len(parent)} lines, {failures} differ outside their float fields")
+    return 1 if failures else 0
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 3 and argv[0] == "--compare":
+        return compare(argv[1], argv[2])
     if len(argv) != 1:
         print(__doc__, file=sys.stderr)
         return 2

@@ -285,6 +285,13 @@ def test_optimize_prunes_contradictory_phase_sets_before_any_lp(monkeypatch):
     assert pruned > 50 and relaxation_lps > 0
 
 
+def test_config_rejects_an_unknown_branching_rule():
+    # a misspelt rule must fail at once: unchecked, it runs until the first
+    # split, and a run decided at the root returns a verdict with no error
+    with pytest.raises(ValueError, match="unknown branching rule 'relu_split'"):
+        bab_verify(toy_problem(-3.0), BabConfig(branching="relu_split"))
+
+
 def test_timeout_zero():
     res = bab_verify(toy_problem(-5.0), BabConfig(timeout=0.0))
     assert res.status == TIMEOUT
