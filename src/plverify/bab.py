@@ -84,8 +84,8 @@ from .interval import (
     ambiguous_units,
     propagate_box,
 )
-from .model import BoxDomain, Network, forward_batch, forward_eval
-from .relax import CHORD, backward_pass, build_planet, fast_dual_bound, planet_lower_bound_with_point
+from .model import BoxDomain, Network, Relu, forward_batch, forward_eval
+from .relax import backward_pass, build_planet, fast_dual_bound, planet_lower_bound_with_point
 from .rng import SplitMix64
 
 OPTIMIZE = "optimize"
@@ -225,12 +225,13 @@ def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = Non
     scored = {i: _bisect(dom, i) for i in np.flatnonzero(widths >= 1e-2 * np.max(widths)).tolist()}
     children = [child for pair in scored.values() for child in pair]
     bounds = [propagate_box(net, child.box) for child in children]
-    lows = backward_pass(  # a row per child, over its own box and interval bounds
-        net.layers, np.ones((len(children), 1)), CHORD,
-        np.array([b.input_lb for b in bounds]), np.array([b.input_ub for b in bounds]),
-        [np.array(layer) for layer in zip(*(b.pre_lb for b in bounds))],
-        [np.array(layer) for layer in zip(*(b.pre_ub for b in bounds))],
-    )
+    # a row per child, over its own box and interval bounds; the kernel
+    # reads layer bounds only at ReLU layers, so only those are stacked
+    relu = [isinstance(layer, Relu) for layer in net.layers]
+    pre_lb = [np.array([b.pre_lb[i] for b in bounds]) if r else None for i, r in enumerate(relu)]
+    pre_ub = [np.array([b.pre_ub[i] for b in bounds]) if r else None for i, r in enumerate(relu)]
+    box_lb, box_ub = np.array([b.input_lb for b in bounds]), np.array([b.input_ub for b in bounds])
+    lows = backward_pass(net.layers, np.ones((len(children), 1)), box_lb, box_ub, pre_lb, pre_ub)
     scores = np.full(box.size, -np.inf)
     for (i, pair), low in zip(scored.items(), lows.reshape(-1, 2).tolist()):
         pair[0].fast_lb, pair[1].fast_lb = low

@@ -123,25 +123,24 @@ def linear_rows(weight: np.ndarray, prev: list[int | None], first: int) -> list[
     return [block[j, : first + j + 1] for j in range(out)]
 
 
-# lower-slope rules for an ambiguous unit's positive coefficient: the
-# chord's slope u/(u-l), CROWN's adaptive slope (1 if u > -l, else 0), or 0
-CHORD, ADAPTIVE, ZERO = 0, 1, 2
-
-
-def backward_pass(layers: tuple, g: np.ndarray, slope, lb, ub, pre_lb: list, pre_ub: list) -> np.ndarray:
+def backward_pass(layers: tuple, g: np.ndarray, lb, ub, pre_lb: list, pre_ub: list, adaptive=None) -> np.ndarray:
     """Lower bound of each objective row g[r] . v, where v is the output of
     the ReLU-only ``layers``, over the box [lb, ub] and the layers' bounds
     ``pre_lb``, ``pre_ub``, each shared by all rows (1-D) or given per row
-    (2-D). ``slope`` is one lower-slope rule, or one per row.
+    (2-D), and read only at ReLU layers.
 
     Through Linear(W, b): kappa += g . b and g <- g W. At an ambiguous ReLU
     a negative coefficient's unit is bounded by its chord d (x_hat - l), a
-    positive one's by s x_hat with the row's lower slope s. Every step is
-    elementwise or takes one row at a time (``np.vecdot``, ``np.vecmat``: a
-    dot or a matrix-vector product per row, never a matrix-matrix one), so
-    a row's value does not depend on the rows stacked with it.
+    positive one's by s x_hat with a lower slope s: the chord's slope d in
+    every row when ``adaptive`` is None, so every coefficient scales by d;
+    otherwise CROWN's adaptive slope (1 if u > -l, else 0) in the rows where
+    ``adaptive`` is true and 0 in the others. Every step is elementwise or
+    takes one row at a time (``np.vecdot``, ``np.vecmat``: a dot or a
+    matrix-vector product per row, never a matrix-matrix one), so a row's
+    value does not depend on the rows stacked with it.
     """
-    chord_only = isinstance(slope, int) and slope == CHORD
+    if adaptive is not None:
+        adaptive = np.reshape(adaptive, (-1, 1))
     kappa = np.zeros(len(g))
     for layer, l, u in zip(reversed(layers), reversed(pre_lb), reversed(pre_ub)):
         if isinstance(layer, Linear):
@@ -155,12 +154,10 @@ def backward_pass(layers: tuple, g: np.ndarray, slope, lb, ub, pre_lb: list, pre
         chord = np.divide(u, u - l, out=flat.copy(), where=amb)
         neg = np.minimum(g, 0.0)
         kappa -= np.vecdot(neg, np.minimum(l, 0.0) * chord)  # the chord intercepts (-l) d
-        if chord_only:  # every coefficient scales by its unit's d
+        if adaptive is None:
             g = g * chord
         else:
-            rule = np.reshape(slope, (-1, 1))
-            lower = np.where(rule == CHORD, chord, flat + (rule == ADAPTIVE) * (amb & (u > -l)))
-            g = neg * chord + (g - neg) * lower
+            g = neg * chord + (g - neg) * (flat + adaptive * (amb & (u > -l)))
     return kappa + np.vecdot(g, np.where(g >= 0.0, lb, ub))
 
 
@@ -175,8 +172,8 @@ def backward_bounds(
     1711.00851), the tighter of the two per bound."""
     k = len(units)
     eye = np.eye(len(bounds.post_lb[i - 1]))[units]
-    rows, slope = np.concatenate([eye, -eye] * 2), np.repeat((ADAPTIVE, ZERO), 2 * k)
-    kappa = backward_pass(net.layers[:i], rows, slope, box.lb, box.ub, bounds.pre_lb[:i], bounds.pre_ub[:i])
+    rows, adaptive = np.concatenate([eye, -eye] * 2), np.repeat((True, False), 2 * k)
+    kappa = backward_pass(net.layers[:i], rows, box.lb, box.ub, bounds.pre_lb[:i], bounds.pre_ub[:i], adaptive)
     low = np.maximum(kappa[:k], kappa[2 * k : 3 * k])
     high = -np.maximum(kappa[k : 2 * k], kappa[3 * k :])
     return low, high
@@ -186,7 +183,7 @@ def fast_dual_bound(net: Network, box: BoxDomain, bounds: LayerBounds) -> float:
     """Lower bound on the scalar output with no LP: the one-row
     ``backward_pass`` with the chord lower slope, a dual-feasible value of
     the hull LP over ``bounds`` (Wong & Kolter, arXiv 1711.00851)."""
-    return float(backward_pass(net.layers, np.ones((1, 1)), CHORD, box.lb, box.ub, bounds.pre_lb, bounds.pre_ub)[0])
+    return float(backward_pass(net.layers, np.ones((1, 1)), box.lb, box.ub, bounds.pre_lb, bounds.pre_ub)[0])
 
 
 def _encode(
