@@ -84,7 +84,7 @@ from .interval import (
     ambiguous_units,
     propagate_box,
 )
-from .model import BoxDomain, Network, Relu, forward_batch, forward_eval
+from .model import BoxDomain, Network, forward_batch, forward_eval
 from .relax import backward_pass, build_planet, fast_dual_bound, planet_lower_bound_with_point
 from .rng import SplitMix64
 
@@ -194,9 +194,9 @@ def _bisect(dom: Subdomain, i: int) -> list[Subdomain]:
 def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = None) -> list[Subdomain]:
     """Bisect the dimension whose tentative children have the best fast
     dual bounds (scored by the worse of the two; all children in one
-    ``backward_pass``). The children returned are the scored ones and carry
-    their fast bound (``fast_lb``); the parent's own score is its
-    ``fast_lb`` when set.
+    stacked ``propagate_box`` and one ``backward_pass``). The children
+    returned are the scored ones and carry their fast bound (``fast_lb``);
+    the parent's own score is its ``fast_lb`` when set.
 
     Given the search's `root` box, the split keeps the width guarantee:
     edge widths are measured relative to `root`, and when the widest is
@@ -222,32 +222,26 @@ def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = Non
     # near-degenerate dimensions are not candidates: halving them can only
     # shave epsilons off the bound, and chasing those epsilons slices the
     # box into slivers without ever improving the queue
-    scored = {i: _bisect(dom, i) for i in np.flatnonzero(widths >= 1e-2 * np.max(widths)).tolist()}
-    children = [child for pair in scored.values() for child in pair]
-    bounds = [propagate_box(net, child.box) for child in children]
-    # a row per child, over its own box and interval bounds; the kernel
-    # reads layer bounds only at ReLU layers, so only those are stacked
-    relu = [isinstance(layer, Relu) for layer in net.layers]
-    pre_lb = [np.array([b.pre_lb[i] for b in bounds]) if r else None for i, r in enumerate(relu)]
-    pre_ub = [np.array([b.pre_ub[i] for b in bounds]) if r else None for i, r in enumerate(relu)]
-    box_lb, box_ub = np.array([b.input_lb for b in bounds]), np.array([b.input_ub for b in bounds])
-    lows = backward_pass(net.layers, np.ones((len(children), 1)), box_lb, box_ub, pre_lb, pre_ub)
-    scores = np.full(box.size, -np.inf)
-    for (i, pair), low in zip(scored.items(), lows.reshape(-1, 2).tolist()):
-        pair[0].fast_lb, pair[1].fast_lb = low
-        scores[i] = min(low)
+    dims = np.flatnonzero(widths >= 1e-2 * np.max(widths))
+    # a row per child: the lower, then the upper half of each scored dimension
+    rows = 2 * np.arange(len(dims))
+    lb, ub = np.tile(box.lb, (2 * len(dims), 1)), np.tile(box.ub, (2 * len(dims), 1))
+    ub[rows, dims] = lb[rows + 1, dims] = 0.5 * (box.lb[dims] + box.ub[dims])
+    bounds = propagate_box(net, BoxDomain(lb, ub))
+    lows = backward_pass(net.layers, np.ones((len(lb), 1)), lb, ub, bounds.pre_lb, bounds.pre_ub)
+    scores = lows.reshape(-1, 2).min(axis=1)
     # A dimension qualifies only if it actually raises the fast bound;
     # without the guard a dimension the bound ignores scores level with the
     # parent forever (the aggressive child of a useful split scores lower)
     # and the search livelocks halving it. No improvement anywhere means
     # ties everywhere: fall back to the longest edge (always scored).
     improving = np.flatnonzero(scores > parent + tol)
+    k = int(np.argmax(widths[dims]))
     if len(improving):
         best = improving[int(np.argmax(scores[improving]))]
         tied = improving[scores[improving] >= scores[best] - tol]
-        best = tied[int(np.argmax(widths[tied]))]
-        return scored[int(best)]
-    return scored[int(np.argmax(widths))]
+        k = int(tied[int(np.argmax(widths[dims[tied]]))])
+    return [Subdomain(BoxDomain(lb[r], ub[r]), dom.lower_bound, fast_lb=float(lows[r])) for r in (2 * k, 2 * k + 1)]
 
 
 def split_relu(dom: Subdomain, net: Network, bounds: LayerBounds) -> list[Subdomain]:

@@ -14,6 +14,9 @@ by a branch clamps the unit's pre-activation bound at zero first.
 This module is the one place interval bounds are computed. Each layer takes
 two steps: ``pre_bounds`` (what the layer reads, phases clamped) and
 ``post_bounds`` (what it outputs); ``propagate_box`` chains them over a box.
+A box with 2-D ``lb``/``ub`` holds one box per row, each bounded to the bytes
+of a call on that row alone: the Linear step is one matrix-vector product per
+row (``np.matvec``), since a matrix product over the stack rounds differently.
 ``relax`` feeds its LP-tightened bounds through the same two steps layer by
 layer, and ``oracle`` bounds a collapsed affine map with one ``pre_bounds``
 call.
@@ -75,9 +78,11 @@ def pre_bounds(
     if isinstance(layer, Linear):
         wp = np.maximum(layer.weight, 0.0)
         wn = np.minimum(layer.weight, 0.0)
-        return wp @ lb + wn @ ub + layer.bias, wp @ ub + wn @ lb + layer.bias
+        return np.matvec(wp, lb) + np.matvec(wn, ub) + layer.bias, np.matvec(wp, ub) + np.matvec(wn, lb) + layer.bias
     lo, hi = lb.copy(), ub.copy()
     if isinstance(layer, Relu) and phases:
+        if lo.ndim != 1:
+            raise ValueError("phases pin the units of one box, not of stacked rows")
         for (l, j), phase in phases.items():
             if l != i:
                 continue
@@ -101,15 +106,16 @@ def post_bounds(layer: Layer, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarra
     if isinstance(layer, Relu):
         return np.where(hi > 0.0, np.maximum(lo, 0.0), 0.0), np.maximum(hi, 0.0)
     return (
-        np.array([np.max(lo[list(g)]) for g in layer.groups]),
-        np.array([np.max(hi[list(g)]) for g in layer.groups]),
+        np.stack([lo[..., list(g)].max(axis=-1) for g in layer.groups], axis=-1),
+        np.stack([hi[..., list(g)].max(axis=-1) for g in layer.groups], axis=-1),
     )
 
 
 def propagate_box(net: Network, box: BoxDomain, phases: PhaseMap | None = None) -> LayerBounds | None:
     """Sound interval bounds for every pre/post activation over the box,
     with the ReLU phases of ``phases`` pinned (see ``pre_bounds``). None
-    when a fixed phase contradicts the bounds: the subdomain is infeasible."""
+    when a fixed phase contradicts the bounds: the subdomain is infeasible.
+    A 2-D box holds a box per row (no phases), each bounded as by its own call."""
     cur_lb, cur_ub = box.lb, box.ub
     out = LayerBounds(box.lb.copy(), box.ub.copy(), [], [], [], [])
     for i, layer in enumerate(net.layers):

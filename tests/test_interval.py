@@ -80,6 +80,56 @@ def test_monotone_under_shrinking_boxes():
         prev = inner
 
 
+def _stacked_rows_match(net, lb, ub):
+    """Each row of one stacked call is the bytes of the call on that row's box, in all six fields."""
+    stacked = propagate_box(net, BoxDomain(lb, ub))
+    for r in range(len(lb)):
+        one = propagate_box(net, BoxDomain(lb[r], ub[r]))
+        assert stacked.input_lb[r].tobytes() == one.input_lb.tobytes()
+        assert stacked.input_ub[r].tobytes() == one.input_ub.tobytes()
+        for field in ("pre_lb", "pre_ub", "post_lb", "post_ub"):
+            for got, want in zip(getattr(stacked, field), getattr(one, field), strict=True):
+                assert got[r].tobytes() == want.tobytes()
+
+
+def test_stacked_rows_match_per_box_calls_byte_for_byte():
+    # widths 1-70 cross the blocking of a BLAS matrix-vector kernel; a
+    # matrix product over the stack would round differently in some rows
+    rng = np.random.default_rng(19)
+    for n_in, widths in [(1, [1]), (70, [70, 70])] + [
+        (int(rng.integers(1, 71)), [int(w) for w in rng.integers(1, 71, size=rng.integers(1, 4))]) for _ in range(20)
+    ]:
+        net = random_net(rng, n_in, widths, out=int(rng.integers(1, 71)))
+        rows = int(rng.integers(1, 13))
+        center = rng.uniform(-0.5, 0.5, size=(rows, n_in))
+        half = rng.uniform(0.0, 1.0, size=(rows, n_in))
+        _stacked_rows_match(net, center - half, center + half)
+
+
+def test_stacked_rows_match_per_box_calls_through_a_maxpool():
+    rng = np.random.default_rng(20)
+    groups = ((0, 1), (2,), (3, 4, 5), (6, 7, 8, 9))
+    net = Network(3, (
+        Linear(rng.normal(size=(10, 3)), rng.uniform(-0.5, 0.5, 10)),
+        Relu(),
+        MaxPool(groups),
+        Linear(rng.normal(size=(2, len(groups))), rng.uniform(-0.5, 0.5, 2)),
+    ))
+    center = rng.uniform(-0.5, 0.5, size=(7, 3))
+    half = rng.uniform(0.0, 1.0, size=(7, 3))
+    _stacked_rows_match(net, center - half, center + half)
+
+
+def test_stacked_rows_reject_phases():
+    # one ReLU unit, so a unit index also names a row of the stack
+    net = Network(1, (Linear(np.array([[1.0]]), np.array([0.5])), Relu(), Linear(np.array([[1.0]]), np.zeros(1))))
+    stacked = BoxDomain(np.array([[-1.0], [0.0]]), np.array([[1.0], [1.0]]))
+    for phase in (BLOCKED, PASSING):
+        with pytest.raises(ValueError):
+            propagate_box(net, stacked, {(1, 0): phase})
+    assert propagate_box(net, stacked, {}).output_lb.shape == (2, 1)
+
+
 def test_refine_passing_unit():
     net = toy_net()
     refined = propagate_box(net, toy_box(), {(1, 0): PASSING})
