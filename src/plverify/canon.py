@@ -155,6 +155,8 @@ def _encode_clause(prop: PropertyClause, width: int) -> list[Layer]:
 
 def canonicalize(net: Network, prop: PropertyClause, domain: BoxDomain) -> VerificationProblem:
     """Append property layers so that counterexample <=> canonical output <= 0."""
+    if domain.lb.ndim != 1:  # a BoxDomain may stack boxes; a problem has one
+        raise ValueError(f"domain bounds must be vectors, got shape {domain.lb.shape}")
     if domain.size != net.input_size:
         raise ValueError("domain size does not match network input size")
     _check_shapes(prop, net.output_size)

@@ -119,30 +119,36 @@ def load_nnet(path: str | Path) -> Network:
             continue
         lines.append(s)
 
-    def nums(line: str) -> list[float]:
-        return [float(tok) for tok in line.rstrip(",").split(",") if tok.strip()]
+    def nums(at: int, part: str) -> list[float]:
+        """The numbers on line ``at``, which holds ``part`` of the file."""
+        line = lines[at] if at < len(lines) else ""
+        values = [float(tok) for tok in line.rstrip(",").split(",") if tok.strip()]
+        if not values:
+            raise ValueError(f"truncated .nnet file: missing the {part}")
+        return values
 
-    header = nums(lines[0])
-    n_layers = int(header[0])
-    sizes = [int(v) for v in nums(lines[1])]
+    n_layers = int(nums(0, "header")[0])
+    sizes = [int(v) for v in nums(1, "layer sizes")]
     if len(sizes) != n_layers + 1:
         raise ValueError("layer size line does not match layer count")
     pos = 2
     pos += 1  # legacy flag
     pos += 4  # input min / max / mean / range lines
+    if pos > len(lines):
+        raise ValueError("truncated .nnet file: missing the flag or input normalisation lines")
     layers: list[Layer] = []
     for k in range(n_layers):
         n_out, n_in = sizes[k + 1], sizes[k]
         weight = np.zeros((n_out, n_in))
         for j in range(n_out):
-            row = nums(lines[pos])
+            row = nums(pos, f"weight row {j} of layer {k + 1}")
             pos += 1
             if len(row) != n_in:
                 raise ValueError(f"layer {k + 1} row {j}: expected {n_in} weights, got {len(row)}")
             weight[j] = row
         bias = np.zeros(n_out)
         for j in range(n_out):
-            bias[j] = nums(lines[pos])[0]
+            bias[j] = nums(pos, f"bias {j} of layer {k + 1}")[0]
             pos += 1
         layers.append(Linear(weight, bias))
         if k + 1 < n_layers:

@@ -32,15 +32,7 @@ with its final basis; the relaxation builder hands each LP the previous
 LP's optimum, extended by a crash column per new row, the MIP search hands
 each node its parent's optimum, and the oracle hands each pattern LP the
 last basis on its pattern's path, extended by a basic slack per new row.
-The final basis also carries the run's final simplex state: basic columns,
-inverse and values. The next solve from that ``Basis`` resumes it when it
-reads the same standard form object (so the same rows) and the basis was
-not edited since. With unchanged bounds the state is taken as it is; after
-a bound change only the basic values are recomputed, from the same
-inverse. Either way the start has the bytes that deriving it
-from the basis again gives, because that inverts the same basis matrix.
-The relaxation builder gets this between the LPs over one row set; the MIP
-queue drops the state, so its memory does not grow with the open nodes.
+A ``Basis`` holds only columns: each solve derives its start from them.
 
 Every solve takes one route: from a start basis, dual simplex pivots until
 the basic values lie within their bounds, then primal phase 2. The start is
@@ -367,15 +359,10 @@ class Basis:
     A column is a variable index ``j``, or ``~i`` for the slack of row ``i``.
     ``basic`` holds one column per row; nonbasic columns listed in
     ``at_upper`` start at their upper bound, all others at their lower bound.
-    ``state`` is solver state, not a setting: the final simplex state of the
-    warm run that wrote this basis. The next solve resumes it only over the
-    same standard form and an unedited basis, where deriving the start from
-    the basis again would give the same bytes.
     """
 
     basic: list[int] = field(default_factory=list)
     at_upper: set[int] = field(default_factory=set)
-    state: "_SimplexState | None" = field(default=None, repr=False, compare=False)
 
 
 def slack_basis(model: LpModel | RowStack) -> Basis:
@@ -399,9 +386,8 @@ def solve(model: LpModel | RowStack, basis: Basis | None = None) -> LpSolution:
         return LpSolution(OPTIMAL, 0.0, np.zeros(0))
     c = np.concatenate([_padded_objective(model), np.zeros(len(form.rhs))])
     if basis is not None:
-        carried, basis.state = basis.state, None
         try:
-            state = _resumed(carried, form, basis) or _warm_start(form, n, basis)
+            state = _warm_start(form, n, basis)
             if _can_start(state, c):
                 return _run(state, form, c, TOL_FEAS, basis)
         except NumericalFailure:
@@ -422,21 +408,6 @@ def _columns(cols: list[int] | set[int], n: int) -> np.ndarray:
     """Indices into structural | slack columns of ``Basis`` columns."""
     b = np.fromiter(cols, dtype=np.intp, count=len(cols))
     return np.where(b >= 0, b, n + ~b)
-
-
-def _resumed(carried: "_SimplexState | None", form: _Form, basis: Basis) -> "_SimplexState | None":
-    """The final state of the run that wrote ``basis``, moved to ``form``'s
-    bounds; None unless that run read this form's rows and ``basis`` is as
-    it left it. A bound change sets the nonbasic values to their bounds
-    again and recomputes the basic ones with the inverse the state holds."""
-    if carried is None or carried.a is not form.full or carried.written != (basis.basic, basis.at_upper):
-        return None
-    carried.written = None  # until this run records its final basis
-    if carried.lo is not form.lo or carried.hi is not form.hi:
-        carried.lo, carried.hi = form.lo, form.hi
-        carried.x = np.where(carried.at_upper, form.hi, form.lo)
-        carried.refactor()
-    return carried
 
 
 def _warm_start(form: _Form, n: int, basis: Basis) -> "_SimplexState":
@@ -476,7 +447,7 @@ def _slack_start(model: LpModel | RowStack, form: _Form) -> "_SimplexState":
 
 def _phase_two(state: "_SimplexState", form: _Form, c: np.ndarray, max_iter: int, basis: Basis | None) -> LpSolution:
     """Minimise c from a feasible state over ``form``'s columns; record the
-    final basis and state in ``basis``."""
+    final basis in ``basis``."""
     arow, rhs = form.rows, form.rhs
     n, m = arow.shape[1], len(rhs)
     _run_simplex(state, c, max_iter)
@@ -493,8 +464,6 @@ def _phase_two(state: "_SimplexState", form: _Form, c: np.ndarray, max_iter: int
         state.at_upper[b] = False
         u = np.flatnonzero(state.at_upper)
         basis.at_upper = set(np.where(u < n, u, ~(u - n)).tolist())
-        state.written = (list(basis.basic), set(basis.at_upper))
-        basis.state = state
     return LpSolution(OPTIMAL, float(c[:n] @ xs), xs.copy())
 
 
@@ -511,7 +480,6 @@ class _SimplexState:
         self.binv = binv
         self.fresh = False  # binv was inverted from the basis, no pivot since
         self.lo_l = self.hi_l = self.sgn = None
-        self.written = None  # (basic, at_upper) of the Basis this final state was recorded in
 
     def start_run(self) -> np.ndarray:
         """Start a run of pivots: the bounds as lists, and the sign vector,

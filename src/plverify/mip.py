@@ -32,14 +32,13 @@ search continues past them.
 Node LPs start warm. The root is given ``lp.slack_basis`` as its start,
 which is dual feasible; as a given start, its dual pass stops at the
 feasibility tolerance of a warm repair. Each queued node keeps the final
-``lp.Basis`` of its LP, without the simplex state that basis carries, and
-both children start from a copy of it. A child differs from its parent
-only in one pinned binary, so that basis stays dual feasible and
-``lp.solve`` repairs it with dual simplex pivots, with no cold start. An
-optimum reached this way can be another vertex among ties than a cold
-solve's, so the branching binary can differ from a cold search, and with
-it the node count and an UNSAT margin (the smallest pruned bound of the
-tree searched); each node LP's value and the verdict do not. Every node LP
+``lp.Basis`` of its LP, and both children start from a copy of it. A child
+differs from its parent only in one pinned binary, so that basis stays dual
+feasible and ``lp.solve`` repairs it with dual simplex pivots, with no cold
+start. An optimum reached this way can be another vertex among ties than a
+cold solve's, so the branching binary can differ from a cold search, and
+with it the node count and an UNSAT margin (the smallest pruned bound of
+the tree searched); each node LP's value and the verdict do not. Every node LP
 is a clone of the encoding's model with pinned bounds, so all of them
 share its row matrix and [rows | I]; only the slack bounds are computed
 per node.
@@ -140,7 +139,6 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
                 elif l >= 0.0:
                     new_vars.append(p)
                 else:
-                    l, u = min(l, 0.0), max(u, 0.0)
                     if variant.encoding == SYM:
                         m_const = max(-l, u)
                         l, u = -m_const, m_const
@@ -243,7 +241,6 @@ def solve_mip(
             sol = lp.solve(_pinned(enc.model, fixes), basis)
         except lp.NumericalFailure:
             sol = None
-        basis.state = None  # a queued node keeps no matrices; its children invert again
         if sol is None:
             # keep the parent's bound; a failed solve leaves the start basis
             # unchanged, so a branched node restarts from it

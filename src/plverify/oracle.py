@@ -49,8 +49,8 @@ import numpy as np
 
 from . import lp
 from .canon import VerificationProblem, lower_maxpools, validate_counterexample
-from .interval import pre_bounds, propagate_box
-from .model import BoxDomain, Linear, MaxPool, Network, Relu
+from .interval import ambiguous_units, pre_bounds, propagate_box
+from .model import BoxDomain, Linear, MaxPool, Network
 
 
 class CapExceeded(Exception):
@@ -77,11 +77,7 @@ def oracle_min(net: Network, box: BoxDomain, relu_cap: int = 16) -> OracleResult
     if net.output_size != 1:
         raise ValueError("oracle requires a scalar-output network")
     bounds = propagate_box(net, box)
-    ambiguous = 0
-    for i, layer in enumerate(net.layers):
-        if isinstance(layer, Relu):
-            lo, hi = bounds.pre_lb[i], bounds.pre_ub[i]
-            ambiguous += int(np.sum((lo < 0.0) & (hi > 0.0)))
+    ambiguous = len(ambiguous_units(net, bounds))
     if ambiguous > relu_cap:
         raise CapExceeded(f"{ambiguous} ambiguous units exceed cap {relu_cap}")
 

@@ -43,11 +43,10 @@ Every LP over one relaxation starts warm (``lp.Basis``) from the previous
 LP's optimum: tightened bounds contain every feasible point, so that optimum
 stays feasible. The LPs are clones of one model (``with_objective``), so
 the tightening LPs of a layer and the output LP share its cached standard
-form: the row matrix is built once per row set, the slack bounds again
-only after a unit's bounds were tightened, and each LP over the same rows
-resumes the previous LP's final simplex state instead of deriving it from
-the basis again. Each row is added with a crash column that keeps the start
-primal-feasible without pivoting (inputs start at their lower bounds):
+form: the row matrix is built once per row set and the slack bounds again
+only after a unit's bounds were tightened. Each row is added with a crash
+column that keeps the start primal-feasible without pivoting (inputs start
+at their lower bounds):
 
 * a Linear equality row: its x_hat basic;
 * a hull unit: x basic in its chord row (x then sits on the chord, inside

@@ -98,6 +98,14 @@ def test_shape_mismatch_rejected():
         canonicalize(toy_net(), AnyClause(()), toy_box())
 
 
+def test_stacked_domain_rejected():
+    # a BoxDomain may hold one box per row; a problem's domain is one box,
+    # even when its row count matches the input size
+    stacked = BoxDomain(np.full((2, 1), -2.0), np.full((2, 1), 2.0))
+    with pytest.raises(ValueError, match="must be vectors"):
+        canonicalize(toy_net(), Geq(np.array([1.0]), -5.0), stacked)
+
+
 def test_validate_counterexample():
     problem = toy_problem(-3.0)
     assert validate_counterexample(problem, np.array([2.0, 2.0]), 1e-6)

@@ -137,6 +137,18 @@ def test_cli_main_exit_codes(tmp_path):
     assert code == 3
 
 
+@pytest.mark.parametrize("method", ["babsb", "mip-planet-opt"])
+def test_cli_rejects_a_nested_box(tmp_path, capsys, method):
+    net_path, prop_path = _write_toy(tmp_path)
+    doc = json.loads(prop_path.read_text())
+    doc["input_lb"] = [[v] for v in doc["input_lb"]]
+    doc["input_ub"] = [[v] for v in doc["input_ub"]]
+    prop_path.write_text(json.dumps(doc))
+    code = main(["verify", "--net", str(net_path), "--prop", str(prop_path), "--method", method])
+    assert code == 3
+    assert "error: domain bounds must be vectors, got shape (2, 1)" in capsys.readouterr().err
+
+
 def test_bench_and_cactus(tmp_path):
     suite = tmp_path / "suite"
     write_suite([GenSpec(2, 2, 3, margin=1.0, seed=21), GenSpec(2, 2, 3, margin=-1.0, seed=22)], suite)
@@ -242,6 +254,20 @@ def test_nnet_import(tmp_path):
     out = forward_eval(net, np.array([1.0, 1.0]))
     h1, h2 = max(1.6, 0.0), max(0.3, 0.0)
     assert out[0] == pytest.approx(h1 - h2)
+    # a truncated file names the part it lacks
+    lines = content.splitlines()
+    cuts = [
+        (1, "header"),
+        (2, "layer sizes"),
+        (5, "flag or input normalisation lines"),
+        (8, "weight row 0 of layer 1"),
+        (11, "bias 1 of layer 1"),
+        (13, "bias 0 of layer 2"),
+    ]
+    for keep, missing in cuts:
+        path.write_text("\n".join(lines[:keep]) + "\n")
+        with pytest.raises(ValueError, match=f"truncated .nnet file: missing the {missing}$"):
+            formats.load_nnet(path)
 
 
 def test_cli_gen_suite_and_entry_point(tmp_path):

@@ -28,3 +28,7 @@ def test_traced_names_resolve_and_cover_expected():
     for workload, names in tracer.EXPECTED.items():
         missing = sorted(set(names) - traced)
         assert not missing, (workload, missing)
+    # an lp.solve's purpose is read off its enclosing spans, so an untraced
+    # purpose name would leave its LPs unattributed
+    untraced = sorted(set(tracer.PURPOSES) - traced)
+    assert not untraced, untraced
