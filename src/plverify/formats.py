@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .canon import AllClause, AnyClause, Geq, PropertyClause
-from .model import BoxDomain, Layer, Linear, MaxPool, Network, Relu, validate_network
+from .model import BoxDomain, Layer, Linear, MaxPool, Network, Relu, validate_network, whole_number
 
 NETWORK_FORMAT = "plnn-v1"
 
@@ -45,7 +45,7 @@ def network_from_dict(doc: dict) -> Network:
             layers.append(MaxPool(tuple(tuple(g) for g in entry["maxpool"]["groups"])))
         else:
             raise ValueError(f"layer {k + 1}: unknown layer object {sorted(entry)!r}")
-    net = Network(int(doc["input_size"]), tuple(layers))
+    net = Network(whole_number(doc["input_size"], "input_size"), tuple(layers))
     errors = validate_network(net)
     if errors:
         raise ValueError("invalid network: " + "; ".join(errors))
@@ -127,8 +127,8 @@ def load_nnet(path: str | Path) -> Network:
             raise ValueError(f"truncated .nnet file: missing the {part}")
         return values
 
-    n_layers = int(nums(0, "header")[0])
-    sizes = [int(v) for v in nums(1, "layer sizes")]
+    n_layers, *_ = [whole_number(v, "header count") for v in nums(0, "header")]
+    sizes = [whole_number(v, "layer size") for v in nums(1, "layer sizes")]
     if len(sizes) != n_layers + 1:
         raise ValueError("layer size line does not match layer count")
     pos = 2

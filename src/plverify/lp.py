@@ -65,10 +65,13 @@ the dual pass from the slack basis), optimality 1e-7, pivot threshold
 
 ``solve`` reads a model through its ``standard_form``: the row matrix, the
 right-hand sides and the bounds of the structural and slack columns. An
-``LpModel`` keeps its last form, shared with its ``with_objective`` clones:
-the row matrix and the matrix [rows | I] a warm start reads are built once
-per row set, and the slack bounds again only when a variable bound changes,
-by the same formula, so they are the same bytes. A ``RowStack`` (box
+``LpModel`` holds its variable bounds, row matrix, right-hand sides and
+relation codes as arrays and grows by blocks, one per layer part in the
+relaxation and MIP builders. Each block makes a new row set, shared with the
+model's ``with_objective`` clones: [rows | I], the rows' positive and
+negative parts and the relation masks are derived from it once, the slack
+bounds again only when a variable bound changes, by the same formula, so
+they are the same bytes. A ``RowStack`` (box
 variables and a stack of ``<=`` rows; the oracle's pattern LPs) keeps its
 form in buffers that double when full, so ``push`` and ``truncate`` touch
 one row and a solve starts from views. Its slack bounds are computed for the
@@ -80,7 +83,6 @@ so a write by the solver raises instead of corrupting the next solve.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -89,9 +91,10 @@ import numpy as np
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 
-LE = "<="
-EQ = "="
-GE = ">="
+# relation codes of the rows
+LE = 1
+EQ = 0
+GE = -1
 
 TOL_FEAS = 1e-8
 _TOL_COLD = 1e-10  # the dual pass's feasibility tolerance from the slack basis
@@ -120,145 +123,133 @@ class _Form(NamedTuple):
     full: np.ndarray
 
 
-class _RowPart(NamedTuple):
-    """The part of an ``LpModel``'s standard form that its bounds leave
-    alone, built from the row tuples ``key`` over ``n`` variables."""
-
-    n: int
-    key: list
-    rows: np.ndarray
-    rhs: np.ndarray
-    full: np.ndarray
-    pos: np.ndarray  # max(rows, 0)
-    neg: np.ndarray  # min(rows, 0)
-    is_le: np.ndarray
-    is_ge: np.ndarray
-
-
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for a in arrays:
         a.flags.writeable = False
     return arrays
 
 
-def _row_part(rows: list[tuple[np.ndarray, str, float]], n: int) -> _RowPart:
-    """The row part of ``rows`` over ``n`` variables."""
-    m = len(rows)
-    arow = np.zeros((m, n))
-    rhs = np.zeros(m)
-    is_le = np.zeros(m, dtype=bool)
-    is_ge = np.zeros(m, dtype=bool)
-    for i, (row, rel, r) in enumerate(rows):
-        if len(row) > n:
-            raise ValueError("row references unknown variables")
-        arow[i, : len(row)] = row
-        rhs[i] = r
-        is_le[i] = rel == LE
-        is_ge[i] = rel == GE
-    arrays = arow, rhs, np.hstack([arow, np.eye(m)]), np.maximum(arow, 0.0), np.minimum(arow, 0.0), is_le, is_ge
-    return _RowPart(n, list(rows), *_read_only(*arrays))
+def _derive(a: np.ndarray, rhs: np.ndarray, rel: np.ndarray) -> tuple[np.ndarray, ...]:
+    """What the bounds of a standard form leave alone, derived from the rows
+    ``a`` and their relations: [a | I], max(a, 0), min(a, 0) and the masks
+    of the <= and >= rows. ``a`` and ``rhs`` become read-only too."""
+    is_le, is_ge = rel == LE, rel == GE
+    if not (is_le | is_ge | (rel == EQ)).all():
+        raise ValueError(f"unknown relation among {rel}")
+    _read_only(a, rhs)
+    return _read_only(np.hstack([a, np.eye(len(a))]), np.maximum(a, 0.0), np.minimum(a, 0.0), is_le, is_ge)
 
 
-class _FormCache:
-    """An ``LpModel``'s last standard form and what it was built from."""
+class _RowSet:
+    """The rows of an ``LpModel``: row i is a[i] . x (rel[i]) rhs[i]. A new
+    block gives its model a new row set, which its ``with_objective`` clones
+    share, so ``standard_form`` derives its row part once and its column
+    bounds again only for other variable bounds."""
 
-    def __init__(self):
-        self.part: _RowPart | None = None
+    def __init__(self, a: np.ndarray, rhs: np.ndarray, rel: np.ndarray):
+        self.a, self.rhs, self.rel = a, rhs, rel
+        self.part: tuple[np.ndarray, ...] | None = None  # ``_derive``'s arrays, on the first solve
         self.bounds = b""  # the variable bounds of ``form``, as bytes
         self.form: _Form | None = None
 
 
-@dataclass
 class LpModel:
-    """Minimisation LP: variables with finite bounds, dense rows.
+    """Minimisation LP: variables with bounds ``lower``/``upper`` and dense
+    rows rows[i] . x (rel[i]) rhs[i], all held as arrays.
 
-    A row, once added, is never changed in place: ``standard_form`` knows a
-    row set by the identity of its row tuples."""
+    The model grows by blocks (``add_block``): new variables with their
+    bounds, then rows over every variable so far. Rows are never changed
+    once added; the bounds may be changed in place. A solve raises
+    ValueError on a bound that is not finite and reports a variable with
+    lower > upper infeasible."""
 
-    lower: list[float] = field(default_factory=list)
-    upper: list[float] = field(default_factory=list)
-    rows: list[tuple[np.ndarray, str, float]] = field(default_factory=list)
-    objective: np.ndarray | None = None
-    _cache: _FormCache = field(default_factory=_FormCache, init=False, repr=False, compare=False)
+    def __init__(self, lower=(), upper=()):
+        self.lower = np.array(lower, dtype=np.float64)
+        self.upper = np.array(upper, dtype=np.float64)
+        self.objective: np.ndarray | None = None
+        self._rows = _RowSet(np.zeros((0, len(self.lower))), np.zeros(0), np.zeros(0, dtype=int))
+
+    rows = property(lambda self: self._rows.a)
+    rhs = property(lambda self: self._rows.rhs)
+    rel = property(lambda self: self._rows.rel)
 
     @property
     def num_vars(self) -> int:
         return len(self.lower)
 
-    def add_var(self, lb: float, ub: float) -> int:
-        if not (np.isfinite(lb) and np.isfinite(ub)):
-            raise ValueError("variable bounds must be finite")
-        if lb > ub:
-            raise ValueError("variable lb > ub")
-        self.lower.append(float(lb))
-        self.upper.append(float(ub))
-        return len(self.lower) - 1
+    def add_block(self, rows: np.ndarray, rel, rhs, lower=(), upper=()) -> None:
+        """Add variables with the bounds ``lower``/``upper``, then the rows
+        rows[i] . x (rel[i]) rhs[i], each relation LE, EQ or GE; a row
+        narrower than the variables is zero past its end."""
+        old = self._rows
+        (m, n), (k, width) = old.a.shape, rows.shape
+        if not (k or len(lower)):
+            return  # an empty block keeps the row set and its derived form
+        self.lower, self.upper = np.concatenate((self.lower, lower)), np.concatenate((self.upper, upper))
+        a = np.zeros((m + k, self.num_vars))
+        a[:m, :n], a[m:, :width] = old.a, rows  # a row past the variables raises
+        self._rows = _RowSet(a, np.concatenate((old.rhs, rhs)), np.concatenate((old.rel, rel)))
 
-    def add_row(self, coefs, rel: str, rhs: float) -> int:
-        if rel not in (LE, EQ, GE):
-            raise ValueError(f"unknown relation {rel!r}")
-        if isinstance(coefs, dict):
-            row = np.zeros(self.num_vars)
-            for idx, val in coefs.items():
-                row[idx] = val
-        else:
-            row = np.asarray(coefs, dtype=np.float64)
-        self.rows.append((row, rel, float(rhs)))
-        return len(self.rows) - 1
+    def add_var(self, lb: float, ub: float) -> int:
+        self.add_block(np.zeros((0, 0)), [], [], [lb], [ub])
+        return self.num_vars - 1
+
+    def add_row(self, coefs, rel: int, rhs: float) -> int:
+        self.add_block(self._dense(coefs)[None], [rel], [rhs])
+        return len(self.rhs) - 1
+
+    def _dense(self, coefs) -> np.ndarray:
+        """``coefs`` as a row over the variables: an array, or a dict of entries."""
+        if not isinstance(coefs, dict):
+            return np.asarray(coefs, dtype=np.float64)
+        row = np.zeros(self.num_vars)
+        row[list(coefs)] = list(coefs.values())
+        return row
 
     def set_objective(self, coefs) -> None:
-        if isinstance(coefs, dict):
-            c = np.zeros(self.num_vars)
-            for idx, val in coefs.items():
-                c[idx] = val
-        else:
-            c = np.asarray(coefs, dtype=np.float64)
-        self.objective = c
+        self.objective = self._dense(coefs)
 
     def with_objective(self, coefs) -> "LpModel":
-        """Shallow copy sharing rows and the cached standard form, with a
-        different objective."""
-        clone = LpModel(list(self.lower), list(self.upper), list(self.rows))
-        clone._cache = self._cache
+        """A clone with its own bounds and the objective ``coefs``, sharing
+        the rows and what ``standard_form`` derives from them."""
+        clone = object.__new__(LpModel)
+        clone.lower, clone.upper, clone._rows = self.lower.copy(), self.upper.copy(), self._rows
         clone.set_objective(coefs)
         return clone
 
     def copy(self) -> "LpModel":
-        clone = LpModel(list(self.lower), list(self.upper), list(self.rows))
-        if self.objective is not None:
-            clone.objective = self.objective.copy()
+        """A clone that derives its standard form afresh."""
+        clone, rows = self.with_objective({}), self._rows
+        clone._rows = _RowSet(rows.a, rows.rhs, rows.rel)
+        clone.objective = None if self.objective is None else self.objective.copy()
         return clone
 
     def standard_form(self) -> _Form | None:
         """The rows as ``solve`` reads them (see ``_Form``); None when some
-        lower > upper. The row part is built again only for another row
-        set, the column bounds only for other variable bounds."""
-        n = self.num_vars
-        lo = np.asarray(self.lower, dtype=np.float64)
-        hi = np.asarray(self.upper, dtype=np.float64)
-        if (lo > hi + 1e-12).any():
+        lower > upper. The row part is derived once per row set, the column
+        bounds again only for other variable bounds."""
+        lo = self.lower
+        if (lo > self.upper + 1e-12).any():
             return None
-        hi = np.maximum(hi, lo)  # collapse sub-tolerance inversions
-
-        cache, rows = self._cache, self.rows
-        part = cache.part
-        if part is None or part.n != n or len(part.key) != len(rows) or not all(map(operator.is_, rows, part.key)):
-            part = cache.part = _row_part(rows, n)
-            cache.form = None
+        hi = np.maximum(self.upper, lo)  # collapse sub-tolerance inversions
+        s = self._rows
+        if s.part is None:
+            s.part = _derive(s.a, s.rhs, s.rel)
+        full, pos, neg, is_le, is_ge = s.part
         bounds = lo.tobytes() + hi.tobytes()
-        if cache.form is None or bounds != cache.bounds:
+        if s.form is None or bounds != s.bounds:
+            if not np.isfinite(hi - lo).all():
+                raise ValueError("variable bounds must be finite")
             # one slack per row (fixed at 0 for equalities), finite bounds
             # derived from the row range over the variable boxes
-            row_min = part.pos @ lo + part.neg @ hi
-            row_max = part.pos @ hi + part.neg @ lo
-            room_up = part.rhs - row_min
-            room_dn = part.rhs - row_max
-            slack_lo = np.where(part.is_ge & (room_dn < 0.0), room_dn, 0.0)
-            slack_hi = np.where(part.is_le & (room_up > 0.0), room_up, 0.0)
+            room_up = s.rhs - (pos @ lo + neg @ hi)
+            room_dn = s.rhs - (pos @ hi + neg @ lo)
+            slack_lo = np.where(is_ge & (room_dn < 0.0), room_dn, 0.0)
+            slack_hi = np.where(is_le & (room_up > 0.0), room_up, 0.0)
             col_lo, col_hi = _read_only(np.concatenate([lo, slack_lo]), np.concatenate([hi, slack_hi]))
-            cache.form = _Form(part.rows, part.rhs, col_lo, col_hi, part.full)
-            cache.bounds = bounds
-        return cache.form
+            s.form = _Form(s.a, s.rhs, col_lo, col_hi, full)
+            s.bounds = bounds
+        return s.form
 
 
 class RowStack:

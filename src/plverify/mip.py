@@ -38,9 +38,13 @@ feasible and ``lp.solve`` repairs it with dual simplex pivots, with no cold
 start. An optimum reached this way can be another vertex among ties than a
 cold solve's, so the branching binary can differ from a cold search, and
 with it the node count and an UNSAT margin (the smallest pruned bound of
-the tree searched); each node LP's value and the verdict do not. Every node LP
-is a clone of the encoding's model with pinned bounds, so all of them
-share its row matrix and [rows | I]; only the slack bounds are computed
+the tree searched); each node LP's value and the verdict do not.
+
+The model is written one block per layer (per group of a MaxPool), its
+rows placed by index arithmetic: a unit's x then d, its three rows
+together; a group's y, its binaries, each element's two rows and then the
+sum row. Every node LP is a ``with_objective`` clone with pinned bounds, so
+all of them share one derived [rows | I]; only the slack bounds are computed
 per node.
 
 A node LP that fails numerically does not end the run: the node takes its
@@ -61,7 +65,7 @@ from .bab import SAT, TIMEOUT, UNSAT, BabResult
 from .canon import validate_point
 from .interval import LayerBounds, propagate_box
 from .model import BoxDomain, Linear, Network, Relu, forward_eval
-from .relax import build_planet, linear_rows
+from .relax import add_linear, build_planet
 
 ASYM = "asym"
 SYM = "sym"
@@ -113,76 +117,68 @@ def compute_bounds(net: Network, box: BoxDomain, source: str) -> LayerBounds:
 
 
 def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
-    """Build the big-M model; one binary per ambiguous unit, none elsewhere."""
+    """Build the big-M model, one block per layer (per group of a MaxPool);
+    one binary per ambiguous unit, none elsewhere."""
     bounds = compute_bounds(net, box, variant.bounds_source)
-    model = lp.LpModel()
-    input_vars = [model.add_var(box.lb[j], box.ub[j]) for j in range(box.size)]
-    prev: list[int | None] = list(input_vars)
+    model = lp.LpModel(box.lb, box.ub)
+    prev = np.arange(box.size)  # the variable of each unit of the last layer, -1 for a constant zero
     int_vars: list[int] = []
     relu_units: list[tuple[int, int, int, int, int]] = []
     pool_groups: list[tuple[int, int, list[int], int]] = []
 
     for i, layer in enumerate(net.layers):
+        lo, hi = bounds.pre_lb[i], bounds.pre_ub[i]
+        n = model.num_vars
         if isinstance(layer, Linear):
-            first = model.num_vars
-            for j, row in enumerate(linear_rows(layer.weight, prev, first)):
-                model.add_var(bounds.pre_lb[i][j], bounds.pre_ub[i][j])
-                model.add_row(row, lp.EQ, float(layer.bias[j]))
-            prev = list(range(first, model.num_vars))
+            prev = add_linear(model, layer, prev, lo, hi)
         elif isinstance(layer, Relu):
-            new_vars = []
-            for j, p in enumerate(prev):
-                l = float(bounds.pre_lb[i][j])
-                u = float(bounds.pre_ub[i][j])
-                if u <= 0.0:
-                    new_vars.append(None)
-                elif l >= 0.0:
-                    new_vars.append(p)
-                else:
-                    if variant.encoding == SYM:
-                        m_const = max(-l, u)
-                        l, u = -m_const, m_const
-                    x = model.add_var(0.0, u)
-                    d = model.add_var(0.0, 1.0)
-                    model.add_row({x: 1.0, p: -1.0}, lp.GE, 0.0)
-                    model.add_row({x: 1.0, d: -u}, lp.LE, 0.0)
-                    model.add_row({x: 1.0, p: -1.0, d: -l}, lp.LE, -l)
-                    int_vars.append(d)
-                    relu_units.append((i, j, d, p, x))
-                    new_vars.append(x)
-            prev = new_vars
-        else:  # MaxPool
-            new_vars = []
-            for gi, g in enumerate(layer.groups):
-                g_lo = bounds.pre_lb[i][list(g)]
-                g_hi = bounds.pre_ub[i][list(g)]
-                u_all = float(np.max(g_hi))
-                y = model.add_var(float(np.max(g_lo)), u_all)
-                deltas = []
-                sum_row = {}
-                for idx, k in enumerate(g):
-                    d = model.add_var(0.0, 1.0)
-                    big = u_all - float(g_lo[idx])
-                    model.add_row({y: 1.0, prev[k]: -1.0}, lp.GE, 0.0)
-                    model.add_row({y: 1.0, prev[k]: -1.0, d: big}, lp.LE, big)
-                    sum_row[d] = 1.0
-                    deltas.append(d)
-                    int_vars.append(d)
-                model.add_row(sum_row, lp.EQ, 1.0)
-                pool_groups.append((i, gi, deltas, y))
-                new_vars.append(y)
-            prev = new_vars
+            amb = np.flatnonzero((lo < 0.0) & (hi > 0.0))
+            k, p, l, u = len(amb), prev[amb], lo[amb], hi[amb]
+            if variant.encoding == SYM:
+                u = np.maximum(-l, u)
+                l = -u
+            # per unit the variables x in [0, u], d in [0, 1] and the rows
+            # x - x_hat >= 0, x - u d <= 0, x - x_hat - l d <= -l
+            x, r = np.arange(n, n + 2 * k, 2), np.arange(0, 3 * k, 3)  # each unit's x (d follows) and first row
+            block, rhs, upper = np.zeros((3 * k, n + 2 * k)), np.zeros((k, 3)), np.ones((k, 2))
+            block[r, x] = block[r + 1, x] = block[r + 2, x] = 1.0
+            block[r, p] = block[r + 2, p] = -1.0
+            block[r + 1, x + 1], block[r + 2, x + 1] = -u, -l
+            rhs[:, 2], upper[:, 0] = -l, u
+            model.add_block(block, [lp.GE, lp.LE, lp.LE] * k, rhs.ravel(), np.zeros(2 * k), upper.ravel())
+            int_vars += (x + 1).tolist()
+            relu_units += zip([i] * k, amb.tolist(), (x + 1).tolist(), p.tolist(), x.tolist())
+            prev = np.where(hi <= 0.0, -1, prev)
+            prev[amb] = x
+        else:  # MaxPool, whose inputs are the variables of the Linear before it
+            for gi, g in enumerate(map(list, layer.groups)):
+                n, s = model.num_vars, len(g)
+                d, r = n + 1 + np.arange(s), 2 * np.arange(s)
+                big = np.max(hi[g]) - lo[g]
+                # the variables y, d_k and per element the rows
+                # y - x_k >= 0, y - x_k + big d_k <= big; then sum_k d_k = 1
+                block = np.zeros((2 * s + 1, n + 1 + s))
+                block[: 2 * s, n] = 1.0
+                block[r, prev[g]] = block[r + 1, prev[g]] = -1.0
+                block[r + 1, d] = big
+                block[2 * s, d] = 1.0
+                rhs = np.zeros(2 * s + 1)
+                rhs[r + 1], rhs[-1] = big, 1.0
+                rel = [lp.GE, lp.LE] * s + [lp.EQ]
+                model.add_block(block, rel, rhs, [np.max(lo[g])] + [0.0] * s, [np.max(hi[g])] + [1.0] * s)
+                int_vars += d.tolist()
+                pool_groups.append((i, gi, d.tolist(), n))
+            prev = np.array([y for layer_i, *_, y in pool_groups if layer_i == i])
 
-    output_var = prev[0] if prev else None
+    output_var = int(prev[0]) if len(prev) and prev[0] >= 0 else None
     model.set_objective({output_var: 1.0} if output_var is not None else np.zeros(model.num_vars))
-    return EncodedMip(net, box, model, output_var, int_vars, input_vars, relu_units, pool_groups)
+    return EncodedMip(net, box, model, output_var, int_vars, list(range(box.size)), relu_units, pool_groups)
 
 
 def _pinned(base: lp.LpModel, fixes: dict[int, int]) -> lp.LpModel:
-    model = base.with_objective(base.objective)  # shares the row part of the standard form
-    for var, val in fixes.items():
-        model.lower[var] = float(val)
-        model.upper[var] = float(val)
+    model = base.with_objective(base.objective)  # shares the row set and its derived form
+    pins = list(fixes)
+    model.lower[pins] = model.upper[pins] = list(fixes.values())
     return model
 
 

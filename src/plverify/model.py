@@ -12,9 +12,18 @@ Convolutions are out of scope; supply them pre-lowered to ``Linear``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+def whole_number(value, name: str) -> int:
+    """``value`` as an int; a ValueError naming ``name`` unless it is a
+    whole number (a bool, a fraction or a string is not)."""
+    if isinstance(value, (bool, np.bool_)) or not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -45,7 +54,7 @@ class MaxPool:
     groups: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(tuple(int(i) for i in g) for g in self.groups))
+        object.__setattr__(self, "groups", tuple(tuple(whole_number(i, "maxpool group index") for i in g) for g in self.groups))
 
     @property
     def out_width(self) -> int:

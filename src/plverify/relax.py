@@ -39,14 +39,16 @@ box is never empty), keeps its interval bounds. A tightening LP that fails
 numerically (``lp.NumericalFailure``) leaves its unit with the interval
 bounds it had, which are sound, and the encoding goes on.
 
-Every LP over one relaxation starts warm (``lp.Basis``) from the previous
-LP's optimum: tightened bounds contain every feasible point, so that optimum
-stays feasible. The LPs are clones of one model (``with_objective``), so
-the tightening LPs of a layer and the output LP share its cached standard
-form: the row matrix is built once per row set and the slack bounds again
-only after a unit's bounds were tightened. Each row is added with a crash
-column that keeps the start primal-feasible without pivoting (inputs start
-at their lower bounds):
+The model is written one block per layer (``lp.LpModel.add_block``): a
+Linear layer is [-W | I] with its bias (``add_linear``), a ReLU layer the
+rows of its ambiguous units, placed by index arithmetic. Every LP over one
+relaxation starts warm (``lp.Basis``) from the previous LP's optimum:
+tightened bounds contain every feasible point, so that optimum stays
+feasible. The LPs are ``with_objective`` clones of the model, so the
+tightening LPs of a layer and the output LP share the standard form derived
+from its rows, whose slack bounds change only after a unit's bounds were
+tightened. Each row comes with a crash column that keeps the start
+primal-feasible without pivoting (inputs start at their lower bounds):
 
 * a Linear equality row: its x_hat basic;
 * a hull unit: x basic in its chord row (x then sits on the chord, inside
@@ -55,8 +57,8 @@ at their lower bounds):
 
 Where a start is infeasible after all (a bound cut by fixed ReLU phases or
 by the backward pass), ``lp.solve`` either repairs it with dual pivots or
-starts again from its slack basis. Either way an infeasible phase set is reported only through
-a checked Farkas row.
+starts again from its slack basis. Either way an infeasible phase set is
+reported only through a checked Farkas row.
 
 Every LP-free bound is a call of one kernel, ``backward_pass``, which
 carries an affine under-estimator g . (layer value) + kappa of a stack of
@@ -73,7 +75,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .interval import BLOCKED, PASSING, LayerBounds, PhaseMap, post_bounds, pre_bounds
+from .interval import PASSING, LayerBounds, PhaseMap, post_bounds, pre_bounds
 from .model import BoxDomain, Linear, Network, Relu, is_relu_only
 
 MAYBE_SAT = "maybe_sat"
@@ -107,19 +109,17 @@ class PlanetModel:
     basis: lp.Basis | None = None  # start of the next LP over ``model``
 
 
-def linear_rows(weight: np.ndarray, prev: list[int | None], first: int) -> list[np.ndarray]:
-    """The rows x_hat_j - sum_k weight[j, k] prev[k] of one Linear layer,
-    dense, where x_hat_j is variable ``first + j`` and row j spans the
-    variables up to it. ``prev`` names distinct variables, or None for a
-    constant-zero input; None inputs and zero weights leave a +0.0."""
-    out = weight.shape[0]
-    cols = np.array([-1 if p is None else p for p in prev], dtype=np.intp)
-    live = cols >= 0
-    w = weight[:, live]
-    block = np.zeros((out, first + out))
-    block[:, cols[live]] = np.where(w != 0.0, -w, 0.0)
-    block[np.arange(out), first + np.arange(out)] = 1.0
-    return [block[j, : first + j + 1] for j in range(out)]
+def add_linear(model: lp.LpModel, layer: Linear, prev: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Add a Linear layer's rows x_hat - W prev = b to ``model`` as one
+    [-W | I] block over new variables x_hat in [lo, hi]; those variables.
+    ``prev`` holds the layer's input variables, -1 for a constant zero, whose
+    column stays +0.0, as does a zero weight's entry."""
+    n, out = model.num_vars, layer.out_width
+    block = np.zeros((out, n + out + 1))  # a -1 in prev writes into the last column, which is dropped
+    block[:, prev] = 0.0 - layer.weight  # -w, and +0.0 for w = 0
+    block.ravel()[n :: n + out + 2] = 1.0  # I over the new columns
+    model.add_block(block[:, :-1], [lp.EQ] * out, layer.bias, lo, hi)
+    return np.arange(n, n + out)
 
 
 def backward_pass(layers: tuple, g: np.ndarray, lb, ub, pre_lb: list, pre_ub: list, adaptive=None) -> np.ndarray:
@@ -196,16 +196,9 @@ def _encode(
     if not is_relu_only(net):
         raise ValueError("relaxation requires a ReLU-only network (lower MaxPools first)")
     infeasible = PlanetModel(None, None, [], None, [], infeasible=True)
-    model = lp.LpModel()
+    model = lp.LpModel(box.lb, box.ub)
     basis = lp.Basis()
-
-    def add_row(coefs: dict[int, float] | np.ndarray, rel: str, rhs: float, crash: int | None = None) -> int:
-        """Add a row with its crash column: ``crash`` basic, or the row's slack."""
-        basis.basic.append(~len(model.rows) if crash is None else crash)
-        return model.add_row(coefs, rel, rhs)
-
-    input_vars = [model.add_var(box.lb[j], box.ub[j]) for j in range(box.size)]
-    prev: list[int | None] = list(input_vars)
+    prev = np.arange(box.size)  # the variable of each unit of the last layer, -1 for a constant zero
     cur_lb, cur_ub = box.lb, box.ub
     out = LayerBounds(box.lb.copy(), box.ub.copy(), [], [], [], [])
     hull_units: list[HullUnit] = []
@@ -216,17 +209,15 @@ def _encode(
             return infeasible
         lo, hi = pre
         if isinstance(layer, Linear):
-            first = model.num_vars
-            for j, row in enumerate(linear_rows(layer.weight, prev, first)):
-                v = model.add_var(lo[j], hi[j])
-                add_row(row, lp.EQ, float(layer.bias[j]), crash=v)
-            prev = list(range(first, model.num_vars))
+            prev = add_linear(model, layer, prev, lo, hi)
+            basis.basic.extend(prev.tolist())  # each x_hat basic in its row
 
-        else:  # Relu
+        else:  # Relu, whose inputs are the variables of the Linear before it
+            fixed = {j: phase for (l, j), phase in (phases or {}).items() if l == i}
             # over the input box the interval bound of one affine layer is
             # exact, so tightening cannot move it unless a phase of this
             # layer cuts the box
-            exact = i == 1 and isinstance(net.layers[0], Linear) and not any(l == i for l, _ in phases or {})
+            exact = i == 1 and isinstance(net.layers[0], Linear) and not fixed
             ambiguous = np.flatnonzero((lo < 0.0) & (hi > 0.0))
             if tighten and output_only and not exact and len(ambiguous):
                 low, high = backward_bounds(net, i, box, out, ambiguous)
@@ -237,12 +228,11 @@ def _encode(
                 ok = low <= high
                 lo[ambiguous[ok]] = low[ok]
                 hi[ambiguous[ok]] = high[ok]
-            for j, p in enumerate(prev):
-                model.lower[p] = float(lo[j])
-                model.upper[p] = float(hi[j])
+            model.lower[prev] = lo
+            model.upper[prev] = hi
             if tighten and not output_only and not exact:
                 for j in ambiguous.tolist():
-                    p = prev[j]
+                    p = int(prev[j])
                     try:
                         sol_min = lp.solve(model.with_objective({p: 1.0}), basis)
                         if sol_min.status == lp.INFEASIBLE:
@@ -250,37 +240,43 @@ def _encode(
                         sol_max = lp.solve(model.with_objective({p: -1.0}), basis)
                     except lp.NumericalFailure:
                         continue  # the unit keeps its interval bounds, which are sound
-                    lo[j] = max(lo[j], sol_min.objective - _SAFETY)
-                    hi[j] = min(hi[j], -sol_max.objective + _SAFETY)
-                    model.lower[p] = float(lo[j])
-                    model.upper[p] = float(hi[j])
-            new_vars = []
-            for j, p in enumerate(prev):
-                l, u = float(lo[j]), float(hi[j])
-                phase = (phases or {}).get((i, j))
-                if phase == BLOCKED or u <= 0.0:
-                    new_vars.append(None)
-                elif phase == PASSING or l >= 0.0:
-                    new_vars.append(p)
-                else:
-                    x = model.add_var(0.0, u)
-                    r_low = add_row({x: 1.0, p: -1.0}, lp.GE, 0.0)
-                    r_up = None
-                    if mode == "planet":
-                        r_up = add_row({x: u - l, p: -u}, lp.LE, -u * l, crash=x)
-                    else:
-                        basis.at_upper.add(x)
-                    hull_units.append(HullUnit(i, j, p, x, r_low, r_up, l, u))
-                    new_vars.append(x)
-            prev = new_vars
+                    lo[j] = model.lower[p] = max(lo[j], sol_min.objective - _SAFETY)
+                    hi[j] = model.upper[p] = min(hi[j], -sol_max.objective + _SAFETY)
+            blocked, passing = hi <= 0.0, lo >= 0.0
+            for j, phase in fixed.items():
+                (passing if phase == PASSING else blocked)[j] = True
+            # one block over the outputs x in [0, u] of the ambiguous units:
+            # per unit x - x_hat >= 0 (its slack basic), then in planet mode
+            # the chord (u-l) x - u x_hat <= -u l (x basic); in reluplex mode
+            # x starts at its upper bound
+            hull = np.flatnonzero(~(blocked | passing))
+            k, n, m, per = len(hull), model.num_vars, len(model.rhs), 2 if mode == "planet" else 1
+            p, l, u, x = prev[hull], lo[hull], hi[hull], np.arange(n, n + k)
+            t = np.arange(0, per * k, per)  # each unit's first row in the block
+            block, rhs = np.zeros((per * k, n + k)), np.zeros((k, per))
+            block[t, x], block[t, p] = 1.0, -1.0
+            low = (m + t).tolist()
+            if mode == "planet":
+                block[t + 1, x], block[t + 1, p] = u - l, -u
+                rhs[:, 1] = -u * l
+                basis.basic += [c for r, v in zip(low, x.tolist()) for c in (~r, v)]
+                up = [r + 1 for r in low]
+            else:
+                basis.basic += [~r for r in low]
+                basis.at_upper.update(x.tolist())
+                up = [None] * k
+            model.add_block(block, [lp.GE, lp.LE][:per] * k, rhs.ravel(), np.zeros(k), u)
+            hull_units += map(HullUnit, [i] * k, hull.tolist(), p.tolist(), x.tolist(), low, up, l.tolist(), u.tolist())
+            prev = np.where(blocked, -1, prev)
+            prev[hull] = x
         cur_lb, cur_ub = post_bounds(layer, lo, hi)
         out.pre_lb.append(lo)
         out.pre_ub.append(hi)
         out.post_lb.append(cur_lb)
         out.post_ub.append(cur_ub)
 
-    output_var = prev[0] if prev else None
-    return PlanetModel(model, output_var, input_vars, out, hull_units, basis=basis)
+    output_var = int(prev[0]) if len(prev) and prev[0] >= 0 else None
+    return PlanetModel(model, output_var, list(range(box.size)), out, hull_units, basis=basis)
 
 
 def build_planet(

@@ -130,9 +130,7 @@ def solve_reference(model: LpModel) -> LpSolution:
         h_vals.append(hi[j])
         g_rows.append(-e)
         h_vals.append(-lo[j])
-    for row, rel, rhs in model.rows:
-        a = np.zeros(n)
-        a[: len(row)] = row
+    for a, rel, rhs in zip(model.rows, model.rel, model.rhs):
         if rel in (LE, EQ):
             g_rows.append(a)
             h_vals.append(rhs)

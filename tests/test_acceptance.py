@@ -261,7 +261,7 @@ def test_criterion_8_maxpool_equivalence():
     checked = 0
     for layer, gi, deltas, y in enc.pool_groups:
         for pick in range(len(deltas)):
-            model = lp.LpModel(list(enc.model.lower), list(enc.model.upper), list(enc.model.rows))
+            model = enc.model.copy()
             for k, d in enumerate(deltas):
                 model.lower[d] = model.upper[d] = 1.0 if k == pick else 0.0
             model.set_objective(rng.normal(size=model.num_vars))

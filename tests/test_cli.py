@@ -78,6 +78,19 @@ def test_load_network_validates(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match="first layer must be linear"):
         formats.load_network(path)
+    # a count or an index that is not a whole number is rejected, not truncated
+    linear = {"linear": {"weight": [[1.0, 0.0], [0.0, 1.0]], "bias": [0.0, 0.0]}}
+    for size in (2.5, True, "2"):
+        path.write_text(json.dumps({"format": "plnn-v1", "input_size": size, "layers": [linear]}))
+        with pytest.raises(ValueError, match=f"input_size must be a whole number, got {size!r}"):
+            formats.load_network(path)
+    for group in ([0.0, 1.5], [True, 0]):
+        path.write_text(json.dumps({"format": "plnn-v1", "input_size": 2, "layers": [linear, {"maxpool": {"groups": [group]}}]}))
+        with pytest.raises(ValueError, match="maxpool group index must be a whole number"):
+            formats.load_network(path)
+    doc = {"format": "plnn-v1", "input_size": 2.0, "layers": [linear, {"maxpool": {"groups": [[1.0, 0]]}}]}
+    path.write_text(json.dumps(doc))
+    assert formats.load_network(path).layers[1].groups == ((1, 0),)
 
 
 def test_load_property_rejects_bad_box(tmp_path):
@@ -267,6 +280,11 @@ def test_nnet_import(tmp_path):
     for keep, missing in cuts:
         path.write_text("\n".join(lines[:keep]) + "\n")
         with pytest.raises(ValueError, match=f"truncated .nnet file: missing the {missing}$"):
+            formats.load_nnet(path)
+    # a count that is not a whole number is rejected, not truncated
+    for at, line, field in ((1, "2.5,2,1,2,", "header count"), (1, "2,2,1,2.5,", "header count"), (2, "2,2.5,1,", "layer size")):
+        path.write_text("\n".join(lines[:at] + [line] + lines[at + 1 :]) + "\n")
+        with pytest.raises(ValueError, match=f"{field} must be a whole number, got 2.5$"):
             formats.load_nnet(path)
 
 

@@ -168,7 +168,7 @@ def test_optimal_point_is_feasible():
         lo = np.array(model.lower)
         hi = np.array(model.upper)
         assert np.all(x >= lo - 1e-9) and np.all(x <= hi + 1e-9)
-        for row, rel, rhs in model.rows:
+        for row, rel, rhs in zip(model.rows, model.rel, model.rhs):
             v = float(row @ x)
             if rel == LE:
                 assert v <= rhs + 1e-8
@@ -353,8 +353,9 @@ def test_cold_start_within_feasibility_tolerance_is_optimal(monkeypatch):
     got = solve(m)
     assert proofs[0] == 1
     assert got.status == OPTIMAL and got.objective == 0.0 and got.x.tolist() == [0.0]
-    m.rows.clear()
+    m = LpModel([0.0], [0.0])
     m.add_row({x: 1.0}, EQ, 2e-8)  # outside TOL_FEAS: a proof
+    m.set_objective({x: 1.0})
     assert solve(m).status == INFEASIBLE and proofs[0] == 2
 
 
@@ -380,7 +381,7 @@ def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
     for _ in range(100):
         model = _random_model(rng)
         basis = Basis([~i for i in range(len(model.rows))])
-        if not model.rows or solve(model, basis).status != OPTIMAL:
+        if not len(model.rows) or solve(model, basis).status != OPTIMAL:
             continue
         inversions[0] = 0
         got = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
@@ -421,8 +422,17 @@ def test_warm_solve_without_rows(monkeypatch):
     assert cold_starts[0] == 0
 
 
+_REL_SYMBOL = {LE: "<=", EQ: "=", GE: ">=", None: "None"}
+
+
 @pytest.mark.parametrize(
-    "rel, rhs", [(EQ, 2.0), (EQ, 0.0), (LE, 1.0), (LE, -1.0), (GE, -1.0), (GE, 1.0), (None, None)]
+    "rel, rhs",
+    [
+        pytest.param(rel, rhs, id=f"{_REL_SYMBOL[rel]}-{rhs}")
+        for rel, rhs in [
+            (EQ, 2.0), (EQ, 0.0), (LE, 1.0), (LE, -1.0), (GE, -1.0), (GE, 1.0), (None, None)
+        ]
+    ],
 )
 def test_model_without_variables_checks_its_rows(rel, rhs):
     # x = () meets a row only when 0 meets its relation; with no row at all
@@ -576,3 +586,16 @@ def test_reference_cap():
     m.set_objective(np.zeros(9))
     with pytest.raises(TooLarge):
         solve_reference(m)
+
+
+def test_solve_rejects_an_infinite_bound_or_unknown_relation():
+    # the model's arrays are checked where a solve reads them; a variable
+    # with lower > upper is an infeasible model, as after a bound cut
+    for lower, upper in (([0.0, -np.inf], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan])):
+        with pytest.raises(ValueError, match="bounds must be finite"):
+            solve(LpModel(lower, upper))
+    m = LpModel([0.0], [1.0])
+    m.add_row({0: 1.0}, "<=", 1.0)
+    with pytest.raises(ValueError, match="unknown relation"):
+        solve(m)
+    assert solve(LpModel([1.0], [0.0])).status == INFEASIBLE

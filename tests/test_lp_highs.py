@@ -18,26 +18,16 @@ _HIGHS_TOL = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance
 
 def _highs(model: lp.LpModel) -> tuple[str, float]:
     """Status and minimum of ``model`` by HiGHS."""
-    n = model.num_vars
-    ub_rows, ub_rhs, eq_rows, eq_rhs = [], [], [], []
-    for row, rel, rhs in model.rows:
-        a = np.zeros(n)
-        a[: len(row)] = row
-        if rel == lp.EQ:
-            eq_rows.append(a)
-            eq_rhs.append(rhs)
-        else:
-            sign = 1.0 if rel == lp.LE else -1.0
-            ub_rows.append(sign * a)
-            ub_rhs.append(sign * rhs)
-    c = np.zeros(n)
+    eq = model.rel == lp.EQ
+    sign = np.where(model.rel == lp.LE, 1.0, -1.0)[~eq]
+    c = np.zeros(model.num_vars)
     c[: len(model.objective)] = model.objective
     res = linprog(
         c,
-        A_ub=np.array(ub_rows) if ub_rows else None,
-        b_ub=ub_rhs or None,
-        A_eq=np.array(eq_rows) if eq_rows else None,
-        b_eq=eq_rhs or None,
+        A_ub=sign[:, None] * model.rows[~eq] if (~eq).any() else None,
+        b_ub=sign * model.rhs[~eq] if (~eq).any() else None,
+        A_eq=model.rows[eq] if eq.any() else None,
+        b_eq=model.rhs[eq] if eq.any() else None,
         bounds=list(zip(model.lower, model.upper)),
         method="highs",
         options=_HIGHS_TOL,

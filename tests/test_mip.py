@@ -24,7 +24,7 @@ from plverify.relax import build_planet, planet_lower_bound_with_point
 
 
 def _pin(enc: EncodedMip, fixes: dict[int, int]) -> lp.LpModel:
-    model = lp.LpModel(list(enc.model.lower), list(enc.model.upper), list(enc.model.rows))
+    model = enc.model.copy()
     for var, val in fixes.items():
         model.lower[var] = float(val)
         model.upper[var] = float(val)
@@ -65,8 +65,8 @@ def test_sym_variant_uses_single_m():
     enc = encode_mip(net, box, MipVariant(SYM, BOUNDS_INTERVAL))
     (_, _, d, pre, post) = enc.relu_units[0]
     # upper bound row x <= M delta with M = max(2, 4) = 4
-    rows = [r for r in enc.model.rows if len(r[0]) > d and r[0][d] != 0.0]
-    ubs = [-(r[0][d]) for r in rows if r[0][post] == 1.0 and r[0][pre] == 0.0 if len(r[0]) > post]
+    rows = enc.model.rows[enc.model.rows[:, d] != 0.0]
+    ubs = [-r[d] for r in rows if r[post] == 1.0 and r[pre] == 0.0]
     assert any(u == pytest.approx(4.0) for u in ubs)
 
 
@@ -254,7 +254,7 @@ def test_queued_nodes_hold_no_matrices(monkeypatch):
 def test_one_search_builds_its_row_matrix_once(monkeypatch):
     # every node LP pins bounds on a clone of the encoding's model, so the
     # whole search reads one row matrix and one [rows | I]
-    builds = count_calls(monkeypatch, lp, "_row_part")
+    builds = count_calls(monkeypatch, lp, "_derive")
     rng = np.random.default_rng(54)
     searched = 0
     for _ in range(6):

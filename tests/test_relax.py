@@ -84,11 +84,12 @@ def test_planet_structure_three_constraints_per_ambiguous_unit():
     assert len(pm.hull_units) == 2
     for h in pm.hull_units:
         assert pm.model.lower[h.var_post] == 0.0  # x >= 0 as a variable bound
-        row, rel, rhs = pm.model.rows[h.row_lower]  # x >= x_hat
-        assert rel == ">=" and rhs == 0.0
+        row, rel, rhs = (a[h.row_lower] for a in (pm.model.rows, pm.model.rel, pm.model.rhs))  # x >= x_hat
+        assert rel == lp.GE and rhs == 0.0
         assert row[h.var_post] == 1.0 and row[h.var_pre] == -1.0
-        row, rel, rhs = pm.model.rows[h.row_upper]
-        assert rel == "<="
+        assert np.count_nonzero(row) == 2
+        row, rel, rhs = (a[h.row_upper] for a in (pm.model.rows, pm.model.rel, pm.model.rhs))
+        assert rel == lp.LE and np.count_nonzero(row) == 2
         # chord: value 0 at x_hat = l and u at x_hat = u
         at_l = (rhs - row[h.var_pre] * h.lb) / row[h.var_post]
         at_u = (rhs - row[h.var_pre] * h.ub) / row[h.var_post]
@@ -240,7 +241,7 @@ def test_relaxations_reject_an_unlowered_maxpool():
 def _vertex_subsets(model) -> int:
     """How many constraint subsets ``solve_reference`` enumerates."""
     n = model.num_vars
-    return math.comb(2 * n + sum(2 if rel == lp.EQ else 1 for _, rel, _ in model.rows), n)
+    return math.comb(2 * n + len(model.rel) + int(np.sum(model.rel == lp.EQ)), n)
 
 
 def test_warm_relaxation_lps_match_cold_solves(monkeypatch):
@@ -316,7 +317,7 @@ def test_relaxation_builds_each_row_set_once(monkeypatch):
     # the LPs over one row set share one row matrix, and a unit's max LP,
     # over its min LP's bounds, reads the min LP's form object
     real_solve = lp.solve
-    counts = {name: count_calls(monkeypatch, lp, name) for name in ("_row_part", "_warm_start")}
+    counts = {name: count_calls(monkeypatch, lp, name) for name in ("_derive", "_warm_start")}
 
     def snapshot():
         return {name: calls[0] for name, calls in counts.items()}
@@ -343,10 +344,10 @@ def test_relaxation_builds_each_row_set_once(monkeypatch):
         planet_lower_bound_with_point(pm)
         row_sets = len({rows for rows, *_ in solves})
         # no fixed phase, so no LP runs cold: each LP derives one start
-        assert snapshot() == {"_row_part": row_sets, "_warm_start": len(solves)}
+        assert snapshot() == {"_derive": row_sets, "_warm_start": len(solves)}
         for (_, _, form_min, _, _), (_, is_max, form_max, before, after) in zip(solves, solves[1:]):
             if is_max:
-                assert form_max is form_min and after["_row_part"] == before["_row_part"]
+                assert form_max is form_min and after["_derive"] == before["_derive"]
                 max_lps += 1
     assert max_lps > 50
 

@@ -6,6 +6,12 @@ import importlib
 import types
 from pathlib import Path
 
+import numpy as np
+from helpers import random_box, random_net
+
+from plverify import lp, mip
+from plverify.relax import build_planet
+
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
 
@@ -32,3 +38,24 @@ def test_traced_names_resolve_and_cover_expected():
     # purpose name would leave its LPs unattributed
     untraced = sorted(set(tracer.PURPOSES) - traced)
     assert not untraced, untraced
+
+
+def test_lp_counts_read_the_rows_and_columns_solve_reads():
+    # the tracer records len(model.rows) and model.num_vars of every model
+    # passed to lp.solve: they must be the shape of the form the solve reads
+    tracer = _load_tracer()
+    rng = np.random.default_rng(71)
+    net, box = random_net(rng, 3, [4, 4]), random_box(rng, 3)
+    planet = build_planet(net, box, tighten=True)
+    enc = mip.encode_mip(net, box, mip.PLANET_OPT)
+    stack = lp.RowStack(box.lb, box.ub)
+    for _ in range(3):
+        stack.push(rng.normal(size=3), 1.0)
+    models = [planet.model.with_objective({planet.output_var: 1.0}), mip._pinned(enc.model, {enc.int_vars[0]: 1}), stack]
+    for model in models:
+        result = lp.solve(model)
+        form = model.standard_form()
+        rows, num_vars, status = tracer._lp_counts((model,), {}, result, None)
+        assert (rows, num_vars, status) == (len(form.rhs), form.rows.shape[1], result.status)
+        assert form.full.shape == (rows, num_vars + rows) and len(form.lo) == num_vars + rows
+        assert rows > 0 and num_vars > 0
