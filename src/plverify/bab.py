@@ -35,7 +35,10 @@ Two modes share the loop:
   and a validated sampled counterexample ends the run, before any LP. The
   verdict and the node count are those of the LP-first order, since neither
   step can act on a subdomain the LP bound would keep; a subdomain pruned by
-  its interval bound contributes that (looser) bound to the margin.
+  its interval bound contributes that (looser) bound to the margin. The
+  result's upper bound is the smallest output seen at a point of the box
+  (a sample's best, an LP minimiser or the counterexample), not the pinned
+  incumbent.
 
 A subdomain is an input box plus the ReLU phases fixed so far, and the
 branching rule alone decides which of the two it splits. Input branching
@@ -336,6 +339,7 @@ class _Engine:
         self.nodes = 0
         self.t0 = time.monotonic()
         self.global_ub = np.inf if mode == OPTIMIZE else 0.0
+        self.seen_ub = np.inf  # smallest output at an evaluated point of the box (satisfiability)
         self.sat_point: np.ndarray | None = None
         self.pruned_lb = np.inf  # min lower bound among pruned subdomains (satisfiability)
         self.final_lbs: list[float] = []  # unsplittable leaves w/o exact witness
@@ -485,6 +489,8 @@ class _Engine:
     def _absorb(self, sub: Subdomain, candidates: list[tuple[float, np.ndarray]]) -> BabResult | None:
         for val, pt in candidates:
             if self.mode == SATISFIABILITY:
+                if self.problem.domain.contains(pt):
+                    self.seen_ub = min(self.seen_ub, val)
                 if val <= 0.0 and validate_counterexample(self.problem, pt, 1e-6):
                     self.sat_point = pt
                     return self._result(SAT, self.global_lb())
@@ -512,7 +518,8 @@ class _Engine:
         return self._result(TIMEOUT, glb)
 
     def _result(self, status: str, glb: float) -> BabResult:
-        res = BabResult(status=status, nodes=self.nodes, wall_time=self.elapsed(), best_lb=glb, best_ub=self.global_ub)
+        ub = self.global_ub if self.mode == OPTIMIZE else self.seen_ub
+        res = BabResult(status=status, nodes=self.nodes, wall_time=self.elapsed(), best_lb=glb, best_ub=ub)
         if status == UNSAT:
             res.margin = glb
             res.best_lb = glb

@@ -7,6 +7,7 @@ float serialisation, so load -> save reproduces a saved file byte for byte.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -96,6 +97,9 @@ def load_property(path: str | Path) -> tuple[PropertyClause, BoxDomain]:
 def save_result(doc: dict, path: str | Path) -> None:
     keys = ["status", "margin", "counterexample", "nodes", "time_s", "lb", "ub", "spurious_candidates"]
     ordered = {k: doc.get(k) for k in keys}
+    for k in ("lb", "ub"):  # an unknown bound is null: JSON has no infinity
+        if ordered[k] is not None and not math.isfinite(ordered[k]):
+            ordered[k] = None
     Path(path).write_text(json.dumps(ordered) + "\n", encoding="utf-8")
 
 
@@ -106,11 +110,12 @@ def load_result(path: str | Path) -> dict:
 def load_nnet(path: str | Path) -> Network:
     """Best-effort reader for the ACAS-style text format.
 
-    Comment lines start with //; then the four counts, the layer sizes, a
-    legacy flag line, input minima/maxima and normalisation constants (all
-    ignored), then per layer the weight matrix rows followed by one bias
-    entry per line. ReLUs sit between consecutive layers, not after the
-    last.
+    Comment lines start with //; then the four counts (layers, input size,
+    output size, largest layer size; each checked against the layer sizes),
+    the layer sizes, a legacy flag line, input minima/maxima and
+    normalisation constants (all ignored), then per layer the weight matrix
+    rows followed by one bias entry per line. ReLUs sit between consecutive
+    layers, not after the last.
     """
     lines = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
@@ -127,10 +132,16 @@ def load_nnet(path: str | Path) -> Network:
             raise ValueError(f"truncated .nnet file: missing the {part}")
         return values
 
-    n_layers, *_ = [whole_number(v, "header count") for v in nums(0, "header")]
+    header = [whole_number(v, "header count") for v in nums(0, "header")]
+    if len(header) != 4:
+        raise ValueError(f"header: expected 4 counts, got {len(header)}")
+    n_layers, n_in, n_out, widest = header
     sizes = [whole_number(v, "layer size") for v in nums(1, "layer sizes")]
     if len(sizes) != n_layers + 1:
         raise ValueError("layer size line does not match layer count")
+    for name, count, size in (("input size", n_in, sizes[0]), ("output size", n_out, sizes[-1]), ("largest layer size", widest, max(sizes))):
+        if count != size:
+            raise ValueError(f"header {name} {count} does not match the layer sizes {sizes}")
     pos = 2
     pos += 1  # legacy flag
     pos += 4  # input min / max / mean / range lines

@@ -20,14 +20,19 @@ ReLU-only net). The native MaxPool encoding stays, over interval bounds,
 for the MaxPool equivalence check of acceptance criterion 8.
 
 The search relaxes unfixed binaries to [0, 1] and branches best-bound-first
-on the most fractional one. Every node relaxation minimises the output: an
-integral point with output <= 0 that passes forward validation stops the
-search with SAT, and a positive global lower bound proves the property.
-The feasibility form of the question (is "output <= 0" satisfiable?) needs
-no separate model: the row is feasible exactly when the minimum is <= 0,
-and minimising also yields the margin of an UNSAT instance. Candidates
-whose LP solution fails forward validation are counted as spurious and the
-search continues past them.
+on the most fractional one. Every node relaxation minimises the output, and
+the input part of its minimiser is evaluated on the network: a point with
+output <= 0 that passes forward validation stops the search with SAT, at
+any node, whether or not its binaries are integral. This is the upper-bound
+step of branch and bound (Bunel et al., JMLR 2020): any point of the box is
+a feasible integral solution of the encoding, its binaries set to the
+phases of its forward pass, and is worth its output. A positive global
+lower bound proves the property. The feasibility form of the question (is
+"output <= 0" satisfiable?) needs no separate model: the row is feasible
+exactly when the minimum is <= 0, and minimising also yields the margin of
+an UNSAT instance. An integral node whose point fails the check is counted
+as a spurious candidate and the search continues past it. The smallest
+output evaluated at a point inside the box is the result's upper bound.
 
 Node LPs start warm. The root is given ``lp.slack_basis`` as its start,
 which is dual feasible; as a given start, its dual pass stops at the
@@ -190,12 +195,14 @@ def solve_mip(
     """Best-bound branch-and-bound on the binaries of the encoding.
 
     Node relaxations minimise the output with unfixed binaries relaxed to
-    [0, 1]. A node whose bound is positive is pruned (it cannot contain a
-    counterexample); a relaxation solution with integral binaries is a
-    candidate, accepted as SAT only after forward validation. Unvalidated
-    candidates are counted as spurious and the search branches on past them.
+    [0, 1]. Each minimiser's input point is evaluated first: output <= 0
+    with forward validation ends the run with SAT. Otherwise a node whose
+    bound is positive is pruned (it cannot contain a counterexample), a
+    fractional one is branched on, and an integral one is a spurious
+    candidate, branched on past (or, fully pinned, kept under the margin).
     The property is UNSAT once every open bound is positive; the margin is
-    the smallest bound that was pruned.
+    the smallest bound that was pruned. ``best_ub`` is the smallest output
+    evaluated at a point inside the box (+inf when there is none).
     """
     t0 = time.monotonic()
     n_in = len(enc.input_vars)
@@ -204,7 +211,7 @@ def solve_mip(
     seq = 0
     spurious = 0
     margin_floor = np.inf  # min lower bound over pruned/resolved nodes
-    best_seen = np.inf  # best validated forward value at a candidate
+    best_seen = np.inf  # smallest output at a node point inside the box
     queue: list = []  # (lb, seq, fixes, branch_var, final basis of the node LP)
 
     def elapsed() -> float:
@@ -248,6 +255,14 @@ def solve_mip(
             return None
         if sol.status != lp.OPTIMAL:
             return None  # infeasible subtree, nothing below it
+        # whatever its binaries, a minimiser's input point that validates
+        # is a counterexample
+        x0 = sol.x[:n_in].copy()
+        val = float(forward_eval(enc.net, x0)[0])
+        if enc.box.contains(x0):
+            best_seen = min(best_seen, val)
+        if val <= 0.0 and validate_point(enc.net, enc.box, x0, 1e-6):
+            return x0
         lb = sol.objective
         if lb > 0.0:
             margin_floor = min(margin_floor, lb)
@@ -259,13 +274,8 @@ def solve_mip(
                 seq += 1
                 heapq.heappush(queue, (lb, seq, fixes, unfixed[int(np.argmax(dist))], basis))
                 return None
-        # integral candidate: check it against the actual network
-        x0 = sol.x[:n_in].copy()
-        val = float(forward_eval(enc.net, x0)[0])
-        if val <= 0.0 and validate_point(enc.net, enc.box, x0, 1e-6):
-            return x0
+        # an integral candidate whose point failed the check
         spurious += 1
-        best_seen = min(best_seen, val)
         if unfixed:
             # near-integral relaxation artefact: branching pins the binaries
             # exactly and repairs the candidate region

@@ -124,6 +124,22 @@ def test_run_verify_toy_unsat_and_sat(tmp_path):
     assert doc["counterexample"] is not None
 
 
+def test_result_bounds_are_json_and_bracket_the_margin(tmp_path):
+    # ub is the smallest output the run saw at a point of the box, so an
+    # UNSAT result has lb <= ub; a bound the run never found is null
+    def no_constant(name):
+        raise ValueError(f"{name} is not JSON")
+
+    unsat = Geq(np.array([1.0]), -5.0)
+    for method in ("babsb", "mip-planet-opt"):
+        run_verify(toy_net(), unsat, toy_box(), method, out=tmp_path / "r.json")
+        doc = json.loads((tmp_path / "r.json").read_text(encoding="utf-8"), parse_constant=no_constant)
+        assert doc["status"] == "UNSAT" and doc["lb"] <= doc["ub"], method
+    run_verify(toy_net(), unsat, toy_box(), "mip-planet-opt", timeout=0.0, out=tmp_path / "t.json")
+    doc = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"), parse_constant=no_constant)
+    assert doc["status"] == "TIMEOUT" and doc["lb"] is None and doc["ub"] is None
+
+
 def test_run_verify_timeout_zero(tmp_path):
     rec = run_verify(toy_net(), Geq(np.array([1.0]), -5.0), toy_box(), "babsb", timeout=0.0)
     assert rec.status == "TIMEOUT"
@@ -281,6 +297,14 @@ def test_nnet_import(tmp_path):
         path.write_text("\n".join(lines[:keep]) + "\n")
         with pytest.raises(ValueError, match=f"truncated .nnet file: missing the {missing}$"):
             formats.load_nnet(path)
+    # a header count that disagrees with the layer sizes is named
+    for line, count in (("2,7,3,9,", "input size 7"), ("2,2,3,2,", "output size 3"), ("2,2,1,9,", "largest layer size 9")):
+        path.write_text("\n".join(lines[:1] + [line] + lines[2:]) + "\n")
+        with pytest.raises(ValueError, match=f"^header {count} does not match the layer sizes"):
+            formats.load_nnet(path)
+    path.write_text("\n".join(lines[:1] + ["2,2,1,"] + lines[2:]) + "\n")
+    with pytest.raises(ValueError, match="^header: expected 4 counts, got 3$"):
+        formats.load_nnet(path)
     # a count that is not a whole number is rejected, not truncated
     for at, line, field in ((1, "2.5,2,1,2,", "header count"), (1, "2,2,1,2.5,", "header count"), (2, "2,2.5,1,", "layer size")):
         path.write_text("\n".join(lines[:at] + [line] + lines[at + 1 :]) + "\n")

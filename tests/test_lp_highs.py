@@ -8,7 +8,7 @@ from helpers import differential_cases
 from plverify import lp
 from plverify.canon import Geq, canonicalize
 from plverify.mip import INTERVAL_VARIANT, PLANET_OPT, PLANET_SYMFEASIBLE, encode_mip, solve_mip
-from plverify.model import forward_batch
+from plverify.oracle import oracle_min
 from plverify.relax import build_planet, planet_lower_bound_with_point
 
 linprog = pytest.importorskip("scipy.optimize").linprog
@@ -79,10 +79,9 @@ def test_mip_node_lps_agree_with_highs(monkeypatch):
     for k, (net, box, _) in enumerate(differential_cases(np.random.default_rng(8))):
         if k % 3:
             continue  # one case per box
-        # thresholds near the sampled minimum, so that the searches branch
-        rng = np.random.default_rng(k)
-        y = forward_batch(net, rng.uniform(box.lb, box.ub, size=(64, box.size)))[:, 0]
-        problem = canonicalize(net, Geq(np.ones(1), float(y.min()) - 0.01), box)
+        # thresholds just below the minimum, so that the searches branch (a
+        # SAT search ends at its first validated node point)
+        problem = canonicalize(net, Geq(np.ones(1), oracle_min(net, box).min_value - 1e-3), box)
         for variant in (PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE):
             enc = encode_mip(problem.canonical_net, box, variant)
             with monkeypatch.context() as patch:

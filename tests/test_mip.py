@@ -3,7 +3,8 @@ import pytest
 from helpers import assert_same_solve, count_calls, random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify import lp
-from plverify.canon import Geq, canonicalize, validate_counterexample
+from plverify.canon import Geq, canonicalize, lower_maxpools, validate_counterexample
+from plverify.gensuite import generate, standard_suite
 from plverify.interval import propagate_box
 from plverify.mip import (
     ASYM,
@@ -177,6 +178,54 @@ def test_verdicts_match_oracle_all_variants():
 
 
 @pytest.mark.parametrize("variant", [PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE])
+def test_sat_ends_at_the_root_whose_minimiser_is_a_counterexample(variant):
+    # the root LP minimiser of this suite instance (margin -0.1) is a
+    # counterexample although its binaries are fractional
+    (spec,) = [s for s in standard_suite(2, 1000) if s.seed == 1001]
+    problem = lower_maxpools(generate(spec.seed, spec).problem())
+    res = solve_mip(encode_mip(problem.canonical_net, problem.domain, variant))
+    assert res.status == "sat" and res.nodes == 1
+    assert validate_counterexample(problem, res.counterexample, 1e-6)
+
+
+def test_no_node_lp_is_solved_after_a_counterexample(monkeypatch):
+    # every node LP's minimiser is checked: once one validates, the search
+    # solves no further LP; an UNSAT margin never exceeds the minimum
+    real_solve = lp.solve
+    rng = np.random.default_rng(55)
+    ended = 0
+    for _ in range(10):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in, [int(rng.integers(3, 6)) for _ in range(int(rng.integers(1, 3)))])
+        box = random_box(rng, n_in)
+        base = oracle_min(net, box).min_value
+        margin = float(rng.choice([-0.05, -0.01, 0.01, 0.05]))
+        problem = canonicalize(net, Geq(np.array([1.0]), base - margin), box)
+        exact = oracle_min(problem.canonical_net, box).min_value
+        for variant in (PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE):
+            found = []
+
+            def solve(model, basis=None):
+                assert not found, "a node LP was solved after a counterexample"
+                sol = real_solve(model, basis)
+                if sol.status == lp.OPTIMAL:
+                    x0 = sol.x[:n_in]
+                    if forward_eval(problem.canonical_net, x0)[0] <= 0.0 and validate_counterexample(problem, x0, 1e-6):
+                        found.append(x0)
+                return sol
+
+            monkeypatch.setattr(lp, "solve", solve)
+            res = solve_mip(encode_mip(problem.canonical_net, box, variant))
+            monkeypatch.setattr(lp, "solve", real_solve)
+            if found:
+                assert res.status == "sat" and res.counterexample.tobytes() == found[0].tobytes()
+            else:
+                assert res.status == "unsat" and res.margin <= exact + 1e-9, (variant, margin)
+            ended += bool(found)
+    assert 0 < ended < 30
+
+
+@pytest.mark.parametrize("variant", [PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE])
 def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     # every node LP starts from its parent's basis (the root from the
     # all-slack basis), never falls back to a cold start, reports
@@ -210,7 +259,9 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
         net = random_net(rng, n_in, widths)
         box = random_box(rng, n_in)
         base = oracle_min(net, box).min_value
-        margin = float(rng.choice([-0.3, -0.05, 0.05, 0.3]))
+        # a SAT search ends at its first validated node point, so the
+        # searches that branch are the UNSAT ones near the boundary
+        margin = float(rng.choice([-0.3, -0.05, 0.001, 0.01]))
         problem = canonicalize(net, Geq(np.array([1.0]), base - margin), box)
         enc = encode_mip(problem.canonical_net, problem.domain, variant)
         with monkeypatch.context() as patch:
@@ -258,8 +309,10 @@ def test_one_search_builds_its_row_matrix_once(monkeypatch):
     rng = np.random.default_rng(54)
     searched = 0
     for _ in range(6):
-        net = random_net(rng, 3, [5, 5])
-        enc = encode_mip(net, random_box(rng, 3), PLANET_OPT)
+        net, box = random_net(rng, 3, [5, 5]), random_box(rng, 3)
+        # just below the minimum: UNSAT, and the search branches
+        problem = canonicalize(net, Geq(np.ones(1), oracle_min(net, box).min_value - 1e-3), box)
+        enc = encode_mip(problem.canonical_net, box, PLANET_OPT)
         builds[0] = 0
         res = solve_mip(enc, node_cap=40)
         assert builds[0] == 1
