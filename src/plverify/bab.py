@@ -38,7 +38,10 @@ Two modes share the loop:
   its interval bound contributes that (looser) bound to the margin. The
   result's upper bound is the smallest output seen at a point of the box
   (a sample's best, an LP minimiser or the counterexample), not the pinned
-  incumbent.
+  incumbent. A SAT result's lower bound is the smallest bound over the
+  regions still open: the queue, the leaves kept as floors, the subdomain
+  that held the counterexample and its siblings not yet evaluated (-inf
+  when the root's bound was not yet known).
 
 A subdomain is an input box plus the ReLU phases fixed so far, and the
 branching rule alone decides which of the two it splits. Input branching
@@ -67,6 +70,8 @@ bounds, which stay sound without it, and offers no LP point.
 
 The loop is single-threaded, and all randomness flows from a splitmix64
 stream derived from (seed, node index), so every run is bit-reproducible.
+The MIP search of ``mip.solve_mip`` runs on the same engine in
+satisfiability mode, with its own node step and split.
 """
 
 from __future__ import annotations
@@ -78,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .canon import VerificationProblem, validate_counterexample
+from .canon import VerificationProblem, validate_point
 from .interval import (
     BLOCKED,
     PASSING,
@@ -330,13 +335,20 @@ def _bound_region(
 
 
 class _Engine:
-    def __init__(self, problem: VerificationProblem, cfg: BabConfig, mode: str):
-        self.problem = problem
-        self.net = problem.canonical_net
+    """The search over the canonical ``net`` on the input ``box``. The
+    steps that bound a subdomain (``evaluate``), split it (``_split``) and
+    make the root (``_root``) are the only ones a subclass overrides; the
+    queue, the budget, the SAT check, the pruning, the margin and the
+    result are shared by every search that runs on it."""
+
+    def __init__(self, net: Network, box: BoxDomain, cfg: BabConfig, mode: str):
+        self.net = net
+        self.box = box
         self.cfg = cfg
         self.mode = mode
         self.rng = SplitMix64(cfg.seed)
-        self.nodes = 0
+        self.nodes = 0  # subdomains evaluated
+        self.spurious = 0  # integral MIP node points that failed validation
         self.t0 = time.monotonic()
         self.global_ub = np.inf if mode == OPTIMIZE else 0.0
         self.seen_ub = np.inf  # smallest output at an evaluated point of the box (satisfiability)
@@ -383,7 +395,7 @@ class _Engine:
         else:
             sample = self._sample(sub, phases)
             val, pt = sample
-            if pt is not None and val <= 0.0 and validate_counterexample(self.problem, pt, 1e-6):
+            if pt is not None and val <= 0.0 and validate_point(self.net, self.box, pt, 1e-6):
                 return sub, [sample]
         parent_lb = sub.lower_bound
         # only phase splitting reads the layer bounds back (split_relu)
@@ -415,20 +427,22 @@ class _Engine:
     def _sample(self, sub: Subdomain, phases: PhaseMap) -> tuple[float, np.ndarray | None]:
         return sample_upper_bound(self.net, sub.box, phases, self.cfg.sample_count, self.rng.spawn(sub.seq))
 
+    def _open_lb(self) -> float:
+        """The smallest bound over the queue and the leaves kept as floors."""
+        head = self.queue[0][0] if self.queue else np.inf
+        return min([head, *self.final_lbs])
+
     def global_lb(self) -> float:
         """The smallest open bound, capped at the incumbent. A queue head at
         or above the incumbent was pruned lazily by a later incumbent, and
         so was every entry behind it."""
-        head = self.queue[0][0] if self.queue else np.inf
-        return min(head, *self.final_lbs, self.global_ub)
+        return min(self._open_lb(), self.global_ub)
 
     def run(self) -> BabResult:
         cfg = self.cfg
         if self.out_of_budget():
             return self._result(TIMEOUT, -np.inf)
-        root = Subdomain(self.problem.domain, -np.inf, seq=self._next_seq())
-
-        res = self._process([root])
+        res = self._process([self._root()])
         if res is not None:
             return res
         while self.queue:
@@ -450,27 +464,21 @@ class _Engine:
                 return res
         return self._wrap_up()
 
-    def _next_seq(self) -> int:
-        self.nodes += 1
-        return self.nodes
+    def _root(self) -> Subdomain:
+        return Subdomain(self.box, -np.inf)
 
     def _split(self, sub: Subdomain) -> list[Subdomain]:
         cfg = self.cfg
         if cfg.branching == INPUT_LONGEST:
-            children = split_input_longest(sub)
-        elif cfg.branching == INPUT_SMART:
+            return split_input_longest(sub)
+        if cfg.branching == INPUT_SMART:
             # guaranteed progress: when the smart choice stopped moving the
             # real bound, halve the longest edge instead of trusting the
             # fast-bound score again
             if sub.stalled:
-                children = split_input_longest(sub)
-            else:
-                children = split_input_smart(sub, self.net, root=self.problem.domain)
-        else:
-            children = split_relu(sub, self.net, sub.bounds)
-        for child in children:
-            child.seq = self._next_seq()
-        return children
+                return split_input_longest(sub)
+            return split_input_smart(sub, self.net, root=self.box)
+        return split_relu(sub, self.net, sub.bounds)
 
     def _finalize_leaf(self, sub: Subdomain) -> None:
         # The bound is final for this subdomain. When its exact LP minimiser
@@ -480,20 +488,28 @@ class _Engine:
             self.final_lbs.append(sub.lower_bound)
 
     def _process(self, subs: list[Subdomain]) -> BabResult | None:
-        for sub in subs:
-            verdict = self._absorb(*self.evaluate(sub))
-            if verdict is not None:
-                return verdict
+        """Evaluate and absorb ``subs`` in order. A subdomain's ``seq`` is
+        its evaluation index; siblings are evaluated in the order they were
+        made, so it is their creation order too."""
+        for k, sub in enumerate(subs):
+            self.nodes += 1
+            sub.seq = self.nodes
+            if self._absorb(*self.evaluate(sub)):
+                # the minimum lies in a region still open: the queue, a leaf
+                # kept as a floor, this subdomain or a sibling not yet evaluated
+                return self._result(SAT, min(self._open_lb(), *(s.lower_bound for s in subs[k:])))
         return None
 
-    def _absorb(self, sub: Subdomain, candidates: list[tuple[float, np.ndarray]]) -> BabResult | None:
+    def _absorb(self, sub: Subdomain, candidates: list[tuple[float, np.ndarray]]) -> bool:
+        """Feed the candidates to the upper bounds, then queue or prune
+        ``sub``; True when a candidate is a validated counterexample."""
         for val, pt in candidates:
             if self.mode == SATISFIABILITY:
-                if self.problem.domain.contains(pt):
+                if self.box.contains(pt):
                     self.seen_ub = min(self.seen_ub, val)
-                if val <= 0.0 and validate_counterexample(self.problem, pt, 1e-6):
+                if val <= 0.0 and validate_point(self.net, self.box, pt, 1e-6):
                     self.sat_point = pt
-                    return self._result(SAT, self.global_lb())
+                    return True
             if val < self.global_ub and self.mode == OPTIMIZE:
                 self.global_ub = val
         lb = sub.lower_bound
@@ -504,14 +520,13 @@ class _Engine:
                 _push(self.queue, sub)
         elif lb < self.global_ub:
             _push(self.queue, sub)
-        return None
+        return False
 
     def _wrap_up(self) -> BabResult:
         if self.mode == SATISFIABILITY:
             if self.final_lbs and min(self.final_lbs) <= 0.0:
                 return self._result(TIMEOUT, self.global_lb())
-            margin = min(self.pruned_lb, min(self.final_lbs) if self.final_lbs else np.inf)
-            return self._result(UNSAT, margin)
+            return self._result(UNSAT, min([self.pruned_lb, *self.final_lbs]))
         glb = self.global_lb()
         if self.global_ub - glb <= self.cfg.epsilon:
             return self._result(CONVERGED, glb)
@@ -519,10 +534,9 @@ class _Engine:
 
     def _result(self, status: str, glb: float) -> BabResult:
         ub = self.global_ub if self.mode == OPTIMIZE else self.seen_ub
-        res = BabResult(status=status, nodes=self.nodes, wall_time=self.elapsed(), best_lb=glb, best_ub=ub)
+        res = BabResult(status, self.nodes, self.elapsed(), best_lb=glb, best_ub=ub, spurious_candidates=self.spurious)
         if status == UNSAT:
             res.margin = glb
-            res.best_lb = glb
         elif status == SAT:
             res.counterexample = self.sat_point
             res.best_ub = float(forward_eval(self.net, self.sat_point)[0])
@@ -533,10 +547,10 @@ class _Engine:
 
 def bab_optimize(problem: VerificationProblem, config: BabConfig | None = None) -> BabResult:
     """Estimate the global minimum of the canonical output to within epsilon."""
-    return _Engine(problem, config or BabConfig(), OPTIMIZE).run()
+    return _Engine(problem.canonical_net, problem.domain, config or BabConfig(), OPTIMIZE).run()
 
 
 def bab_verify(problem: VerificationProblem, config: BabConfig | None = None) -> BabResult:
     """Decide the property: UNSAT with a margin, SAT with a validated
     counterexample, or timeout."""
-    return _Engine(problem, config or BabConfig(), SATISFIABILITY).run()
+    return _Engine(problem.canonical_net, problem.domain, config or BabConfig(), SATISFIABILITY).run()

@@ -41,6 +41,8 @@ class Geq:
     def __post_init__(self):
         object.__setattr__(self, "c", np.asarray(self.c, dtype=np.float64))
         object.__setattr__(self, "b", float(self.b))
+        if not (np.all(np.isfinite(self.c)) and np.isfinite(self.b)):
+            raise ValueError("property coefficients and threshold must be finite")
 
 
 @dataclass(frozen=True)

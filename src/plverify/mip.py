@@ -1,4 +1,4 @@
-"""Big-M mixed-integer encodings and an in-repo branch-and-bound over them.
+"""Big-M mixed-integer encodings, searched by the branch-and-bound engine.
 
 Each ambiguous ReLU unit gets one binary phase variable delta and the four
 big-M constraints
@@ -19,28 +19,36 @@ tightened hull relaxation (better bounds, more work to obtain; it needs a
 ReLU-only net). The native MaxPool encoding stays, over interval bounds,
 for the MaxPool equivalence check of acceptance criterion 8.
 
-The search relaxes unfixed binaries to [0, 1] and branches best-bound-first
-on the most fractional one. Every node relaxation minimises the output, and
-the input part of its minimiser is evaluated on the network: a point with
-output <= 0 that passes forward validation stops the search with SAT, at
-any node, whether or not its binaries are integral. This is the upper-bound
-step of branch and bound (Bunel et al., JMLR 2020): any point of the box is
-a feasible integral solution of the encoding, its binaries set to the
-phases of its forward pass, and is worth its output. A positive global
-lower bound proves the property. The feasibility form of the question (is
-"output <= 0" satisfiable?) needs no separate model: the row is feasible
-exactly when the minimum is <= 0, and minimising also yields the margin of
-an UNSAT instance. An integral node whose point fails the check is counted
-as a spurious candidate and the search continues past it. The smallest
-output evaluated at a point inside the box is the result's upper bound.
+The search is the branch and bound of ``bab._Engine`` in satisfiability
+mode, the loop the relaxation-based methods run (Bunel et al., "A Unified
+View of Piecewise Linear Neural Network Verification", arXiv 1711.00455):
+its queue, budget, counterexample check, pruning, margin and result. The
+MIP supplies only a node step and a split. A node is the root box with
+some binaries pinned. Its step solves the node LP, the output minimised
+with the unfixed binaries relaxed to [0, 1], and offers the input part of
+the minimiser as a candidate point: one with output <= 0 that passes
+forward validation ends the search with SAT, at any node, whether or not
+its binaries are integral. This is the upper-bound step of branch and
+bound (Bunel et al., JMLR 2020): any point of the box is a feasible
+integral solution of the encoding, its binaries set to the phases of its
+forward pass, and is worth its output. The step then picks the most
+fractional unfixed binary to branch on. An integral node whose point
+failed the check is counted once, there, as a spurious candidate, and is
+branched on its first unfixed binary; a fully pinned one keeps its bound
+as a floor of the margin. The split pins the binary to 0 and to 1. A
+node with a positive bound is pruned, and a positive global lower bound
+proves the property. The feasibility form of the question (is "output
+<= 0" satisfiable?) needs no separate model: the row is feasible exactly
+when the minimum is <= 0, and minimising also yields the margin of an
+UNSAT instance.
 
 Node LPs start warm. The root is given ``lp.slack_basis`` as its start,
 which is dual feasible; as a given start, its dual pass stops at the
 feasibility tolerance of a warm repair. Each queued node keeps the final
-``lp.Basis`` of its LP, and both children start from a copy of it. A child
-differs from its parent only in one pinned binary, so that basis stays dual
-feasible and ``lp.solve`` repairs it with dual simplex pivots, with no cold
-start. An optimum reached this way can be another vertex among ties than a
+``lp.Basis`` of its LP, its columns only, and both children start from a
+copy of it. A child differs from its parent only in one pinned binary, so
+that basis stays dual feasible and ``lp.solve`` repairs it with dual
+simplex pivots, with no cold start. An optimum reached this way can be another vertex among ties than a
 cold solve's, so the branching binary can differ from a cold search, and
 with it the node count and an UNSAT margin (the smallest pruned bound of
 the tree searched); each node LP's value and the verdict do not.
@@ -52,21 +60,19 @@ sum row. Every node LP is a ``with_objective`` clone with pinned bounds, so
 all of them share one derived [rows | I]; only the slack bounds are computed
 per node.
 
-A node LP that fails numerically does not end the run: the node takes its
+A node LP that fails numerically does not end the run: the node keeps its
 parent's bound (-inf at the root) and branches on its first unfixed binary
-from its start basis; a fully pinned node keeps that bound under the margin.
+from its start basis; a fully pinned node keeps that bound as a floor.
 """
 
 from __future__ import annotations
 
-import heapq
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import lp
-from .bab import SAT, TIMEOUT, UNSAT, BabResult
+from .bab import SATISFIABILITY, BabConfig, BabResult, NoAmbiguousUnit, Subdomain, _Engine
 from .canon import validate_point
 from .interval import LayerBounds, propagate_box
 from .model import BoxDomain, Linear, Network, Relu, forward_eval
@@ -187,133 +193,76 @@ def _pinned(base: lp.LpModel, fixes: dict[int, int]) -> lp.LpModel:
     return model
 
 
+@dataclass
+class _Node(Subdomain):
+    """A MIP node: ``box`` is the root box, shared by every node, and
+    ``phases`` the pinned binaries as (variable, 0 or 1) pairs."""
+
+    basis: lp.Basis | None = None  # the node LP's start basis; its final one once solved
+    branch: int | None = None  # the binary the node step picked; None when all are pinned
+
+
+class _MipSearch(_Engine):
+    def __init__(self, enc: EncodedMip, cfg: BabConfig):
+        super().__init__(enc.net, enc.box, cfg, SATISFIABILITY)
+        self.enc = enc
+
+    def _root(self) -> _Node:
+        return _Node(self.box, -np.inf, basis=lp.slack_basis(self.enc.model))
+
+    def evaluate(self, node: _Node) -> tuple[_Node, list[tuple[float, np.ndarray]]]:
+        """Solve the node LP from the node's basis and offer its minimiser's
+        input point; pick the binary to branch on."""
+        enc = self.enc
+        fixes = dict(node.phases)
+        unfixed = [d for d in enc.int_vars if d not in fixes]
+        node.branch = unfixed[0] if unfixed else None  # unless a binary is fractional
+        try:
+            sol = lp.solve(_pinned(enc.model, fixes), node.basis)
+        except lp.NumericalFailure:
+            # keep the parent's bound; a failed solve leaves the start basis
+            # unchanged, so the children restart from it
+            return node, []
+        if sol.status != lp.OPTIMAL:
+            node.lower_bound = np.inf  # infeasible subtree, nothing below it
+            return node, []
+        node.lower_bound = sol.objective
+        x0 = sol.x[: self.box.size].copy()
+        point = (float(forward_eval(self.net, x0)[0]), x0)
+        if node.lower_bound > 0.0 or (point[0] <= 0.0 and validate_point(self.net, self.box, x0, 1e-6)):
+            return node, [point]  # pruned, or a counterexample that ends the run
+        dist = np.abs(sol.x[unfixed] - np.round(sol.x[unfixed]))
+        if unfixed and float(np.max(dist)) > _INT_TOL:
+            node.branch = unfixed[int(np.argmax(dist))]
+        else:
+            # an integral candidate whose point failed the check; branching
+            # pins the binaries exactly and repairs the candidate region
+            self.spurious += 1
+        return node, [point]
+
+    def _split(self, node: _Node) -> list[_Node]:
+        if node.branch is None:
+            raise NoAmbiguousUnit("every binary is pinned")
+        basis = node.basis
+        return [
+            _Node(node.box, node.lower_bound, node.phases + ((node.branch, val),),
+                  basis=lp.Basis(list(basis.basic), set(basis.at_upper)))
+            for val in (0, 1)
+        ]
+
+
 def solve_mip(
     enc: EncodedMip,
     timeout: float = np.inf,
     node_cap: int = 1_000_000,
 ) -> BabResult:
-    """Best-bound branch-and-bound on the binaries of the encoding.
+    """Decide the encoded property by branch and bound on its binaries.
 
-    Node relaxations minimise the output with unfixed binaries relaxed to
-    [0, 1]. Each minimiser's input point is evaluated first: output <= 0
-    with forward validation ends the run with SAT. Otherwise a node whose
-    bound is positive is pruned (it cannot contain a counterexample), a
-    fractional one is branched on, and an integral one is a spurious
-    candidate, branched on past (or, fully pinned, kept under the margin).
-    The property is UNSAT once every open bound is positive; the margin is
-    the smallest bound that was pruned. ``best_ub`` is the smallest output
-    evaluated at a point inside the box (+inf when there is none).
+    The search is ``bab._Engine`` in satisfiability mode with the MIP's
+    node step and split (see the module docstring): SAT with the first node
+    point that validates, UNSAT once every open bound is positive, with the
+    smallest pruned bound as the margin, or TIMEOUT. ``best_ub`` is the
+    smallest output evaluated at a point inside the box (+inf when there is
+    none), ``best_lb`` a lower bound on the minimum.
     """
-    t0 = time.monotonic()
-    n_in = len(enc.input_vars)
-
-    nodes = 0
-    seq = 0
-    spurious = 0
-    margin_floor = np.inf  # min lower bound over pruned/resolved nodes
-    best_seen = np.inf  # smallest output at a node point inside the box
-    queue: list = []  # (lb, seq, fixes, branch_var, final basis of the node LP)
-
-    def elapsed() -> float:
-        return time.monotonic() - t0
-
-    def open_lb() -> float:
-        return min(queue[0][0] if queue else np.inf, margin_floor)
-
-    def result(status: str, glb: float, point=None) -> BabResult:
-        res = BabResult(
-            status=status,
-            nodes=nodes,
-            wall_time=elapsed(),
-            best_lb=glb,
-            best_ub=best_seen,
-            spurious_candidates=spurious,
-        )
-        if status == UNSAT:
-            res.margin = glb
-        elif status == SAT:
-            res.counterexample = point
-            res.best_ub = float(forward_eval(enc.net, point)[0])
-        return res
-
-    def process(fixes: dict[int, int], basis: lp.Basis, parent_lb: float) -> np.ndarray | None:
-        """Solve one node from ``basis``; returns a validated counterexample or None."""
-        nonlocal seq, spurious, margin_floor, best_seen
-        unfixed = [d for d in enc.int_vars if d not in fixes]
-        try:
-            sol = lp.solve(_pinned(enc.model, fixes), basis)
-        except lp.NumericalFailure:
-            sol = None
-        if sol is None:
-            # keep the parent's bound; a failed solve leaves the start basis
-            # unchanged, so a branched node restarts from it
-            if unfixed:
-                seq += 1
-                heapq.heappush(queue, (parent_lb, seq, fixes, unfixed[0], basis))
-            else:
-                margin_floor = min(margin_floor, parent_lb)
-            return None
-        if sol.status != lp.OPTIMAL:
-            return None  # infeasible subtree, nothing below it
-        # whatever its binaries, a minimiser's input point that validates
-        # is a counterexample
-        x0 = sol.x[:n_in].copy()
-        val = float(forward_eval(enc.net, x0)[0])
-        if enc.box.contains(x0):
-            best_seen = min(best_seen, val)
-        if val <= 0.0 and validate_point(enc.net, enc.box, x0, 1e-6):
-            return x0
-        lb = sol.objective
-        if lb > 0.0:
-            margin_floor = min(margin_floor, lb)
-            return None
-        if unfixed:
-            vals = np.array([sol.x[d] for d in unfixed])
-            dist = np.abs(vals - np.round(vals))
-            if float(np.max(dist)) > _INT_TOL:
-                seq += 1
-                heapq.heappush(queue, (lb, seq, fixes, unfixed[int(np.argmax(dist))], basis))
-                return None
-        # an integral candidate whose point failed the check
-        spurious += 1
-        if unfixed:
-            # near-integral relaxation artefact: branching pins the binaries
-            # exactly and repairs the candidate region
-            seq += 1
-            heapq.heappush(queue, (lb, seq, fixes, unfixed[0], basis))
-        else:
-            # fully pinned yet unvalidated: keep its bound so no UNSAT claim
-            # can paper over the unresolved region
-            margin_floor = min(margin_floor, lb)
-        return None
-
-    if enc.output_var is None:
-        # constant-zero output: 0 <= 0 is a counterexample anywhere
-        nodes = 1
-        return result(SAT, 0.0, (enc.box.lb + enc.box.ub) / 2.0)
-    if elapsed() >= timeout:
-        return result(TIMEOUT, -np.inf)
-
-    nodes += 1
-    cx = process({}, lp.slack_basis(enc.model), -np.inf)
-    if cx is not None:
-        return result(SAT, open_lb(), cx)
-
-    # a node is queued only with a bound <= 0 (a positive one is pruned), so
-    # the open bound turns positive only once the queue has drained
-    while queue:
-        if elapsed() >= timeout or nodes >= node_cap:
-            return result(TIMEOUT, open_lb())
-        lb, _, fixes, branch_var, basis = heapq.heappop(queue)
-        for val in (0, 1):
-            child = dict(fixes)
-            child[branch_var] = val
-            nodes += 1
-            cx = process(child, lp.Basis(list(basis.basic), set(basis.at_upper)), lb)
-            if cx is not None:
-                return result(SAT, open_lb(), cx)
-
-    glb = open_lb()
-    if glb > 0.0:
-        return result(UNSAT, glb)
-    return result(TIMEOUT, glb)  # minimum sits exactly on the boundary
+    return _MipSearch(enc, BabConfig(timeout=timeout, node_cap=node_cap)).run()

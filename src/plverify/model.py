@@ -140,6 +140,8 @@ def validate_network(net: Network) -> list[str]:
                 continue
             if layer.bias.ndim != 1 or layer.out_width != len(layer.bias):
                 errors.append(f"layer {i}: weight rows and bias length differ")
+            if not (np.all(np.isfinite(layer.weight)) and np.all(np.isfinite(layer.bias))):
+                errors.append(f"layer {i}: linear weights and biases must be finite")
             if layer.in_width != width:
                 errors.append(f"width mismatch at layer {i}")
             width = layer.out_width

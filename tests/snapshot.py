@@ -20,7 +20,9 @@ that differs outside its float fields: the status, the node counts, the
 instance and method, and whether there is a counterexample. It lists every
 moved float value (``margin``, ``lb``, ``ub``, ``best_lb``, ``best_ub``,
 ``min_estimate`` and the counterexample's coordinates) with the size of the
-move, then the count and the largest move per field.
+move, then the count and the largest move per field, and last a table of
+the moved values per (method, status, field), a sweep line's branching rule
+standing for its method.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import json
 import math
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 from plverify import formats
@@ -108,8 +111,10 @@ def compare(parent_path: str, change_path: str) -> int:
         return 1
     failures = 0
     moved: dict[str, list[float]] = {}
+    table: Counter = Counter()  # (method, status, field) -> moved values
     for n, (old, new) in enumerate(zip(parent, change), 1):
-        where = f"line {n} ({old['kind']} {old.get('method', old.get('branching'))} seed {old['seed']})"
+        method = old.get("method", old.get("branching"))
+        where = f"line {n} ({old['kind']} {method} seed {old['seed']})"
         old_cex, new_cex = old.pop("counterexample", None), new.pop("counterexample", None)
         fixed = (set(old) | set(new)) - set(FLOAT_FIELDS)
         diff = sorted(k for k in fixed if old.get(k) != new.get(k))
@@ -126,11 +131,15 @@ def compare(parent_path: str, change_path: str) -> int:
         for key, a, b, size in sizes:
             if size > 0.0:
                 moved.setdefault(key, []).append(size)
+                table[method, old["status"], key] += 1
                 values = "" if a is None else f" {a!r} -> {b!r}"
                 print(f"{where}: {key}{values} moved {size:.3g}")
     for key in (*FLOAT_FIELDS, "counterexample"):
         sizes = moved.get(key, [])
         print(f"{key}: {len(sizes)} moved" + (f", largest {max(sizes):.3g}" if sizes else ""))
+    print("moved values per (method, status, field):")
+    for (method, status, key), count in sorted(table.items()):
+        print(f"  {method:16} {status:8} {key:15} {count}")
     print(f"{len(parent)} lines, {failures} differ outside their float fields")
     return 1 if failures else 0
 

@@ -247,7 +247,7 @@ def test_optimize_point_box():
 
 def test_contradictory_initial_phases_unsat_immediately():
     problem = toy_problem(-3.0)  # a SAT problem, but the phase set is empty
-    engine = bab_module._Engine(problem, BabConfig(branching=RELU_SPLIT), bab_module.SATISFIABILITY)
+    engine = bab_module._Engine(problem.canonical_net, problem.domain, BabConfig(branching=RELU_SPLIT), bab_module.SATISFIABILITY)
     # both passing forces x1+x2 = 0, where y+3 = 3 > 0: planet proves it
     sub, candidates = engine.evaluate(Subdomain(problem.domain, -np.inf, (((1, 0), PASSING), ((1, 1), PASSING))))
     assert sub.lower_bound == pytest.approx(3.0, abs=1e-6)
@@ -258,7 +258,7 @@ def test_contradictory_initial_phases_unsat_immediately():
     )
     prob2 = canonicalize(net, Geq(np.array([1.0]), 100.0), BoxDomain(np.array([-1.0]), np.array([1.0])))
     # x + 2.5 > 0 on the whole box: blocking the unit leaves no point
-    engine = bab_module._Engine(prob2, BabConfig(branching=RELU_SPLIT), bab_module.SATISFIABILITY)
+    engine = bab_module._Engine(prob2.canonical_net, prob2.domain, BabConfig(branching=RELU_SPLIT), bab_module.SATISFIABILITY)
     sub, candidates = engine.evaluate(Subdomain(prob2.domain, -np.inf, (((1, 0), BLOCKED),)))
     assert sub.lower_bound == np.inf and candidates == []
 
@@ -274,7 +274,7 @@ def test_optimize_prunes_contradictory_phase_sets_before_any_lp(monkeypatch):
         problem = canonicalize(net, Geq(np.array([1.0]), 0.0), box)
         if propagate_box(problem.canonical_net, box, phases) is not None:
             continue
-        engine = bab_module._Engine(problem, BabConfig(branching=RELU_SPLIT), bab_module.OPTIMIZE)
+        engine = bab_module._Engine(problem.canonical_net, problem.domain, BabConfig(branching=RELU_SPLIT), bab_module.OPTIMIZE)
         sub, candidates = engine.evaluate(Subdomain(box, -np.inf, tuple(sorted(phases.items()))))
         assert solves[0] == 0
         assert sub.lower_bound == np.inf and sub.bounds is None and candidates == []
@@ -510,7 +510,7 @@ def test_optimize_prunes_on_the_fast_dual_bound_before_the_lp(monkeypatch):
     assert fast < lp_lb
     solves[0] = 0
     engines = {
-        b: bab_module._Engine(problem, BabConfig(branching=b), bab_module.OPTIMIZE) for b in (INPUT_SMART, RELU_SPLIT)
+        b: bab_module._Engine(problem.canonical_net, problem.domain, BabConfig(branching=b), bab_module.OPTIMIZE) for b in (INPUT_SMART, RELU_SPLIT)
     }
     for engine in engines.values():
         for parent in (fast - 1.0, fast + 0.5):

@@ -18,7 +18,7 @@ from plverify.cli import (
     write_cactus_csv,
     write_records_csv,
 )
-from plverify.gensuite import GenSpec, write_suite
+from plverify.gensuite import GenSpec, generate, standard_suite, write_suite
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu
 
 
@@ -93,6 +93,28 @@ def test_load_network_validates(tmp_path):
     assert formats.load_network(path).layers[1].groups == ((1, 0),)
 
 
+def test_loaders_reject_non_finite_numbers(tmp_path):
+    # Python's json reads NaN and Infinity: a non-finite weight or bias is
+    # rejected at load, naming its layer, and so is a non-finite property
+    # coefficient, instead of failing later inside an LP
+    path = tmp_path / "bad.json"
+    for layer, key, value in ((0, "weight", [[float("nan"), 1.0], [-1.0, -1.0]]), (2, "bias", [float("inf")])):
+        doc = formats.network_to_dict(toy_net())
+        doc["layers"][layer]["linear"][key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"layer {layer + 1}: linear weights and biases must be finite"):
+            formats.load_network(path)
+    for geq in ({"c": [1.0], "b": float("nan")}, {"c": [float("-inf")], "b": 0.0}):
+        prop = {"input_lb": [-1.0, -1.0], "input_ub": [1.0, 1.0], "property": {"any": [{"geq": geq}]}}
+        path.write_text(json.dumps(prop))
+        with pytest.raises(ValueError, match="property coefficients and threshold must be finite"):
+            formats.load_property(path)
+    nnet = tmp_path / "bad.nnet"
+    nnet.write_text("1,1,1,1,\n1,1,\n0,\n-1,\n1,\n0,0,\n1,1,\nnan,\n0.0,\n")
+    with pytest.raises(ValueError, match="layer 1: linear weights and biases must be finite"):
+        formats.load_nnet(nnet)
+
+
 def test_load_property_rejects_bad_box(tmp_path):
     path = tmp_path / "bad.prop.json"
     path.write_text(json.dumps({"input_lb": [0.0], "input_ub": [-1.0], "property": {"geq": {"c": [1.0], "b": 0.0}}}))
@@ -138,6 +160,20 @@ def test_result_bounds_are_json_and_bracket_the_margin(tmp_path):
     run_verify(toy_net(), unsat, toy_box(), "mip-planet-opt", timeout=0.0, out=tmp_path / "t.json")
     doc = json.loads((tmp_path / "t.json").read_text(encoding="utf-8"), parse_constant=no_constant)
     assert doc["status"] == "TIMEOUT" and doc["lb"] is None and doc["ub"] is None
+
+
+def test_sat_lb_is_at_most_the_minimum(tmp_path):
+    # a generated instance's minimum is its spec margin, so the lb of a SAT
+    # result, when the run found one, is at most that margin (up to the
+    # rounding of an LP objective)
+    specs = [spec for spec in standard_suite(12, 1000) if spec.margin < 0.0]
+    for spec in specs:
+        inst = generate(spec.seed, spec)
+        for method in METHODS:
+            run_verify(inst.net, inst.prop, inst.box, method, out=tmp_path / "r.json")
+            doc = formats.load_result(tmp_path / "r.json")
+            assert doc["status"] == "SAT", (spec.seed, method)
+            assert doc["lb"] is None or doc["lb"] <= spec.margin + 1e-9, (spec.seed, method, doc["lb"])
 
 
 def test_run_verify_timeout_zero(tmp_path):

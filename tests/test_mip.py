@@ -281,25 +281,33 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
 
 
 def test_queued_nodes_hold_no_matrices(monkeypatch):
-    # the queue keeps each node's final basis, its columns only, so memory
-    # does not grow with the open nodes by any matrix
+    # a queued node keeps the final basis of its LP, its columns only, and
+    # the root box that every node shares, so memory does not grow with the
+    # open nodes by any matrix
     import heapq
 
     pushed = []
     push = heapq.heappush
 
     def recorded(queue, item):
-        pushed.append(item[-1])
+        lb, seq, node = item
+        pushed.append(node)
         push(queue, item)
 
     monkeypatch.setattr(heapq, "heappush", recorded)
     rng = np.random.default_rng(52)
+    queued = []
     for _ in range(6):
         net = random_net(rng, 3, [5, 5])
         enc = encode_mip(net, random_box(rng, 3), INTERVAL_VARIANT)
+        pushed.clear()
         solve_mip(enc, node_cap=40)
-    assert len(pushed) > 10
-    assert all(isinstance(b, lp.Basis) and set(vars(b)) == {"basic", "at_upper"} for b in pushed)
+        queued += [(enc.box, node) for node in pushed]
+    assert len(queued) > 10
+    for box, node in queued:
+        assert isinstance(node.basis, lp.Basis) and set(vars(node.basis)) == {"basic", "at_upper"}
+        assert node.box is box and node.bounds is None
+        assert not any(isinstance(v, np.ndarray) for k, v in vars(node).items() if k != "box")
 
 
 def test_one_search_builds_its_row_matrix_once(monkeypatch):
