@@ -51,8 +51,6 @@ class LayerBounds:
     post coincide with the affine output bounds.
     """
 
-    input_lb: np.ndarray
-    input_ub: np.ndarray
     pre_lb: list[np.ndarray]
     pre_ub: list[np.ndarray]
     post_lb: list[np.ndarray]
@@ -117,7 +115,7 @@ def propagate_box(net: Network, box: BoxDomain, phases: PhaseMap | None = None) 
     when a fixed phase contradicts the bounds: the subdomain is infeasible.
     A 2-D box holds a box per row (no phases), each bounded as by its own call."""
     cur_lb, cur_ub = box.lb, box.ub
-    out = LayerBounds(box.lb.copy(), box.ub.copy(), [], [], [], [])
+    out = LayerBounds([], [], [], [])
     for i, layer in enumerate(net.layers):
         pre = pre_bounds(layer, i, cur_lb, cur_ub, phases)
         if pre is None:

@@ -27,12 +27,11 @@ calls, and the ratio tests are scalar passes over Python lists.
 * The basis inverse is updated in product form and refactorised every 64
   pivots and at the end, to contain drift.
 
-A solve given a start ``Basis`` starts from that basis and overwrites it
-with its final basis; the relaxation builder hands each LP the previous
-LP's optimum, extended by a crash column per new row, the MIP search hands
-each node its parent's optimum, and the oracle hands each pattern LP the
-last basis on its pattern's path, extended by a basic slack per new row.
-A ``Basis`` holds only columns: each solve derives its start from them.
+A ``Basis`` is an immutable value of columns only: ``solve`` derives its
+start from one and returns its final one. The relaxation builder hands each
+LP the previous LP's optimum, extended by a crash column per new row, the
+MIP search each node its parent's optimum, and the oracle each pattern LP
+the last basis on its pattern's path, extended by a basic slack per new row.
 
 Every solve takes one route: from a start basis, dual simplex pivots until
 the basic values lie within their bounds, then primal phase 2. The start is
@@ -83,7 +82,7 @@ so a write by the solver raises instead of corrupting the next solve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -329,11 +328,30 @@ class RowStack:
         return _Form(*_read_only(rows, rhs, self._lo[: n + k], self._hi[: n + k], self._full[:k, : n + k]))
 
 
+@dataclass(frozen=True)
+class Basis:
+    """A simplex basis, the start a ``solve`` reads or the final one it returns.
+
+    A column is a variable index ``j``, or ``~i`` for the slack of row ``i``.
+    ``basic`` holds one column per row; nonbasic columns listed in
+    ``at_upper`` start at their upper bound, all others at their lower bound.
+    """
+
+    basic: tuple[int, ...] = ()
+    at_upper: frozenset[int] = frozenset()
+
+    def extended(self, basic, at_upper=()) -> "Basis":
+        """This basis with the columns ``basic`` basic in new rows and the
+        columns ``at_upper`` at their upper bound."""
+        return Basis(self.basic + tuple(basic), self.at_upper.union(at_upper))
+
+
 @dataclass
 class LpSolution:
     status: str
     objective: float
     x: np.ndarray | None
+    basis: Basis | None = None  # the final basis; None when INFEASIBLE
 
 
 def _padded_objective(model: LpModel | RowStack) -> np.ndarray:
@@ -343,30 +361,18 @@ def _padded_objective(model: LpModel | RowStack) -> np.ndarray:
     return c
 
 
-@dataclass
-class Basis:
-    """A simplex basis: the start of a ``solve``, overwritten with its final basis.
-
-    A column is a variable index ``j``, or ``~i`` for the slack of row ``i``.
-    ``basic`` holds one column per row; nonbasic columns listed in
-    ``at_upper`` start at their upper bound, all others at their lower bound.
-    """
-
-    basic: list[int] = field(default_factory=list)
-    at_upper: set[int] = field(default_factory=set)
-
-
 def slack_basis(model: LpModel | RowStack) -> Basis:
     """Every row's slack basic, every structural column at its upper bound
     when its cost is < 0, else at its lower bound. B = I, so the reduced
     costs are the costs and this start is dual feasible."""
-    return Basis([~i for i in range(len(model.rows))], set(np.flatnonzero(_padded_objective(model) < 0.0).tolist()))
+    return Basis(tuple(~i for i in range(len(model.rows))), frozenset(np.flatnonzero(_padded_objective(model) < 0.0).tolist()))
 
 
-def solve(model: LpModel | RowStack, basis: Basis | None = None) -> LpSolution:
-    """Bounded-variable simplex from ``basis`` when it is given, nonsingular
+def solve(model: LpModel | RowStack, start: Basis | None = None) -> LpSolution:
+    """Bounded-variable simplex from ``start`` when it is given, nonsingular
     and primal or dual feasible, else from ``slack_basis(model)``; dual
-    pivots until the start is primal feasible, then primal phase 2."""
+    pivots until the start is primal feasible, then primal phase 2.
+    ``start`` and the model's bounds and objective are left as they were."""
     form = model.standard_form()
     if form is None:
         return LpSolution(INFEASIBLE, np.inf, None)
@@ -374,28 +380,28 @@ def solve(model: LpModel | RowStack, basis: Basis | None = None) -> LpSolution:
     if n == 0:  # x = () meets row i when rhs_i lies within its slack's bounds
         if np.any(form.rhs < form.lo - TOL_FEAS) or np.any(form.rhs > form.hi + TOL_FEAS):
             return LpSolution(INFEASIBLE, np.inf, None)
-        return LpSolution(OPTIMAL, 0.0, np.zeros(0))
+        return LpSolution(OPTIMAL, 0.0, np.zeros(0), slack_basis(model))
     c = np.concatenate([_padded_objective(model), np.zeros(len(form.rhs))])
-    if basis is not None:
+    if start is not None:
         try:
-            state = _warm_start(form, n, basis)
+            state = _warm_start(form, n, start)
             if _can_start(state, c):
-                return _run(state, form, c, TOL_FEAS, basis)
+                return _run(state, form, c, TOL_FEAS)
         except NumericalFailure:
             pass  # retried once from the slack basis
-    return _run(_slack_start(model, form), form, c, _TOL_COLD, basis)
+    return _run(_slack_start(model, form), form, c, _TOL_COLD)
 
 
-def _run(state: "_SimplexState", form: _Form, c: np.ndarray, tol: float, basis: Basis | None) -> LpSolution:
+def _run(state: "_SimplexState", form: _Form, c: np.ndarray, tol: float) -> LpSolution:
     """Dual pivots until every basic value lies within ``tol`` of its
     bounds, then primal phase 2; INFEASIBLE when the dual pass proves it."""
     used = _run_dual(state, c, tol, MAX_ITER)
     if used is None:
         return LpSolution(INFEASIBLE, np.inf, None)
-    return _phase_two(state, form, c, MAX_ITER - used, basis)
+    return _phase_two(state, form, c, MAX_ITER - used)
 
 
-def _columns(cols: list[int] | set[int], n: int) -> np.ndarray:
+def _columns(cols: tuple[int, ...] | frozenset[int], n: int) -> np.ndarray:
     """Indices into structural | slack columns of ``Basis`` columns."""
     b = np.fromiter(cols, dtype=np.intp, count=len(cols))
     return np.where(b >= 0, b, n + ~b)
@@ -436,9 +442,8 @@ def _slack_start(model: LpModel | RowStack, form: _Form) -> "_SimplexState":
     return _warm_start(form, model.num_vars, slack_basis(model))
 
 
-def _phase_two(state: "_SimplexState", form: _Form, c: np.ndarray, max_iter: int, basis: Basis | None) -> LpSolution:
-    """Minimise c from a feasible state over ``form``'s columns; record the
-    final basis in ``basis``."""
+def _phase_two(state: "_SimplexState", form: _Form, c: np.ndarray, max_iter: int) -> LpSolution:
+    """Minimise c from a feasible state over ``form``'s columns."""
     arow, rhs = form.rows, form.rhs
     n, m = arow.shape[1], len(rhs)
     _run_simplex(state, c, max_iter)
@@ -449,13 +454,11 @@ def _phase_two(state: "_SimplexState", form: _Form, c: np.ndarray, max_iter: int
         residual = np.abs(arow @ xs + state.x[n:] - rhs).max()
         if residual > 1e-6:
             raise NumericalFailure(f"final residual {residual:.2e}")
-    if basis is not None:
-        b = state.basis
-        basis.basic = np.where(b < n, b, ~(b - n)).tolist()
-        state.at_upper[b] = False
-        u = np.flatnonzero(state.at_upper)
-        basis.at_upper = set(np.where(u < n, u, ~(u - n)).tolist())
-    return LpSolution(OPTIMAL, float(c[:n] @ xs), xs.copy())
+    b = state.basis
+    state.at_upper[b] = False
+    u = np.flatnonzero(state.at_upper)
+    final = Basis(tuple(np.where(b < n, b, ~(b - n)).tolist()), frozenset(np.where(u < n, u, ~(u - n)).tolist()))
+    return LpSolution(OPTIMAL, float(c[:n] @ xs), xs.copy(), final)
 
 
 class _SimplexState:

@@ -44,14 +44,15 @@ UNSAT instance.
 
 Node LPs start warm. The root is given ``lp.slack_basis`` as its start,
 which is dual feasible; as a given start, its dual pass stops at the
-feasibility tolerance of a warm repair. Each queued node keeps the final
-``lp.Basis`` of its LP, its columns only, and both children start from a
-copy of it. A child differs from its parent only in one pinned binary, so
-that basis stays dual feasible and ``lp.solve`` repairs it with dual
-simplex pivots, with no cold start. An optimum reached this way can be another vertex among ties than a
-cold solve's, so the branching binary can differ from a cold search, and
-with it the node count and an UNSAT margin (the smallest pruned bound of
-the tree searched); each node LP's value and the verdict do not.
+feasibility tolerance of a warm repair. Each queued node keeps the
+``lp.Basis`` its LP returned, and both children start from that one value.
+A child differs from its parent only in one pinned binary, so that basis
+stays dual feasible and ``lp.solve`` repairs it with dual simplex pivots,
+with no cold start. An optimum reached this way can be another vertex
+among ties than a cold solve's, so the branching binary can differ from a
+cold search, and with it the node count and an UNSAT margin (the smallest
+pruned bound of the tree searched); each node LP's value and the verdict
+do not.
 
 The model is written one block per layer (per group of a MaxPool), its
 rows placed by index arithmetic: a unit's x then d, its three rows
@@ -109,7 +110,7 @@ class EncodedMip:
     net: Network
     box: BoxDomain
     model: lp.LpModel  # full encoding, output minimised
-    output_var: int | None
+    output_var: int
     int_vars: list[int]
     input_vars: list[int] = field(default_factory=list)
     relu_units: list[tuple[int, int, int, int, int]] = field(default_factory=list)
@@ -130,6 +131,8 @@ def compute_bounds(net: Network, box: BoxDomain, source: str) -> LayerBounds:
 def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
     """Build the big-M model, one block per layer (per group of a MaxPool);
     one binary per ambiguous unit, none elsewhere."""
+    if not isinstance(net.layers[-1], Linear):
+        raise ValueError("the MIP encoding requires a network that ends in a Linear layer")
     bounds = compute_bounds(net, box, variant.bounds_source)
     model = lp.LpModel(box.lb, box.ub)
     prev = np.arange(box.size)  # the variable of each unit of the last layer, -1 for a constant zero
@@ -181,8 +184,8 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
                 pool_groups.append((i, gi, d.tolist(), n))
             prev = np.array([y for layer_i, *_, y in pool_groups if layer_i == i])
 
-    output_var = int(prev[0]) if len(prev) and prev[0] >= 0 else None
-    model.set_objective({output_var: 1.0} if output_var is not None else np.zeros(model.num_vars))
+    output_var = int(prev[0])
+    model.set_objective({output_var: 1.0})
     return EncodedMip(net, box, model, output_var, int_vars, list(range(box.size)), relu_units, pool_groups)
 
 
@@ -198,7 +201,7 @@ class _Node(Subdomain):
     """A MIP node: ``box`` is the root box, shared by every node, and
     ``phases`` the pinned binaries as (variable, 0 or 1) pairs."""
 
-    basis: lp.Basis | None = None  # the node LP's start basis; its final one once solved
+    basis: lp.Basis | None = None  # the node LP's start basis; the one it returned once solved
     branch: int | None = None  # the binary the node step picked; None when all are pinned
 
 
@@ -220,13 +223,11 @@ class _MipSearch(_Engine):
         try:
             sol = lp.solve(_pinned(enc.model, fixes), node.basis)
         except lp.NumericalFailure:
-            # keep the parent's bound; a failed solve leaves the start basis
-            # unchanged, so the children restart from it
-            return node, []
+            return node, []  # keep the parent's bound; the children restart from the start basis
         if sol.status != lp.OPTIMAL:
             node.lower_bound = np.inf  # infeasible subtree, nothing below it
             return node, []
-        node.lower_bound = sol.objective
+        node.lower_bound, node.basis = sol.objective, sol.basis
         x0 = sol.x[: self.box.size].copy()
         point = (float(forward_eval(self.net, x0)[0]), x0)
         if node.lower_bound > 0.0 or (point[0] <= 0.0 and validate_point(self.net, self.box, x0, 1e-6)):
@@ -243,10 +244,8 @@ class _MipSearch(_Engine):
     def _split(self, node: _Node) -> list[_Node]:
         if node.branch is None:
             raise NoAmbiguousUnit("every binary is pinned")
-        basis = node.basis
         return [
-            _Node(node.box, node.lower_bound, node.phases + ((node.branch, val),),
-                  basis=lp.Basis(list(basis.basic), set(basis.at_upper)))
+            _Node(node.box, node.lower_bound, node.phases + ((node.branch, val),), basis=node.basis)
             for val in (0, 1)
         ]
 

@@ -28,17 +28,18 @@ pattern, in the order in which units were decided: deciding a unit pushes
 its row before the feasibility test and truncates it after the subtree, and
 a leaf LP sets its objective on the stack. No pattern LP rebuilds its model.
 
-Pattern LPs start warm (``lp.Basis``). A pattern carries the final basis of
-the last LP solved on its path, extended by one basic slack per row added
-since; a child adds its new row's slack the same way, and the stack keeps
-rows in decision order, so slack indices line up. A feasibility LP has a
-zero objective, so that start is always dual feasible: ``lp.solve``
+Pattern LPs start warm (``lp.Basis``). A pattern carries the basis the
+last LP solved on its path returned, extended by one basic slack per row
+added since; a child extends it by its new row's slack, and the stack
+keeps rows in decision order, so slack indices line up. A feasibility LP
+has a zero objective, so that start is always dual feasible: ``lp.solve``
 repairs it with the bounded dual simplex, and an empty pattern is pruned
 through a checked Farkas row (a warm run whose Farkas check fails starts
-again from the slack basis, which proves infeasibility the same way). Each
-leaf LP starts from a copy of its pattern's basis, which is usually primal
-feasible, so it runs phase 2 only; a start that is neither primal nor dual
-feasible falls back to the slack basis.
+again from the slack basis, which proves infeasibility the same way). A
+feasible child carries the basis its LP returned. Each leaf LP starts from
+its pattern's basis, which is usually primal feasible, so it runs phase 2
+only; a start that is neither primal nor dual feasible falls back to the
+slack basis.
 """
 
 from __future__ import annotations
@@ -102,7 +103,7 @@ class _Search:
     def descend(self, idx: int, mat: np.ndarray, const: np.ndarray, basis: lp.Basis, witness: np.ndarray) -> None:
         """Enumerate the patterns of layers idx.. below a partial pattern whose
         input polyhedron (box plus the stack's rows) contains `witness`;
-        `basis` is the last LP's final basis with one basic slack per later row."""
+        `basis` is the basis the last LP returned, with one basic slack per later row."""
         if idx == len(self.net.layers):
             self._solve_leaf(mat, const, basis)
             return
@@ -147,11 +148,12 @@ class _Search:
                 # pre >= 0 is written as -pre <= const
                 row = -mat[j] if passing else mat[j]
                 b = const[j] if passing else -const[j]
-                child = lp.Basis(part_basis.basic + [~depth], set(part_basis.at_upper))
+                child = part_basis.extended([~depth])
                 stack.push(row, b)
                 inside = witness
                 if float(row @ witness) > b:
-                    inside = self._feasible_point(child)
+                    sol = self._pattern_lp(child)
+                    inside, child = sol.x, sol.basis  # both None when the pattern is empty
                 if inside is not None:
                     chosen[j] = passing
                     choose(k - 1, child, inside)
@@ -166,15 +168,8 @@ class _Search:
         self.stack.objective = objective
         return lp.solve(self.stack, basis)
 
-    def _feasible_point(self, basis: lp.Basis) -> np.ndarray | None:
-        """A point of the box meeting every row, or None if there is none;
-        `basis` becomes the final basis."""
-        sol = self._pattern_lp(basis)
-        return sol.x if sol.status == lp.OPTIMAL else None
-
     def _solve_leaf(self, mat: np.ndarray, const: np.ndarray, basis: lp.Basis) -> None:
-        start = lp.Basis(list(basis.basic), set(basis.at_upper))
-        sol = self._pattern_lp(start, mat[0])
+        sol = self._pattern_lp(basis, mat[0])
         if sol.status != lp.OPTIMAL:
             return
         self.feasible += 1

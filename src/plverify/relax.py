@@ -42,9 +42,10 @@ bounds it had, which are sound, and the encoding goes on.
 The model is written one block per layer (``lp.LpModel.add_block``): a
 Linear layer is [-W | I] with its bias (``add_linear``), a ReLU layer the
 rows of its ambiguous units, placed by index arithmetic. Every LP over one
-relaxation starts warm (``lp.Basis``) from the previous LP's optimum:
-tightened bounds contain every feasible point, so that optimum stays
-feasible. The LPs are ``with_objective`` clones of the model, so the
+relaxation starts warm from the basis the previous LP returned (the last
+one that did not fail numerically), extended by the new rows' crash
+columns: tightened bounds contain every feasible point, so that optimum
+stays feasible. The LPs are ``with_objective`` clones of the model, so the
 tightening LPs of a layer and the output LP share the standard form derived
 from its rows, whose slack bounds change only after a unit's bounds were
 tightened. Each row comes with a crash column that keeps the start
@@ -101,7 +102,7 @@ class PlanetModel:
     """LP relaxation plus the bookkeeping needed to query it."""
 
     model: lp.LpModel | None
-    output_var: int | None  # None encodes a constant-zero output
+    output_var: int  # -1 when infeasible
     input_vars: list[int]
     bounds: LayerBounds | None
     hull_units: list[HullUnit] = field(default_factory=list)
@@ -195,12 +196,14 @@ def _encode(
 ) -> PlanetModel:
     if not is_relu_only(net):
         raise ValueError("relaxation requires a ReLU-only network (lower MaxPools first)")
-    infeasible = PlanetModel(None, None, [], None, [], infeasible=True)
+    if not isinstance(net.layers[-1], Linear):
+        raise ValueError("relaxation requires a network that ends in a Linear layer")
+    infeasible = PlanetModel(None, -1, [], None, [], infeasible=True)
     model = lp.LpModel(box.lb, box.ub)
     basis = lp.Basis()
     prev = np.arange(box.size)  # the variable of each unit of the last layer, -1 for a constant zero
     cur_lb, cur_ub = box.lb, box.ub
-    out = LayerBounds(box.lb.copy(), box.ub.copy(), [], [], [], [])
+    out = LayerBounds([], [], [], [])
     hull_units: list[HullUnit] = []
 
     for i, layer in enumerate(net.layers):
@@ -210,7 +213,7 @@ def _encode(
         lo, hi = pre
         if isinstance(layer, Linear):
             prev = add_linear(model, layer, prev, lo, hi)
-            basis.basic.extend(prev.tolist())  # each x_hat basic in its row
+            basis = basis.extended(prev.tolist())  # each x_hat basic in its row
 
         else:  # Relu, whose inputs are the variables of the Linear before it
             fixed = {j: phase for (l, j), phase in (phases or {}).items() if l == i}
@@ -237,7 +240,11 @@ def _encode(
                         sol_min = lp.solve(model.with_objective({p: 1.0}), basis)
                         if sol_min.status == lp.INFEASIBLE:
                             return infeasible
+                        basis = sol_min.basis
                         sol_max = lp.solve(model.with_objective({p: -1.0}), basis)
+                        if sol_max.status == lp.INFEASIBLE:
+                            return infeasible
+                        basis = sol_max.basis
                     except lp.NumericalFailure:
                         continue  # the unit keeps its interval bounds, which are sound
                     lo[j] = model.lower[p] = max(lo[j], sol_min.objective - _SAFETY)
@@ -259,11 +266,10 @@ def _encode(
             if mode == "planet":
                 block[t + 1, x], block[t + 1, p] = u - l, -u
                 rhs[:, 1] = -u * l
-                basis.basic += [c for r, v in zip(low, x.tolist()) for c in (~r, v)]
+                basis = basis.extended([c for r, v in zip(low, x.tolist()) for c in (~r, v)])
                 up = [r + 1 for r in low]
             else:
-                basis.basic += [~r for r in low]
-                basis.at_upper.update(x.tolist())
+                basis = basis.extended([~r for r in low], x.tolist())
                 up = [None] * k
             model.add_block(block, [lp.GE, lp.LE][:per] * k, rhs.ravel(), np.zeros(k), u)
             hull_units += map(HullUnit, [i] * k, hull.tolist(), p.tolist(), x.tolist(), low, up, l.tolist(), u.tolist())
@@ -275,8 +281,7 @@ def _encode(
         out.post_lb.append(cur_lb)
         out.post_ub.append(cur_ub)
 
-    output_var = int(prev[0]) if len(prev) and prev[0] >= 0 else None
-    return PlanetModel(model, output_var, list(range(box.size)), out, hull_units, basis=basis)
+    return PlanetModel(model, int(prev[0]), list(range(box.size)), out, hull_units, basis=basis)
 
 
 def build_planet(
@@ -305,8 +310,6 @@ def planet_lower_bound_with_point(pm: PlanetModel) -> tuple[float, np.ndarray | 
     relaxation mode."""
     if pm.infeasible:
         return np.inf, None
-    if pm.output_var is None:
-        return 0.0, None
     sol = lp.solve(pm.model.with_objective({pm.output_var: 1.0}), pm.basis)
     if sol.status == lp.INFEASIBLE:
         return np.inf, None

@@ -196,7 +196,7 @@ def test_warm_start_matches_cold_solve(monkeypatch):
     for _ in range(200):
         model = _random_model(rng)
         n = model.num_vars
-        basis = Basis([~i for i in range(len(model.rows))])
+        basis = Basis(tuple(~i for i in range(len(model.rows))))
         c = rng.normal(size=n)
         for step, obj in enumerate((c, -c, rng.normal(size=n), c)):
             if step == 3 and got.status == OPTIMAL:
@@ -210,6 +210,7 @@ def test_warm_start_matches_cold_solve(monkeypatch):
             assert got.status == cold.status
             statuses.add(got.status)
             if got.status == OPTIMAL:
+                basis = got.basis
                 assert abs(got.objective - cold.objective) <= 1e-12
                 if step > 0:  # from the previous optimum: only the cold solve used the slack basis
                     assert cold_starts[0] == before + 1
@@ -222,13 +223,13 @@ def test_failed_warm_start_is_retried_cold(monkeypatch):
     model = _toy_planet_lp()
     cold = solve(model)
     cold_starts = count_calls(monkeypatch, lp_module, "_slack_start")
-    singular = Basis([0, 0, 0, 0])  # one column basic in every row
+    singular = Basis((0, 0, 0, 0))  # one column basic in every row
     got = solve(model, singular)
     assert cold_starts[0] == 1
     assert got.status == cold.status and got.objective == cold.objective
-    assert len(singular.basic) == 4 and len(set(singular.basic)) == 4  # the final basis
+    assert len(got.basis.basic) == 4 and len(set(got.basis.basic)) == 4
     with pytest.raises(ValueError):
-        solve(model, Basis([0]))
+        solve(model, Basis((0,)))
 
     # a simplex failure in the warm run is retried cold; a cold one propagates
     original = lp_module._run_simplex
@@ -241,7 +242,7 @@ def test_failed_warm_start_is_retried_cold(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(lp_module, "_run_simplex", flaky)
-    optimal = Basis(list(singular.basic), set(singular.at_upper))
+    optimal = got.basis
     got = solve(model, optimal)
     assert failures[0] == 0 and cold_starts[0] == 2
     assert got.status == cold.status and got.objective == cold.objective
@@ -269,11 +270,12 @@ def _dual_warm_start_after_bound_cut(monkeypatch):
     outcomes = {OPTIMAL: 0, INFEASIBLE: 0}
     for _ in range(300):
         model = _random_model(rng)
-        basis = Basis([~i for i in range(len(model.rows))])
-        first = solve(model, basis)
+        first = solve(model, Basis(tuple(~i for i in range(len(model.rows)))))
+        if first.status != OPTIMAL:
+            continue
         lo, hi = np.array(model.lower), np.array(model.upper)
-        basic = [j for j in basis.basic if j >= 0 and lo[j] + 1e-6 < first.x[j] < hi[j] - 1e-6]
-        if first.status != OPTIMAL or not basic:
+        basic = [j for j in first.basis.basic if j >= 0 and lo[j] + 1e-6 < first.x[j] < hi[j] - 1e-6]
+        if not basic:
             continue
         j = basic[int(rng.integers(0, len(basic)))]
         cut = float(first.x[j]) + rng.choice([-1.0, 1.0]) * rng.uniform(1e-3, 3.0)
@@ -282,7 +284,7 @@ def _dual_warm_start_after_bound_cut(monkeypatch):
         else:
             model.upper[j] = max(cut, model.lower[j])
         before, ran_dual, proved = cold_starts[0], dual_runs[0], proofs[0]
-        warm = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
+        warm = solve(model, first.basis)
         assert cold_starts[0] == before and dual_runs[0] == ran_dual + 1
         # reported INFEASIBLE only through a checked Farkas row
         assert proofs[0] == proved + (warm.status == INFEASIBLE)
@@ -302,7 +304,7 @@ def _capped_pair(objective) -> tuple[LpModel, Basis]:
     y = m.add_var(0.0, 0.5)
     m.add_row({x: 1.0, y: 1.0}, LE, 3.0)
     m.set_objective(objective)
-    return m, Basis([y], {x})
+    return m, Basis((y,), frozenset({x}))
 
 
 def test_dual_warm_start_needs_a_dual_feasible_start(monkeypatch):
@@ -331,12 +333,12 @@ def test_dual_warm_start_reports_infeasible_only_with_a_proof(monkeypatch):
     z = m.add_var(0.0, 1000.0)
     m.add_row({x: 1e10, z: -1.0}, EQ, 0.0)
     m.set_objective({x: 1.0})
-    got = solve(m, Basis([x]))
+    got = solve(m, Basis((x,)))
     assert cold_starts[0] == 1
     assert got.status == OPTIMAL and got.x[z] == pytest.approx(200.0)
     # with z capped at 10 the same row proves the model infeasible
     m.upper[z] = 10.0
-    assert solve(m, Basis([x])).status == INFEASIBLE and cold_starts[0] == 1
+    assert solve(m, Basis((x,))).status == INFEASIBLE and cold_starts[0] == 1
     assert solve(m).status == INFEASIBLE
 
 
@@ -380,28 +382,29 @@ def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
     checked = 0
     for _ in range(100):
         model = _random_model(rng)
-        basis = Basis([~i for i in range(len(model.rows))])
-        if not len(model.rows) or solve(model, basis).status != OPTIMAL:
+        if not len(model.rows):
+            continue
+        first = solve(model, Basis(tuple(~i for i in range(len(model.rows)))))
+        if first.status != OPTIMAL:
             continue
         inversions[0] = 0
-        got = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
+        got = solve(model, first.basis)
         assert inversions[0] == 1
         with monkeypatch.context() as patch:
             patch.setattr(lp_module._SimplexState, "refactor", reinverting)
             inversions[0] = 0
-            again = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
+            again = solve(model, first.basis)
             assert inversions[0] == 2
         assert got.objective == again.objective and got.x.tobytes() == again.x.tobytes()
-        # a re-solve from ``basis`` itself derives its start again: one inversion
+        # a re-solve from the basis the warm solve returned derives its start again: one inversion
         inversions[0] = 0
-        same = solve(model, basis)
+        same = solve(model, got.basis)
         assert inversions[0] == 1
         assert same.objective == got.objective and same.x.tobytes() == got.x.tobytes()
         # a new row (its slack basic) changes the basis matrix: invert again
         model.add_row(np.ones(model.num_vars), LE, float(np.sum(np.abs(model.upper)) + 1.0))
-        basis.basic.append(~(len(model.rows) - 1))
         inversions[0] = 0
-        assert solve(model, basis).status == OPTIMAL
+        assert solve(model, same.basis.extended([~(len(model.rows) - 1)])).status == OPTIMAL
         assert inversions[0] >= 1
         checked += 1
     assert checked > 30
@@ -413,13 +416,38 @@ def test_warm_solve_without_rows(monkeypatch):
     x = m.add_var(0.0, 2.0)
     y = m.add_var(-1.0, 1.0)
     m.set_objective({x: -1.0, y: 1.0})
-    basis = Basis()
-    got = solve(m, basis)
+    got = solve(m, Basis())
     assert got.status == OPTIMAL and got.objective == -3.0 and got.x.tolist() == [2.0, -1.0]
-    assert basis.basic == [] and basis.at_upper == {x}
-    again = solve(m, basis)
+    assert got.basis == Basis((), frozenset({x}))
+    again = solve(m, got.basis)
     assert again.objective == got.objective and again.x.tobytes() == got.x.tobytes()
     assert cold_starts[0] == 0
+
+
+def test_solve_writes_neither_its_start_nor_its_model():
+    # a solve reads its start and returns its final basis: a solve from that
+    # basis gives the same bytes; INFEASIBLE returns no basis, and a model
+    # without variables its slack basis
+    rng = np.random.default_rng(29)
+    outcomes = {OPTIMAL: 0, INFEASIBLE: 0}
+    for _ in range(100):
+        model = _random_model(rng)
+        slack = tuple(~i for i in range(len(model.rows)))
+        start = Basis(slack, frozenset({0}))
+        before = [a.tobytes() for a in (model.lower, model.upper, model.objective)]
+        got = solve(model, start)
+        assert start == Basis(slack, frozenset({0}))
+        assert [a.tobytes() for a in (model.lower, model.upper, model.objective)] == before
+        outcomes[got.status] += 1
+        if got.status == INFEASIBLE:
+            assert got.basis is None
+            continue
+        again = solve(model, got.basis)
+        assert again.x.tobytes() == got.x.tobytes() and again.basis == got.basis
+    assert min(outcomes.values()) > 20
+    model = LpModel()
+    model.add_row({}, LE, 1.0)
+    assert solve(model).basis == Basis((~0,))
 
 
 _REL_SYMBOL = {LE: "<=", EQ: "=", GE: ">=", None: "None"}
@@ -456,8 +484,8 @@ def test_reused_form_is_read_only(monkeypatch):
     # a solver write into the cached form raises; the next solve, from the
     # same cache, returns the bytes of a fresh model
     model = _toy_planet_lp()
-    basis = Basis([~i for i in range(len(model.rows))])
-    want = solve(model.copy(), Basis(list(basis.basic)))
+    basis = Basis(tuple(~i for i in range(len(model.rows))))
+    want = solve(model.copy(), basis)
     first = solve(model, basis)
     assert first.x.tobytes() == want.x.tobytes()
     original = lp_module._run_simplex
@@ -470,8 +498,8 @@ def test_reused_form_is_read_only(monkeypatch):
         with monkeypatch.context() as patch:
             patch.setattr(lp_module, "_run_simplex", writing)
             with pytest.raises(ValueError, match="read-only"):
-                solve(model, Basis(list(basis.basic), set(basis.at_upper)))
-        again = solve(model, Basis(list(basis.basic), set(basis.at_upper)))
+                solve(model, first.basis)
+        again = solve(model, first.basis)
         assert again.x.tobytes() == want.x.tobytes() and again.objective == want.objective
     stack = RowStack([0.0, 0.0], [1.0, 1.0])
     stack.push(np.ones(2), 1.5)
@@ -518,21 +546,19 @@ def test_row_stack_solves_like_an_lp_model():
             if objective is not None:
                 model.set_objective(objective)
             # the last final basis, a new row's slack basic, as the oracle does
-            start = last.basic[: len(rows)] + [~i for i in range(len(last.basic), len(rows))]
+            start = last.basic[: len(rows)] + tuple(~i for i in range(len(last.basic), len(rows)))
             if any(j < 0 and ~j >= len(rows) for j in start):
-                start = [~i for i in range(len(rows))]
-            upper = {j for j in last.at_upper if j >= 0 or ~j < len(rows)}
-            for basis in (None, start):
-                got_basis = None if basis is None else Basis(list(basis), set(upper))
-                want_basis = None if basis is None else Basis(list(basis), set(upper))
-                got, want = solve(stack, got_basis), solve(model, want_basis)
+                start = tuple(~i for i in range(len(rows)))
+            upper = frozenset(j for j in last.at_upper if j >= 0 or ~j < len(rows))
+            for basis in (None, Basis(start, upper)):
+                got, want = solve(stack, basis), solve(model, basis)
                 assert got.status == want.status
                 statuses.add(got.status)
                 assert float(got.objective).hex() == float(want.objective).hex()
                 assert (got.x is None and want.x is None) or got.x.tobytes() == want.x.tobytes()
-                assert got_basis == want_basis
+                assert got.basis == want.basis
             if got.status == OPTIMAL:
-                last = got_basis
+                last = got.basis
         with pytest.raises(ValueError):
             stack.truncate(stack.depth + 1)
     assert statuses == {OPTIMAL, INFEASIBLE}

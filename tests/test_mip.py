@@ -71,6 +71,14 @@ def test_sym_variant_uses_single_m():
     assert any(u == pytest.approx(4.0) for u in ubs)
 
 
+def test_encoding_rejects_a_net_that_does_not_end_in_a_linear_layer():
+    net = Network(2, (Linear(np.eye(2), np.array([0.0, -0.5])), Relu()))
+    box = BoxDomain(-np.ones(2), np.ones(2))
+    for variant in (PLANET_OPT, INTERVAL_VARIANT):
+        with pytest.raises(ValueError, match="ends in a Linear layer"):
+            encode_mip(net, box, variant)
+
+
 def test_root_relaxation_equals_planet_lp():
     rng = np.random.default_rng(42)
     for _ in range(100):
@@ -231,7 +239,7 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     # all-slack basis), never falls back to a cold start, reports
     # INFEASIBLE only through a checked Farkas row, agrees with a cold
     # re-solve and returns the bytes of a fresh copy of its model (no shared
-    # form) from a copy of its basis
+    # form) from the same basis
     counts = {"nodes": 0, "cold_starts": 0, "dual": 0, "infeasible": 0, "proofs": 0}
     recheck = [False]
     real_solve = lp.solve
@@ -239,10 +247,10 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     def solve(model, basis=None):
         assert basis is not None
         counts["nodes"] += 1
-        fresh, start = model.copy(), lp.Basis(list(basis.basic), set(basis.at_upper))
+        fresh = model.copy()
         got = real_solve(model, basis)
         recheck[0] = True
-        assert_same_solve(got, real_solve(fresh, start), basis, start)
+        assert_same_solve(got, real_solve(fresh, basis))
         cold = real_solve(model)
         recheck[0] = False
         assert got.status == cold.status
@@ -281,7 +289,7 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
 
 
 def test_queued_nodes_hold_no_matrices(monkeypatch):
-    # a queued node keeps the final basis of its LP, its columns only, and
+    # a queued node keeps the basis its LP returned, its columns only, and
     # the root box that every node shares, so memory does not grow with the
     # open nodes by any matrix
     import heapq

@@ -238,6 +238,14 @@ def test_relaxations_reject_an_unlowered_maxpool():
         fast_dual_bound(net, box, propagate_box(net, box))
 
 
+def test_relaxations_reject_a_net_that_does_not_end_in_a_linear_layer():
+    net = Network(2, (Linear(np.eye(2), np.array([0.0, -0.5])), Relu()))
+    box = BoxDomain(-np.ones(2), np.ones(2))
+    for build in (build_planet, build_reluplex):
+        with pytest.raises(ValueError, match="ends in a Linear layer"):
+            build(net, box)
+
+
 def _vertex_subsets(model) -> int:
     """How many constraint subsets ``solve_reference`` enumerates."""
     n = model.num_vars
@@ -293,18 +301,16 @@ def test_warm_relaxation_lps_match_cold_solves(monkeypatch):
 
 def test_relaxation_lps_match_fresh_copies_bytewise(monkeypatch):
     # an LP over the cached form returns the bytes of the same call on a
-    # fresh copy of its model from a copy of its start basis, which builds
-    # the form again
+    # fresh copy of its model from the same start basis, which builds the
+    # form again
     real_solve = lp.solve
     lps = [0]
 
     def checked_solve(model, basis=None):
         fresh_model = model.copy()
-        fresh_basis = None if basis is None else lp.Basis(list(basis.basic), set(basis.at_upper))
         got = real_solve(model, basis)
         lps[0] += 1
-        want = real_solve(fresh_model, fresh_basis)
-        assert_same_solve(got, want, basis, fresh_basis)
+        assert_same_solve(got, real_solve(fresh_model, basis))
         return got
 
     monkeypatch.setattr(lp, "solve", checked_solve)
@@ -461,9 +467,36 @@ def test_tightening_failure_keeps_the_interval_bound(monkeypatch):
     assert checked >= 3
 
 
+def test_infeasible_max_tightening_lp_makes_the_relaxation_infeasible(monkeypatch):
+    # a unit's max LP is checked as its min LP is: an INFEASIBLE result ends
+    # the encoding at once, and no bound of -inf reaches the model
+    real_solve = lp.solve
+    max_lps: list[bool] = []
+
+    def infeasible_max(model, basis=None):
+        max_lps.append(model.objective.min() < 0.0)  # the max LP minimises -x_hat
+        if max_lps[-1]:
+            return lp.LpSolution(lp.INFEASIBLE, np.inf, None)
+        return real_solve(model, basis)
+
+    monkeypatch.setattr(lp, "solve", infeasible_max)
+    rng = np.random.default_rng(41)
+    checked = 0
+    for _ in range(10):
+        net = random_net(rng, 3, [4, 4])
+        box = random_box(rng, 3)
+        max_lps.clear()
+        pm = build_planet(net, box, tighten=True)
+        if not max_lps:
+            continue  # no ambiguous unit in the second ReLU layer
+        assert max_lps == [False, True] and pm.infeasible
+        assert planet_lower_bound_with_point(pm) == (np.inf, None)
+        checked += 1
+    assert checked >= 3
+
+
 def _same_bytes(got, want):
-    xs = [got.input_lb, got.input_ub, *_flat_bounds(got)]
-    ys = [want.input_lb, want.input_ub, *_flat_bounds(want)]
+    xs, ys = _flat_bounds(got), _flat_bounds(want)
     return len(xs) == len(ys) and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
 
 
@@ -563,11 +596,11 @@ def test_input_box_relaxation_solves_only_the_output_lp(monkeypatch):
         fast = build_planet(net, box, tighten=True, output_only=True)
         assert solves == []
         v_fast = planet_lower_bound_with_point(fast)[0]
-        assert len(solves) == (fast.output_var is not None)
+        assert len(solves) == 1
         solves.clear()
         # the engine bounds an input box with exactly that relaxation
         assert bab._bound_region(net, box, {}, True)[0] == v_fast
-        assert len(solves) == (fast.output_var is not None)
+        assert len(solves) == 1
         assert v_fast <= planet_lower_bound_with_point(full)[0] + 1e-9
         solves.clear()
         units = [(i, j) for i in relus for j in range(len(full.bounds.pre_lb[i]))]
