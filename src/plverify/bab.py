@@ -92,7 +92,7 @@ from .interval import (
     ambiguous_units,
     propagate_box,
 )
-from .model import BoxDomain, Network, forward_batch, forward_eval
+from .model import BoxDomain, Linear, Network, Relu, forward_batch, forward_eval
 from .relax import backward_pass, build_planet, fast_dual_bound, planet_lower_bound_with_point
 from .rng import SplitMix64
 
@@ -287,6 +287,21 @@ def _forward_phases(net: Network, pts: np.ndarray, phases: PhaseMap) -> tuple[np
     return vals, mask
 
 
+def _forward_rows(net: Network, pts: np.ndarray) -> np.ndarray:
+    """``forward_eval`` of each row of ``pts``, with its bytes: every Linear
+    layer takes one row at a time (``np.matvec``), never the matrix product
+    of ``forward_batch``."""
+    x = pts
+    for layer in net.layers:
+        if isinstance(layer, Linear):
+            x = np.matvec(layer.weight, x) + layer.bias
+        elif isinstance(layer, Relu):
+            x = np.maximum(x, 0.0)
+        else:
+            x = np.stack([np.max(x[:, list(g)], axis=1) for g in layer.groups], axis=1)
+    return x
+
+
 def sample_upper_bound(
     net: Network,
     box: BoxDomain,
@@ -307,10 +322,11 @@ def sample_upper_bound(
     best_val, best_pt = float(vals[k]), pts[k].copy()
 
     for j in range(box.size):
-        for cand in (box.lb[j], 0.5 * (box.lb[j] + box.ub[j]), box.ub[j]):
-            trial = best_pt.copy()
-            trial[j] = cand
-            v = float(forward_eval(net, trial)[0])
+        # the three trials differ from the best point only in coordinate j,
+        # so an accepted one leaves the later ones as they were
+        trials = np.tile(best_pt, (3, 1))
+        trials[:, j] = box.lb[j], 0.5 * (box.lb[j] + box.ub[j]), box.ub[j]
+        for trial, v in zip(trials, _forward_rows(net, trials)[:, 0].tolist()):
             if v < best_val:
                 if phases and not _forward_phases(net, trial[None, :], phases)[1][0]:
                     continue

@@ -29,9 +29,12 @@ calls, and the ratio tests are scalar passes over Python lists.
 
 A ``Basis`` is an immutable value of columns only: ``solve`` derives its
 start from one and returns its final one. The relaxation builder hands each
-LP the previous LP's optimum, extended by a crash column per new row, the
-MIP search each node its parent's optimum, and the oracle each pattern LP
-the last basis on its pattern's path, extended by a basic slack per new row.
+tightening LP the optimum of the previous LP in the same direction (min or
+max), extended by a crash column per new row; the MIP search starts its root
+from the encoding's forward-pass crash basis and each node from its parent's
+optimum; the oracle hands each pattern LP the last basis on its pattern's
+path, extended by a basic slack per new row. Each result counts its pivots
+(``LpSolution.pivots``), the basis changes of the run that produced it.
 
 Every solve takes one route: from a start basis, dual simplex pivots until
 the basic values lie within their bounds, then primal phase 2. The start is
@@ -348,10 +351,15 @@ class Basis:
 
 @dataclass
 class LpSolution:
+    """A solve's result. ``pivots`` counts the basis changes of the run that
+    produced it (a warm run, or the cold run that replaced a failed one),
+    an INFEASIBLE result's dual pivots included; bound flips do not count."""
+
     status: str
     objective: float
     x: np.ndarray | None
     basis: Basis | None = None  # the final basis; None when INFEASIBLE
+    pivots: int = 0
 
 
 def _padded_objective(model: LpModel | RowStack) -> np.ndarray:
@@ -397,7 +405,7 @@ def _run(state: "_SimplexState", form: _Form, c: np.ndarray, tol: float) -> LpSo
     bounds, then primal phase 2; INFEASIBLE when the dual pass proves it."""
     used = _run_dual(state, c, tol, MAX_ITER)
     if used is None:
-        return LpSolution(INFEASIBLE, np.inf, None)
+        return LpSolution(INFEASIBLE, np.inf, None, pivots=state.pivots)
     return _phase_two(state, form, c, MAX_ITER - used)
 
 
@@ -458,7 +466,7 @@ def _phase_two(state: "_SimplexState", form: _Form, c: np.ndarray, max_iter: int
     state.at_upper[b] = False
     u = np.flatnonzero(state.at_upper)
     final = Basis(tuple(np.where(b < n, b, ~(b - n)).tolist()), frozenset(np.where(u < n, u, ~(u - n)).tolist()))
-    return LpSolution(OPTIMAL, float(c[:n] @ xs), xs.copy(), final)
+    return LpSolution(OPTIMAL, float(c[:n] @ xs), xs.copy(), final, state.pivots)
 
 
 class _SimplexState:
@@ -473,6 +481,7 @@ class _SimplexState:
         self.cols = basis.tolist()  # ``basis`` as a list, for scalar loops
         self.binv = binv
         self.fresh = False  # binv was inverted from the basis, no pivot since
+        self.pivots = 0  # ``pivot`` calls so far
         self.lo_l = self.hi_l = self.sgn = None
 
     def start_run(self) -> np.ndarray:
@@ -524,6 +533,7 @@ class _SimplexState:
         self.binv -= w[:, None] * row
         self.binv[leave] = row
         self.fresh = False
+        self.pivots += 1
 
 
 def _run_simplex(state: _SimplexState, c: np.ndarray, max_iter: int) -> int:

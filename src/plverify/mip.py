@@ -42,10 +42,26 @@ proves the property. The feasibility form of the question (is "output
 when the minimum is <= 0, and minimising also yields the margin of an
 UNSAT instance.
 
-Node LPs start warm. The root is given ``lp.slack_basis`` as its start,
-which is dual feasible; as a given start, its dual pass stops at the
-feasibility tolerance of a warm repair. Each queued node keeps the
-``lp.Basis`` its LP returned, and both children start from that one value.
+Node LPs start warm. The root starts from ``EncodedMip.basis``, a crash
+basis that ``encode_mip`` builds block by block from the network's forward
+pass at the box's lower corner (Bixby, "Implementing the Simplex Method:
+The Initial Basis", ORSA J. Computing 4(3), 1992), with the inputs
+nonbasic at their lower bounds:
+
+* a Linear row: its x_hat basic;
+* an ambiguous unit whose pre-activation there is >= 0: x, d and the slack
+  of x - u d <= 0 basic, the slack of x >= x_hat at its upper bound 0, so
+  x = x_hat and d = 1;
+* one whose pre-activation is < 0: d and the slacks of its first two rows
+  basic, x at 0, so d = 1 - x_hat / l;
+* a MaxPool group: y, the d of its largest element there, every ``<=``
+  slack and the other elements' ``>=`` slacks basic; that element's
+  ``>=`` slack at its upper bound 0, so y is its value and its d is 1.
+
+That start is a point of the network, so it meets the rows and bounds of
+every variant, and the root LP runs primal pivots only. Each queued node
+keeps the ``lp.Basis`` its LP returned, and both children start from that
+one value.
 A child differs from its parent only in one pinned binary, so that basis
 stays dual feasible and ``lp.solve`` repairs it with dual simplex pivots,
 with no cold start. An optimum reached this way can be another vertex
@@ -112,7 +128,7 @@ class EncodedMip:
     model: lp.LpModel  # full encoding, output minimised
     output_var: int
     int_vars: list[int]
-    input_vars: list[int] = field(default_factory=list)
+    basis: lp.Basis  # the root LP's start: the network's forward pass at the box's lower corner
     relu_units: list[tuple[int, int, int, int, int]] = field(default_factory=list)
     # (layer, unit, delta_var, pre_var, post_var)
     pool_groups: list[tuple[int, int, list[int], int]] = field(default_factory=list)
@@ -130,21 +146,27 @@ def compute_bounds(net: Network, box: BoxDomain, source: str) -> LayerBounds:
 
 def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
     """Build the big-M model, one block per layer (per group of a MaxPool);
-    one binary per ambiguous unit, none elsewhere."""
+    one binary per ambiguous unit, none elsewhere. Each block also extends
+    the crash basis of the forward pass at the box's lower corner (see the
+    module docstring)."""
     if not isinstance(net.layers[-1], Linear):
         raise ValueError("the MIP encoding requires a network that ends in a Linear layer")
     bounds = compute_bounds(net, box, variant.bounds_source)
     model = lp.LpModel(box.lb, box.ub)
+    basis = lp.Basis()  # the inputs are nonbasic at their lower bounds
     prev = np.arange(box.size)  # the variable of each unit of the last layer, -1 for a constant zero
+    val = box.lb  # the value of each unit of the last layer at the lower corner
     int_vars: list[int] = []
     relu_units: list[tuple[int, int, int, int, int]] = []
     pool_groups: list[tuple[int, int, list[int], int]] = []
 
     for i, layer in enumerate(net.layers):
         lo, hi = bounds.pre_lb[i], bounds.pre_ub[i]
-        n = model.num_vars
+        n, m = model.num_vars, len(model.rhs)
         if isinstance(layer, Linear):
             prev = add_linear(model, layer, prev, lo, hi)
+            basis = basis.extended(prev.tolist())  # each x_hat basic in its row
+            val = layer.weight @ val + layer.bias
         elif isinstance(layer, Relu):
             amb = np.flatnonzero((lo < 0.0) & (hi > 0.0))
             k, p, l, u = len(amb), prev[amb], lo[amb], hi[amb]
@@ -160,13 +182,21 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
             block[r + 1, x + 1], block[r + 2, x + 1] = -u, -l
             rhs[:, 2], upper[:, 0] = -l, u
             model.add_block(block, [lp.GE, lp.LE, lp.LE] * k, rhs.ravel(), np.zeros(2 * k), upper.ravel())
+            # an active unit: x, the slack of x - u d <= 0 and d basic, x >= x_hat
+            # tight (x = x_hat, d = 1); an inactive one: the slacks of its first
+            # two rows and d basic, x at 0 (d = 1 - x_hat / l)
+            active, first = val[amb] >= 0.0, m + r
+            cols = np.stack([np.where(active, x, ~first), ~(first + 1), x + 1], axis=1)
+            basis = basis.extended(cols.ravel().tolist(), (~first[active]).tolist())
             int_vars += (x + 1).tolist()
             relu_units += zip([i] * k, amb.tolist(), (x + 1).tolist(), p.tolist(), x.tolist())
             prev = np.where(hi <= 0.0, -1, prev)
             prev[amb] = x
+            val = np.maximum(val, 0.0)
         else:  # MaxPool, whose inputs are the variables of the Linear before it
+            tops = []
             for gi, g in enumerate(map(list, layer.groups)):
-                n, s = model.num_vars, len(g)
+                n, m, s = model.num_vars, len(model.rhs), len(g)
                 d, r = n + 1 + np.arange(s), 2 * np.arange(s)
                 big = np.max(hi[g]) - lo[g]
                 # the variables y, d_k and per element the rows
@@ -180,13 +210,21 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
                 rhs[r + 1], rhs[-1] = big, 1.0
                 rel = [lp.GE, lp.LE] * s + [lp.EQ]
                 model.add_block(block, rel, rhs, [np.max(lo[g])] + [0.0] * s, [np.max(hi[g])] + [1.0] * s)
+                # y and the largest element's d basic, its y - x_k >= 0 tight;
+                # the other rows' slacks basic
+                top = int(np.argmax(val[g]))
+                ge = m + r
+                cols = np.stack([np.where(r == 2 * top, n, ~ge), ~(ge + 1)], axis=1)
+                basis = basis.extended([*cols.ravel().tolist(), int(d[top])], [~int(ge[top])])
+                tops.append(val[g][top])
                 int_vars += d.tolist()
                 pool_groups.append((i, gi, d.tolist(), n))
             prev = np.array([y for layer_i, *_, y in pool_groups if layer_i == i])
+            val = np.array(tops)
 
     output_var = int(prev[0])
     model.set_objective({output_var: 1.0})
-    return EncodedMip(net, box, model, output_var, int_vars, list(range(box.size)), relu_units, pool_groups)
+    return EncodedMip(net, box, model, output_var, int_vars, basis, relu_units, pool_groups)
 
 
 def _pinned(base: lp.LpModel, fixes: dict[int, int]) -> lp.LpModel:
@@ -201,7 +239,7 @@ class _Node(Subdomain):
     """A MIP node: ``box`` is the root box, shared by every node, and
     ``phases`` the pinned binaries as (variable, 0 or 1) pairs."""
 
-    basis: lp.Basis | None = None  # the node LP's start basis; the one it returned once solved
+    basis: lp.Basis | None = None  # the node LP's start (the root's: the crash basis); the one it returned once solved
     branch: int | None = None  # the binary the node step picked; None when all are pinned
 
 
@@ -211,7 +249,7 @@ class _MipSearch(_Engine):
         self.enc = enc
 
     def _root(self) -> _Node:
-        return _Node(self.box, -np.inf, basis=lp.slack_basis(self.enc.model))
+        return _Node(self.box, -np.inf, basis=self.enc.basis)
 
     def evaluate(self, node: _Node) -> tuple[_Node, list[tuple[float, np.ndarray]]]:
         """Solve the node LP from the node's basis and offer its minimiser's

@@ -42,14 +42,20 @@ bounds it had, which are sound, and the encoding goes on.
 The model is written one block per layer (``lp.LpModel.add_block``): a
 Linear layer is [-W | I] with its bias (``add_linear``), a ReLU layer the
 rows of its ambiguous units, placed by index arithmetic. Every LP over one
-relaxation starts warm from the basis the previous LP returned (the last
-one that did not fail numerically), extended by the new rows' crash
-columns: tightened bounds contain every feasible point, so that optimum
-stays feasible. The LPs are ``with_objective`` clones of the model, so the
-tightening LPs of a layer and the output LP share the standard form derived
-from its rows, whose slack bounds change only after a unit's bounds were
-tightened. Each row comes with a crash column that keeps the start
-primal-feasible without pivoting (inputs start at their lower bounds):
+relaxation starts warm, on one of two chains. Each min tightening LP starts
+from the basis the previous min LP returned, and that chain carries on,
+extended by the new rows' crash columns, into the next layers and the
+output LP. Each max tightening LP starts from the basis the previous max LP
+of its layer returned, the layer's first one from the layer's start basis:
+a unit's min optimum is its far vertex for the max LP, the previous unit's
+max optimum usually lies closer. An LP that fails numerically leaves its
+chain's basis as it was. Tightened bounds contain every feasible point, so
+an optimum stays feasible. The LPs are ``with_objective`` clones of the
+model, so the tightening LPs of a layer and the output LP share the
+standard form derived from its rows, whose slack bounds change only after a
+unit's bounds were tightened. Each row comes with a crash column that keeps
+the start primal-feasible without pivoting (inputs start at their lower
+bounds):
 
 * a Linear equality row: its x_hat basic;
 * a hull unit: x basic in its chord row (x then sits on the chord, inside
@@ -101,9 +107,9 @@ class HullUnit:
 class PlanetModel:
     """LP relaxation plus the bookkeeping needed to query it."""
 
-    model: lp.LpModel | None
+    model: lp.LpModel | None  # its first ``box.size`` variables are the inputs
+    box: BoxDomain
     output_var: int  # -1 when infeasible
-    input_vars: list[int]
     bounds: LayerBounds | None
     hull_units: list[HullUnit] = field(default_factory=list)
     infeasible: bool = False
@@ -198,7 +204,7 @@ def _encode(
         raise ValueError("relaxation requires a ReLU-only network (lower MaxPools first)")
     if not isinstance(net.layers[-1], Linear):
         raise ValueError("relaxation requires a network that ends in a Linear layer")
-    infeasible = PlanetModel(None, -1, [], None, [], infeasible=True)
+    infeasible = PlanetModel(None, box, -1, None, [], infeasible=True)
     model = lp.LpModel(box.lb, box.ub)
     basis = lp.Basis()
     prev = np.arange(box.size)  # the variable of each unit of the last layer, -1 for a constant zero
@@ -234,6 +240,7 @@ def _encode(
             model.lower[prev] = lo
             model.upper[prev] = hi
             if tighten and not output_only and not exact:
+                max_basis = basis  # the max chain starts from the layer's start basis
                 for j in ambiguous.tolist():
                     p = int(prev[j])
                     try:
@@ -241,10 +248,10 @@ def _encode(
                         if sol_min.status == lp.INFEASIBLE:
                             return infeasible
                         basis = sol_min.basis
-                        sol_max = lp.solve(model.with_objective({p: -1.0}), basis)
+                        sol_max = lp.solve(model.with_objective({p: -1.0}), max_basis)
                         if sol_max.status == lp.INFEASIBLE:
                             return infeasible
-                        basis = sol_max.basis
+                        max_basis = sol_max.basis
                     except lp.NumericalFailure:
                         continue  # the unit keeps its interval bounds, which are sound
                     lo[j] = model.lower[p] = max(lo[j], sol_min.objective - _SAFETY)
@@ -281,7 +288,7 @@ def _encode(
         out.post_lb.append(cur_lb)
         out.post_ub.append(cur_ub)
 
-    return PlanetModel(model, int(prev[0]), list(range(box.size)), out, hull_units, basis=basis)
+    return PlanetModel(model, box, int(prev[0]), out, hull_units, basis=basis)
 
 
 def build_planet(
@@ -313,7 +320,7 @@ def planet_lower_bound_with_point(pm: PlanetModel) -> tuple[float, np.ndarray | 
     sol = lp.solve(pm.model.with_objective({pm.output_var: 1.0}), pm.basis)
     if sol.status == lp.INFEASIBLE:
         return np.inf, None
-    return sol.objective, sol.x[: len(pm.input_vars)]
+    return sol.objective, sol.x[: pm.box.size]
 
 
 def reluplex_lower_bound(net: Network, box: BoxDomain, phases: PhaseMap | None = None) -> tuple[float, np.ndarray | None]:

@@ -22,7 +22,8 @@ moved float value (``margin``, ``lb``, ``ub``, ``best_lb``, ``best_ub``,
 ``min_estimate`` and the counterexample's coordinates) with the size of the
 move, then the count and the largest move per field, and last a table of
 the moved values per (method, status, field), a sweep line's branching rule
-standing for its method.
+standing for its method, and then per method the node totals of both files
+and the number of lines whose node count moved.
 """
 
 from __future__ import annotations
@@ -112,8 +113,13 @@ def compare(parent_path: str, change_path: str) -> int:
     failures = 0
     moved: dict[str, list[float]] = {}
     table: Counter = Counter()  # (method, status, field) -> moved values
+    nodes: dict[str, list[int]] = {}  # method -> parent total, change total, lines moved
     for n, (old, new) in enumerate(zip(parent, change), 1):
         method = old.get("method", old.get("branching"))
+        counts = nodes.setdefault(method, [0, 0, 0])
+        counts[0] += old["nodes"]
+        counts[1] += new["nodes"]
+        counts[2] += old["nodes"] != new["nodes"]
         where = f"line {n} ({old['kind']} {method} seed {old['seed']})"
         old_cex, new_cex = old.pop("counterexample", None), new.pop("counterexample", None)
         fixed = (set(old) | set(new)) - set(FLOAT_FIELDS)
@@ -140,6 +146,9 @@ def compare(parent_path: str, change_path: str) -> int:
     print("moved values per (method, status, field):")
     for (method, status, key), count in sorted(table.items()):
         print(f"  {method:16} {status:8} {key:15} {count}")
+    print("nodes per method (parent total, change total, lines moved):")
+    for method, (old_total, new_total, lines) in nodes.items():
+        print(f"  {method:16} {old_total:8} {new_total:8} {lines:6}")
     print(f"{len(parent)} lines, {failures} differ outside their float fields")
     return 1 if failures else 0
 

@@ -28,7 +28,7 @@ from plverify.canon import Geq, canonicalize, lower_maxpools, validate_counterex
 from plverify.gensuite import GenSpec, generate, standard_suite
 from plverify.interval import BLOCKED, PASSING, propagate_box
 from plverify.lp import NumericalFailure
-from plverify.model import BoxDomain, Linear, Network, Relu, forward_batch, forward_eval
+from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_batch, forward_eval
 from plverify.oracle import oracle_min, oracle_verdict
 from plverify.relax import build_planet
 from plverify.rng import SplitMix64
@@ -181,6 +181,52 @@ def test_sample_upper_bound_phase_filtering():
     # both passing only happens on the measure-zero line x1+x2=0
     val, pt = sample_upper_bound(net, problem.domain, impossible, 64, SplitMix64(2))
     assert val == np.inf and pt is None
+
+
+def _sample_per_trial(net, box, phases, count, rng):
+    """``sample_upper_bound`` with one ``forward_eval`` per coordinate trial."""
+    pts = rng.uniform_box(box.lb, box.ub, count)
+    vals, mask = bab_module._forward_phases(net, pts, phases)
+    if phases:
+        if not np.any(mask):
+            return np.inf, None
+        vals = np.where(mask, vals, np.inf)
+    k = int(np.argmin(vals))
+    best_val, best_pt = float(vals[k]), pts[k].copy()
+    for j in range(box.size):
+        for cand in (box.lb[j], 0.5 * (box.lb[j] + box.ub[j]), box.ub[j]):
+            trial = best_pt.copy()
+            trial[j] = cand
+            v = float(forward_eval(net, trial)[0])
+            if v < best_val:
+                if phases and not bab_module._forward_phases(net, trial[None, :], phases)[1][0]:
+                    continue
+                best_val, best_pt = v, trial
+    return best_val, best_pt
+
+
+def test_sample_upper_bound_keeps_the_bytes_of_a_per_trial_loop():
+    # the three trials of a coordinate share one evaluation, row by row, so
+    # the value and the point are those of one forward_eval per trial
+    rng = np.random.default_rng(58)
+    cases = [(net, box, phases) for net, box, phases in differential_cases(rng)]
+    for _ in range(20):
+        n_in = int(rng.integers(1, 4))
+        pooled = Network(n_in, (
+            Linear(rng.normal(size=(4, n_in)), rng.uniform(-0.5, 0.5, 4)),
+            MaxPool(((0, 1), (2, 3))),
+            Linear(rng.normal(size=(1, 2)), rng.uniform(-0.5, 0.5, 1)),
+        ))
+        cases.append((pooled, random_box(rng, n_in), {}))
+    found = {"plain": 0, "phased": 0}
+    for seed, (net, box, phases) in enumerate(cases):
+        for given in ({}, phases):
+            got = sample_upper_bound(net, box, given, 32, SplitMix64(seed))
+            want = _sample_per_trial(net, box, given, 32, SplitMix64(seed))
+            assert float(got[0]).hex() == float(want[0]).hex()
+            assert (got[1] is None and want[1] is None) or got[1].tobytes() == want[1].tobytes()
+            found["phased" if given else "plain"] += got[1] is not None
+    assert min(found.values()) > 100, found
 
 
 def test_toy_verify_unsat_all_bab_methods():

@@ -450,6 +450,31 @@ def test_solve_writes_neither_its_start_nor_its_model():
     assert solve(model).basis == Basis((~0,))
 
 
+def test_pivots_count_the_basis_changes_of_the_run():
+    # the toy hull LP takes two pivots from the slack basis and none from
+    # its own optimum; a bound-only model only flips bounds; a fresh copy
+    # of a model from the same start takes the same pivots, an INFEASIBLE
+    # result's dual pivots included
+    toy = _toy_planet_lp()
+    cold = solve(toy)
+    assert cold.pivots == 2 and solve(toy, cold.basis).pivots == 0
+    m = LpModel()
+    m.add_var(0.0, 4.0)
+    m.set_objective({0: -1.0})
+    assert solve(m).pivots == 0
+    rng = np.random.default_rng(31)
+    moved = {OPTIMAL: 0, INFEASIBLE: 0}
+    for _ in range(100):
+        model = _random_model(rng)
+        start = Basis(tuple(~i for i in range(len(model.rows))), frozenset({0}))
+        got = solve(model, start)
+        assert got.pivots == solve(model.copy(), start).pivots
+        moved[got.status] += got.pivots > 0
+        if got.status == OPTIMAL:
+            assert solve(model, got.basis).pivots == 0
+    assert min(moved.values()) > 5, moved
+
+
 _REL_SYMBOL = {LE: "<=", EQ: "=", GE: ">=", None: "None"}
 
 

@@ -236,7 +236,7 @@ def test_no_node_lp_is_solved_after_a_counterexample(monkeypatch):
 @pytest.mark.parametrize("variant", [PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE])
 def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     # every node LP starts from its parent's basis (the root from the
-    # all-slack basis), never falls back to a cold start, reports
+    # encoding's crash basis), never falls back to a cold start, reports
     # INFEASIBLE only through a checked Farkas row, agrees with a cold
     # re-solve and returns the bytes of a fresh copy of its model (no shared
     # form) from the same basis
@@ -286,6 +286,59 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     assert counts["cold_starts"] == 0
     assert counts["proofs"] == counts["infeasible"] > 0
     assert counts["dual"] == counts["nodes"] > 20
+
+
+def _native_maxpool_net(rng, n_in: int) -> Network:
+    """Linear, ReLU, Linear, native MaxPool over groups of 1 to 3, Linear."""
+    sizes = [int(s) for s in rng.integers(1, 4, size=int(rng.integers(1, 4)))]
+    starts = np.cumsum([0] + sizes)
+    hidden, width = int(rng.integers(2, 5)), int(starts[-1])
+    return Network(n_in, (
+        Linear(rng.normal(size=(hidden, n_in)), rng.uniform(-0.5, 0.5, hidden)),
+        Relu(),
+        Linear(rng.normal(size=(width, hidden)), rng.uniform(-0.5, 0.5, width)),
+        MaxPool(tuple(tuple(range(a, b)) for a, b in zip(starts, starts[1:]))),
+        Linear(rng.normal(size=(1, len(sizes))), rng.uniform(-0.5, 0.5, 1)),
+    ))
+
+
+def test_root_starts_from_the_forward_pass_crash_basis(monkeypatch):
+    # the root LP starts from the encoding's basis, a network point, so it
+    # never falls back to the slack basis, reaches the cold optimum and
+    # takes fewer pivots than a start from the slack basis
+    real_solve = lp.solve
+    roots = []
+
+    def recorded(model, basis=None):
+        got = real_solve(model, basis)
+        roots.append((model, basis, got))
+        return got
+
+    cases = []
+    rng = np.random.default_rng(56)
+    for _ in range(20):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in, [int(rng.integers(3, 6)) for _ in range(int(rng.integers(1, 4)))])
+        box = random_box(rng, n_in)
+        cases += [(net, box, variant) for variant in (PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE)]
+        pooled = _native_maxpool_net(rng, n_in)
+        cases += [(pooled, box, variant) for variant in (INTERVAL_VARIANT, MipVariant(SYM, BOUNDS_INTERVAL))]
+    crash = slack = pools = 0
+    for net, box, variant in cases:
+        enc = encode_mip(net, box, variant)
+        roots.clear()
+        with monkeypatch.context() as patch:
+            cold_starts = count_calls(patch, lp, "_slack_start")
+            patch.setattr(lp, "solve", recorded)
+            solve_mip(enc, node_cap=1)
+        (model, basis, got), = roots
+        assert basis is enc.basis and cold_starts[0] == 0
+        want = real_solve(model, lp.slack_basis(model))
+        assert abs(got.objective - want.objective) <= 1e-9
+        crash += got.pivots
+        slack += want.pivots
+        pools += len(enc.pool_groups)
+    assert pools > 40 and crash < slack, (pools, crash, slack)
 
 
 def test_queued_nodes_hold_no_matrices(monkeypatch):

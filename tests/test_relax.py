@@ -378,6 +378,52 @@ def test_relaxation_lps_never_start_cold(monkeypatch):
     assert all(solves) and len(solves) > 300
 
 
+def _extends(start: lp.Basis, basis: lp.Basis) -> bool:
+    """``start`` is ``basis`` extended by columns for new rows."""
+    return start.basic[: len(basis.basic)] == basis.basic and basis.at_upper <= start.at_upper
+
+
+def test_tightening_lps_run_on_a_min_and_a_max_chain(monkeypatch):
+    # each max LP starts from the basis the previous max LP of its layer
+    # returned, the layer's first one from the layer's start basis, which
+    # its first min LP starts from too; each min LP starts from the previous
+    # min LP's basis, and the min chain, extended, starts the next layer and
+    # the output LP
+    real_solve = lp.solve
+    solves = []
+
+    def recorded(model, basis=None):
+        got = real_solve(model, basis)
+        solves.append((len(model.rows), model.objective.min() < 0.0, basis, got.basis))
+        return got
+
+    monkeypatch.setattr(lp, "solve", recorded)
+    rng = np.random.default_rng(57)
+    max_lps = chained = 0
+    for _ in range(20):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in, [int(rng.integers(3, 6)) for _ in range(3)])
+        solves.clear()
+        planet_lower_bound_with_point(build_planet(net, random_box(rng, n_in), tighten=True))
+        *tightening, (_, _, output_start, _) = solves
+        layer_rows = last_min = None
+        for rows, is_max, start, final in tightening:
+            if is_max:
+                assert start == (layer_start if last_max is None else last_max)
+                chained += last_max is not None
+                last_max = final
+                max_lps += 1
+                continue
+            if rows != layer_rows:  # the layer's first unit
+                assert last_min is None or _extends(start, last_min)
+                layer_rows, layer_start, last_max = rows, start, None
+            else:
+                assert start == last_min
+            last_min = final
+        assert last_min is None or _extends(output_start, last_min)
+    assert max_lps > 50 and chained > 20
+
+
 def _recorded_solves(monkeypatch) -> list:
     """The models of every later ``lp.solve`` call."""
     real_solve = lp.solve
