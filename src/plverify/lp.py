@@ -29,12 +29,13 @@ calls, and the ratio tests are scalar passes over Python lists.
 
 A ``Basis`` is an immutable value of columns only: ``solve`` derives its
 start from one and returns its final one. The relaxation builder hands each
-tightening LP the optimum of the previous LP in the same direction (min or
-max), extended by a crash column per new row; the MIP search starts its root
-from the encoding's forward-pass crash basis and each node from its parent's
-optimum; the oracle hands each pattern LP the last basis on its pattern's
-path, extended by a basic slack per new row. Each result counts its pivots
-(``LpSolution.pivots``), the basis changes of the run that produced it.
+tightening LP a crash basis of its own, the vertex that a backward sign pass
+picks for its objective row; the MIP search starts its root from the
+encoding's forward-pass crash basis at the corner the same pass picks for
+the output, and each node from its parent's optimum; the oracle hands each
+pattern LP the last basis on its pattern's path, extended by a basic slack
+per new row. Each result counts its pivots (``LpSolution.pivots``), the
+basis changes of the run that produced it.
 
 Every solve takes one route: from a start basis, dual simplex pivots until
 the basic values lie within their bounds, then primal phase 2. The start is
@@ -57,9 +58,11 @@ combination of the columns over their box must miss its right-hand side by
 more than the feasibility tolerance, scaled by the row's magnitude. When
 the check fails but no basic value lies outside its bounds by more than the
 feasibility tolerance, the start counts as feasible; otherwise the run
-raises ``NumericalFailure``. The only other INFEASIBLE results are a
-variable with lower > upper and a model without variables whose rows 0
-does not meet.
+raises ``NumericalFailure``. So does a dual pivot whose entry w_r of
+B^-1 a_e lies below the pivot threshold: w_r can round to 0 where the same
+entry computed as (B^-1[r] A)_e, which chose the column, passed it. The
+only other INFEASIBLE results are a variable with lower > upper and a model
+without variables whose rows 0 does not meet.
 
 Tolerances (fixed for the whole artifact): feasibility 1e-8 (1e-10 for
 the dual pass from the slack basis), optimality 1e-7, pivot threshold
@@ -694,6 +697,9 @@ def _run_dual(state: _SimplexState, c: np.ndarray, tol: float, max_iter: int) ->
             degen_run = 0
 
         w = binv @ a[:, e]
+        # w_r and alpha_e are one entry rounded two ways
+        if abs(w.item(r)) < PIVOT_TOL:
+            raise NumericalFailure("pivot below threshold")
         target = lo_l[cols[r]] if rise else hi_l[cols[r]]
         step = (xb.item(r) - target) / w.item(r)
         x[e] += step

@@ -44,9 +44,12 @@ UNSAT instance.
 
 Node LPs start warm. The root starts from ``EncodedMip.basis``, a crash
 basis that ``encode_mip`` builds block by block from the network's forward
-pass at the box's lower corner (Bixby, "Implementing the Simplex Method:
-The Initial Basis", ORSA J. Computing 4(3), 1992), with the inputs
-nonbasic at their lower bounds:
+pass at one corner of the box (Bixby, "Implementing the Simplex Method:
+The Initial Basis", ORSA J. Computing 4(3), 1992). The corner is the one
+that ``relax.sign_pass`` picks for the output row over the encoding's
+bounds: an input sits at its upper bound where the pass's coefficient is
+negative, else at its lower bound, and is nonbasic there. A native MaxPool
+encoding keeps the lower corner. The blocks' columns:
 
 * a Linear row: its x_hat basic;
 * an ambiguous unit whose pre-activation there is >= 0: x, d and the slack
@@ -92,8 +95,8 @@ from . import lp
 from .bab import SATISFIABILITY, BabConfig, BabResult, NoAmbiguousUnit, Subdomain, _Engine
 from .canon import validate_point
 from .interval import LayerBounds, propagate_box
-from .model import BoxDomain, Linear, Network, Relu, forward_eval
-from .relax import add_linear, build_planet
+from .model import BoxDomain, Linear, Network, Relu, forward_eval, is_relu_only
+from .relax import add_linear, build_planet, sign_pass
 
 ASYM = "asym"
 SYM = "sym"
@@ -128,7 +131,7 @@ class EncodedMip:
     model: lp.LpModel  # full encoding, output minimised
     output_var: int
     int_vars: list[int]
-    basis: lp.Basis  # the root LP's start: the network's forward pass at the box's lower corner
+    basis: lp.Basis  # the root LP's start: the network's forward pass at a corner of the box
     relu_units: list[tuple[int, int, int, int, int]] = field(default_factory=list)
     # (layer, unit, delta_var, pre_var, post_var)
     pool_groups: list[tuple[int, int, list[int], int]] = field(default_factory=list)
@@ -147,15 +150,18 @@ def compute_bounds(net: Network, box: BoxDomain, source: str) -> LayerBounds:
 def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
     """Build the big-M model, one block per layer (per group of a MaxPool);
     one binary per ambiguous unit, none elsewhere. Each block also extends
-    the crash basis of the forward pass at the box's lower corner (see the
-    module docstring)."""
+    the crash basis of the forward pass at the corner the sign pass picks
+    (see the module docstring)."""
     if not isinstance(net.layers[-1], Linear):
         raise ValueError("the MIP encoding requires a network that ends in a Linear layer")
     bounds = compute_bounds(net, box, variant.bounds_source)
+    upper = np.zeros(box.size, dtype=bool)  # a native MaxPool keeps the lower corner
+    if is_relu_only(net):
+        upper = sign_pass(net.layers, np.ones((1, 1)), bounds.pre_lb, bounds.pre_ub)[0][0] < 0.0
     model = lp.LpModel(box.lb, box.ub)
-    basis = lp.Basis()  # the inputs are nonbasic at their lower bounds
+    basis = lp.Basis(at_upper=frozenset(np.flatnonzero(upper).tolist()))  # the inputs nonbasic at the corner
     prev = np.arange(box.size)  # the variable of each unit of the last layer, -1 for a constant zero
-    val = box.lb  # the value of each unit of the last layer at the lower corner
+    val = np.where(upper, box.ub, box.lb)  # the value of each unit of the last layer at the corner
     int_vars: list[int] = []
     relu_units: list[tuple[int, int, int, int, int]] = []
     pool_groups: list[tuple[int, int, list[int], int]] = []

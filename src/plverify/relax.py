@@ -41,31 +41,36 @@ bounds it had, which are sound, and the encoding goes on.
 
 The model is written one block per layer (``lp.LpModel.add_block``): a
 Linear layer is [-W | I] with its bias (``add_linear``), a ReLU layer the
-rows of its ambiguous units, placed by index arithmetic. Every LP over one
-relaxation starts warm, on one of two chains. Each min tightening LP starts
-from the basis the previous min LP returned, and that chain carries on,
-extended by the new rows' crash columns, into the next layers and the
-output LP. Each max tightening LP starts from the basis the previous max LP
-of its layer returned, the layer's first one from the layer's start basis:
-a unit's min optimum is its far vertex for the max LP, the previous unit's
-max optimum usually lies closer. An LP that fails numerically leaves its
-chain's basis as it was. Tightened bounds contain every feasible point, so
-an optimum stays feasible. The LPs are ``with_objective`` clones of the
-model, so the tightening LPs of a layer and the output LP share the
-standard form derived from its rows, whose slack bounds change only after a
-unit's bounds were tightened. Each row comes with a crash column that keeps
-the start primal-feasible without pivoting (inputs start at their lower
-bounds):
+rows of its ambiguous units, placed by index arithmetic. Each row comes
+with a crash column that keeps the block crash basis primal-feasible
+without pivoting (inputs start at their lower bounds):
 
 * a Linear equality row: its x_hat basic;
 * a hull unit: x basic in its chord row (x then sits on the chord, inside
   [max(0, x_hat), u]) and the slack basic in its x >= x_hat row;
 * a reluplex unit: x nonbasic at its upper bound u, the slack basic.
 
-Where a start is infeasible after all (a bound cut by fixed ReLU phases or
-by the backward pass), ``lp.solve`` either repairs it with dual pivots or
-starts again from its slack basis. Either way an infeasible phase set is
-reported only through a checked Farkas row.
+Every LP over one relaxation starts warm. Each tightening LP of a layer
+starts from a crash basis of its own (``_crash_starts``): for all the
+layer's objective rows +-e_j at once, one stacked ``sign_pass`` back
+through the layers below picks the faces of CROWN's backward pass (the
+chord where a unit's coefficient is negative, else the lower face) and the
+input corner, and one stacked forward pass at those corners places the
+vertex on them. Such a vertex is a point of the relaxation and often the
+LP's optimum. A layer's tightened bounds are written once all its LPs have
+run: they are implied by the layers below, so every LP of the layer reads
+the same model and the same standard form, which ``with_objective`` clones
+share. Where a fixed phase cuts a row's crash point out of the model, its
+LP starts instead from the last optimum the layer returned, or before any
+from the basis carried into the layer: the last optimum of the layers
+before (none: the block crash basis), extended by the new rows' crash
+columns. The carried basis also starts the output LP; tightened bounds
+contain every feasible point, so an optimum stays feasible. An LP that
+fails numerically leaves it as it was. Where a start is infeasible after
+all (a bound cut by fixed ReLU phases or by the backward pass),
+``lp.solve`` either repairs it with dual pivots or starts again from its
+slack basis. Either way an infeasible phase set is reported only through a
+checked Farkas row.
 
 Every LP-free bound is a call of one kernel, ``backward_pass``, which
 carries an affine under-estimator g . (layer value) + kappa of a stack of
@@ -167,6 +172,84 @@ def backward_pass(layers: tuple, g: np.ndarray, lb, ub, pre_lb: list, pre_ub: li
     return kappa + np.vecdot(g, np.where(g >= 0.0, lb, ub))
 
 
+def sign_pass(layers: tuple, g: np.ndarray, pre_lb: list, pre_ub: list) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The faces that CROWN's backward pass (Zhang et al., arXiv 1811.00866)
+    picks for each objective row g[r] over the output of the ReLU-only
+    ``layers``, over their bounds ``pre_lb``, ``pre_ub``: the rows' input
+    coefficients, negative where the row's corner takes ``ub``, and per ReLU
+    layer a mask of the chord faces, one column per ambiguous unit.
+
+    Through Linear(W, b): g <- g W. At an ambiguous unit (l < 0 < u) a
+    negative coefficient takes the chord face and its slope u/(u-l); any
+    other takes the lower face and CROWN's slope, 1 if u > -l, else 0. A
+    unit that is not ambiguous keeps its coefficient when u > 0 (passing)
+    and drops it otherwise (blocked), as the relaxation encodes it."""
+    chords = {}
+    for i in reversed(range(len(layers))):
+        if isinstance(layers[i], Linear):
+            g = g @ layers[i].weight
+            continue
+        l, u = pre_lb[i], pre_ub[i]
+        amb = (l < 0.0) & (u > 0.0)
+        chord = amb & (g < 0.0)
+        chords[i] = chord[:, amb]
+        # u > max(-l, 0) is CROWN's slope at an ambiguous unit and says
+        # passing at any other
+        g = g * np.where(chord, np.divide(u, u - l, out=np.zeros(len(u)), where=amb), u > np.maximum(-l, 0.0))
+    return g, chords
+
+
+def _crash_starts(
+    model: lp.LpModel, layers: tuple, box: BoxDomain, bounds: LayerBounds, units: list[HullUnit], g: np.ndarray
+) -> list[lp.Basis | None]:
+    """One start for each LP over ``model`` that minimises an objective row
+    g[r] over the output of ``layers``, all layers that ``model`` encodes:
+    the vertex on the faces that ``sign_pass`` picks over ``bounds``, at the
+    row's input corner. It is built from the Linear blocks' variables and
+    the hull ``units`` as the block crash columns are:
+
+    * each x_hat basic in its Linear row, each input nonbasic at its corner;
+    * a chord unit: x and the slack of its x >= x_hat row basic;
+    * a unit on its lower face where x_hat >= 0 there (active): x and its
+      chord slack basic, the x >= x_hat slack at its upper bound 0;
+    * one where x_hat < 0 (inactive): both slacks basic, x at 0.
+
+    A row's start is None when its point lies outside an x_hat bound of
+    ``model`` by more than ``lp.TOL_FEAS``, as a fixed phase can cut it."""
+    g, chords = sign_pass(layers, g, bounds.pre_lb, bounds.pre_ub)
+    upper = g < 0.0
+    v = np.where(upper, box.ub, box.lb)  # each row's value of the current layer
+    basic = np.empty((len(v), len(model.rhs)), dtype=np.intp)
+    inside = np.ones(len(v), dtype=bool)
+    columns, at_upper = [np.arange(box.size)], [upper]  # the columns that may start at their upper bound
+    n, m = box.size, 0  # the block's first variable and first row
+    for i, layer in enumerate(layers):
+        if isinstance(layer, Linear):
+            v = v @ layer.weight.T + layer.bias
+            x_hat = np.arange(n, n + len(layer.bias))
+            inside &= ((v >= model.lower[x_hat] - lp.TOL_FEAS) & (v <= model.upper[x_hat] + lp.TOL_FEAS)).all(axis=1)
+            basic[:, m : m + len(x_hat)] = x_hat
+            n, m = n + len(x_hat), m + len(x_hat)
+            continue
+        hull = [h for h in units if h.layer == i]
+        j, x, low = np.array([(h.unit, h.var_post, h.row_lower) for h in hull], dtype=np.intp).reshape(-1, 3).T
+        l, u = np.array([(h.lb, h.ub) for h in hull]).reshape(-1, 2).T
+        chord, pre = chords[i], v[:, j]
+        active = ~chord & (pre >= 0.0)
+        v = np.where(bounds.pre_ub[i] > 0.0, v, 0.0)  # a passing unit keeps x_hat, a blocked one is 0
+        v[:, j] = np.where(chord, u * (pre - l) / (u - l), np.maximum(pre, 0.0))
+        basic[:, low] = np.where(active, x, ~low)
+        basic[:, low + 1] = np.where(chord, x, ~(low + 1))
+        columns.append(~low)
+        at_upper.append(active)
+        n, m = n + len(hull), m + 2 * len(hull)
+    columns, at_upper = np.concatenate(columns), np.concatenate(at_upper, axis=1)
+    return [
+        lp.Basis(tuple(cols), frozenset(columns[up].tolist())) if ok else None
+        for cols, up, ok in zip(basic.tolist(), at_upper, inside)
+    ]
+
+
 def backward_bounds(
     net: Network, i: int, box: BoxDomain, bounds: LayerBounds, units: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -239,23 +322,32 @@ def _encode(
                 hi[ambiguous[ok]] = high[ok]
             model.lower[prev] = lo
             model.upper[prev] = hi
-            if tighten and not output_only and not exact:
-                max_basis = basis  # the max chain starts from the layer's start basis
-                for j in ambiguous.tolist():
+            if tighten and not output_only and not exact and len(ambiguous):
+                # a start per row +-e_j of the ambiguous units, min rows first;
+                # where one is None, the last optimum stands in
+                eye, k = np.eye(len(lo))[ambiguous], len(ambiguous)
+                starts = _crash_starts(model, net.layers[:i], box, out, hull_units, np.concatenate([eye, -eye]))
+                low, high = lo.copy(), hi.copy()
+                for t, j in enumerate(ambiguous.tolist()):
                     p = int(prev[j])
                     try:
-                        sol_min = lp.solve(model.with_objective({p: 1.0}), basis)
+                        sol_min = lp.solve(model.with_objective({p: 1.0}), starts[t] or basis)
                         if sol_min.status == lp.INFEASIBLE:
                             return infeasible
                         basis = sol_min.basis
-                        sol_max = lp.solve(model.with_objective({p: -1.0}), max_basis)
+                        sol_max = lp.solve(model.with_objective({p: -1.0}), starts[k + t] or basis)
                         if sol_max.status == lp.INFEASIBLE:
                             return infeasible
-                        max_basis = sol_max.basis
+                        basis = sol_max.basis
                     except lp.NumericalFailure:
                         continue  # the unit keeps its interval bounds, which are sound
-                    lo[j] = model.lower[p] = max(lo[j], sol_min.objective - _SAFETY)
-                    hi[j] = model.upper[p] = min(hi[j], -sol_max.objective + _SAFETY)
+                    low[j] = max(lo[j], sol_min.objective - _SAFETY)
+                    high[j] = min(hi[j], -sol_max.objective + _SAFETY)
+                # written once every LP of the layer has run: the bounds are
+                # implied by the layers below, so each LP reads the same model
+                lo, hi = low, high
+                model.lower[prev] = lo
+                model.upper[prev] = hi
             blocked, passing = hi <= 0.0, lo >= 0.0
             for j, phase in fixed.items():
                 (passing if phase == PASSING else blocked)[j] = True

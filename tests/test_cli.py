@@ -352,3 +352,38 @@ def test_cli_gen_suite_and_entry_point(tmp_path):
     code = main(["gen-suite", "--out-dir", str(tmp_path / "g"), "--count", "4", "--seed", "500"])
     assert code == 0
     assert len(list((tmp_path / "g").glob("*.net.json"))) == 4
+
+
+
+def _rescaled_suite_instance(seed: int, draw: int):
+    """Instance ``seed`` of ``standard_suite(60)`` with Linear layer k's
+    weights times f_k = 10^U(-6, 6), its bias times F_k = f_1 ... f_k and the
+    property threshold times the last F; the factors come from
+    ``default_rng(7070)``, two draws per instance in suite order. ReLU is
+    positively homogeneous, so the expected verdict stays the instance's."""
+    rng = np.random.default_rng(7070)
+    for spec in standard_suite(60):
+        for d in range(2):
+            factors = 10.0 ** rng.uniform(-6.0, 6.0, size=spec.depth + spec.maxpool + 1)
+            if (spec.seed, d) != (seed, draw):
+                continue
+            inst = generate(spec.seed, spec)
+            f, scale, layers = iter(factors), 1.0, []
+            for layer in inst.net.layers:
+                if isinstance(layer, Linear):
+                    fk = next(f)
+                    scale *= fk
+                    layer = Linear(layer.weight * fk, layer.bias * scale)
+                layers.append(layer)
+            return Network(inst.net.input_size, tuple(layers)), Geq(inst.prop.c, inst.prop.b * scale), inst.box, inst.expected
+    raise ValueError(f"no draw {draw} of seed {seed}")
+
+
+@pytest.mark.parametrize("method", ["mip-planet-opt", "mip-planet-feas"])
+def test_a_rescaled_net_ends_without_an_exception(method):
+    # seed 1028, draw 0 (last F = 9.6e11): a node LP's dual pass once met a
+    # pivot entry that rounds to 0 and divided by it; a numerical failure
+    # must end in a verdict or a TIMEOUT, never in an exception
+    net, prop, box, expected = _rescaled_suite_instance(1028, 0)
+    record = run_verify(net, prop, box, method, timeout=5.0)
+    assert record.status in (expected.upper(), "TIMEOUT")

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -650,3 +652,22 @@ def test_solve_rejects_an_infinite_bound_or_unknown_relation():
     with pytest.raises(ValueError, match="unknown relation"):
         solve(m)
     assert solve(LpModel([1.0], [0.0])).status == INFEASIBLE
+
+
+def test_a_dual_pivot_below_the_threshold_raises_numerical_failure():
+    # a MIP node LP of a suite net rescaled by up to 10^+-6 per layer
+    # (weights from 7e-5 to 4e6, bounds near 1e13): its dual pass from the
+    # slack basis picks an entering column on alpha = B^-1[r] A, whose entry
+    # w_r of B^-1 a_e rounds to 0. The pass raises NumericalFailure, which a
+    # caller can take, instead of dividing by w_r
+    doc = json.loads((Path(__file__).parent / "data" / "zero_pivot_lp.json").read_text(encoding="utf-8"))
+    lower, upper, rhs, objective = (np.array([float.fromhex(v) for v in doc[k]]) for k in ("lower", "upper", "rhs", "objective"))
+    rows = np.zeros((len(rhs), len(lower)))
+    for i, j, v in doc["entries"]:
+        rows[i, j] = float.fromhex(v)
+    model = LpModel(lower, upper)
+    model.add_block(rows, doc["rel"], rhs)
+    model.set_objective(objective)
+    assert model.num_vars == 38 and len(model.rhs) == 44
+    with pytest.raises(NumericalFailure, match="pivot below threshold"):
+        solve(model)

@@ -16,12 +16,13 @@ from plverify.mip import (
     SYM,
     EncodedMip,
     MipVariant,
+    compute_bounds,
     encode_mip,
     solve_mip,
 )
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
 from plverify.oracle import oracle_min, oracle_verdict
-from plverify.relax import build_planet, planet_lower_bound_with_point
+from plverify.relax import build_planet, planet_lower_bound_with_point, sign_pass
 
 
 def _pin(enc: EncodedMip, fixes: dict[int, int]) -> lp.LpModel:
@@ -339,6 +340,35 @@ def test_root_starts_from_the_forward_pass_crash_basis(monkeypatch):
         slack += want.pivots
         pools += len(enc.pool_groups)
     assert pools > 40 and crash < slack, (pools, crash, slack)
+
+
+def test_root_starts_at_the_corner_the_sign_pass_picks(monkeypatch):
+    # the root's crash point lies at the input corner that the sign pass
+    # picks from the output row over the encoding's bounds: an input starts
+    # at its upper bound exactly where the pass's coefficient is negative,
+    # and the start is primal feasible, so the root takes no dual pivot and
+    # reaches the optimum of a solve from the slack basis
+    real_solve = lp.solve
+    rng = np.random.default_rng(58)
+    uppers = inputs = 0
+    for _ in range(20):
+        n_in = int(rng.integers(2, 4))
+        net = random_net(rng, n_in, [int(rng.integers(3, 6)) for _ in range(int(rng.integers(1, 4)))])
+        box = random_box(rng, n_in)
+        for variant in (PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE):
+            enc = encode_mip(net, box, variant)
+            bounds = compute_bounds(net, box, variant.bounds_source)
+            g, _ = sign_pass(net.layers, np.ones((1, 1)), bounds.pre_lb, bounds.pre_ub)
+            at_upper = {c for c in enc.basis.at_upper if 0 <= c < n_in}
+            assert at_upper == set(np.flatnonzero(g[0] < 0.0).tolist())
+            uppers += len(at_upper)
+            inputs += n_in
+            with monkeypatch.context() as patch:
+                dual = count_calls(patch, lp, "_run_dual", lambda used: used > 0)
+                got = lp.solve(enc.model, enc.basis)
+            want = real_solve(enc.model, lp.slack_basis(enc.model))
+            assert dual[0] == 0 and abs(got.objective - want.objective) <= 1e-9
+    assert 0.2 * inputs < uppers < 0.8 * inputs, (uppers, inputs)
 
 
 def test_queued_nodes_hold_no_matrices(monkeypatch):

@@ -378,50 +378,91 @@ def test_relaxation_lps_never_start_cold(monkeypatch):
     assert all(solves) and len(solves) > 300
 
 
-def _extends(start: lp.Basis, basis: lp.Basis) -> bool:
-    """``start`` is ``basis`` extended by columns for new rows."""
-    return start.basic[: len(basis.basic)] == basis.basic and basis.at_upper <= start.at_upper
+def test_tightening_lps_start_from_their_own_crash_basis(monkeypatch):
+    # without fixed phases each tightening LP starts from the crash basis
+    # built for its own objective row, a point of the relaxation, so no LP
+    # takes a dual pivot or falls back to the slack basis; the LPs of a
+    # layer all read one standard form and one set of bounds: a layer's
+    # tightened bounds are written after its last LP
+    real_solve, real_crash = lp.solve, relax_module._crash_starts
+    crashes, solves = [], []
 
-
-def test_tightening_lps_run_on_a_min_and_a_max_chain(monkeypatch):
-    # each max LP starts from the basis the previous max LP of its layer
-    # returned, the layer's first one from the layer's start basis, which
-    # its first min LP starts from too; each min LP starts from the previous
-    # min LP's basis, and the min chain, extended, starts the next layer and
-    # the output LP
-    real_solve = lp.solve
-    solves = []
+    def crash(*args):
+        starts = real_crash(*args)
+        crashes.append(starts)
+        return starts
 
     def recorded(model, basis=None):
-        got = real_solve(model, basis)
-        solves.append((len(model.rows), model.objective.min() < 0.0, basis, got.basis))
-        return got
+        solves.append((len(crashes), model.standard_form(), basis, model.lower.copy(), model.upper.copy()))
+        return real_solve(model, basis)
 
+    monkeypatch.setattr(relax_module, "_crash_starts", crash)
     monkeypatch.setattr(lp, "solve", recorded)
+    dual = count_calls(monkeypatch, lp, "_run_dual", lambda used: used > 0)
+    cold = count_calls(monkeypatch, lp, "_slack_start")
     rng = np.random.default_rng(57)
-    max_lps = chained = 0
+    layers = 0
     for _ in range(20):
         n_in = int(rng.integers(2, 4))
         net = random_net(rng, n_in, [int(rng.integers(3, 6)) for _ in range(3)])
+        crashes.clear()
         solves.clear()
-        planet_lower_bound_with_point(build_planet(net, random_box(rng, n_in), tighten=True))
-        *tightening, (_, _, output_start, _) = solves
-        layer_rows = last_min = None
-        for rows, is_max, start, final in tightening:
-            if is_max:
-                assert start == (layer_start if last_max is None else last_max)
-                chained += last_max is not None
-                last_max = final
-                max_lps += 1
-                continue
-            if rows != layer_rows:  # the layer's first unit
-                assert last_min is None or _extends(start, last_min)
-                layer_rows, layer_start, last_max = rows, start, None
-            else:
-                assert start == last_min
-            last_min = final
-        assert last_min is None or _extends(output_start, last_min)
-    assert max_lps > 50 and chained > 20
+        build_planet(net, random_box(rng, n_in), tighten=True)
+        for k, starts in enumerate(crashes, 1):
+            lps = [s for s in solves if s[0] == k]
+            # the min LP of unit t starts from starts[t], its max LP from
+            # starts[len(lps) // 2 + t]
+            order = [t // 2 + (t % 2) * (len(lps) // 2) for t in range(len(lps))]
+            assert len(lps) == len(starts) and all(basis is starts[t] for t, (_, _, basis, _, _) in zip(order, lps))
+            _, form, _, lower, upper = lps[0]
+            assert all(f is form and (lo == lower).all() and (hi == upper).all() for _, f, _, lo, hi in lps)
+            layers += 1
+    assert dual[0] == 0 and cold[0] == 0
+    assert layers > 20
+
+
+def test_a_crash_point_cut_by_a_phase_starts_from_the_last_optimum(monkeypatch):
+    # where a fixed phase cuts a row's crash point out of the model, that
+    # LP starts from the last optimum its layer returned, before any from
+    # the basis the encoding carried into the layer: the last optimum of the
+    # layers before, extended by crash columns
+    real_solve, real_crash = lp.solve, relax_module._crash_starts
+    crashes, solves = [], []
+
+    def crash(*args):
+        crashes.append(real_crash(*args))
+        return crashes[-1]
+
+    def recorded(model, basis=None):
+        got = real_solve(model, basis)
+        solves.append((len(crashes), basis, got.basis))
+        return got
+
+    monkeypatch.setattr(relax_module, "_crash_starts", crash)
+    monkeypatch.setattr(lp, "solve", recorded)
+    fallbacks = 0
+    for net, box, phases in differential_cases(np.random.default_rng(8)):
+        crashes.clear()
+        solves.clear()
+        build_planet(net, box, phases, tighten=True)
+        carried = None  # the last optimum of the layers before
+        for k, starts in enumerate(crashes, 1):
+            lps = [(start, final) for layer, start, final in solves if layer == k]
+            half = len(starts) // 2
+            last = None
+            for t, (start, final) in enumerate(lps):
+                own = starts[t // 2 + (t % 2) * half]
+                if own is None:
+                    if last is not None:
+                        assert start is last
+                    elif carried is not None:
+                        assert start.basic[: len(carried.basic)] == carried.basic
+                    fallbacks += 1
+                else:
+                    assert start is own
+                last = final if final is not None else last
+            carried = last if last is not None else carried
+    assert fallbacks > 10
 
 
 def _recorded_solves(monkeypatch) -> list:
