@@ -199,15 +199,15 @@ def _bisect(dom: Subdomain, i: int) -> list[Subdomain]:
     ]
 
 
-def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = None) -> list[Subdomain]:
+def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain) -> list[Subdomain]:
     """Bisect the dimension whose tentative children have the best fast
     dual bounds (scored by the worse of the two; all children in one
     stacked ``propagate_box`` and one ``backward_pass``). The children
     returned are the scored ones and carry their fast bound (``fast_lb``);
     the parent's own score is its ``fast_lb`` when set.
 
-    Given the search's `root` box, the split keeps the width guarantee:
-    edge widths are measured relative to `root`, and when the widest is
+    The split keeps the width guarantee over the search's ``root`` box:
+    edge widths are measured relative to ``root``, and when the widest is
     more than ASPECT_LIMIT times the narrowest non-degenerate one, that
     widest edge is bisected without scoring. The fast dual bound may never
     reward splitting some dimension; without the guarantee such an edge
@@ -217,12 +217,11 @@ def split_input_smart(dom: Subdomain, net: Network, root: BoxDomain | None = Non
     widths = box.widths()
     if np.max(widths) <= 0.0:
         raise SplitExhausted("box has zero width in every dimension")
-    if root is not None:
-        scale = root.widths()
-        rel = np.divide(widths, scale, out=np.zeros_like(widths), where=scale > 0.0)
-        live = rel[rel > 0.0]
-        if live.max() > ASPECT_LIMIT * live.min():
-            return _bisect(dom, int(np.argmax(rel)))
+    scale = root.widths()
+    rel = np.divide(widths, scale, out=np.zeros_like(widths), where=scale > 0.0)
+    live = rel[rel > 0.0]
+    if live.max() > ASPECT_LIMIT * live.min():
+        return _bisect(dom, int(np.argmax(rel)))
     parent = dom.fast_lb
     if parent is None:
         parent = fast_dual_bound(net, box, propagate_box(net, box))

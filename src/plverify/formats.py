@@ -103,10 +103,6 @@ def save_result(doc: dict, path: str | Path) -> None:
     Path(path).write_text(json.dumps(ordered) + "\n", encoding="utf-8")
 
 
-def load_result(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text(encoding="utf-8"))
-
-
 def load_nnet(path: str | Path) -> Network:
     """Best-effort reader for the ACAS-style text format.
 
@@ -114,22 +110,25 @@ def load_nnet(path: str | Path) -> Network:
     output size, largest layer size; each checked against the layer sizes),
     the layer sizes, a legacy flag line, input minima/maxima and
     normalisation constants (all ignored), then per layer the weight matrix
-    rows followed by one bias entry per line. ReLUs sit between consecutive
-    layers, not after the last.
+    rows followed by one bias entry per line, and nothing after the last.
+    ReLUs sit between consecutive layers, not after the last.
     """
-    lines = []
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
+    lines, where = [], []  # the content lines and their numbers in the file
+    for number, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         s = raw.strip()
-        if not s or s.startswith("//"):
-            continue
-        lines.append(s)
+        if s and not s.startswith("//"):
+            lines.append(s)
+            where.append(number)
 
-    def nums(at: int, part: str) -> list[float]:
-        """The numbers on line ``at``, which holds ``part`` of the file."""
+    def nums(at: int, part: str, count: int | None = None) -> list[float]:
+        """The numbers on line ``at``, which holds ``part`` of the file;
+        exactly ``count`` of them when given."""
         line = lines[at] if at < len(lines) else ""
         values = [float(tok) for tok in line.rstrip(",").split(",") if tok.strip()]
         if not values:
             raise ValueError(f"truncated .nnet file: missing the {part}")
+        if count is not None and len(values) != count:
+            raise ValueError(f"line {where[at]}: {part} holds {len(values)} numbers, expected {count}")
         return values
 
     header = [whole_number(v, "header count") for v in nums(0, "header")]
@@ -152,18 +151,17 @@ def load_nnet(path: str | Path) -> Network:
         n_out, n_in = sizes[k + 1], sizes[k]
         weight = np.zeros((n_out, n_in))
         for j in range(n_out):
-            row = nums(pos, f"weight row {j} of layer {k + 1}")
+            weight[j] = nums(pos, f"weight row {j} of layer {k + 1}", n_in)
             pos += 1
-            if len(row) != n_in:
-                raise ValueError(f"layer {k + 1} row {j}: expected {n_in} weights, got {len(row)}")
-            weight[j] = row
         bias = np.zeros(n_out)
         for j in range(n_out):
-            bias[j] = nums(pos, f"bias {j} of layer {k + 1}")[0]
+            bias[j] = nums(pos, f"bias {j} of layer {k + 1}", 1)[0]
             pos += 1
         layers.append(Linear(weight, bias))
         if k + 1 < n_layers:
             layers.append(Relu())
+    if pos < len(lines):
+        raise ValueError(f"line {where[pos]}: unexpected content after the last bias")
     net = Network(sizes[0], tuple(layers))
     errors = validate_network(net)
     if errors:

@@ -60,10 +60,6 @@ class LayerBounds:
     def output_lb(self) -> np.ndarray:
         return self.post_lb[-1]
 
-    @property
-    def output_ub(self) -> np.ndarray:
-        return self.post_ub[-1]
-
 
 def pre_bounds(
     layer: Layer, i: int, lb: np.ndarray, ub: np.ndarray, phases: PhaseMap | None = None

@@ -29,13 +29,13 @@ calls, and the ratio tests are scalar passes over Python lists.
 
 A ``Basis`` is an immutable value of columns only: ``solve`` derives its
 start from one and returns its final one. The relaxation builder hands each
-tightening LP a crash basis of its own, the vertex that a backward sign pass
-picks for its objective row; the MIP search starts its root from the
-encoding's forward-pass crash basis at the corner the same pass picks for
-the output, and each node from its parent's optimum; the oracle hands each
-pattern LP the last basis on its pattern's path, extended by a basic slack
-per new row. Each result counts its pivots (``LpSolution.pivots``), the
-basis changes of the run that produced it.
+tightening LP a crash basis of its own, the vertex on the faces that CROWN's
+adaptive backward pass takes for its objective row; the MIP search starts
+its root from the encoding's forward-pass crash basis at the corner the same
+pass picks for the output, and each node from its parent's optimum; the
+oracle hands each pattern LP the last basis on its pattern's path, extended
+by a basic slack per new row. Each result counts its pivots
+(``LpSolution.pivots``), the basis changes of the run that produced it.
 
 Every solve takes one route: from a start basis, dual simplex pivots until
 the basic values lie within their bounds, then primal phase 2. The start is
@@ -195,14 +195,6 @@ class LpModel:
         a[:m, :n], a[m:, :width] = old.a, rows  # a row past the variables raises
         self._rows = _RowSet(a, np.concatenate((old.rhs, rhs)), np.concatenate((old.rel, rel)))
 
-    def add_var(self, lb: float, ub: float) -> int:
-        self.add_block(np.zeros((0, 0)), [], [], [lb], [ub])
-        return self.num_vars - 1
-
-    def add_row(self, coefs, rel: int, rhs: float) -> int:
-        self.add_block(self._dense(coefs)[None], [rel], [rhs])
-        return len(self.rhs) - 1
-
     def _dense(self, coefs) -> np.ndarray:
         """``coefs`` as a row over the variables: an array, or a dict of entries."""
         if not isinstance(coefs, dict):
@@ -220,13 +212,6 @@ class LpModel:
         clone = object.__new__(LpModel)
         clone.lower, clone.upper, clone._rows = self.lower.copy(), self.upper.copy(), self._rows
         clone.set_objective(coefs)
-        return clone
-
-    def copy(self) -> "LpModel":
-        """A clone that derives its standard form afresh."""
-        clone, rows = self.with_objective({}), self._rows
-        clone._rows = _RowSet(rows.a, rows.rhs, rows.rel)
-        clone.objective = None if self.objective is None else self.objective.copy()
         return clone
 
     def standard_form(self) -> _Form | None:

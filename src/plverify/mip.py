@@ -46,10 +46,11 @@ Node LPs start warm. The root starts from ``EncodedMip.basis``, a crash
 basis that ``encode_mip`` builds block by block from the network's forward
 pass at one corner of the box (Bixby, "Implementing the Simplex Method:
 The Initial Basis", ORSA J. Computing 4(3), 1992). The corner is the one
-that ``relax.sign_pass`` picks for the output row over the encoding's
-bounds: an input sits at its upper bound where the pass's coefficient is
-negative, else at its lower bound, and is nonbasic there. A native MaxPool
-encoding keeps the lower corner. The blocks' columns:
+that CROWN's adaptive ``relax.backward_pass`` takes for the output row
+over the encoding's bounds: an input sits at its upper bound where the
+pass's final coefficient is negative, else at its lower bound, and is
+nonbasic there. A native MaxPool encoding keeps the lower corner. The
+blocks' columns:
 
 * a Linear row: its x_hat basic;
 * an ambiguous unit whose pre-activation there is >= 0: x, d and the slack
@@ -96,7 +97,7 @@ from .bab import SATISFIABILITY, BabConfig, BabResult, NoAmbiguousUnit, Subdomai
 from .canon import validate_point
 from .interval import LayerBounds, propagate_box
 from .model import BoxDomain, Linear, Network, Relu, forward_eval, is_relu_only
-from .relax import add_linear, build_planet, sign_pass
+from .relax import add_linear, backward_pass, build_planet
 
 ASYM = "asym"
 SYM = "sym"
@@ -132,8 +133,6 @@ class EncodedMip:
     output_var: int
     int_vars: list[int]
     basis: lp.Basis  # the root LP's start: the network's forward pass at a corner of the box
-    relu_units: list[tuple[int, int, int, int, int]] = field(default_factory=list)
-    # (layer, unit, delta_var, pre_var, post_var)
     pool_groups: list[tuple[int, int, list[int], int]] = field(default_factory=list)
     # (layer, group, delta_vars, y_var)
 
@@ -150,20 +149,21 @@ def compute_bounds(net: Network, box: BoxDomain, source: str) -> LayerBounds:
 def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
     """Build the big-M model, one block per layer (per group of a MaxPool);
     one binary per ambiguous unit, none elsewhere. Each block also extends
-    the crash basis of the forward pass at the corner the sign pass picks
-    (see the module docstring)."""
+    the crash basis of the forward pass at the corner the adaptive backward
+    pass takes (see the module docstring)."""
     if not isinstance(net.layers[-1], Linear):
         raise ValueError("the MIP encoding requires a network that ends in a Linear layer")
     bounds = compute_bounds(net, box, variant.bounds_source)
     upper = np.zeros(box.size, dtype=bool)  # a native MaxPool keeps the lower corner
     if is_relu_only(net):
-        upper = sign_pass(net.layers, np.ones((1, 1)), bounds.pre_lb, bounds.pre_ub)[0][0] < 0.0
+        faces: dict[int, np.ndarray] = {}
+        backward_pass(net.layers, np.ones((1, 1)), box.lb, box.ub, bounds.pre_lb, bounds.pre_ub, True, faces)
+        upper = faces[-1][0]
     model = lp.LpModel(box.lb, box.ub)
     basis = lp.Basis(at_upper=frozenset(np.flatnonzero(upper).tolist()))  # the inputs nonbasic at the corner
     prev = np.arange(box.size)  # the variable of each unit of the last layer, -1 for a constant zero
     val = np.where(upper, box.ub, box.lb)  # the value of each unit of the last layer at the corner
     int_vars: list[int] = []
-    relu_units: list[tuple[int, int, int, int, int]] = []
     pool_groups: list[tuple[int, int, list[int], int]] = []
 
     for i, layer in enumerate(net.layers):
@@ -195,7 +195,6 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
             cols = np.stack([np.where(active, x, ~first), ~(first + 1), x + 1], axis=1)
             basis = basis.extended(cols.ravel().tolist(), (~first[active]).tolist())
             int_vars += (x + 1).tolist()
-            relu_units += zip([i] * k, amb.tolist(), (x + 1).tolist(), p.tolist(), x.tolist())
             prev = np.where(hi <= 0.0, -1, prev)
             prev[amb] = x
             val = np.maximum(val, 0.0)
@@ -230,7 +229,7 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
 
     output_var = int(prev[0])
     model.set_objective({output_var: 1.0})
-    return EncodedMip(net, box, model, output_var, int_vars, basis, relu_units, pool_groups)
+    return EncodedMip(net, box, model, output_var, int_vars, basis, pool_groups)
 
 
 def _pinned(base: lp.LpModel, fixes: dict[int, int]) -> lp.LpModel:

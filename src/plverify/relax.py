@@ -52,32 +52,33 @@ without pivoting (inputs start at their lower bounds):
 
 Every LP over one relaxation starts warm. Each tightening LP of a layer
 starts from a crash basis of its own (``_crash_starts``): for all the
-layer's objective rows +-e_j at once, one stacked ``sign_pass`` back
-through the layers below picks the faces of CROWN's backward pass (the
-chord where a unit's coefficient is negative, else the lower face) and the
-input corner, and one stacked forward pass at those corners places the
-vertex on them. Such a vertex is a point of the relaxation and often the
-LP's optimum. A layer's tightened bounds are written once all its LPs have
-run: they are implied by the layers below, so every LP of the layer reads
-the same model and the same standard form, which ``with_objective`` clones
-share. Where a fixed phase cuts a row's crash point out of the model, its
-LP starts instead from the last optimum the layer returned, or before any
-from the basis carried into the layer: the last optimum of the layers
-before (none: the block crash basis), extended by the new rows' crash
-columns. The carried basis also starts the output LP; tightened bounds
-contain every feasible point, so an optimum stays feasible. An LP that
-fails numerically leaves it as it was. Where a start is infeasible after
-all (a bound cut by fixed ReLU phases or by the backward pass),
-``lp.solve`` either repairs it with dual pivots or starts again from its
-slack basis. Either way an infeasible phase set is reported only through a
-checked Farkas row.
+layer's objective rows +-e_j at once, one stacked adaptive
+``backward_pass`` through the layers below records the faces CROWN's pass
+takes (the chord where a unit's coefficient is negative, else the lower
+face) and the input corner, and one stacked forward pass at those corners
+places the vertex on them. Such a vertex is a point of the relaxation and
+often the LP's optimum. A layer's tightened bounds are written once all its
+LPs have run: they are implied by the layers below, so every LP of the
+layer reads the same model and the same standard form, which
+``with_objective`` clones share. Where a fixed phase cuts a row's crash
+point out of the model, its LP starts instead from the last optimum the
+layer returned, or before any from the basis carried into the layer: the
+last optimum of the layers before (none: the block crash basis), extended
+by the new rows' crash columns. The carried basis also starts the output
+LP; tightened bounds contain every feasible point, so an optimum stays
+feasible. An LP that fails numerically leaves it as it was. Where a start
+is infeasible after all (a bound cut by fixed ReLU phases or by the
+backward pass), ``lp.solve`` either repairs it with dual pivots or starts
+again from its slack basis. Either way an infeasible phase set is reported
+only through a checked Farkas row.
 
-Every LP-free bound is a call of one kernel, ``backward_pass``, which
-carries an affine under-estimator g . (layer value) + kappa of a stack of
-objective rows back to the input box, where its box minimum is exact. The
-fast dual bound is its one-row call over the scalar output with the chord
-lower slope d = u/(u-l), a feasible dual value of the hull LP: ambiguous
-units scale their coefficient by d; negative ones also pay (-l) d.
+Every LP-free bound and every crash start's faces come from one kernel,
+``backward_pass``, which carries an affine under-estimator g . (layer
+value) + kappa of a stack of objective rows back to the input box, where
+its box minimum is exact. The fast dual bound is its one-row call over the
+scalar output with the chord lower slope d = u/(u-l), a feasible dual value
+of the hull LP: ambiguous units scale their coefficient by d; negative ones
+also pay (-l) d.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def add_linear(model: lp.LpModel, layer: Linear, prev: np.ndarray, lo: np.ndarra
     return np.arange(n, n + out)
 
 
-def backward_pass(layers: tuple, g: np.ndarray, lb, ub, pre_lb: list, pre_ub: list, adaptive=None) -> np.ndarray:
+def backward_pass(layers: tuple, g: np.ndarray, lb, ub, pre_lb: list, pre_ub: list, adaptive=None, faces=None) -> np.ndarray:
     """Lower bound of each objective row g[r] . v, where v is the output of
     the ReLU-only ``layers``, over the box [lb, ub] and the layers' bounds
     ``pre_lb``, ``pre_ub``, each shared by all rows (1-D) or given per row
@@ -149,11 +150,16 @@ def backward_pass(layers: tuple, g: np.ndarray, lb, ub, pre_lb: list, pre_ub: li
     takes one row at a time (``np.vecdot``, ``np.vecmat``: a dot or a
     matrix-vector product per row, never a matrix-matrix one), so a row's
     value does not depend on the rows stacked with it.
+
+    A ``faces`` dict (shared bounds only) receives the faces taken and
+    changes nothing else: under each ReLU layer's index the chord mask, one
+    column per ambiguous unit; under -1 the mask of the negative final
+    coefficients, the inputs where each row's box minimum takes ``ub``.
     """
     if adaptive is not None:
         adaptive = np.reshape(adaptive, (-1, 1))
     kappa = np.zeros(len(g))
-    for layer, l, u in zip(reversed(layers), reversed(pre_lb), reversed(pre_ub)):
+    for i, (layer, l, u) in reversed(list(enumerate(zip(layers, pre_lb, pre_ub)))):
         if isinstance(layer, Linear):
             kappa += np.vecdot(g, layer.bias)
             g = np.vecmat(g, layer.weight)
@@ -161,6 +167,8 @@ def backward_pass(layers: tuple, g: np.ndarray, lb, ub, pre_lb: list, pre_ub: li
         if not isinstance(layer, Relu):
             raise ValueError("the backward pass requires a ReLU-only network (lower MaxPools first)")
         amb = (l < 0.0) & (u > 0.0)
+        if faces is not None:
+            faces[i] = (g < 0.0)[:, amb]
         flat = (l >= 0.0) * 1.0  # 1 for a passing unit, 0 for a blocked or ambiguous one
         chord = np.divide(u, u - l, out=flat.copy(), where=amb)
         neg = np.minimum(g, 0.0)
@@ -169,34 +177,9 @@ def backward_pass(layers: tuple, g: np.ndarray, lb, ub, pre_lb: list, pre_ub: li
             g = g * chord
         else:
             g = neg * chord + (g - neg) * (flat + adaptive * (amb & (u > -l)))
+    if faces is not None:
+        faces[-1] = g < 0.0
     return kappa + np.vecdot(g, np.where(g >= 0.0, lb, ub))
-
-
-def sign_pass(layers: tuple, g: np.ndarray, pre_lb: list, pre_ub: list) -> tuple[np.ndarray, dict[int, np.ndarray]]:
-    """The faces that CROWN's backward pass (Zhang et al., arXiv 1811.00866)
-    picks for each objective row g[r] over the output of the ReLU-only
-    ``layers``, over their bounds ``pre_lb``, ``pre_ub``: the rows' input
-    coefficients, negative where the row's corner takes ``ub``, and per ReLU
-    layer a mask of the chord faces, one column per ambiguous unit.
-
-    Through Linear(W, b): g <- g W. At an ambiguous unit (l < 0 < u) a
-    negative coefficient takes the chord face and its slope u/(u-l); any
-    other takes the lower face and CROWN's slope, 1 if u > -l, else 0. A
-    unit that is not ambiguous keeps its coefficient when u > 0 (passing)
-    and drops it otherwise (blocked), as the relaxation encodes it."""
-    chords = {}
-    for i in reversed(range(len(layers))):
-        if isinstance(layers[i], Linear):
-            g = g @ layers[i].weight
-            continue
-        l, u = pre_lb[i], pre_ub[i]
-        amb = (l < 0.0) & (u > 0.0)
-        chord = amb & (g < 0.0)
-        chords[i] = chord[:, amb]
-        # u > max(-l, 0) is CROWN's slope at an ambiguous unit and says
-        # passing at any other
-        g = g * np.where(chord, np.divide(u, u - l, out=np.zeros(len(u)), where=amb), u > np.maximum(-l, 0.0))
-    return g, chords
 
 
 def _crash_starts(
@@ -204,9 +187,9 @@ def _crash_starts(
 ) -> list[lp.Basis | None]:
     """One start for each LP over ``model`` that minimises an objective row
     g[r] over the output of ``layers``, all layers that ``model`` encodes:
-    the vertex on the faces that ``sign_pass`` picks over ``bounds``, at the
-    row's input corner. It is built from the Linear blocks' variables and
-    the hull ``units`` as the block crash columns are:
+    the vertex on the faces the adaptive ``backward_pass`` takes over
+    ``bounds``, at the row's input corner, built from the Linear blocks'
+    variables and the hull ``units`` as the block crash columns are:
 
     * each x_hat basic in its Linear row, each input nonbasic at its corner;
     * a chord unit: x and the slack of its x >= x_hat row basic;
@@ -216,12 +199,12 @@ def _crash_starts(
 
     A row's start is None when its point lies outside an x_hat bound of
     ``model`` by more than ``lp.TOL_FEAS``, as a fixed phase can cut it."""
-    g, chords = sign_pass(layers, g, bounds.pre_lb, bounds.pre_ub)
-    upper = g < 0.0
-    v = np.where(upper, box.ub, box.lb)  # each row's value of the current layer
+    faces: dict[int, np.ndarray] = {}
+    backward_pass(layers, g, box.lb, box.ub, bounds.pre_lb, bounds.pre_ub, True, faces)
+    v = np.where(faces[-1], box.ub, box.lb)  # each row's value of the current layer
     basic = np.empty((len(v), len(model.rhs)), dtype=np.intp)
     inside = np.ones(len(v), dtype=bool)
-    columns, at_upper = [np.arange(box.size)], [upper]  # the columns that may start at their upper bound
+    columns, at_upper = [np.arange(box.size)], [faces[-1]]  # the columns that may start at their upper bound
     n, m = box.size, 0  # the block's first variable and first row
     for i, layer in enumerate(layers):
         if isinstance(layer, Linear):
@@ -234,7 +217,7 @@ def _crash_starts(
         hull = [h for h in units if h.layer == i]
         j, x, low = np.array([(h.unit, h.var_post, h.row_lower) for h in hull], dtype=np.intp).reshape(-1, 3).T
         l, u = np.array([(h.lb, h.ub) for h in hull]).reshape(-1, 2).T
-        chord, pre = chords[i], v[:, j]
+        chord, pre = faces[i], v[:, j]
         active = ~chord & (pre >= 0.0)
         v = np.where(bounds.pre_ub[i] > 0.0, v, 0.0)  # a passing unit keeps x_hat, a blocked one is 0
         v[:, j] = np.where(chord, u * (pre - l) / (u - l), np.maximum(pre, 0.0))

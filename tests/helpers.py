@@ -2,10 +2,14 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import numpy as np
 
 from plverify.canon import Geq, canonicalize, maxpool_to_relu
 from plverify.interval import propagate_box
+from plverify.lp import GE, LpModel
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu
 
 
@@ -107,3 +111,99 @@ def count_calls(monkeypatch, module, name: str, keep=lambda result: True) -> lis
 
     monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def load_result(path) -> dict:
+    """A result document as ``formats.save_result`` wrote it."""
+    return json.loads(Path(path).read_text(encoding="utf-8"))
+
+
+def add_var(model: LpModel, lb: float, ub: float) -> int:
+    """Add one variable in [lb, ub] to a hand-written LP; its index."""
+    model.add_block(np.zeros((0, 0)), [], [], [lb], [ub])
+    return model.num_vars - 1
+
+
+def add_row(model: LpModel, coefs, rel, rhs: float) -> int:
+    """Add the row coefs . x (rel) rhs to a hand-written LP, ``coefs`` an
+    array over the variables or a dict of entries; its index."""
+    model.add_block(model._dense(coefs)[None], [rel], [rhs])
+    return len(model.rhs) - 1
+
+
+def fresh_copy(model: LpModel) -> LpModel:
+    """A copy of ``model`` that shares no row set with it, so a solve
+    derives its standard form afresh: the bounds, the rows as one block,
+    then the objective."""
+    fresh = LpModel(model.lower, model.upper)
+    fresh.add_block(model.rows, model.rel, model.rhs)
+    if model.objective is not None:
+        fresh.set_objective(model.objective.copy())
+    return fresh
+
+
+def relu_binaries(enc) -> list[tuple[int, int, int, int, int]]:
+    """(layer, unit, delta_var, pre_var, post_var) of each ReLU binary of a
+    ``mip.encode_mip`` encoding, read from the layout it documents: the
+    inputs come first; a Linear layer adds its x_hat; a ReLU layer adds x
+    then d per ambiguous unit, whose rows start x - x_hat >= 0 and
+    x - u d <= 0 with u > 0; a MaxPool group adds y then one d per element,
+    each d's entries nonnegative."""
+    binaries = []
+    deltas, rows, rel = set(enc.int_vars), enc.model.rows, enc.model.rel
+    n = enc.box.size
+    prev = list(range(n))  # the output variables of the last Linear or MaxPool layer
+    for i, layer in enumerate(enc.net.layers):
+        if isinstance(layer, Linear):
+            prev = list(range(n, n + layer.out_width))
+            n += layer.out_width
+        elif isinstance(layer, Relu):
+            while n + 1 in deltas and (rows[:, n + 1] < 0.0).any():
+                (first,) = np.flatnonzero((rows[:, n] == 1.0) & (rel == GE))
+                (pre,) = np.flatnonzero(rows[first] == -1.0)
+                binaries.append((i, prev.index(pre), n + 1, int(pre), n))
+                n += 2
+        else:
+            prev = []
+            for group in layer.groups:
+                prev.append(n)  # y
+                n += 1 + len(group)
+    assert n == enc.model.num_vars
+    return binaries
+
+
+def crown_faces(layers: tuple, g: np.ndarray, pre_lb: list, pre_ub: list) -> dict[int, np.ndarray]:
+    """The faces CROWN's adaptive backward pass (Zhang et al., arXiv
+    1811.00866) takes for each objective row g[r] over the output of the
+    ReLU-only ``layers`` and their shared bounds, in the layout of
+    ``relax.backward_pass``'s ``faces``, by plain loops over rows and units.
+
+    Through Linear(W, b) a row's coefficient on unit j of the layer's input
+    becomes sum_k c[k] W[k, j]. At an ambiguous unit (l < 0 < u) a negative
+    coefficient takes the chord, slope u / (u - l); any other the lower
+    face, slope 1 if u > -l, else 0. Any other unit keeps its coefficient
+    when l >= 0 and drops it otherwise. Under each ReLU layer's index: the
+    chord mask over its ambiguous units; under -1: the inputs whose final
+    coefficient is negative."""
+    chords: dict[int, list] = {i: [] for i, layer in enumerate(layers) if isinstance(layer, Relu)}
+    corners = []
+    for row in g:
+        c = [float(v) for v in row]
+        for i in reversed(range(len(layers))):
+            layer = layers[i]
+            if isinstance(layer, Linear):
+                w = layer.weight
+                c = [sum(c[k] * w[k, j] for k in range(w.shape[0])) for j in range(w.shape[1])]
+                continue
+            mask = []
+            for j, (l, u) in enumerate(zip(pre_lb[i], pre_ub[i])):
+                if l < 0.0 < u:
+                    mask.append(c[j] < 0.0)
+                    c[j] *= u / (u - l) if c[j] < 0.0 else float(u > -l)
+                elif l < 0.0:
+                    c[j] = 0.0
+            chords[i].append(mask)
+        corners.append([v < 0.0 for v in c])
+    faces = {i: np.array(masks, dtype=bool).reshape(len(g), -1) for i, masks in chords.items()}
+    faces[-1] = np.array(corners, dtype=bool).reshape(len(g), -1)
+    return faces

@@ -35,7 +35,8 @@ import tempfile
 from collections import Counter
 from pathlib import Path
 
-from plverify import formats
+from helpers import load_result
+
 from plverify.bab import INPUT_SMART, RELU_SPLIT, BabConfig, bab_optimize
 from plverify.canon import lower_maxpools
 from plverify.cli import METHODS, run_verify
@@ -57,7 +58,7 @@ def snapshot_lines():
         for inst in instances:
             for method in METHODS:
                 run_verify(inst.net, inst.prop, inst.box, method, seed=SEED, out=out)
-                doc = formats.load_result(out)
+                doc = load_result(out)
                 del doc["time_s"]
                 yield {"kind": "verify", "seed": inst.spec.seed, "method": method, "result": doc}
     for inst in instances:

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from helpers import random_box, random_net, toy_box, toy_net, toy_problem
+from helpers import fresh_copy, load_result, random_box, random_net, toy_box, toy_net, toy_problem
 from reference_lp import solve_reference
 
 from plverify import formats, lp
@@ -261,7 +261,7 @@ def test_criterion_8_maxpool_equivalence():
     checked = 0
     for layer, gi, deltas, y in enc.pool_groups:
         for pick in range(len(deltas)):
-            model = enc.model.copy()
+            model = fresh_copy(enc.model)
             for k, d in enumerate(deltas):
                 model.lower[d] = model.upper[d] = 1.0 if k == pick else 0.0
             model.set_objective(rng.normal(size=model.num_vars))
@@ -321,7 +321,7 @@ def test_criterion_10_protocol_fidelity(tmp_path):
         for row in csv.DictReader(fh):
             if row["status"] != "SAT":
                 continue
-            doc = formats.load_result(row["result_file"])
+            doc = load_result(row["result_file"])
             net = formats.load_network(suite / f"{row['problem']}.net.json")
             prop, box = formats.load_property(suite / f"{row['problem']}.prop.json")
             problem = canonicalize(net, prop, box)

@@ -77,7 +77,7 @@ def test_split_input_smart_symmetric_toy_falls_back_to_dim0():
     problem = toy_problem(-5.0)
     net = problem.canonical_net
     dom = _boxdom([-2.0, -2.0], [2.0, 2.0])
-    kids = split_input_smart(dom, net)
+    kids = split_input_smart(dom, net, root=dom.box)
     assert kids[0].box.ub[0] == pytest.approx(0.0)  # dim 0 split
 
 
@@ -92,7 +92,7 @@ def test_split_input_smart_ignores_dead_dimension():
         ),
     )
     dom = _boxdom([-4.0, -4.0], [4.0, 4.0])
-    kids = split_input_smart(dom, net)
+    kids = split_input_smart(dom, net, root=dom.box)
     assert kids[0].box.ub[0] == pytest.approx(0.0)
     assert kids[0].box.ub[1] == pytest.approx(4.0)
 
@@ -110,7 +110,7 @@ def test_split_input_smart_width_guarantee():
     )
     root = BoxDomain(np.array([-4.0, -4.0]), np.array([4.0, 4.0]))
     dom = _boxdom([-1.0 / 16, -4.0], [1.0 / 16, 4.0])  # x0 is 1/64 of x1's width
-    kids = split_input_smart(dom, net)
+    kids = split_input_smart(dom, net, root=dom.box)
     assert kids[0].box.ub[0] == pytest.approx(0.0)
     kids = split_input_smart(dom, net, root=root)
     assert kids[0].box.ub[1] == pytest.approx(0.0)
@@ -125,7 +125,7 @@ def test_split_input_smart_1d():
     net = toy_problem(-5.0).canonical_net
     # 1-D slice: fix x2 via a degenerate box on dim 1
     dom = _boxdom([-2.0, 0.0], [2.0, 0.0])
-    kids = split_input_smart(dom, net)
+    kids = split_input_smart(dom, net, root=dom.box)
     assert kids[0].box.ub[0] == pytest.approx(0.0)
 
 
@@ -610,7 +610,7 @@ def test_split_input_smart_children_carry_their_fast_bound(monkeypatch):
     net = random_net(rng, 3, [5, 4])
     box = random_box(rng, 3)
     propagations = count_calls(monkeypatch, bab_module, "propagate_box")
-    children = split_input_smart(Subdomain(box, -np.inf), net)
+    children = split_input_smart(Subdomain(box, -np.inf), net, root=box)
     assert propagations[0] == 2  # the parent's own bound, then all children in one stacked call
     for child in children:
         want = bab_module.fast_dual_bound(net, child.box, propagate_box(net, child.box))
@@ -618,7 +618,7 @@ def test_split_input_smart_children_carry_their_fast_bound(monkeypatch):
     scored = propagations[0] - 1  # the parent's own bound
     parent = Subdomain(box, -np.inf, fast_lb=bab_module.fast_dual_bound(net, box, propagate_box(net, box)))
     propagations[0] = 0
-    again = split_input_smart(parent, net)
+    again = split_input_smart(parent, net, root=box)
     assert propagations[0] == scored == 1
     assert [c.box.lb.tobytes() + c.box.ub.tobytes() for c in again] == [
         c.box.lb.tobytes() + c.box.ub.tobytes() for c in children

@@ -5,7 +5,7 @@ import sys
 
 import numpy as np
 import pytest
-from helpers import toy_box, toy_net
+from helpers import load_result, toy_box, toy_net
 
 from plverify import formats
 from plverify.canon import AllClause, AnyClause, Geq, validate_counterexample
@@ -136,13 +136,13 @@ def test_run_verify_toy_unsat_and_sat(tmp_path):
     net, box = toy_net(), toy_box()
     rec = run_verify(net, Geq(np.array([1.0]), -5.0), box, "babsb", out=tmp_path / "r.json")
     assert rec.status == "UNSAT"
-    doc = formats.load_result(tmp_path / "r.json")
+    doc = load_result(tmp_path / "r.json")
     assert doc["status"] == "UNSAT"
     assert doc["margin"] == pytest.approx(1.0, abs=1e-3)
 
     rec = run_verify(net, Geq(np.array([1.0]), -3.0), box, "mip-planet-opt", out=tmp_path / "s.json")
     assert rec.status == "SAT"
-    doc = formats.load_result(tmp_path / "s.json")
+    doc = load_result(tmp_path / "s.json")
     assert doc["counterexample"] is not None
 
 
@@ -171,7 +171,7 @@ def test_sat_lb_is_at_most_the_minimum(tmp_path):
         inst = generate(spec.seed, spec)
         for method in METHODS:
             run_verify(inst.net, inst.prop, inst.box, method, out=tmp_path / "r.json")
-            doc = formats.load_result(tmp_path / "r.json")
+            doc = load_result(tmp_path / "r.json")
             assert doc["status"] == "SAT", (spec.seed, method)
             assert doc["lb"] is None or doc["lb"] <= spec.margin + 1e-9, (spec.seed, method, doc["lb"])
 
@@ -229,7 +229,7 @@ def test_bench_and_cactus(tmp_path):
     for r in rows:
         if r["status"] != "SAT":
             continue
-        doc = formats.load_result(r["result_file"])
+        doc = load_result(r["result_file"])
         net = formats.load_network(suite / f"{r['problem']}.net.json")
         prop, box = formats.load_property(suite / f"{r['problem']}.prop.json")
         from plverify.canon import canonicalize
@@ -346,6 +346,25 @@ def test_nnet_import(tmp_path):
         path.write_text("\n".join(lines[:at] + [line] + lines[at + 1 :]) + "\n")
         with pytest.raises(ValueError, match=f"{field} must be a whole number, got 2.5$"):
             formats.load_nnet(path)
+
+
+def test_nnet_rejects_extra_numbers_and_trailing_lines(tmp_path):
+    # one layer 2 -> 1: its weight row holds two numbers, its bias line one,
+    # and nothing follows it; each fault is named with its line in the
+    # file, comments counted
+    head = "// one layer\n1,2,1,2,\n2,1,\n0,\n-1,-1,\n1,1,\n0,0,0,\n1,1,1,\n1.0,2.0,\n"
+    path = tmp_path / "bad.nnet"
+    path.write_text(head + "0.1,\n")
+    assert formats.load_nnet(path).layers[0].bias.tolist() == [0.1]
+    path.write_text(head + "0.1,0.2,\n")
+    with pytest.raises(ValueError, match="^line 10: bias 0 of layer 1 holds 2 numbers, expected 1$"):
+        formats.load_nnet(path)
+    path.write_text(head.replace("1.0,2.0,", "1.0,2.0,3.0,") + "0.1,\n")
+    with pytest.raises(ValueError, match="^line 9: weight row 0 of layer 1 holds 3 numbers, expected 2$"):
+        formats.load_nnet(path)
+    path.write_text(head + "0.1,\n// trailer\n9.0,\n")
+    with pytest.raises(ValueError, match="^line 12: unexpected content after the last bias$"):
+        formats.load_nnet(path)
 
 
 def test_cli_gen_suite_and_entry_point(tmp_path):

@@ -10,7 +10,7 @@ LP bound above the true minimum, so the soundness tests need not see it.
 """
 
 import numpy as np
-from helpers import random_box, random_net
+from helpers import random_box, random_net, relu_binaries
 
 from plverify import lp
 from plverify.interval import BLOCKED, PASSING
@@ -66,9 +66,11 @@ def _relaxation_point(net: Network, pm, x0: np.ndarray) -> np.ndarray:
 
 
 def _mip_point(net: Network, enc, x0: np.ndarray) -> np.ndarray:
+    units = relu_binaries(enc)
+
     def binaries(i, pre, z):
         count = 0
-        for layer, j, d, pre_var, post in enc.relu_units:
+        for layer, j, d, pre_var, post in units:
             if layer == i:
                 assert z[pre_var] == pre[j]
                 z[post], z[d] = max(pre[j], 0.0), float(pre[j] > 0.0)

@@ -18,7 +18,7 @@ def test_toy_chain():
     assert np.allclose(b.post_lb[1], [0.0, 0.0])
     assert np.allclose(b.post_ub[1], [4.0, 4.0])
     assert np.allclose(b.output_lb, [-8.0])
-    assert np.allclose(b.output_ub, [0.0])
+    assert np.allclose(b.post_ub[-1], [0.0])
 
 
 def test_canonical_toy_shifted_by_five():
@@ -26,7 +26,7 @@ def test_canonical_toy_shifted_by_five():
     b = propagate_box(problem.canonical_net, problem.domain)
     # output = y + 5, so interval gives [-3, 5]: inconclusive on its own
     assert b.output_lb[0] == pytest.approx(-3.0)
-    assert b.output_ub[0] == pytest.approx(5.0)
+    assert b.post_ub[-1][0] == pytest.approx(5.0)
 
 
 def test_identity_linear_keeps_box():
@@ -34,7 +34,7 @@ def test_identity_linear_keeps_box():
     net = Network(2, (Linear(np.eye(2), np.zeros(2)),))
     b = propagate_box(net, box)
     assert np.allclose(b.output_lb, box.lb)
-    assert np.allclose(b.output_ub, box.ub)
+    assert np.allclose(b.post_ub[-1], box.ub)
 
 
 def test_maxpool_transfer_uses_max_of_lower_bounds():
@@ -45,7 +45,7 @@ def test_maxpool_transfer_uses_max_of_lower_bounds():
     box = BoxDomain(np.array([-3.0, -1.0, 0.0, 2.0]), np.array([-2.0, 4.0, 1.0, 5.0]))
     b = propagate_box(net, box)
     assert np.allclose(b.output_lb, [-1.0, 2.0])
-    assert np.allclose(b.output_ub, [4.0, 5.0])
+    assert np.allclose(b.post_ub[-1], [4.0, 5.0])
 
 
 def test_soundness_randomized():
@@ -137,7 +137,7 @@ def test_refine_passing_unit():
     # the sibling unit is untouched and the output range stays [-8, 0]
     assert refined.pre_lb[1][1] == pytest.approx(-4.0)
     assert np.allclose(refined.output_lb, [-8.0])
-    assert np.allclose(refined.output_ub, [0.0])
+    assert np.allclose(refined.post_ub[-1], [0.0])
 
 
 def test_refine_blocked_unit_zeroes_post():

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference_lp
-from helpers import count_calls
+from helpers import add_row, add_var, count_calls, fresh_copy
 from reference_lp import TooLarge, solve_reference
 
 import plverify.lp as lp_module
@@ -29,20 +29,20 @@ def _toy_planet_lp() -> LpModel:
     # variables s in [-4,4], a in [0,4], b in [0,4];
     # hull rows a >= s, a <= (s+4)/2, b >= -s, b <= (4-s)/2; min 5 - a - b
     m = LpModel()
-    s = m.add_var(-4.0, 4.0)
-    a = m.add_var(0.0, 4.0)
-    b = m.add_var(0.0, 4.0)
-    m.add_row({a: 1.0, s: -1.0}, GE, 0.0)
-    m.add_row({a: 2.0, s: -1.0}, LE, 4.0)
-    m.add_row({b: 1.0, s: 1.0}, GE, 0.0)
-    m.add_row({b: 2.0, s: 1.0}, LE, 4.0)
+    s = add_var(m, -4.0, 4.0)
+    a = add_var(m, 0.0, 4.0)
+    b = add_var(m, 0.0, 4.0)
+    add_row(m, {a: 1.0, s: -1.0}, GE, 0.0)
+    add_row(m, {a: 2.0, s: -1.0}, LE, 4.0)
+    add_row(m, {b: 1.0, s: 1.0}, GE, 0.0)
+    add_row(m, {b: 2.0, s: 1.0}, LE, 4.0)
     m.set_objective({a: -1.0, b: -1.0})
     return m
 
 
 def test_bound_only_model():
     m = LpModel()
-    x = m.add_var(0.0, 4.0)
+    x = add_var(m, 0.0, 4.0)
     m.set_objective({x: -1.0})
     sol = solve(m)
     assert sol.status == OPTIMAL
@@ -62,8 +62,8 @@ def test_toy_planet_lp_value():
 
 def test_infeasible_row():
     m = LpModel()
-    x = m.add_var(0.0, 1.0)
-    m.add_row({x: 1.0}, GE, 2.0)
+    x = add_var(m, 0.0, 1.0)
+    add_row(m, {x: 1.0}, GE, 2.0)
     m.set_objective({x: 1.0})
     assert solve(m).status == INFEASIBLE
     assert solve_reference(m).status == INFEASIBLE
@@ -71,7 +71,7 @@ def test_infeasible_row():
 
 def test_degenerate_fixed_variable():
     m = LpModel()
-    x = m.add_var(0.0, 0.0)
+    x = add_var(m, 0.0, 0.0)
     m.set_objective({x: 1.0})
     for solver in (solve, solve_reference):
         sol = solver(m)
@@ -81,9 +81,9 @@ def test_degenerate_fixed_variable():
 
 def test_symmetric_pair():
     m = LpModel()
-    x = m.add_var(-1.0, 1.0)
-    y = m.add_var(-1.0, 1.0)
-    m.add_row({x: 1.0, y: 1.0}, GE, 0.0)
+    x = add_var(m, -1.0, 1.0)
+    y = add_var(m, -1.0, 1.0)
+    add_row(m, {x: 1.0, y: 1.0}, GE, 0.0)
     m.set_objective({x: 1.0, y: 1.0})
     for solver in (solve, solve_reference):
         sol = solver(m)
@@ -93,10 +93,10 @@ def test_symmetric_pair():
 
 def test_equality_rows():
     m = LpModel()
-    x = m.add_var(-5.0, 5.0)
-    y = m.add_var(-5.0, 5.0)
-    m.add_row({x: 1.0, y: 1.0}, EQ, 2.0)
-    m.add_row({x: 1.0, y: -1.0}, LE, 1.0)
+    x = add_var(m, -5.0, 5.0)
+    y = add_var(m, -5.0, 5.0)
+    add_row(m, {x: 1.0, y: 1.0}, EQ, 2.0)
+    add_row(m, {x: 1.0, y: -1.0}, LE, 1.0)
     m.set_objective({x: 1.0})
     sol = solve(m)
     assert sol.status == OPTIMAL
@@ -111,13 +111,13 @@ def _random_model(rng: np.random.Generator) -> LpModel:
     m = LpModel()
     for _ in range(n):
         lo = rng.uniform(-3, 1)
-        m.add_var(lo, lo + rng.uniform(0.1, 4))
+        add_var(m, lo, lo + rng.uniform(0.1, 4))
     anchor = np.array([rng.uniform(m.lower[j], m.upper[j]) for j in range(n)])
     for _ in range(k):
         a = rng.normal(size=n)
         rel = (LE, GE, EQ)[int(rng.integers(0, 3))]
         off = rng.uniform(-1.0, 1.0) if rel != EQ else rng.uniform(-0.3, 0.3)
-        m.add_row(a, rel, float(a @ anchor + off))
+        add_row(m, a, rel, float(a @ anchor + off))
     m.set_objective(rng.normal(size=n))
     return m
 
@@ -302,9 +302,9 @@ def _capped_pair(objective) -> tuple[LpModel, Basis]:
     # x, y in [0, 2], x + y <= 3; the basis of min -x - y (x at its upper
     # bound, y basic at 1) with y's upper bound cut to 0.5
     m = LpModel()
-    x = m.add_var(0.0, 2.0)
-    y = m.add_var(0.0, 0.5)
-    m.add_row({x: 1.0, y: 1.0}, LE, 3.0)
+    x = add_var(m, 0.0, 2.0)
+    y = add_var(m, 0.0, 0.5)
+    add_row(m, {x: 1.0, y: 1.0}, LE, 3.0)
     m.set_objective(objective)
     return m, Basis((y,), frozenset({x}))
 
@@ -331,9 +331,9 @@ def test_dual_warm_start_reports_infeasible_only_with_a_proof(monkeypatch):
     # solve is retried cold.
     cold_starts = count_calls(monkeypatch, lp_module, "_slack_start")
     m = LpModel()
-    x = m.add_var(2e-8, 1.0)
-    z = m.add_var(0.0, 1000.0)
-    m.add_row({x: 1e10, z: -1.0}, EQ, 0.0)
+    x = add_var(m, 2e-8, 1.0)
+    z = add_var(m, 0.0, 1000.0)
+    add_row(m, {x: 1e10, z: -1.0}, EQ, 0.0)
     m.set_objective({x: 1.0})
     got = solve(m, Basis((x,)))
     assert cold_starts[0] == 1
@@ -351,14 +351,14 @@ def test_cold_start_within_feasibility_tolerance_is_optimal(monkeypatch):
     # as feasible instead of raising NumericalFailure
     proofs = count_calls(monkeypatch, lp_module, "_farkas_row")
     m = LpModel()
-    x = m.add_var(0.0, 0.0)
-    m.add_row({x: 1.0}, EQ, 5e-10)
+    x = add_var(m, 0.0, 0.0)
+    add_row(m, {x: 1.0}, EQ, 5e-10)
     m.set_objective({x: 1.0})
     got = solve(m)
     assert proofs[0] == 1
     assert got.status == OPTIMAL and got.objective == 0.0 and got.x.tolist() == [0.0]
     m = LpModel([0.0], [0.0])
-    m.add_row({x: 1.0}, EQ, 2e-8)  # outside TOL_FEAS: a proof
+    add_row(m, {x: 1.0}, EQ, 2e-8)  # outside TOL_FEAS: a proof
     m.set_objective({x: 1.0})
     assert solve(m).status == INFEASIBLE and proofs[0] == 2
 
@@ -404,7 +404,7 @@ def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
         assert inversions[0] == 1
         assert same.objective == got.objective and same.x.tobytes() == got.x.tobytes()
         # a new row (its slack basic) changes the basis matrix: invert again
-        model.add_row(np.ones(model.num_vars), LE, float(np.sum(np.abs(model.upper)) + 1.0))
+        add_row(model, np.ones(model.num_vars), LE, float(np.sum(np.abs(model.upper)) + 1.0))
         inversions[0] = 0
         assert solve(model, same.basis.extended([~(len(model.rows) - 1)])).status == OPTIMAL
         assert inversions[0] >= 1
@@ -415,8 +415,8 @@ def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
 def test_warm_solve_without_rows(monkeypatch):
     cold_starts = count_calls(monkeypatch, lp_module, "_slack_start")
     m = LpModel()
-    x = m.add_var(0.0, 2.0)
-    y = m.add_var(-1.0, 1.0)
+    x = add_var(m, 0.0, 2.0)
+    y = add_var(m, -1.0, 1.0)
     m.set_objective({x: -1.0, y: 1.0})
     got = solve(m, Basis())
     assert got.status == OPTIMAL and got.objective == -3.0 and got.x.tolist() == [2.0, -1.0]
@@ -448,7 +448,7 @@ def test_solve_writes_neither_its_start_nor_its_model():
         assert again.x.tobytes() == got.x.tobytes() and again.basis == got.basis
     assert min(outcomes.values()) > 20
     model = LpModel()
-    model.add_row({}, LE, 1.0)
+    add_row(model, {}, LE, 1.0)
     assert solve(model).basis == Basis((~0,))
 
 
@@ -461,7 +461,7 @@ def test_pivots_count_the_basis_changes_of_the_run():
     cold = solve(toy)
     assert cold.pivots == 2 and solve(toy, cold.basis).pivots == 0
     m = LpModel()
-    m.add_var(0.0, 4.0)
+    add_var(m, 0.0, 4.0)
     m.set_objective({0: -1.0})
     assert solve(m).pivots == 0
     rng = np.random.default_rng(31)
@@ -470,7 +470,7 @@ def test_pivots_count_the_basis_changes_of_the_run():
         model = _random_model(rng)
         start = Basis(tuple(~i for i in range(len(model.rows))), frozenset({0}))
         got = solve(model, start)
-        assert got.pivots == solve(model.copy(), start).pivots
+        assert got.pivots == solve(fresh_copy(model), start).pivots
         moved[got.status] += got.pivots > 0
         if got.status == OPTIMAL:
             assert solve(model, got.basis).pivots == 0
@@ -494,7 +494,7 @@ def test_model_without_variables_checks_its_rows(rel, rhs):
     # (rel None) it is the optimum, of value 0
     model = LpModel()
     if rel is not None:
-        model.add_row({}, rel, rhs)
+        add_row(model, {}, rel, rhs)
     got, want = solve(model), solve_reference(model)
     assert got.status == want.status
     if rel is None:
@@ -512,7 +512,7 @@ def test_reused_form_is_read_only(monkeypatch):
     # same cache, returns the bytes of a fresh model
     model = _toy_planet_lp()
     basis = Basis(tuple(~i for i in range(len(model.rows))))
-    want = solve(model.copy(), basis)
+    want = solve(fresh_copy(model), basis)
     first = solve(model, basis)
     assert first.x.tobytes() == want.x.tobytes()
     original = lp_module._run_simplex
@@ -565,9 +565,9 @@ def test_row_stack_solves_like_an_lp_model():
             deepest = max(deepest, stack.depth)
             model = LpModel()
             for j in range(n):
-                model.add_var(lo[j], hi[j])
+                add_var(model, lo[j], hi[j])
             for a, b in rows:
-                model.add_row(a, LE, b)
+                add_row(model, a, LE, b)
             objective = rng.normal(size=n) if rng.uniform() < 0.5 else None
             stack.objective = objective
             if objective is not None:
@@ -612,13 +612,13 @@ def test_reference_memory_stays_bounded():
     rng = np.random.default_rng(29)
     m = LpModel()
     for _ in range(8):
-        m.add_var(-1.0, 1.0)
+        add_var(m, -1.0, 1.0)
     anchor = rng.uniform(-0.5, 0.5, size=8)
     for rel in (LE, GE) * 5:
         a = rng.normal(size=8)
-        m.add_row(a, rel, float(a @ anchor) + (0.2 if rel == LE else -0.2))
+        add_row(m, a, rel, float(a @ anchor) + (0.2 if rel == LE else -0.2))
     a = rng.normal(size=8)
-    m.add_row(a, EQ, float(a @ anchor))
+    add_row(m, a, EQ, float(a @ anchor))
     m.set_objective(rng.normal(size=8))
     tracemalloc.start()
     try:
@@ -635,7 +635,7 @@ def test_reference_memory_stays_bounded():
 def test_reference_cap():
     m = LpModel()
     for _ in range(9):
-        m.add_var(0.0, 1.0)
+        add_var(m, 0.0, 1.0)
     m.set_objective(np.zeros(9))
     with pytest.raises(TooLarge):
         solve_reference(m)
@@ -648,7 +648,7 @@ def test_solve_rejects_an_infinite_bound_or_unknown_relation():
         with pytest.raises(ValueError, match="bounds must be finite"):
             solve(LpModel(lower, upper))
     m = LpModel([0.0], [1.0])
-    m.add_row({0: 1.0}, "<=", 1.0)
+    add_row(m, {0: 1.0}, "<=", 1.0)
     with pytest.raises(ValueError, match="unknown relation"):
         solve(m)
     assert solve(LpModel([1.0], [0.0])).status == INFEASIBLE

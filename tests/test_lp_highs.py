@@ -3,7 +3,7 @@ LPs, most of them past the 8-variable cap of ``reference_lp.solve_reference``.""
 
 import numpy as np
 import pytest
-from helpers import differential_cases
+from helpers import differential_cases, fresh_copy
 
 from plverify import lp
 from plverify.canon import Geq, canonicalize
@@ -44,7 +44,7 @@ def test_cold_relaxation_lps_agree_with_highs(monkeypatch):
     models = []
 
     def recorded(model, basis=None):
-        models.append(model.copy())
+        models.append(fresh_copy(model))
         return real_solve(model, basis)
 
     monkeypatch.setattr(lp, "solve", recorded)
@@ -73,7 +73,7 @@ def test_mip_node_lps_agree_with_highs(monkeypatch):
     models = []
 
     def recorded(model, basis=None):
-        models.append(model.copy())
+        models.append(fresh_copy(model))
         return real_solve(model, basis)
 
     for k, (net, box, _) in enumerate(differential_cases(np.random.default_rng(8))):

@@ -1,6 +1,17 @@
 import numpy as np
 import pytest
-from helpers import assert_same_solve, count_calls, random_box, random_net, toy_box, toy_net, toy_problem
+from helpers import (
+    assert_same_solve,
+    count_calls,
+    crown_faces,
+    fresh_copy,
+    random_box,
+    random_net,
+    relu_binaries,
+    toy_box,
+    toy_net,
+    toy_problem,
+)
 
 from plverify import lp
 from plverify.canon import Geq, canonicalize, lower_maxpools, validate_counterexample
@@ -22,11 +33,11 @@ from plverify.mip import (
 )
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
 from plverify.oracle import oracle_min, oracle_verdict
-from plverify.relax import build_planet, planet_lower_bound_with_point, sign_pass
+from plverify.relax import build_planet, planet_lower_bound_with_point
 
 
 def _pin(enc: EncodedMip, fixes: dict[int, int]) -> lp.LpModel:
-    model = enc.model.copy()
+    model = fresh_copy(enc.model)
     for var, val in fixes.items():
         model.lower[var] = float(val)
         model.upper[var] = float(val)
@@ -37,7 +48,7 @@ def test_encoding_delta_zero_forces_blocked():
     problem = toy_problem(-5.0)
     enc = encode_mip(problem.canonical_net, problem.domain, PLANET_OPT)
     assert len(enc.int_vars) == 2
-    (_, _, d, pre, post) = enc.relu_units[0]
+    (_, _, d, pre, post) = relu_binaries(enc)[0]
     model = _pin(enc, {d: 0})
     # max x subject to delta=0 must be 0; max x_hat must be <= 0
     model.set_objective({post: -1.0})
@@ -49,7 +60,7 @@ def test_encoding_delta_zero_forces_blocked():
 def test_encoding_delta_one_forces_passing():
     problem = toy_problem(-5.0)
     enc = encode_mip(problem.canonical_net, problem.domain, PLANET_OPT)
-    (_, _, d, pre, post) = enc.relu_units[0]
+    (_, _, d, pre, post) = relu_binaries(enc)[0]
     model = _pin(enc, {d: 1})
     # x == x_hat when delta = 1: maximise |x - x_hat| in both directions
     model.set_objective({post: 1.0, pre: -1.0})
@@ -65,7 +76,7 @@ def test_sym_variant_uses_single_m():
     )
     box = BoxDomain(np.array([-3.0]), np.array([3.0]))  # pre in [-2, 4], M = 4
     enc = encode_mip(net, box, MipVariant(SYM, BOUNDS_INTERVAL))
-    (_, _, d, pre, post) = enc.relu_units[0]
+    (_, _, d, pre, post) = relu_binaries(enc)[0]
     # upper bound row x <= M delta with M = max(2, 4) = 4
     rows = enc.model.rows[enc.model.rows[:, d] != 0.0]
     ubs = [-r[d] for r in rows if r[post] == 1.0 and r[pre] == 0.0]
@@ -117,7 +128,7 @@ def test_integral_deltas_project_to_relu_graph():
         sol = lp.solve(model)
         if sol.status != lp.OPTIMAL:
             continue  # contradictory pattern on this box
-        for (_, _, d, pre, post) in enc.relu_units:
+        for (_, _, d, pre, post) in relu_binaries(enc):
             assert sol.x[post] == pytest.approx(max(sol.x[pre], 0.0), abs=1e-6)
 
 
@@ -248,7 +259,7 @@ def test_node_lps_start_warm_and_match_cold(monkeypatch, variant):
     def solve(model, basis=None):
         assert basis is not None
         counts["nodes"] += 1
-        fresh = model.copy()
+        fresh = fresh_copy(model)
         got = real_solve(model, basis)
         recheck[0] = True
         assert_same_solve(got, real_solve(fresh, basis))
@@ -342,12 +353,13 @@ def test_root_starts_from_the_forward_pass_crash_basis(monkeypatch):
     assert pools > 40 and crash < slack, (pools, crash, slack)
 
 
-def test_root_starts_at_the_corner_the_sign_pass_picks(monkeypatch):
-    # the root's crash point lies at the input corner that the sign pass
-    # picks from the output row over the encoding's bounds: an input starts
-    # at its upper bound exactly where the pass's coefficient is negative,
-    # and the start is primal feasible, so the root takes no dual pivot and
-    # reaches the optimum of a solve from the slack basis
+def test_root_starts_at_the_corner_the_backward_pass_picks(monkeypatch):
+    # the root's crash point lies at the input corner that CROWN's adaptive
+    # backward pass picks from the output row over the encoding's bounds
+    # (the loop reference ``crown_faces``): an input starts at its upper
+    # bound exactly where the pass's final coefficient is negative, and the
+    # start is primal feasible, so the root takes no dual pivot and reaches
+    # the optimum of a solve from the slack basis
     real_solve = lp.solve
     rng = np.random.default_rng(58)
     uppers = inputs = 0
@@ -358,9 +370,9 @@ def test_root_starts_at_the_corner_the_sign_pass_picks(monkeypatch):
         for variant in (PLANET_OPT, INTERVAL_VARIANT, PLANET_SYMFEASIBLE):
             enc = encode_mip(net, box, variant)
             bounds = compute_bounds(net, box, variant.bounds_source)
-            g, _ = sign_pass(net.layers, np.ones((1, 1)), bounds.pre_lb, bounds.pre_ub)
+            corner = crown_faces(net.layers, np.ones((1, 1)), bounds.pre_lb, bounds.pre_ub)[-1]
             at_upper = {c for c in enc.basis.at_upper if 0 <= c < n_in}
-            assert at_upper == set(np.flatnonzero(g[0] < 0.0).tolist())
+            assert at_upper == set(np.flatnonzero(corner[0]).tolist())
             uppers += len(at_upper)
             inputs += n_in
             with monkeypatch.context() as patch:

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from helpers import count_calls, random_box, random_net, toy_box, toy_net, toy_problem
+from helpers import add_row, add_var, count_calls, random_box, random_net, toy_box, toy_net, toy_problem
 from reference_lp import solve_reference
 
 from plverify import lp
@@ -101,16 +101,16 @@ def _plain_enumeration_min(net: Network, box: BoxDomain) -> float:
         mat, const = np.eye(net.input_size), np.zeros(net.input_size)
         model = lp.LpModel()
         for j in range(box.size):
-            model.add_var(box.lb[j], box.ub[j])
+            add_var(model, box.lb[j], box.ub[j])
         for i, layer in enumerate(net.layers):
             if isinstance(layer, Linear):
                 mat, const = layer.weight @ mat, layer.weight @ const + layer.bias
                 continue
             for j in range(len(const)):
                 if passing[(i, j)]:
-                    model.add_row(-mat[j], lp.LE, float(const[j]))
+                    add_row(model, -mat[j], lp.LE, float(const[j]))
                 else:
-                    model.add_row(mat[j].copy(), lp.LE, float(-const[j]))
+                    add_row(model, mat[j].copy(), lp.LE, float(-const[j]))
                     mat[j], const[j] = 0.0, 0.0
         model.set_objective(mat[0])
         sol = solve_reference(model)

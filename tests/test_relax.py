@@ -5,7 +5,9 @@ import pytest
 from helpers import (
     assert_same_solve,
     count_calls,
+    crown_faces,
     differential_cases,
+    fresh_copy,
     random_box,
     random_net,
     toy_box,
@@ -307,7 +309,7 @@ def test_relaxation_lps_match_fresh_copies_bytewise(monkeypatch):
     lps = [0]
 
     def checked_solve(model, basis=None):
-        fresh_model = model.copy()
+        fresh_model = fresh_copy(model)
         got = real_solve(model, basis)
         lps[0] += 1
         assert_same_solve(got, real_solve(fresh_model, basis))
@@ -809,6 +811,67 @@ def test_backward_bounds_match_a_per_row_loop():
                 assert got_high == pytest.approx(want_high, rel=1e-12, abs=1e-12)
                 checked += 1
     assert checked > 100, checked
+
+
+def _objective_rows(net, bounds):
+    """(i, rows) pairs of a backward pass through ``net.layers[:i]``: the
+    rows +-e_j over each ReLU layer i's input, the objectives of its
+    tightening LPs, and the output row."""
+    cases = [(len(net.layers), np.ones((1, 1)))]
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, Relu):
+            eye = np.eye(len(bounds.pre_lb[i]))
+            cases.append((i, np.concatenate([eye, -eye])))
+    return cases
+
+
+def test_backward_pass_records_crowns_faces():
+    # with every row adaptive, the faces the pass records are the ones the
+    # plain loops of ``crown_faces`` pick, on random nets over interval
+    # bounds with and without their phases clamped and over tightened hull
+    # bounds
+    checked, chords, lower_faces, upper_inputs = 0, 0, 0, 0
+    for net, box, phases in differential_cases(np.random.default_rng(61)):
+        pm = build_planet(net, box, phases, tighten=True)
+        sources = [propagate_box(net, box), propagate_box(net, box, phases), None if pm.infeasible else pm.bounds]
+        for bounds in [b for b in sources if b is not None]:
+            for i, g in _objective_rows(net, bounds):
+                lo, hi = bounds.pre_lb[:i], bounds.pre_ub[:i]
+                faces: dict = {}
+                backward_pass(net.layers[:i], g, box.lb, box.ub, lo, hi, True, faces)
+                want = crown_faces(net.layers[:i], g, lo, hi)
+                assert faces.keys() == want.keys()
+                for key, mask in want.items():
+                    assert faces[key].dtype == bool and faces[key].shape == mask.shape
+                    assert (faces[key] == mask).all()
+                chords += sum(int(mask.sum()) for key, mask in want.items() if key >= 0)
+                lower_faces += sum(int((~mask).sum()) for key, mask in want.items() if key >= 0)
+                upper_inputs += int(want[-1].sum())
+                checked += len(g)
+    assert checked > 5000 and chords > 1000 and lower_faces > 2000 and upper_inputs > 4000, (
+        checked, chords, lower_faces, upper_inputs
+    )
+
+
+def test_recording_faces_changes_no_bytes():
+    # on stacked rows under all three lower slopes (the chord's, CROWN's
+    # adaptive slope and 0), a pass that records its faces returns the
+    # bytes of one that does not
+    rng = np.random.default_rng(62)
+    checked = 0
+    for net, box, phases in differential_cases(rng):
+        bounds = propagate_box(net, box, phases)
+        if bounds is None:
+            continue
+        for i, g in _objective_rows(net, bounds):
+            g = np.concatenate([g, rng.normal(size=(3, g.shape[1]))])
+            lo, hi = bounds.pre_lb[:i], bounds.pre_ub[:i]
+            for adaptive in (None, np.arange(len(g)) % 2 == 0):
+                want = backward_pass(net.layers[:i], g, box.lb, box.ub, lo, hi, adaptive)
+                got = backward_pass(net.layers[:i], g, box.lb, box.ub, lo, hi, adaptive, faces={})
+                assert got.tobytes() == want.tobytes()
+                checked += len(g)
+    assert checked > 1000, checked
 
 
 def test_backward_bounds_tighten_the_second_layer():
