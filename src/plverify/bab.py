@@ -155,7 +155,6 @@ class BabConfig:
 class BabResult:
     status: str
     nodes: int
-    wall_time: float
     margin: float | None = None
     counterexample: np.ndarray | None = None
     min_estimate: float | None = None
@@ -549,7 +548,7 @@ class _Engine:
 
     def _result(self, status: str, glb: float) -> BabResult:
         ub = self.global_ub if self.mode == OPTIMIZE else self.seen_ub
-        res = BabResult(status, self.nodes, self.elapsed(), best_lb=glb, best_ub=ub, spurious_candidates=self.spurious)
+        res = BabResult(status, self.nodes, best_lb=glb, best_ub=ub, spurious_candidates=self.spurious)
         if status == UNSAT:
             res.margin = glb
         elif status == SAT:

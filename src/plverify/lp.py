@@ -26,6 +26,11 @@ calls, and the ratio tests are scalar passes over Python lists.
   the first column among the ties).
 * The basis inverse is updated in product form and refactorised every 64
   pivots and at the end, to contain drift.
+* A solve builds its start state once: the sign vector and the bounds as
+  lists serve the start check and both loops, and the reduced costs the
+  start check computes serve the dual loop's first ratio test. A zero
+  objective, as in the oracle's feasibility LPs, skips phase-2 pricing:
+  every reduced cost is 0 there.
 
 A ``Basis`` is an immutable value of columns only: ``solve`` derives its
 start from one and returns its final one. The relaxation builder hands each
@@ -53,12 +58,15 @@ slack basis: a cold pass stopped at the feasibility tolerance can leave a
 basic value further outside a bound than the 1e-9 by which the relaxation
 builder widens its tightened bounds. The pass reports INFEASIBLE only
 through a checked Farkas row: when its ratio test finds no entering column,
-row r of B^-1 is taken after a fresh refactor, and the range of that row's
-combination of the columns over their box must miss its right-hand side by
-more than the feasibility tolerance, scaled by the row's magnitude. When
-the check fails but no basic value lies outside its bounds by more than the
-feasibility tolerance, the start counts as feasible; otherwise the run
-raises ``NumericalFailure``. So does a dual pivot whose entry w_r of
+row r of the current B^-1 is taken, product-form updates and all (any
+multiplier row gives a valid proof, so drift cannot make a false one), and
+the range of that row's combination of the columns over their box must miss
+its right-hand side by more than the feasibility tolerance, scaled by the
+row's magnitude. When the check fails on an inverse that pivots have
+updated, the pass refactors and carries on from the fresh inverse. When it
+fails on a fresh inverse but no basic value lies outside its bounds by more
+than the feasibility tolerance, the start counts as feasible; otherwise the
+run raises ``NumericalFailure``. So does a dual pivot whose entry w_r of
 B^-1 a_e lies below the pivot threshold: w_r can round to 0 where the same
 entry computed as (B^-1[r] A)_e, which chose the column, passed it. The
 only other INFEASIBLE results are a variable with lower > upper and a model
@@ -350,8 +358,9 @@ class LpSolution:
     pivots: int = 0
 
 
-def _padded_objective(model: LpModel | RowStack) -> np.ndarray:
-    c = np.zeros(model.num_vars)
+def _padded_objective(model: LpModel | RowStack, slacks: int = 0) -> np.ndarray:
+    """The objective over the variables, then ``slacks`` zeros."""
+    c = np.zeros(model.num_vars + slacks)
     if model.objective is not None:
         c[: len(model.objective)] = model.objective
     return c
@@ -377,7 +386,7 @@ def solve(model: LpModel | RowStack, start: Basis | None = None) -> LpSolution:
         if np.any(form.rhs < form.lo - TOL_FEAS) or np.any(form.rhs > form.hi + TOL_FEAS):
             return LpSolution(INFEASIBLE, np.inf, None)
         return LpSolution(OPTIMAL, 0.0, np.zeros(0), slack_basis(model))
-    c = np.concatenate([_padded_objective(model), np.zeros(len(form.rhs))])
+    c = _padded_objective(model, len(form.rhs))
     if start is not None:
         try:
             state = _warm_start(form, n, start)
@@ -397,10 +406,9 @@ def _run(state: "_SimplexState", form: _Form, c: np.ndarray, tol: float) -> LpSo
     return _phase_two(state, form, c, MAX_ITER - used)
 
 
-def _columns(cols: tuple[int, ...] | frozenset[int], n: int) -> np.ndarray:
+def _columns(cols: tuple[int, ...] | frozenset[int], n: int) -> list[int]:
     """Indices into structural | slack columns of ``Basis`` columns."""
-    b = np.fromiter(cols, dtype=np.intp, count=len(cols))
-    return np.where(b >= 0, b, n + ~b)
+    return [j if j >= 0 else n + ~j for j in cols]
 
 
 def _warm_start(form: _Form, n: int, basis: Basis) -> "_SimplexState":
@@ -410,12 +418,11 @@ def _warm_start(form: _Form, n: int, basis: Basis) -> "_SimplexState":
     m = len(rhs)
     if len(basis.basic) != m:
         raise ValueError(f"basis names {len(basis.basic)} basic columns for {m} rows")
-    basic = _columns(basis.basic, n)
+    cols = _columns(basis.basic, n)
     at_upper = np.zeros(n + m, dtype=bool)
     at_upper[_columns(basis.at_upper, n)] = True
-    at_upper[basic] = False
-    x = np.where(at_upper, hi, lo)
-    state = _SimplexState(a, rhs, lo, hi, x, at_upper, basic, None)
+    at_upper[cols] = False
+    state = _SimplexState(a, rhs, lo, hi, at_upper, cols)
     state.refactor()
     return state
 
@@ -423,13 +430,14 @@ def _warm_start(form: _Form, n: int, basis: Basis) -> "_SimplexState":
 def _can_start(state: "_SimplexState", c: np.ndarray) -> bool:
     """False when a basic value lies outside its bounds by more than
     TOL_FEAS and some reduced cost of ``c`` has the wrong sign by more than
-    TOL_OPT: neither simplex can start there."""
+    TOL_OPT: neither simplex can start there. The reduced costs it computes
+    are kept in ``state.d`` for the dual pass's first ratio test."""
     basic, lo, hi = state.basis, state.lo, state.hi
     xb = state.x[basic]
     if (xb < lo[basic] - TOL_FEAS).any() or (xb > hi[basic] + TOL_FEAS).any():
-        d = c - (c[basic] @ state.binv) @ state.a
+        state.d = d = c - (c[basic] @ state.binv) @ state.a
         # a nonbasic column whose cost improves by leaving its bound
-        return not (d * state.start_run() < -TOL_OPT).any()
+        return not (d * state.sgn < -TOL_OPT).any()
     return True
 
 
@@ -439,10 +447,12 @@ def _slack_start(model: LpModel | RowStack, form: _Form) -> "_SimplexState":
 
 
 def _phase_two(state: "_SimplexState", form: _Form, c: np.ndarray, max_iter: int) -> LpSolution:
-    """Minimise c from a feasible state over ``form``'s columns."""
+    """Minimise c from a feasible state over ``form``'s columns. A zero
+    objective skips pricing: every reduced cost is 0, so the start is optimal."""
     arow, rhs = form.rows, form.rhs
     n, m = arow.shape[1], len(rhs)
-    _run_simplex(state, c, max_iter)
+    if c.any():
+        _run_simplex(state, c, max_iter)
 
     state.refactor()
     xs = state.x[:n]
@@ -450,39 +460,38 @@ def _phase_two(state: "_SimplexState", form: _Form, c: np.ndarray, max_iter: int
         residual = np.abs(arow @ xs + state.x[n:] - rhs).max()
         if residual > 1e-6:
             raise NumericalFailure(f"final residual {residual:.2e}")
-    b = state.basis
-    state.at_upper[b] = False
-    u = np.flatnonzero(state.at_upper)
-    final = Basis(tuple(np.where(b < n, b, ~(b - n)).tolist()), frozenset(np.where(u < n, u, ~(u - n)).tolist()))
+    at_upper = state.at_upper
+    at_upper[state.basis] = False
+    final = Basis(
+        tuple([j if j < n else ~(j - n) for j in state.cols]),
+        frozenset([j if j < n else ~(j - n) for j in np.flatnonzero(at_upper).tolist()]),
+    )
     return LpSolution(OPTIMAL, float(c[:n] @ xs), xs.copy(), final, state.pivots)
 
 
 class _SimplexState:
-    def __init__(self, a, rhs, lo, hi, x, at_upper, basis, binv):
+    """A run's state at a basis. The bounds as lists and the sign vector
+    (see the module docstring) are built once per start; ``pivot`` and the
+    primal flip keep the sign vector current."""
+
+    def __init__(self, a, rhs, lo, hi, at_upper, cols):
         self.a = a
         self.rhs = rhs
         self.lo = lo
         self.hi = hi
-        self.x = x
+        self.lo_l, self.hi_l = lo.tolist(), hi.tolist()
+        self.x = np.where(at_upper, hi, lo)
         self.at_upper = at_upper
-        self.basis = basis
-        self.cols = basis.tolist()  # ``basis`` as a list, for scalar loops
-        self.binv = binv
-        self.fresh = False  # binv was inverted from the basis, no pivot since
-        self.pivots = 0  # ``pivot`` calls so far
-        self.lo_l = self.hi_l = self.sgn = None
-
-    def start_run(self) -> np.ndarray:
-        """Start a run of pivots: the bounds as lists, and the sign vector,
-        +1 for a movable nonbasic column at its lower bound, -1 for one at
-        its upper bound, 0 for a basic or fixed column (the direction each
-        column can move in). ``pivot`` keeps the sign vector current."""
-        self.lo_l, self.hi_l = self.lo.tolist(), self.hi.tolist()
-        sgn = np.where(self.at_upper, -1.0, 1.0)
-        sgn[self.hi - self.lo <= 0.0] = 0.0
+        self.cols = cols  # the basic columns as a list, for scalar loops
+        self.basis = np.array(cols, dtype=np.intp)
+        sgn = np.where(at_upper, -1.0, 1.0)
+        sgn[hi - lo <= 0.0] = 0.0
         sgn[self.basis] = 0.0
         self.sgn = sgn
-        return sgn
+        self.binv = None
+        self.fresh = False  # binv was inverted from the basis, no pivot since
+        self.pivots = 0  # ``pivot`` calls so far
+        self.d = None  # the start's reduced costs, when ``_can_start`` computed them
 
     def refactor(self) -> None:
         """Recompute the basic values, inverting the basis again unless no
@@ -536,9 +545,8 @@ def _run_simplex(state: _SimplexState, c: np.ndarray, max_iter: int) -> int:
     rule (the first improving column, the smallest basic column among the
     ties) takes over after _BLAND_TRIGGER consecutive degenerate pivots.
     """
-    a, x, cols = state.a, state.x, state.cols
+    a, x, cols, sgn = state.a, state.x, state.cols, state.sgn
     m = len(cols)
-    sgn = state.start_run()
     lo_l, hi_l = state.lo_l, state.hi_l
     xb = x[state.basis].tolist()
     degen_run = 0
@@ -618,15 +626,17 @@ def _run_dual(state: _SimplexState, c: np.ndarray, tol: float, max_iter: int) ->
     the largest |alpha_j|. Bland's rule (the smallest violated basic column,
     the first column among the ties) takes over after _BLAND_TRIGGER
     consecutive dual-degenerate pivots. When no column can repair the
-    chosen row and its Farkas check fails, the state still counts as
-    feasible if no basic value lies outside its bounds by more than
-    TOL_FEAS (only a ``tol`` below TOL_FEAS can get there).
+    chosen row, its Farkas row is checked on the current inverse; a failed
+    check on an updated inverse refactors and goes on. When the check fails
+    on a fresh inverse, the state still counts as feasible if no basic
+    value lies outside its bounds by more than TOL_FEAS (only a ``tol``
+    below TOL_FEAS can get there).
     """
-    a, x, basis, cols = state.a, state.x, state.basis, state.cols
+    a, x, basis, cols, sgn = state.a, state.x, state.basis, state.cols, state.sgn
     if not cols:
         return 0  # no basic value to lie outside its bounds
+    lo_l, hi_l = state.lo_l, state.hi_l
     lo_b, hi_b = state.lo[basis], state.hi[basis]
-    sgn = None  # set up at the first violated row
     degen_run = 0
     bland = False
 
@@ -646,9 +656,6 @@ def _run_dual(state: _SimplexState, c: np.ndarray, tol: float, max_iter: int) ->
             r = int(violation.argmax())
             if not violation.item(r) > tol:
                 return it
-        if sgn is None:
-            sgn = state.start_run()
-            lo_l, hi_l = state.lo_l, state.hi_l
         rise = lo_l[cols[r]] - xb.item(r) > 0.0  # the leaving value climbs to its lower bound
 
         alpha = binv[r] @ a
@@ -656,15 +663,18 @@ def _run_dual(state: _SimplexState, c: np.ndarray, tol: float, max_iter: int) ->
         moves = alpha * sgn
         eligible = np.flatnonzero(moves < -PIVOT_TOL if rise else moves > PIVOT_TOL).tolist()
         if not eligible:
-            if not state.fresh:
-                state.refactor()  # decide on an inverse without drift
-                continue
             if _farkas_row(state, r):
                 return None
+            if not state.fresh:
+                state.refactor()  # check again on an inverse without drift
+                continue
             if not violation.max() > TOL_FEAS:
                 return it
             raise NumericalFailure("dual ratio test found no column, Farkas check failed")
-        d = c - (c[basis] @ binv) @ a
+        if state.d is None:
+            d = c - (c[basis] @ binv) @ a
+        else:  # the start's, from ``_can_start``: no pivot happened since
+            d, state.d = state.d, None
         dl, al, sl = d.tolist(), alpha.tolist(), sgn.tolist()
         ratios = []
         for j in eligible:

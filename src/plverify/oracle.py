@@ -34,8 +34,10 @@ added since; a child extends it by its new row's slack, and the stack
 keeps rows in decision order, so slack indices line up. A feasibility LP
 has a zero objective, so that start is always dual feasible: ``lp.solve``
 repairs it with the bounded dual simplex, and an empty pattern is pruned
-through a checked Farkas row (a warm run whose Farkas check fails starts
-again from the slack basis, which proves infeasibility the same way). A
+through a checked Farkas row, taken from the dual pass's current inverse
+(when that check fails the pass refactors and checks again; a warm run
+that still fails starts again from the slack basis, which proves
+infeasibility the same way). A zero objective costs no phase-2 pricing. A
 feasible child carries the basis its LP returned. Each leaf LP starts from
 its pattern's basis, which is usually primal feasible, so it runs phase 2
 only; a start that is neither primal nor dual feasible falls back to the

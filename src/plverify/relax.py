@@ -101,10 +101,8 @@ _SAFETY = 1e-9  # outward slack applied to tightened bounds
 class HullUnit:
     layer: int
     unit: int
-    var_pre: int
     var_post: int
     row_lower: int  # x - x_hat >= 0
-    row_upper: int | None  # chord row; None in reluplex mode
     lb: float
     ub: float
 
@@ -349,12 +347,10 @@ def _encode(
                 block[t + 1, x], block[t + 1, p] = u - l, -u
                 rhs[:, 1] = -u * l
                 basis = basis.extended([c for r, v in zip(low, x.tolist()) for c in (~r, v)])
-                up = [r + 1 for r in low]
             else:
                 basis = basis.extended([~r for r in low], x.tolist())
-                up = [None] * k
             model.add_block(block, [lp.GE, lp.LE][:per] * k, rhs.ravel(), np.zeros(k), u)
-            hull_units += map(HullUnit, [i] * k, hull.tolist(), p.tolist(), x.tolist(), low, up, l.tolist(), u.tolist())
+            hull_units += map(HullUnit, [i] * k, hull.tolist(), x.tolist(), low, l.tolist(), u.tolist())
             prev = np.where(blocked, -1, prev)
             prev[hull] = x
         cur_lb, cur_ub = post_bounds(layer, lo, hi)

@@ -9,7 +9,7 @@ import numpy as np
 
 from plverify.canon import Geq, canonicalize, maxpool_to_relu
 from plverify.interval import propagate_box
-from plverify.lp import GE, LpModel
+from plverify.lp import GE, LE, LpModel
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu
 
 
@@ -170,6 +170,20 @@ def relu_binaries(enc) -> list[tuple[int, int, int, int, int]]:
                 n += 1 + len(group)
     assert n == enc.model.num_vars
     return binaries
+
+
+def hull_rows(model: LpModel, unit) -> tuple[int, int | None]:
+    """(pre_var, chord_row) of a ``relax.HullUnit`` over ``model``, read
+    from the rows the relaxation documents: the unit's first row
+    x - x_hat >= 0 names x_hat by its -1; in planet mode the chord row
+    (u - l) x - u x_hat <= -u l follows it, in reluplex mode no row of the
+    unit does (None)."""
+    rows, rel = model.rows, model.rel
+    (pre,) = np.flatnonzero(rows[unit.row_lower] == -1.0)
+    chord = unit.row_lower + 1
+    if chord == len(rel) or rel[chord] != LE or rows[chord, unit.var_post] == 0.0:
+        return int(pre), None
+    return int(pre), chord
 
 
 def crown_faces(layers: tuple, g: np.ndarray, pre_lb: list, pre_ub: list) -> dict[int, np.ndarray]:

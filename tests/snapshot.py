@@ -4,6 +4,9 @@
 
 Writes, on every instance of ``standard_suite(200, 1000)``:
 
+* one line per generated instance with its spec key and its property's
+  threshold ``prop.b`` as ``float.hex``, so the diff covers suite
+  generation, nearly all of it oracle LPs;
 * the result document of each method of ``cli.METHODS`` (``run_verify``
   with seed 7 and no timeout), without ``time_s``;
 * one line per ``bab_optimize`` sweep run on the MaxPool-lowered problem
@@ -16,14 +19,15 @@ every result a change moved. pytest does not collect this file.
     PYTHONPATH=src python tests/snapshot.py --compare PARENT.jsonl CHANGE.jsonl
 
 compares two such files line by line. It fails (exit status 1) on any line
-that differs outside its float fields: the status, the node counts, the
-instance and method, and whether there is a counterexample. It lists every
-moved float value (``margin``, ``lb``, ``ub``, ``best_lb``, ``best_ub``,
-``min_estimate`` and the counterexample's coordinates) with the size of the
-move, then the count and the largest move per field, and last a table of
-the moved values per (method, status, field), a sweep line's branching rule
-standing for its method, and then per method the node totals of both files
-and the number of lines whose node count moved.
+that differs outside its float fields: the spec key, the status, the node
+counts, the instance and method, and whether there is a counterexample. It
+lists every moved float value (``margin``, ``lb``, ``ub``, ``best_lb``,
+``best_ub``, ``min_estimate``, a generated threshold ``b`` and the
+counterexample's coordinates) with the size of the move, then the count and
+the largest move per field, and last a table of the moved values per
+(method, status, field), a sweep line's branching rule standing for its
+method and a generated line's kind for both, and then per method the node
+totals of both files and the number of lines whose node count moved.
 """
 
 from __future__ import annotations
@@ -51,8 +55,14 @@ def _hex(value: float | None) -> str | None:
     return None if value is None else float(value).hex()
 
 
+def _spec_key(spec) -> str:
+    return f"{spec.inputs}-{spec.depth}-{spec.width}-{spec.maxpool}-{spec.margin!r}-{spec.seed}"
+
+
 def snapshot_lines():
     instances = [generate(spec.seed, spec) for spec in standard_suite(200, 1000)]
+    for inst in instances:
+        yield {"kind": "generate", "seed": inst.spec.seed, "spec": _spec_key(inst.spec), "b": _hex(inst.prop.b)}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "result.json"
         for inst in instances:
@@ -77,15 +87,15 @@ def snapshot_lines():
             }
 
 
-FLOAT_FIELDS = ("margin", "lb", "ub", "best_lb", "best_ub", "min_estimate")
+FLOAT_FIELDS = ("margin", "lb", "ub", "best_lb", "best_ub", "min_estimate", "b")
 
 
 def _fields(line: dict) -> dict:
-    """The line's fields, flat: sweep bounds decoded from hex, a verify
-    result's fields next to its instance keys."""
+    """The line's fields, flat: sweep bounds and generated thresholds
+    decoded from hex, a verify result's fields next to its instance keys."""
     flat = {k: v for k, v in line.items() if k != "result"}
     flat.update(line.get("result", {}))
-    for key in ("best_lb", "best_ub", "min_estimate"):
+    for key in ("best_lb", "best_ub", "min_estimate", "b"):
         if isinstance(flat.get(key), str):
             flat[key] = float.fromhex(flat[key])
     return flat
@@ -116,11 +126,12 @@ def compare(parent_path: str, change_path: str) -> int:
     table: Counter = Counter()  # (method, status, field) -> moved values
     nodes: dict[str, list[int]] = {}  # method -> parent total, change total, lines moved
     for n, (old, new) in enumerate(zip(parent, change), 1):
-        method = old.get("method", old.get("branching"))
-        counts = nodes.setdefault(method, [0, 0, 0])
-        counts[0] += old["nodes"]
-        counts[1] += new["nodes"]
-        counts[2] += old["nodes"] != new["nodes"]
+        method = old.get("method", old.get("branching", old["kind"]))
+        if "nodes" in old:
+            counts = nodes.setdefault(method, [0, 0, 0])
+            counts[0] += old["nodes"]
+            counts[1] += new.get("nodes", 0)
+            counts[2] += old["nodes"] != new.get("nodes")
         where = f"line {n} ({old['kind']} {method} seed {old['seed']})"
         old_cex, new_cex = old.pop("counterexample", None), new.pop("counterexample", None)
         fixed = (set(old) | set(new)) - set(FLOAT_FIELDS)
@@ -138,7 +149,7 @@ def compare(parent_path: str, change_path: str) -> int:
         for key, a, b, size in sizes:
             if size > 0.0:
                 moved.setdefault(key, []).append(size)
-                table[method, old["status"], key] += 1
+                table[method, old.get("status", "-"), key] += 1
                 values = "" if a is None else f" {a!r} -> {b!r}"
                 print(f"{where}: {key}{values} moved {size:.3g}")
     for key in (*FLOAT_FIELDS, "counterexample"):

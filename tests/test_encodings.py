@@ -10,7 +10,7 @@ LP bound above the true minimum, so the soundness tests need not see it.
 """
 
 import numpy as np
-from helpers import random_box, random_net, relu_binaries
+from helpers import hull_rows, random_box, random_net, relu_binaries
 
 from plverify import lp
 from plverify.interval import BLOCKED, PASSING
@@ -58,7 +58,7 @@ def _relaxation_point(net: Network, pm, x0: np.ndarray) -> np.ndarray:
     def hull(i, pre, z):
         units = [h for h in pm.hull_units if h.layer == i]
         for h in units:
-            assert z[h.var_pre] == pre[h.unit]
+            assert z[hull_rows(pm.model, h)[0]] == pre[h.unit]
             z[h.var_post] = max(pre[h.unit], 0.0)
         return len(units)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import reference_lp
-from helpers import add_row, add_var, count_calls, fresh_copy
+from helpers import add_row, add_var, assert_same_solve, count_calls, fresh_copy
 from reference_lp import TooLarge, solve_reference
 
 import plverify.lp as lp_module
@@ -363,9 +363,8 @@ def test_cold_start_within_feasibility_tolerance_is_optimal(monkeypatch):
     assert solve(m).status == INFEASIBLE and proofs[0] == 2
 
 
-def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
-    # from an optimal basis no pivot happens, so the final refactor reuses
-    # the start's inverse: the same bytes as inverting again
+def _count_inversions(monkeypatch) -> list[int]:
+    """A one-element counter of the basis inversions of the solves that follow."""
     inverse = np.linalg.inv
     inversions = [0]
 
@@ -374,6 +373,13 @@ def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
         return inverse(a)
 
     monkeypatch.setattr(lp_module.np.linalg, "inv", counted)
+    return inversions
+
+
+def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
+    # from an optimal basis no pivot happens, so the final refactor reuses
+    # the start's inverse: the same bytes as inverting again
+    inversions = _count_inversions(monkeypatch)
     always = lp_module._SimplexState.refactor
 
     def reinverting(state):
@@ -410,6 +416,130 @@ def test_zero_pivot_warm_solve_inverts_once(monkeypatch):
         assert inversions[0] >= 1
         checked += 1
     assert checked > 30
+
+
+def test_infeasible_warm_start_is_proved_on_the_current_inverse(monkeypatch):
+    # a bound cut through a basic optimum can make the model infeasible: the
+    # warm solve pivots until its ratio test runs dry, and the Farkas row of
+    # the product-form inverse proves it without inverting again. When that
+    # check fails, the solve refactors and proves it on a fresh inverse
+    inversions = _count_inversions(monkeypatch)
+    cold_starts = count_calls(monkeypatch, lp_module, "_slack_start")
+    farkas = lp_module._farkas_row
+    failures = [0]
+
+    def failing(state, r):
+        if failures[0]:
+            failures[0] -= 1
+            return False
+        return farkas(state, r)
+
+    monkeypatch.setattr(lp_module, "_farkas_row", failing)
+    rng = np.random.default_rng(37)
+    checked = 0
+    for _ in range(600):
+        model = _random_model(rng)
+        first = solve(model, Basis(tuple(~i for i in range(len(model.rows)))))
+        if first.status != OPTIMAL:
+            continue
+        lo, hi = np.array(model.lower), np.array(model.upper)
+        basic = [j for j in first.basis.basic if j >= 0 and lo[j] + 1e-6 < first.x[j] < hi[j] - 1e-6]
+        if not basic:
+            continue
+        j = basic[int(rng.integers(0, len(basic)))]
+        if rng.random() < 0.5:
+            model.lower[j] = model.upper[j]
+        else:
+            model.upper[j] = model.lower[j]
+        before = cold_starts[0]
+        inversions[0] = 0
+        warm = solve(model, first.basis)
+        if warm.status != INFEASIBLE or not warm.pivots or cold_starts[0] != before:
+            continue
+        assert inversions[0] == 1  # the start's inverse, updated in product form
+        failures[0], inversions[0] = 1, 0
+        again = solve(model, first.basis)
+        assert failures[0] == 0 and cold_starts[0] == before
+        assert again.status == INFEASIBLE and again.pivots == warm.pivots and inversions[0] == 2
+        checked += 1
+    assert checked > 50
+
+
+def test_zero_objective_skips_pricing(monkeypatch):
+    # a feasibility LP (no objective, as the oracle's) is optimal wherever
+    # its dual pass leaves it: every reduced cost is 0, so phase 2 prices
+    # nothing, and the result is the bytes of a solve that prices
+    rng = np.random.default_rng(43)
+    cases = []
+    for _ in range(150):
+        model = _random_model(rng)
+        slack = Basis(tuple(~i for i in range(len(model.rows))), frozenset({0}))
+        priced = solve(model, slack)
+        model.objective = None if rng.random() < 0.5 else np.zeros(model.num_vars)
+        cases += [(model, None), (model, slack)]
+        if priced.status == OPTIMAL:
+            cases.append((model, priced.basis))  # the optimum of another objective
+    for _ in range(50):
+        n = int(rng.integers(1, 4))
+        lo = rng.uniform(-2.0, 0.5, size=n)
+        stack = RowStack(lo, lo + rng.uniform(0.1, 3.0, size=n))
+        for _ in range(int(rng.integers(1, 6))):
+            a = rng.normal(size=n)
+            stack.push(a, float(a @ rng.uniform(lo, stack._box[1]) + rng.uniform(-1.5, 0.5)))
+        cases.append((stack, None))
+
+    pricing = count_calls(monkeypatch, lp_module, "_run_simplex")
+    got = [solve(model, start) for model, start in cases]
+    assert pricing[0] == 0
+    phase_two = lp_module._phase_two
+
+    def priced_phase_two(state, form, c, max_iter):
+        assert lp_module._run_simplex(state, c, max_iter) == 0  # no column improves
+        return phase_two(state, form, c, max_iter)
+
+    monkeypatch.setattr(lp_module, "_phase_two", priced_phase_two)
+    want = [solve(model, start) for model, start in cases]
+    statuses = [sol.status for sol in got]
+    assert pricing[0] == statuses.count(OPTIMAL)
+    for g, w in zip(got, want):
+        assert_same_solve(g, w)
+        assert g.pivots == w.pivots
+    assert statuses.count(OPTIMAL) > 200 and statuses.count(INFEASIBLE) > 100
+
+
+def test_start_reduced_costs_serve_only_the_first_ratio_test(monkeypatch):
+    # a bound cut after an optimum leaves a dual feasible start with basic
+    # values outside their bounds: the reduced costs the start check computed
+    # feed the dual pass's first ratio test, every later pivot prices afresh,
+    # so the solve returns the bytes and pivots of one that recomputes them
+    rng = np.random.default_rng(41)
+    cases = []
+    for _ in range(800):
+        model = _random_model(rng)
+        first = solve(model)
+        if first.status != OPTIMAL:
+            continue
+        j = int(rng.integers(0, model.num_vars))
+        cut = model.lower[j] + rng.uniform(0.0, 1.0) * (first.x[j] - model.lower[j])
+        model.upper[j] = max(cut, model.lower[j])
+        cases.append((model, first.basis))
+    got = [solve(model, start) for model, start in cases]
+    can_start = lp_module._can_start
+    handed = []  # the dual pivots of each run that received the start's reduced costs
+
+    def forgetting(state, c):
+        ok = can_start(state, c)
+        if ok and state.d is not None:
+            handed.append(state)
+        state.d = None
+        return ok
+
+    monkeypatch.setattr(lp_module, "_can_start", forgetting)
+    want = [solve(model, start) for model, start in cases]
+    for g, w in zip(got, want):
+        assert_same_solve(g, w)
+        assert g.pivots == w.pivots
+    assert len(handed) > 150 and sum(state.pivots > 1 for state in handed) > 20
 
 
 def test_warm_solve_without_rows(monkeypatch):

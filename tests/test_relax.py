@@ -8,6 +8,7 @@ from helpers import (
     crown_faces,
     differential_cases,
     fresh_copy,
+    hull_rows,
     random_box,
     random_net,
     toy_box,
@@ -85,16 +86,17 @@ def test_planet_structure_three_constraints_per_ambiguous_unit():
     pm = build_planet(problem.canonical_net, problem.domain)
     assert len(pm.hull_units) == 2
     for h in pm.hull_units:
+        var_pre, row_upper = hull_rows(pm.model, h)
         assert pm.model.lower[h.var_post] == 0.0  # x >= 0 as a variable bound
         row, rel, rhs = (a[h.row_lower] for a in (pm.model.rows, pm.model.rel, pm.model.rhs))  # x >= x_hat
         assert rel == lp.GE and rhs == 0.0
-        assert row[h.var_post] == 1.0 and row[h.var_pre] == -1.0
+        assert row[h.var_post] == 1.0 and row[var_pre] == -1.0
         assert np.count_nonzero(row) == 2
-        row, rel, rhs = (a[h.row_upper] for a in (pm.model.rows, pm.model.rel, pm.model.rhs))
+        row, rel, rhs = (a[row_upper] for a in (pm.model.rows, pm.model.rel, pm.model.rhs))
         assert rel == lp.LE and np.count_nonzero(row) == 2
         # chord: value 0 at x_hat = l and u at x_hat = u
-        at_l = (rhs - row[h.var_pre] * h.lb) / row[h.var_post]
-        at_u = (rhs - row[h.var_pre] * h.ub) / row[h.var_post]
+        at_l = (rhs - row[var_pre] * h.lb) / row[h.var_post]
+        at_u = (rhs - row[var_pre] * h.ub) / row[h.var_post]
         assert at_l == pytest.approx(0.0, abs=1e-12)
         assert at_u == pytest.approx(h.ub, rel=1e-12)
 
@@ -499,8 +501,9 @@ def test_first_layer_tightening_runs_no_lp(monkeypatch):
         # the skipped LPs would not have moved a bound either
         ambiguous += len(pm.hull_units)
         for unit in pm.hull_units:
-            low = real_solve(pm.model.with_objective({unit.var_pre: 1.0})).objective
-            high = -real_solve(pm.model.with_objective({unit.var_pre: -1.0})).objective
+            var_pre, _ = hull_rows(pm.model, unit)
+            low = real_solve(pm.model.with_objective({var_pre: 1.0})).objective
+            high = -real_solve(pm.model.with_objective({var_pre: -1.0})).objective
             assert low - _SAFETY <= unit.lb and high + _SAFETY >= unit.ub
         planet_lower_bound_with_point(pm)
         assert len(solves) == 1
@@ -545,7 +548,7 @@ def test_tightening_failure_keeps_the_interval_bound(monkeypatch):
         # the first ReLU layer is not tightened, so the second one's
         # interval bounds are those of plain propagation
         interval = propagate_box(net, box)
-        (unit,) = [u for u in pm.hull_units if u.var_pre == failed[0]]
+        (unit,) = [u for u in pm.hull_units if hull_rows(pm.model, u)[0] == failed[0]]
         assert unit.layer == 3
         assert pm.bounds.pre_lb[3][unit.unit] == interval.pre_lb[3][unit.unit] == unit.lb
         assert pm.bounds.pre_ub[3][unit.unit] == interval.pre_ub[3][unit.unit] == unit.ub
