@@ -83,7 +83,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .canon import VerificationProblem, validate_point
+from .canon import CEX_TOL, VerificationProblem, validate_point
 from .interval import (
     BLOCKED,
     PASSING,
@@ -92,7 +92,7 @@ from .interval import (
     ambiguous_units,
     propagate_box,
 )
-from .model import BoxDomain, Linear, Network, Relu, forward_batch, forward_eval
+from .model import BoxDomain, Network, forward_batch, forward_eval, forward_rows
 from .relax import backward_pass, build_planet, fast_dual_bound, planet_lower_bound_with_point
 from .rng import SplitMix64
 
@@ -285,21 +285,6 @@ def _forward_phases(net: Network, pts: np.ndarray, phases: PhaseMap) -> tuple[np
     return vals, mask
 
 
-def _forward_rows(net: Network, pts: np.ndarray) -> np.ndarray:
-    """``forward_eval`` of each row of ``pts``, with its bytes: every Linear
-    layer takes one row at a time (``np.matvec``), never the matrix product
-    of ``forward_batch``."""
-    x = pts
-    for layer in net.layers:
-        if isinstance(layer, Linear):
-            x = np.matvec(layer.weight, x) + layer.bias
-        elif isinstance(layer, Relu):
-            x = np.maximum(x, 0.0)
-        else:
-            x = np.stack([np.max(x[:, list(g)], axis=1) for g in layer.groups], axis=1)
-    return x
-
-
 def sample_upper_bound(
     net: Network,
     box: BoxDomain,
@@ -309,7 +294,8 @@ def sample_upper_bound(
 ) -> tuple[float, np.ndarray | None]:
     """Best canonical output over uniform samples of ``box`` plus one greedy
     coordinate descent pass from the best sample. Given phases, only points
-    that meet them count (+inf, None when none match)."""
+    that meet them count (+inf, None when none match). The samples are
+    valued by ``forward_batch``, the trials by the exact ``forward_rows``."""
     pts = rng.uniform_box(box.lb, box.ub, count)
     vals, mask = _forward_phases(net, pts, phases)
     if phases:
@@ -324,7 +310,7 @@ def sample_upper_bound(
         # so an accepted one leaves the later ones as they were
         trials = np.tile(best_pt, (3, 1))
         trials[:, j] = box.lb[j], 0.5 * (box.lb[j] + box.ub[j]), box.ub[j]
-        for trial, v in zip(trials, _forward_rows(net, trials)[:, 0].tolist()):
+        for trial, v in zip(trials, forward_rows(net, trials)[:, 0].tolist()):
             if v < best_val:
                 if phases and not _forward_phases(net, trial[None, :], phases)[1][0]:
                     continue
@@ -409,7 +395,7 @@ class _Engine:
         else:
             sample = self._sample(sub, phases)
             val, pt = sample
-            if pt is not None and val <= 0.0 and validate_point(self.net, self.box, pt, 1e-6):
+            if pt is not None and val <= 0.0 and validate_point(self.net, self.box, pt, CEX_TOL):
                 return sub, [sample]
         parent_lb = sub.lower_bound
         # only phase splitting reads the layer bounds back (split_relu)
@@ -521,7 +507,7 @@ class _Engine:
             if self.mode == SATISFIABILITY:
                 if self.box.contains(pt):
                     self.seen_ub = min(self.seen_ub, val)
-                if val <= 0.0 and validate_point(self.net, self.box, pt, 1e-6):
+                if val <= 0.0 and validate_point(self.net, self.box, pt, CEX_TOL):
                     self.sat_point = pt
                     return True
             if val < self.global_ub and self.mode == OPTIMIZE:

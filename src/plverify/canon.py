@@ -30,6 +30,8 @@ import numpy as np
 from .interval import LayerBounds, propagate_box
 from .model import BoxDomain, Layer, Linear, MaxPool, Network, Relu, forward_eval, is_relu_only
 
+CEX_TOL = 1e-6  # box and output slack of every counterexample check a search or a result makes
+
 
 @dataclass(frozen=True)
 class Geq:
@@ -64,15 +66,6 @@ class VerificationProblem:
     domain: BoxDomain
     original_net: Network
     original_property: PropertyClause
-
-
-def clause_holds_strict(prop: PropertyClause, out: np.ndarray) -> bool:
-    """Strict Boolean evaluation of the clause tree on an output vector."""
-    if isinstance(prop, Geq):
-        return float(prop.c @ out - prop.b) > 0.0
-    if isinstance(prop, AnyClause):
-        return any(clause_holds_strict(c, out) for c in prop.clauses)
-    return all(clause_holds_strict(c, out) for c in prop.clauses)
 
 
 def _check_shapes(prop: PropertyClause, width: int) -> None:

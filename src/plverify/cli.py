@@ -32,7 +32,7 @@ import numpy as np
 
 from . import formats
 from .bab import SAT, TIMEOUT, UNSAT, BabConfig, INPUT_LONGEST, INPUT_SMART, RELU_SPLIT, bab_verify
-from .canon import PropertyClause, canonicalize, lower_maxpools, validate_counterexample
+from .canon import CEX_TOL, PropertyClause, canonicalize, lower_maxpools, validate_counterexample
 from .mip import INTERVAL_VARIANT, PLANET_OPT, PLANET_SYMFEASIBLE, encode_mip, solve_mip
 from .model import BoxDomain, Network
 
@@ -102,7 +102,7 @@ def run_verify(
     counterexample = None
     if status == "SAT":
         counterexample = res.counterexample
-        if not validate_counterexample(problem, counterexample, 1e-6):
+        if not validate_counterexample(problem, counterexample, CEX_TOL):
             status = "ERROR"  # never surface an unvalidated counterexample
             counterexample = None
     wall = time.monotonic() - t0

@@ -13,7 +13,8 @@ by a branch clamps the unit's pre-activation bound at zero first.
 
 This module is the one place interval bounds are computed. Each layer takes
 two steps: ``pre_bounds`` (what the layer reads, phases clamped) and
-``post_bounds`` (what it outputs); ``propagate_box`` chains them over a box.
+``post_bounds`` (what it outputs); ``propagate_box`` chains them over a box,
+keeping each ``pre`` entry and the output's lower bound (``LayerBounds``).
 A box with 2-D ``lb``/``ub`` holds one box per row, each bounded to the bytes
 of a call on that row alone: the Linear step is one matrix-vector product per
 row (``np.matvec``), since a matrix product over the stack rounds differently.
@@ -43,22 +44,18 @@ PhaseMap = dict[tuple[int, int], bool]
 
 @dataclass
 class LayerBounds:
-    """Pre- and post-activation interval bounds for every layer.
+    """Interval bounds for every layer, plus the lower bound of the output.
 
     ``pre`` is the layer's view of its input values right before the layer
     applies (for ReLU layers these are the l_i, u_i that all relaxations
-    consume); ``post`` bounds the layer's output. For a Linear layer pre and
-    post coincide with the affine output bounds.
+    consume; for a Linear layer the affine output bounds). A layer's output
+    bounds are ``post_bounds`` of its ``pre`` entry; only the last layer's
+    lower half is kept, as ``output_lb``.
     """
 
     pre_lb: list[np.ndarray]
     pre_ub: list[np.ndarray]
-    post_lb: list[np.ndarray]
-    post_ub: list[np.ndarray]
-
-    @property
-    def output_lb(self) -> np.ndarray:
-        return self.post_lb[-1]
+    output_lb: np.ndarray
 
 
 def pre_bounds(
@@ -111,17 +108,15 @@ def propagate_box(net: Network, box: BoxDomain, phases: PhaseMap | None = None) 
     when a fixed phase contradicts the bounds: the subdomain is infeasible.
     A 2-D box holds a box per row (no phases), each bounded as by its own call."""
     cur_lb, cur_ub = box.lb, box.ub
-    out = LayerBounds([], [], [], [])
+    pre_lb, pre_ub = [], []
     for i, layer in enumerate(net.layers):
         pre = pre_bounds(layer, i, cur_lb, cur_ub, phases)
         if pre is None:
             return None
         cur_lb, cur_ub = post_bounds(layer, *pre)
-        out.pre_lb.append(pre[0])
-        out.pre_ub.append(pre[1])
-        out.post_lb.append(cur_lb)
-        out.post_ub.append(cur_ub)
-    return out
+        pre_lb.append(pre[0])
+        pre_ub.append(pre[1])
+    return LayerBounds(pre_lb, pre_ub, cur_lb)
 
 
 def ambiguous_units(net: Network, bounds: LayerBounds) -> list[tuple[int, int]]:

@@ -69,8 +69,8 @@ than the feasibility tolerance, the start counts as feasible; otherwise the
 run raises ``NumericalFailure``. So does a dual pivot whose entry w_r of
 B^-1 a_e lies below the pivot threshold: w_r can round to 0 where the same
 entry computed as (B^-1[r] A)_e, which chose the column, passed it. The
-only other INFEASIBLE results are a variable with lower > upper and a model
-without variables whose rows 0 does not meet.
+only other INFEASIBLE result is a variable with lower > upper. A model
+without variables takes the same route, from its only basis, the slack one.
 
 Tolerances (fixed for the whole artifact): feasibility 1e-8 (1e-10 for
 the dual pass from the slack basis), optimality 1e-7, pivot threshold
@@ -381,15 +381,10 @@ def solve(model: LpModel | RowStack, start: Basis | None = None) -> LpSolution:
     form = model.standard_form()
     if form is None:
         return LpSolution(INFEASIBLE, np.inf, None)
-    n = model.num_vars
-    if n == 0:  # x = () meets row i when rhs_i lies within its slack's bounds
-        if np.any(form.rhs < form.lo - TOL_FEAS) or np.any(form.rhs > form.hi + TOL_FEAS):
-            return LpSolution(INFEASIBLE, np.inf, None)
-        return LpSolution(OPTIMAL, 0.0, np.zeros(0), slack_basis(model))
     c = _padded_objective(model, len(form.rhs))
     if start is not None:
         try:
-            state = _warm_start(form, n, start)
+            state = _warm_start(form, model.num_vars, start)
             if _can_start(state, c):
                 return _run(state, form, c, TOL_FEAS)
         except NumericalFailure:

@@ -94,7 +94,7 @@ import numpy as np
 
 from . import lp
 from .bab import SATISFIABILITY, BabConfig, BabResult, NoAmbiguousUnit, Subdomain, _Engine
-from .canon import validate_point
+from .canon import CEX_TOL, validate_point
 from .interval import LayerBounds, propagate_box
 from .model import BoxDomain, Linear, Network, Relu, forward_eval, is_relu_only
 from .relax import add_linear, backward_pass, build_planet
@@ -130,7 +130,6 @@ class EncodedMip:
     net: Network
     box: BoxDomain
     model: lp.LpModel  # full encoding, output minimised
-    output_var: int
     int_vars: list[int]
     basis: lp.Basis  # the root LP's start: the network's forward pass at a corner of the box
     pool_groups: list[tuple[int, int, list[int], int]] = field(default_factory=list)
@@ -227,9 +226,8 @@ def encode_mip(net: Network, box: BoxDomain, variant: MipVariant) -> EncodedMip:
             prev = np.array([y for layer_i, *_, y in pool_groups if layer_i == i])
             val = np.array(tops)
 
-    output_var = int(prev[0])
-    model.set_objective({output_var: 1.0})
-    return EncodedMip(net, box, model, output_var, int_vars, basis, pool_groups)
+    model.set_objective({int(prev[0]): 1.0})
+    return EncodedMip(net, box, model, int_vars, basis, pool_groups)
 
 
 def _pinned(base: lp.LpModel, fixes: dict[int, int]) -> lp.LpModel:
@@ -273,7 +271,7 @@ class _MipSearch(_Engine):
         node.lower_bound, node.basis = sol.objective, sol.basis
         x0 = sol.x[: self.box.size].copy()
         point = (float(forward_eval(self.net, x0)[0]), x0)
-        if node.lower_bound > 0.0 or (point[0] <= 0.0 and validate_point(self.net, self.box, x0, 1e-6)):
+        if node.lower_bound > 0.0 or (point[0] <= 0.0 and validate_point(self.net, self.box, x0, CEX_TOL)):
             return node, [point]  # pruned, or a counterexample that ends the run
         dist = np.abs(sol.x[unfixed] - np.round(sol.x[unfixed]))
         if unfixed and float(np.max(dist)) > _INT_TOL:

@@ -8,6 +8,11 @@ A network is an ordered list of layers over a fixed input dimension:
 
 Values are immutable after construction and safe to share across threads.
 Convolutions are out of scope; supply them pre-lowered to ``Linear``.
+
+``forward_rows`` is the exact kernel: each Linear layer takes one row at a
+time, so a row's bytes do not depend on its stack; ``forward_eval`` is its
+one-row call. ``forward_batch`` takes one matrix product per Linear layer:
+faster on sampling's large batches, whose values keep its rounding.
 """
 
 from __future__ import annotations
@@ -72,20 +77,10 @@ class Network:
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
 
-    def layer_widths(self) -> list[int]:
-        """Output width of every layer, ignoring validity (best effort)."""
-        widths = []
-        w = self.input_size
-        for layer in self.layers:
-            if isinstance(layer, (Linear, MaxPool)):
-                w = layer.out_width
-            widths.append(w)
-        return widths
-
     @property
     def output_size(self) -> int:
-        widths = self.layer_widths()
-        return widths[-1] if widths else self.input_size
+        sized = [layer.out_width for layer in self.layers if isinstance(layer, (Linear, MaxPool))]
+        return sized[-1] if sized else self.input_size  # a ReLU keeps its input's width
 
 
 @dataclass(frozen=True)
@@ -171,22 +166,29 @@ def validate_network(net: Network) -> list[str]:
 
 
 def forward_eval(net: Network, x0: np.ndarray) -> np.ndarray:
-    """Exact evaluation of the network at a single point."""
+    """Exact evaluation of the network at a single point (``forward_rows``)."""
     x = np.asarray(x0, dtype=np.float64)
     if x.shape != (net.input_size,):
         raise ValueError(f"input has shape {x.shape}, expected ({net.input_size},)")
+    return forward_rows(net, x)
+
+
+def forward_rows(net: Network, pts: np.ndarray) -> np.ndarray:
+    """The network at each row of ``pts`` (1-D: one row), one row at a time (``np.matvec``)."""
+    x = pts
     for layer in net.layers:
         if isinstance(layer, Linear):
-            x = layer.weight @ x + layer.bias
+            x = np.matvec(layer.weight, x) + layer.bias
         elif isinstance(layer, Relu):
             x = np.maximum(x, 0.0)
         else:
-            x = np.array([np.max(x[list(g)]) for g in layer.groups])
+            x = np.stack([np.max(x[..., list(g)], axis=-1) for g in layer.groups], axis=-1)
     return x
 
 
 def forward_batch(net: Network, points: np.ndarray, relu_inputs: dict[int, np.ndarray] | None = None) -> np.ndarray:
-    """Evaluate a batch of points, shape (n, input_size) -> (n, out_width).
+    """Evaluate a batch of points, shape (n, input_size) -> (n, out_width),
+    with one matrix product per Linear layer (see the module docstring).
     ``relu_inputs``, when given, receives each ReLU layer's input batch,
     keyed by layer index."""
     x = np.asarray(points, dtype=np.float64)

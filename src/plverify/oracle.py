@@ -51,7 +51,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .canon import VerificationProblem, lower_maxpools, validate_counterexample
+from .canon import CEX_TOL, VerificationProblem, lower_maxpools, validate_counterexample
 from .interval import ambiguous_units, pre_bounds, propagate_box
 from .model import BoxDomain, Linear, MaxPool, Network
 
@@ -186,7 +186,7 @@ def oracle_verdict(problem: VerificationProblem) -> tuple[str, float | np.ndarra
     ("unsat", margin). MaxPools are lowered before enumeration."""
     res = oracle_min(lower_maxpools(problem).canonical_net, problem.domain)
     if res.min_value <= 0.0:
-        if not validate_counterexample(problem, res.argmin, 1e-6):
+        if not validate_counterexample(problem, res.argmin, CEX_TOL):
             raise RuntimeError("oracle argmin failed counterexample validation")
         return "sat", res.argmin
     return "unsat", res.min_value

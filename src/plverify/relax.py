@@ -11,8 +11,10 @@ activation output (x):
 * the loose relaxation ("reluplex" mode): only x >= 0, x >= x_hat, x <= u,
   keeping the box part but dropping the chord.
 
-Units fixed by sign (bounds or an explicit phase) are encoded exactly:
-blocked contributes the constant 0, passing aliases x to x_hat.
+Units fixed by sign are encoded exactly: blocked (u <= 0) contributes the
+constant 0, passing (l >= 0) aliases x to x_hat. ``interval.pre_bounds``
+puts each fixed phase on its side, and tightening only narrows the units
+still ambiguous after that.
 
 The bounds of each layer come from ``interval.pre_bounds`` and
 ``interval.post_bounds`` applied to the previous layer's bounds as this
@@ -88,7 +90,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import lp
-from .interval import PASSING, LayerBounds, PhaseMap, post_bounds, pre_bounds
+from .interval import LayerBounds, PhaseMap, post_bounds, pre_bounds
 from .model import BoxDomain, Linear, Network, Relu, is_relu_only
 
 MAYBE_SAT = "maybe_sat"
@@ -102,9 +104,7 @@ class HullUnit:
     layer: int
     unit: int
     var_post: int
-    row_lower: int  # x - x_hat >= 0
-    lb: float
-    ub: float
+    row_lower: int  # x - x_hat >= 0; the unit's bounds are ``bounds.pre_*[layer][unit]``
 
 
 @dataclass
@@ -214,7 +214,7 @@ def _crash_starts(
             continue
         hull = [h for h in units if h.layer == i]
         j, x, low = np.array([(h.unit, h.var_post, h.row_lower) for h in hull], dtype=np.intp).reshape(-1, 3).T
-        l, u = np.array([(h.lb, h.ub) for h in hull]).reshape(-1, 2).T
+        l, u = bounds.pre_lb[i][j], bounds.pre_ub[i][j]
         chord, pre = faces[i], v[:, j]
         active = ~chord & (pre >= 0.0)
         v = np.where(bounds.pre_ub[i] > 0.0, v, 0.0)  # a passing unit keeps x_hat, a blocked one is 0
@@ -241,7 +241,7 @@ def backward_bounds(
     1811.00866) and again with lower slope 0 (Wong & Kolter, arXiv
     1711.00851), the tighter of the two per bound."""
     k = len(units)
-    eye = np.eye(len(bounds.post_lb[i - 1]))[units]
+    eye = np.eye(len(bounds.pre_lb[i - 1]))[units]
     rows, adaptive = np.concatenate([eye, -eye] * 2), np.repeat((True, False), 2 * k)
     kappa = backward_pass(net.layers[:i], rows, box.lb, box.ub, bounds.pre_lb[:i], bounds.pre_ub[:i], adaptive)
     low = np.maximum(kappa[:k], kappa[2 * k : 3 * k])
@@ -273,7 +273,7 @@ def _encode(
     basis = lp.Basis()
     prev = np.arange(box.size)  # the variable of each unit of the last layer, -1 for a constant zero
     cur_lb, cur_ub = box.lb, box.ub
-    out = LayerBounds([], [], [], [])
+    out = LayerBounds([], [], box.lb)  # the bounds encoded so far; ``output_lb`` is set last
     hull_units: list[HullUnit] = []
 
     for i, layer in enumerate(net.layers):
@@ -286,11 +286,10 @@ def _encode(
             basis = basis.extended(prev.tolist())  # each x_hat basic in its row
 
         else:  # Relu, whose inputs are the variables of the Linear before it
-            fixed = {j: phase for (l, j), phase in (phases or {}).items() if l == i}
             # over the input box the interval bound of one affine layer is
             # exact, so tightening cannot move it unless a phase of this
             # layer cuts the box
-            exact = i == 1 and isinstance(net.layers[0], Linear) and not fixed
+            exact = i == 1 and isinstance(net.layers[0], Linear) and not any(l == i for l, _ in phases or ())
             ambiguous = np.flatnonzero((lo < 0.0) & (hi > 0.0))
             if tighten and output_only and not exact and len(ambiguous):
                 low, high = backward_bounds(net, i, box, out, ambiguous)
@@ -329,9 +328,7 @@ def _encode(
                 lo, hi = low, high
                 model.lower[prev] = lo
                 model.upper[prev] = hi
-            blocked, passing = hi <= 0.0, lo >= 0.0
-            for j, phase in fixed.items():
-                (passing if phase == PASSING else blocked)[j] = True
+            blocked, passing = hi <= 0.0, lo >= 0.0  # every fixed phase included, by the clamp
             # one block over the outputs x in [0, u] of the ambiguous units:
             # per unit x - x_hat >= 0 (its slack basic), then in planet mode
             # the chord (u-l) x - u x_hat <= -u l (x basic); in reluplex mode
@@ -350,15 +347,14 @@ def _encode(
             else:
                 basis = basis.extended([~r for r in low], x.tolist())
             model.add_block(block, [lp.GE, lp.LE][:per] * k, rhs.ravel(), np.zeros(k), u)
-            hull_units += map(HullUnit, [i] * k, hull.tolist(), x.tolist(), low, l.tolist(), u.tolist())
+            hull_units += map(HullUnit, [i] * k, hull.tolist(), x.tolist(), low)
             prev = np.where(blocked, -1, prev)
             prev[hull] = x
         cur_lb, cur_ub = post_bounds(layer, lo, hi)
         out.pre_lb.append(lo)
         out.pre_ub.append(hi)
-        out.post_lb.append(cur_lb)
-        out.post_ub.append(cur_ub)
 
+    out.output_lb = cur_lb
     return PlanetModel(model, box, int(prev[0]), out, hull_units, basis=basis)
 
 

@@ -7,10 +7,27 @@ from pathlib import Path
 
 import numpy as np
 
-from plverify.canon import Geq, canonicalize, maxpool_to_relu
-from plverify.interval import propagate_box
+from plverify.canon import AnyClause, Geq, PropertyClause, canonicalize, maxpool_to_relu
+from plverify.interval import LayerBounds, post_bounds, propagate_box
 from plverify.lp import GE, LE, LpModel
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu
+
+
+def post_lists(net: Network, bounds: LayerBounds) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """The output bounds of every layer, rebuilt from ``bounds.pre_*`` by
+    ``interval.post_bounds`` as ``propagate_box`` and the relaxation take
+    them: (post_lb, post_ub), one entry per layer."""
+    post = [post_bounds(layer, lo, hi) for layer, lo, hi in zip(net.layers, bounds.pre_lb, bounds.pre_ub, strict=True)]
+    return [lo for lo, _ in post], [hi for _, hi in post]
+
+
+def clause_holds_strict(prop: PropertyClause, out: np.ndarray) -> bool:
+    """Strict Boolean evaluation of the clause tree on an output vector."""
+    if isinstance(prop, Geq):
+        return float(prop.c @ out - prop.b) > 0.0
+    if isinstance(prop, AnyClause):
+        return any(clause_holds_strict(c, out) for c in prop.clauses)
+    return all(clause_holds_strict(c, out) for c in prop.clauses)
 
 
 def toy_net() -> Network:

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
-from helpers import toy_box, toy_net, toy_problem
+from helpers import clause_holds_strict, toy_box, toy_net, toy_problem
 
 from plverify.canon import (
     AllClause,
     AnyClause,
     Geq,
     canonicalize,
-    clause_holds_strict,
     lower_maxpools,
     maxpool_to_relu,
     validate_counterexample,

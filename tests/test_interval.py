@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
-from helpers import random_box, random_net, toy_box, toy_net, toy_problem
+from helpers import post_lists, random_box, random_net, toy_box, toy_net, toy_problem
 
 from plverify.interval import (
     BLOCKED,
     PASSING,
     ambiguous_units,
+    post_bounds,
     propagate_box,
 )
 from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_eval
@@ -13,12 +14,13 @@ from plverify.model import BoxDomain, Linear, MaxPool, Network, Relu, forward_ev
 
 def test_toy_chain():
     b = propagate_box(toy_net(), toy_box())
+    post_lb, post_ub = post_lists(toy_net(), b)
     assert np.allclose(b.pre_lb[0], [-4.0, -4.0])
     assert np.allclose(b.pre_ub[0], [4.0, 4.0])
-    assert np.allclose(b.post_lb[1], [0.0, 0.0])
-    assert np.allclose(b.post_ub[1], [4.0, 4.0])
+    assert np.allclose(post_lb[1], [0.0, 0.0])
+    assert np.allclose(post_ub[1], [4.0, 4.0])
     assert np.allclose(b.output_lb, [-8.0])
-    assert np.allclose(b.post_ub[-1], [0.0])
+    assert np.allclose(post_ub[-1], [0.0])
 
 
 def test_canonical_toy_shifted_by_five():
@@ -26,7 +28,7 @@ def test_canonical_toy_shifted_by_five():
     b = propagate_box(problem.canonical_net, problem.domain)
     # output = y + 5, so interval gives [-3, 5]: inconclusive on its own
     assert b.output_lb[0] == pytest.approx(-3.0)
-    assert b.post_ub[-1][0] == pytest.approx(5.0)
+    assert post_lists(problem.canonical_net, b)[1][-1][0] == pytest.approx(5.0)
 
 
 def test_identity_linear_keeps_box():
@@ -34,7 +36,7 @@ def test_identity_linear_keeps_box():
     net = Network(2, (Linear(np.eye(2), np.zeros(2)),))
     b = propagate_box(net, box)
     assert np.allclose(b.output_lb, box.lb)
-    assert np.allclose(b.post_ub[-1], box.ub)
+    assert np.allclose(post_lists(net, b)[1][-1], box.ub)
 
 
 def test_maxpool_transfer_uses_max_of_lower_bounds():
@@ -45,7 +47,7 @@ def test_maxpool_transfer_uses_max_of_lower_bounds():
     box = BoxDomain(np.array([-3.0, -1.0, 0.0, 2.0]), np.array([-2.0, 4.0, 1.0, 5.0]))
     b = propagate_box(net, box)
     assert np.allclose(b.output_lb, [-1.0, 2.0])
-    assert np.allclose(b.post_ub[-1], [4.0, 5.0])
+    assert np.allclose(post_lists(net, b)[1][-1], [4.0, 5.0])
 
 
 def test_soundness_randomized():
@@ -53,6 +55,7 @@ def test_soundness_randomized():
     net = random_net(rng, 3, [4, 4])
     box = random_box(rng, 3)
     b = propagate_box(net, box)
+    post_lb, post_ub = post_lists(net, b)
     pts = rng.uniform(box.lb, box.ub, size=(1000, 3))
     for x in pts:
         cur = x
@@ -61,8 +64,8 @@ def test_soundness_randomized():
                 cur = layer.weight @ cur + layer.bias
             elif isinstance(layer, Relu):
                 cur = np.maximum(cur, 0.0)
-            assert np.all(cur >= b.post_lb[i] - 1e-9)
-            assert np.all(cur <= b.post_ub[i] + 1e-9)
+            assert np.all(cur >= post_lb[i] - 1e-9)
+            assert np.all(cur <= post_ub[i] + 1e-9)
 
 
 def test_monotone_under_shrinking_boxes():
@@ -81,13 +84,16 @@ def test_monotone_under_shrinking_boxes():
 
 
 def _stacked_rows_match(net, lb, ub):
-    """Each row of one stacked call is the bytes of the call on that row's box, in all four fields."""
+    """Each row of one stacked call is the bytes of the call on that row's
+    box, in the pre and post bounds of every layer and in ``output_lb``."""
     stacked = propagate_box(net, BoxDomain(lb, ub))
+    stacked_fields = [stacked.pre_lb, stacked.pre_ub, *post_lists(net, stacked)]
     for r in range(len(lb)):
         one = propagate_box(net, BoxDomain(lb[r], ub[r]))
-        for field in ("pre_lb", "pre_ub", "post_lb", "post_ub"):
-            for got, want in zip(getattr(stacked, field), getattr(one, field), strict=True):
+        for got_field, want_field in zip(stacked_fields, [one.pre_lb, one.pre_ub, *post_lists(net, one)], strict=True):
+            for got, want in zip(got_field, want_field, strict=True):
                 assert got[r].tobytes() == want.tobytes()
+        assert stacked.output_lb[r].tobytes() == one.output_lb.tobytes()
 
 
 def test_stacked_rows_match_per_box_calls_byte_for_byte():
@@ -137,7 +143,7 @@ def test_refine_passing_unit():
     # the sibling unit is untouched and the output range stays [-8, 0]
     assert refined.pre_lb[1][1] == pytest.approx(-4.0)
     assert np.allclose(refined.output_lb, [-8.0])
-    assert np.allclose(refined.post_ub[-1], [0.0])
+    assert np.allclose(post_lists(net, refined)[1][-1], [0.0])
 
 
 def test_refine_blocked_unit_zeroes_post():
@@ -145,7 +151,8 @@ def test_refine_blocked_unit_zeroes_post():
     refined = propagate_box(net, toy_box(), {(1, 1): BLOCKED})
     assert refined is not None
     assert refined.pre_ub[1][1] == pytest.approx(0.0)
-    assert refined.post_lb[1][1] == 0.0 and refined.post_ub[1][1] == 0.0
+    post_lb, post_ub = post_lists(net, refined)
+    assert post_lb[1][1] == 0.0 and post_ub[1][1] == 0.0
     # with b blocked, y = -a over a in [0,4]
     assert np.allclose(refined.output_lb, [-4.0])
 
@@ -172,3 +179,20 @@ def test_ambiguous_units_toy():
     net = toy_net()
     b = propagate_box(net, toy_box())
     assert ambiguous_units(net, b) == [(1, 0), (1, 1)]
+
+
+def test_output_lb_is_the_lower_post_bound_of_the_last_layer():
+    # the one output bound kept is the bytes ``post_bounds`` gives the last
+    # layer's pre entry, whichever kind of layer ends the net
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        n_in = int(rng.integers(1, 5))
+        net = random_net(rng, n_in, [int(rng.integers(1, 6))], out=4)
+        relu_end = Network(n_in, net.layers + (Relu(),))
+        pool_end = Network(n_in, net.layers + (MaxPool(((0, 1), (2,), (3,))),))
+        box = random_box(rng, n_in)
+        for end in (net, relu_end, pool_end):
+            b = propagate_box(end, box)
+            want = post_bounds(end.layers[-1], b.pre_lb[-1], b.pre_ub[-1])[0]
+            assert b.output_lb.tobytes() == want.tobytes()
+            assert b.output_lb.shape == (end.output_size,)

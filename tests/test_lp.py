@@ -21,6 +21,7 @@ from plverify.lp import (
     LpModel,
     NumericalFailure,
     RowStack,
+    slack_basis,
     solve,
 )
 
@@ -621,12 +622,15 @@ _REL_SYMBOL = {LE: "<=", EQ: "=", GE: ">=", None: "None"}
 )
 def test_model_without_variables_checks_its_rows(rel, rhs):
     # x = () meets a row only when 0 meets its relation; with no row at all
-    # (rel None) it is the optimum, of value 0
+    # (rel None) it is the optimum, of value 0. Such a model takes the normal
+    # route: a feasible one ends at its slack basis, with x of shape (0,)
     model = LpModel()
     if rel is not None:
         add_row(model, {}, rel, rhs)
     got, want = solve(model), solve_reference(model)
     assert got.status == want.status
+    if got.status == OPTIMAL:
+        assert got.basis == slack_basis(model) and got.x.shape == (0,) and got.pivots == 0
     if rel is None:
         assert got.status == OPTIMAL and got.objective == want.objective == 0.0
         assert got.x.shape == want.x.shape == (0,)

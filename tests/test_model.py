@@ -11,6 +11,7 @@ from plverify.model import (
     Relu,
     forward_batch,
     forward_eval,
+    forward_rows,
     validate_network,
 )
 
@@ -133,3 +134,23 @@ def test_box_domain_validation():
         BoxDomain(np.array([1.0]), np.array([0.0]))
     with pytest.raises(ValueError):
         BoxDomain(np.array([np.inf]), np.array([np.inf]))
+
+
+def test_forward_eval_is_the_one_row_call_of_forward_rows():
+    # each row of a stacked call is the bytes of forward_eval at that row:
+    # widths 1-70 cross the blocking of a BLAS matrix-vector kernel, where a
+    # matrix product over the stack would round differently in some rows
+    rng = np.random.default_rng(23)
+    nets = [random_net(rng, int(rng.integers(1, 71)), [int(w) for w in rng.integers(1, 71, size=rng.integers(1, 4))])
+            for _ in range(12)]
+    for _ in range(6):
+        w = 2 * int(rng.integers(1, 20))
+        head = random_net(rng, int(rng.integers(1, 40)), [int(rng.integers(2, 40))], out=w).layers
+        groups = tuple((j, j + 1) for j in range(0, w, 2))
+        nets.append(Network(head[0].in_width, head + (MaxPool(groups), Linear(rng.normal(size=(3, w // 2)), rng.normal(size=3)))))
+    for net in nets:
+        pts = rng.uniform(-2.0, 2.0, size=(int(rng.integers(1, 13)), net.input_size))
+        stacked = forward_rows(net, pts)
+        assert stacked.shape == (len(pts), net.output_size)
+        for k, x in enumerate(pts):
+            assert forward_eval(net, x).tobytes() == stacked[k].tobytes()

@@ -9,6 +9,7 @@ from helpers import (
     differential_cases,
     fresh_copy,
     hull_rows,
+    post_lists,
     random_box,
     random_net,
     toy_box,
@@ -95,10 +96,11 @@ def test_planet_structure_three_constraints_per_ambiguous_unit():
         row, rel, rhs = (a[row_upper] for a in (pm.model.rows, pm.model.rel, pm.model.rhs))
         assert rel == lp.LE and np.count_nonzero(row) == 2
         # chord: value 0 at x_hat = l and u at x_hat = u
-        at_l = (rhs - row[var_pre] * h.lb) / row[h.var_post]
-        at_u = (rhs - row[var_pre] * h.ub) / row[h.var_post]
+        l, u = pm.bounds.pre_lb[h.layer][h.unit], pm.bounds.pre_ub[h.layer][h.unit]
+        at_l = (rhs - row[var_pre] * l) / row[h.var_post]
+        at_u = (rhs - row[var_pre] * u) / row[h.var_post]
         assert at_l == pytest.approx(0.0, abs=1e-12)
-        assert at_u == pytest.approx(h.ub, rel=1e-12)
+        assert at_u == pytest.approx(u, rel=1e-12)
 
 
 def test_planet_infeasible_phases_marker():
@@ -504,11 +506,113 @@ def test_first_layer_tightening_runs_no_lp(monkeypatch):
             var_pre, _ = hull_rows(pm.model, unit)
             low = real_solve(pm.model.with_objective({var_pre: 1.0})).objective
             high = -real_solve(pm.model.with_objective({var_pre: -1.0})).objective
-            assert low - _SAFETY <= unit.lb and high + _SAFETY >= unit.ub
+            assert low - _SAFETY <= pm.bounds.pre_lb[unit.layer][unit.unit]
+            assert high + _SAFETY >= pm.bounds.pre_ub[unit.layer][unit.unit]
         planet_lower_bound_with_point(pm)
         assert len(solves) == 1
         solves.clear()
     assert ambiguous > 20
+
+
+def _layout(net, pm):
+    """The variables of every Linear layer's outputs and the first row of
+    every layer's block, by the relaxation's layout: a Linear block is one
+    row per unit over new x_hat variables, a ReLU block two rows and one
+    new x per hull unit."""
+    n, m, xhat, first_row = pm.box.size, 0, {}, {}
+    for i, layer in enumerate(net.layers):
+        first_row[i] = m
+        if isinstance(layer, Linear):
+            xhat[i] = np.arange(n, n + layer.out_width)
+            n, m = n + layer.out_width, m + layer.out_width
+        else:
+            k = sum(h.layer == i for h in pm.hull_units)
+            n, m = n + k, m + 2 * k
+    assert (n, m) == (pm.model.num_vars, len(pm.model.rhs))
+    return xhat, first_row
+
+
+def _phase_cases(rng):
+    """Random depth-2 nets, one unit of each hidden layer made the constant
+    0 (l = u = 0) in every other net, under random phase maps over all units
+    plus maps that fix every unit of a layer: with or against the interval
+    sign, on decided and ambiguous units, in the first ReLU layer or not."""
+    for k in range(30):
+        n_in = int(rng.integers(1, 4))
+        net = random_net(rng, n_in, [int(rng.integers(2, 5)) for _ in range(2)])
+        if k % 2:
+            layers = list(net.layers)
+            for i in (0, 2):
+                w, b = layers[i].weight.copy(), layers[i].bias.copy()
+                w[0], b[0] = 0.0, 0.0
+                layers[i] = Linear(w, b)
+            net = Network(n_in, tuple(layers))
+        box = random_box(rng, n_in)
+        interval = propagate_box(net, box)
+        units = [(i, j) for i in (1, 3) for j in range(len(interval.pre_lb[i]))]
+        for _ in range(4):
+            picks = rng.random(len(units)) < 0.5
+            yield net, box, {u: bool(rng.random() < 0.5) for u, pick in zip(units, picks) if pick}
+        for i in (1, 3):
+            lo, hi = interval.pre_lb[i], interval.pre_ub[i]
+            yield net, box, {(i, j): bool(hi[j] > 0.0) for j in range(len(lo))}  # with the sign where decided
+            yield net, box, {(i, j): bool(lo[j] < 0.0) for j in range(len(lo))}  # against it where decided
+
+
+def test_fixed_phases_are_clamped_once(monkeypatch):
+    # a fixed phase reaches the encoding only through the interval clamp:
+    # the hull units are exactly the units still ambiguous in ``pm.bounds``,
+    # and every fixed unit is encoded on its side, blocked (u <= 0) as a
+    # zero column of the next Linear block, passing (l >= 0) as x = x_hat
+    solves = _recorded_solves(monkeypatch)
+    backward_layers: list[int] = []
+    real_backward = relax_module.backward_bounds
+
+    def recorded_backward(net, i, *args):
+        backward_layers.append(i)
+        return real_backward(net, i, *args)
+
+    monkeypatch.setattr(relax_module, "backward_bounds", recorded_backward)
+    seen = {"infeasible": 0, "against": 0, "decided": 0, "zero": 0, "first_layer_tightened": 0}
+    for net, box, phases in _phase_cases(np.random.default_rng(61)):
+        interval = propagate_box(net, box, phases)
+        root = propagate_box(net, box)
+        for (i, j), phase in phases.items():
+            lo, hi = root.pre_lb[i][j], root.pre_ub[i][j]
+            seen["against"] += (phase == PASSING and hi < 0.0) or (phase == BLOCKED and lo > 0.0)
+            seen["decided"] += (phase == PASSING and lo > 0.0) or (phase == BLOCKED and hi < 0.0)
+            seen["zero"] += lo == hi == 0.0
+        for output_only in (False, True):
+            solves.clear()
+            backward_layers.clear()
+            pm = build_planet(net, box, phases, tighten=True, output_only=output_only)
+            if interval is None:
+                assert pm.infeasible
+            # the first ReLU layer is tightened exactly when one of its own
+            # phases cuts the box and leaves a unit ambiguous
+            first = propagate_box(net, box, {u: p for u, p in phases.items() if u[0] == 1})
+            first_cut = first is not None and any(l == 1 for l, _ in phases) and bool(
+                np.any((first.pre_lb[1] < 0.0) & (first.pre_ub[1] > 0.0))
+            )
+            first_lps = sum(int(np.flatnonzero(m.objective)[0]) < box.size + len(root.pre_lb[0]) for m in solves)
+            assert (1 in backward_layers if output_only else first_lps > 0) == first_cut
+            seen["first_layer_tightened"] += first_cut
+            if pm.infeasible:
+                seen["infeasible"] += 1
+                continue
+            bounds = pm.bounds
+            assert [(h.layer, h.unit) for h in pm.hull_units] == [
+                (i, j) for i in (1, 3) for j in np.flatnonzero((bounds.pre_lb[i] < 0.0) & (bounds.pre_ub[i] > 0.0)).tolist()
+            ]
+            xhat, first_row = _layout(net, pm)
+            for (i, j), phase in phases.items():
+                lo, hi = bounds.pre_lb[i][j], bounds.pre_ub[i][j]
+                assert hi <= 0.0 if phase == BLOCKED else lo >= 0.0
+                weight = net.layers[i + 1].weight
+                rows = pm.model.rows[first_row[i + 1] : first_row[i + 1] + len(weight), xhat[i - 1][j]]
+                want = np.zeros(len(weight)) if hi <= 0.0 else 0.0 - weight[:, j]
+                assert rows.tobytes() == want.tobytes()
+    assert all(v > 5 for v in seen.values()), seen
 
 
 def test_first_layer_phase_still_tightens(monkeypatch):
@@ -550,8 +654,12 @@ def test_tightening_failure_keeps_the_interval_bound(monkeypatch):
         interval = propagate_box(net, box)
         (unit,) = [u for u in pm.hull_units if hull_rows(pm.model, u)[0] == failed[0]]
         assert unit.layer == 3
-        assert pm.bounds.pre_lb[3][unit.unit] == interval.pre_lb[3][unit.unit] == unit.lb
-        assert pm.bounds.pre_ub[3][unit.unit] == interval.pre_ub[3][unit.unit] == unit.ub
+        assert pm.bounds.pre_lb[3][unit.unit] == interval.pre_lb[3][unit.unit]
+        assert pm.bounds.pre_ub[3][unit.unit] == interval.pre_ub[3][unit.unit]
+        # and the unit's chord row is written over those bounds
+        pre, chord = hull_rows(pm.model, unit)
+        l, u = interval.pre_lb[3][unit.unit], interval.pre_ub[3][unit.unit]
+        assert pm.model.rows[chord, unit.var_post] == u - l and pm.model.rows[chord, pre] == -u
         low = planet_lower_bound_with_point(pm)[0]
         points = rng.uniform(box.lb, box.ub, size=(500, 3))
         assert low <= forward_batch(net, points).min() + 1e-9
@@ -587,8 +695,8 @@ def test_infeasible_max_tightening_lp_makes_the_relaxation_infeasible(monkeypatc
     assert checked >= 3
 
 
-def _same_bytes(got, want):
-    xs, ys = _flat_bounds(got), _flat_bounds(want)
+def _same_bytes(net, got, want):
+    xs, ys = _flat_bounds(net, got), _flat_bounds(net, want)
     return len(xs) == len(ys) and all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes() for x, y in zip(xs, ys))
 
 
@@ -604,13 +712,13 @@ def test_relaxation_bounds_are_interval_bounds():
             assert plain.infeasible and tight.infeasible
             outcomes["interval_infeasible"] += 1
             continue
-        assert not plain.infeasible and _same_bytes(plain.bounds, want)
+        assert not plain.infeasible and _same_bytes(net, plain.bounds, want)
         if tight.infeasible:
             outcomes["tightened_infeasible"] += 1
             continue
-        got = tight.bounds
+        (got_lb, got_ub), (want_lb, want_ub) = post_lists(net, tight.bounds), post_lists(net, want)
         for lo, hi, w_lo, w_hi in zip(
-            got.pre_lb + got.post_lb, got.pre_ub + got.post_ub, want.pre_lb + want.post_lb, want.pre_ub + want.post_ub
+            tight.bounds.pre_lb + got_lb, tight.bounds.pre_ub + got_ub, want.pre_lb + want_lb, want.pre_ub + want_ub
         ):
             assert np.all(lo >= w_lo) and np.all(hi <= w_hi)
         outcomes["feasible"] += 1
@@ -665,8 +773,9 @@ def _skip_cases(rng):
             yield net, BoxDomain(np.minimum(lo, hi), np.maximum(lo, hi))
 
 
-def _flat_bounds(bounds):
-    return [*bounds.pre_lb, *bounds.pre_ub, *bounds.post_lb, *bounds.post_ub]
+def _flat_bounds(net, bounds):
+    post_lb, post_ub = post_lists(net, bounds)
+    return [*bounds.pre_lb, *bounds.pre_ub, *post_lb, *post_ub, bounds.output_lb]
 
 
 def test_input_box_relaxation_solves_only_the_output_lp(monkeypatch):
@@ -707,9 +816,9 @@ def test_input_box_relaxation_solves_only_the_output_lp(monkeypatch):
             solves.clear()
             assert (got is None) == (want.bounds is None)
             if got is not None:
-                for a, b in zip(_flat_bounds(got), _flat_bounds(want.bounds)):
+                for a, b in zip(_flat_bounds(net, got), _flat_bounds(net, want.bounds)):
                     assert a.tobytes() == b.tobytes()
-        for a, b in zip(_flat_bounds(compute_bounds(net, box, BOUNDS_PLANET)), _flat_bounds(full.bounds)):
+        for a, b in zip(_flat_bounds(net, compute_bounds(net, box, BOUNDS_PLANET)), _flat_bounds(net, full.bounds)):
             assert a.tobytes() == b.tobytes()
         assert len(solves) == full_lps
         solves.clear()
@@ -748,8 +857,9 @@ def test_backward_bounds_are_sound():
         # the corners meet the first layer's interval bound, up to rounding
         for i, values in pre.items():
             assert np.all(values >= got.pre_lb[i] - 1e-9) and np.all(values <= got.pre_ub[i] + 1e-9)
+        (got_lb, got_ub), (want_lb, want_ub) = post_lists(net, got), post_lists(net, interval)
         for lo, hi, w_lo, w_hi in zip(
-            got.pre_lb + got.post_lb, got.pre_ub + got.post_ub, interval.pre_lb + interval.post_lb, interval.pre_ub + interval.post_ub
+            got.pre_lb + got_lb, got.pre_ub + got_ub, interval.pre_lb + want_lb, interval.pre_ub + want_ub
         ):
             assert np.all(lo >= w_lo) and np.all(hi <= w_hi)
             tightened += int(np.sum(lo > w_lo) + np.sum(hi < w_hi))
